@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import os
-import struct
 import sys
 import time
 
@@ -186,7 +185,6 @@ def write_manifest(out_dir, command, cfg, artifacts, t_start, seeds):
         "package_version": __version__,
         "numpy_version": np.__version__,
         "seeds": seeds,
-        "threads": os.environ.get("HEDGEGAME_THREADS", "0"),
         "wall_time_s": round(time.monotonic() - t_start, 3),
         "artifacts": sorted(artifacts),
     }
@@ -203,33 +201,29 @@ def save_smooth(smooth: regularize.SmoothSurface, path):
         "axes_n": [len(a) for a in smooth.axes],
         "meta": {k: v for k, v in smooth.meta.items() if isinstance(v, (int, float, str))},
     }
-    hb = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(SMOOTH_MAGIC)
-        fh.write(struct.pack("<Q", len(hb)))
-        fh.write(hb)
-        fh.write(np.ascontiguousarray(smooth.t_nodes, dtype="<f8").tobytes())
-        for a in smooth.axes:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(smooth.node_values, dtype="<f8").tobytes())
+    arrays = [smooth.t_nodes, *smooth.axes, smooth.node_values]
+    hjb.write_cache(path, SMOOTH_MAGIC, header,
+                    [np.ascontiguousarray(arr, dtype="<f8") for arr in arrays])
+
+
+def _smooth_from_cache(header, take) -> regularize.SmoothSurface:
+    n_t, axes_n = header["n_t"], header["axes_n"]
+    return regularize.SmoothSurface(
+        take("<f8", (n_t,)), [take("<f8", (n,)) for n in axes_n], take("<f8", (n_t, *axes_n)),
+        header["delta"], eps=header["eps"], k=header["k"], model_hash=header["model_hash"],
+        meta=header.get("meta", {}),
+    )
 
 
 def load_smooth(path) -> regularize.SmoothSurface:
+    return hjb.read_cache(path, SMOOTH_MAGIC, _smooth_from_cache)
+
+
+def load_surface(path):
+    """A ``surface.bin`` or ``smooth.bin`` cache, told apart by its magic."""
     with open(path, "rb") as fh:
-        if fh.read(8) != SMOOTH_MAGIC:
-            raise HedgeGameError("not a smooth-surface cache file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        t_nodes = np.frombuffer(fh.read(header["n_t"] * 8), dtype="<f8")
-        axes = [np.frombuffer(fh.read(n * 8), dtype="<f8") for n in header["axes_n"]]
-        shape = (header["n_t"],) + tuple(header["axes_n"])
-        count = int(np.prod(shape))
-        values = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-    return regularize.SmoothSurface(
-        t_nodes.copy(), [a.copy() for a in axes], values.copy(), header["delta"],
-        eps=header["eps"], k=header["k"], model_hash=header["model_hash"],
-        meta=header.get("meta", {}),
-    )
+        magic = fh.read(8)
+    return load_smooth(path) if magic == SMOOTH_MAGIC else hjb.load_binary(path)
 
 
 def emit_plot_data(obj, kind: str, path, t0: float = 0.0):
@@ -267,27 +261,31 @@ def emit_plot_data(obj, kind: str, path, t0: float = 0.0):
 
 
 def _prepare(args):
-    cfg = load_config(args.config, args.set)
-    out_dir = args.out or cfg["output"]["directory"]
-    os.makedirs(out_dir, exist_ok=True)
-    model = model_from_config(cfg["model"])
-    return cfg, out_dir, model
+    """Config, output directory, model and grid; bad values are ConfigErrors."""
+    try:
+        cfg = load_config(args.config, args.set)
+        out_dir = args.out or cfg["output"]["directory"]
+        os.makedirs(out_dir, exist_ok=True)
+        model = model_from_config(cfg["model"])
+        grid = grid_from_config(cfg["grid"])
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+        raise ConfigError(f"invalid config value: {exc!r}") from None
+    return cfg, out_dir, model, grid
 
 
-def _checked_solve(model, cfg, args):
+def _checked_solve(model, grid, args):
     if not args.override_assumptions:
         rep = validate_assumptions(model, sample_count=256, rng_seed=0,
-                                   x_box=(min(cfg["grid"]["x_min"]), max(cfg["grid"]["x_max"])))
+                                   x_box=(min(grid.x_min), max(grid.x_max)))
         if not rep.ok:
             raise ConfigError("model violates standing assumptions:\n" + rep.summary())
-    grid = grid_from_config(cfg["grid"])
     return hjb.solve(model, grid, validate=False)
 
 
 def cmd_price(args):
     t_start = time.monotonic()
-    cfg, out_dir, model = _prepare(args)
-    surface = _checked_solve(model, cfg, args)
+    cfg, out_dir, model, grid = _prepare(args)
+    surface = _checked_solve(model, grid, args)
     x0 = np.asarray(cfg["sim"]["x0"], dtype=float)
     t0 = float(cfg["sim"]["t0"])
     price = surface.value(t0, x0)
@@ -310,8 +308,8 @@ def cmd_price(args):
 
 def cmd_solve(args):
     t_start = time.monotonic()
-    cfg, out_dir, model = _prepare(args)
-    surface = _checked_solve(model, cfg, args)
+    cfg, out_dir, model, grid = _prepare(args)
+    surface = _checked_solve(model, grid, args)
     artifacts = ["surface.csv", "surface.bin", "summary.json"]
     hjb.save_csv(surface, os.path.join(out_dir, "surface.csv"))
     hjb.save_binary(surface, os.path.join(out_dir, "surface.bin"))
@@ -359,9 +357,8 @@ def _box_for(cfg, grid, horizon_T):
 
 def cmd_regularize(args):
     t_start = time.monotonic()
-    cfg, out_dir, model = _prepare(args)
-    surface = _checked_solve(model, cfg, args)
-    grid = grid_from_config(cfg["grid"])
+    cfg, out_dir, model, grid = _prepare(args)
+    surface = _checked_solve(model, grid, args)
     box = _box_for(cfg, grid, model.horizon_T)
     rcfg = cfg["regularize"]
     smooth = regularize.build_smooth_supersolution(
@@ -385,22 +382,22 @@ def _parse_adversary(spec: str, model, policy_surface):
     if spec.startswith("random:"):
         return game.PiecewiseRandomAdversary(float(spec.split(":", 1)[1]))
     if spec == "worst":
-        if policy_surface is None:
-            raise ConfigError("worst adversary needs --surface with a policy")
+        if not isinstance(policy_surface, hjb.ValueSurface):
+            raise ConfigError("worst adversary needs a surface with a policy grid")
         return game.MarkovWorstAdversary(policy_surface)
     raise ConfigError(f"unknown adversary {spec!r}")
 
 
 def cmd_simulate(args):
     t_start = time.monotonic()
-    cfg, out_dir, model = _prepare(args)
+    cfg, out_dir, model, grid = _prepare(args)
     scfg = cfg["sim"]
     if args.surface:
-        source = hjb.load_binary(args.surface)
+        source = load_surface(args.surface)
         if source.model_hash != model.hash:
             raise ConfigError("surface cache was built from a different model")
     else:
-        source = _checked_solve(model, cfg, args)
+        source = _checked_solve(model, grid, args)
     margin = float(args.margin if args.margin is not None else scfg["margin"])
     sim = game.SimParams(
         x0=tuple(scfg["x0"]), t0=float(scfg["t0"]), paths=int(scfg["paths"]),
@@ -447,7 +444,7 @@ def cmd_simulate(args):
 
 def cmd_dual(args):
     t_start = time.monotonic()
-    cfg, out_dir, model = _prepare(args)
+    cfg, out_dir, model, _ = _prepare(args)
     dcfg = cfg["dual"]
     scfg = cfg["sim"]
     t0 = float(scfg["t0"])
@@ -518,7 +515,7 @@ def main(argv=None) -> int:
     except regularize.CertificationError as exc:
         _emit_error("certification", EXIT_CERT, exc)
         return EXIT_CERT
-    except HedgeGameError as exc:
+    except (HedgeGameError, OSError) as exc:
         _emit_error("config", EXIT_CONFIG, exc)
         return EXIT_CONFIG
 

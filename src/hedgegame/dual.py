@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .model import HedgeGameError, ModelSpec, shake_lattice
+from .model import HedgeGameError, ModelSpec, adverse_pairs, base_point, mu_Y_hat, shake_lattice
 
 _BOOTSTRAP = 200
 
@@ -51,8 +51,7 @@ def make_lattice(model: ModelSpec, t0: float, n_intervals: int, eps: float,
                  substeps: int = 25) -> ControlLattice:
     """Uniform knots on [t0, T]; controls = adverse points x shake lattice."""
     knots = np.linspace(t0, model.horizon_T, n_intervals + 1)
-    shakes = shake_lattice(eps, model.dim)
-    gamma = [(a, b) for a in model.A_points for b in shakes]
+    gamma = adverse_pairs(model, shake_lattice(eps, model.dim))
     return ControlLattice(tuple(knots), tuple(gamma), substeps)
 
 
@@ -130,7 +129,6 @@ class _PolyMax:
 def _euler_segment(model, gamma, t_from, t_to, X0, substeps, rng):
     """Euler forward run under one control; returns endpoint and summed dW."""
     a, b = gamma
-    T = model.horizon_T
     n, d = X0.shape
     dt = (t_to - t_from) / substeps
     sq = np.sqrt(dt)
@@ -138,8 +136,7 @@ def _euler_segment(model, gamma, t_from, t_to, X0, substeps, rng):
     dW_sum = np.zeros((n, d))
     for m in range(substeps):
         s = t_from + m * dt
-        t_eff = min(max(s + b[0], 0.0), T)
-        x_eff = X + b[1:]
+        t_eff, x_eff = base_point(s, X, b, model.horizon_T)
         dW = rng.standard_normal((n, d)) * sq
         mu = np.asarray(model.mu_X(t_eff, x_eff, a), dtype=float)
         sig = np.asarray(model.sigma_X(t_eff, x_eff, a), dtype=float)
@@ -151,10 +148,8 @@ def _euler_segment(model, gamma, t_from, t_to, X0, substeps, rng):
 def _driver(model, gamma, t, xs, ys, zs):
     """Hedged wealth drift at the shifted base point (the BSDE driver)."""
     a, b = gamma
-    t_eff = min(max(t + b[0], 0.0), model.horizon_T)
-    x_eff = xs + b[1:]
-    u = model.u_hat(t_eff, x_eff, ys, zs, a)
-    return np.asarray(model.mu_Y(t_eff, x_eff, ys, u, a), dtype=float)
+    t_eff, x_eff = base_point(t, xs, b, model.horizon_T)
+    return np.asarray(mu_Y_hat(t_eff, x_eff, ys, zs, a, model), dtype=float)
 
 
 # ---------------------------------------------------------------------------

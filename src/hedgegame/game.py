@@ -32,18 +32,15 @@ class StrategyMap:
         self.clamped = 0
         if isinstance(source, regularize.SmoothSurface):
             self._t_lo = max(float(source.t_nodes[0]) + source.delta, 0.0)
-            self._t_hi = source.horizon_T
-            self._x_lo = np.array([a[0] for a in source.axes])
-            self._x_hi = np.array([a[-1] for a in source.axes])
             self._mode = "smooth"
         elif isinstance(source, hjb.ValueSurface):
             self._t_lo = max(source.t_start, 0.0)
-            self._t_hi = source.horizon_T
-            self._x_lo = np.array([a[0] for a in source.axes])
-            self._x_hi = np.array([a[-1] for a in source.axes])
             self._mode = "grid"
         else:
             raise HedgeGameError(f"unsupported strategy source {type(source)!r}")
+        self._t_hi = source.horizon_T
+        self._x_lo = np.array([a[0] for a in source.axes])
+        self._x_hi = np.array([a[-1] for a in source.axes])
 
     def _clamp(self, t, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -329,7 +326,8 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
     Runs the feedback hedge against each constant adverse point, a randomly
     switching adversary and the worst-case policy feedback, all on the same
     Brownian increments (shared-seed coupling). PASS iff every run keeps
-    shortfall_prob(tol_sim) <= p_sim with no excluded paths.
+    shortfall_prob(tol_sim) <= p_sim over at least one path, with no
+    excluded paths; a run without a finite path is no evidence and fails.
     """
     strategy = make_strategy(source, model)
     y0 = strategy.value(sim.t0, np.asarray(sim.x0, dtype=float).reshape(1, -1)) + margin
@@ -347,6 +345,7 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
         rep = simulate(model, strategy, adv, sim.t0, np.asarray(sim.x0, dtype=float),
                        y0, sim.paths, sim.steps, sim.seed)
         reports.append(rep)
-        if rep.excluded_paths > 0 or rep.shortfall_prob(sim.tol_sim) > sim.p_sim:
+        if rep.excluded_paths > 0 or rep.shortfall.size == 0 \
+                or rep.shortfall_prob(sim.tol_sim) > sim.p_sim:
             ok = False
     return CheckReport(ok, float(y0), float(margin), sim.tol_sim, sim.p_sim, reports)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from .model import HedgeGameError, ModelSpec, validate_assumptions
+from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, min_generator_field,
+                    mu_Y_hat, validate_assumptions)
 
 _PROBE_H = 1e-6
 _FP_TOL = 1e-10
@@ -118,9 +120,6 @@ class ValueSurface:
     @property
     def horizon_T(self) -> float:
         return float(self.t[-1])
-
-    def node_shape(self):
-        return self.values.shape
 
     # -- derivative fields -------------------------------------------------
 
@@ -283,8 +282,8 @@ def _adverse_terms(model, t_eff, x_eff, y_ref, ops: _LayerOps, a):
         zp[..., j] += h
         zm = z_c.copy()
         zm[..., j] -= h
-        fp = np.asarray(model.mu_Y(t_eff, x_eff, y_ref, model.u_hat(t_eff, x_eff, y_ref, zp, a), a))
-        fm = np.asarray(model.mu_Y(t_eff, x_eff, y_ref, model.u_hat(t_eff, x_eff, y_ref, zm, a), a))
+        fp = np.asarray(mu_Y_hat(t_eff, x_eff, y_ref, zp, a, model))
+        fm = np.asarray(mu_Y_hat(t_eff, x_eff, y_ref, zm, a, model))
         fz[..., j] = (fp - fm) / (2.0 * h)
     drift_eff = mu - np.einsum("...ij,...j->...i", sig, fz)
     const = np.zeros(ops.center.shape)
@@ -298,13 +297,8 @@ def _adverse_terms(model, t_eff, x_eff, y_ref, ops: _LayerOps, a):
     return z_c, const
 
 
-def _clamped(t, T):
-    return min(max(t, 0.0), T)
-
-
 def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
-          terminal=None, shake_points=None, validate: bool = True,
-          validate_samples: int = 128) -> ValueSurface:
+          terminal=None, shake_points=None, validate: bool = True) -> ValueSurface:
     """Backward sweep for the worst-case value surface.
 
     ``terminal`` overrides the model payoff as terminal data. With
@@ -320,7 +314,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     if grid.dim != model.dim:
         raise HedgeGameError(f"grid dim {grid.dim} != model dim {model.dim}")
     if validate:
-        rep = validate_assumptions(model, sample_count=validate_samples, rng_seed=0,
+        rep = validate_assumptions(model, sample_count=128, rng_seed=0,
                                    x_box=(min(grid.x_min), max(grid.x_max)))
         if not rep.ok:
             raise HedgeGameError(
@@ -345,16 +339,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     d = grid.dim
 
     g_term = terminal if terminal is not None else model.payoff_g
-    shakes = None
-    if shake_points is not None:
-        shakes = np.atleast_2d(np.asarray(shake_points, dtype=float))
-    pairs = []
-    for a in model.A_points:
-        if shakes is None:
-            pairs.append((a, None))
-        else:
-            for b in shakes:
-                pairs.append((a, b))
+    pairs = adverse_pairs(model, shake_points)
 
     values = np.empty((n_layers + 1,) + X.shape[:-1])
     policy = np.zeros((n_layers + 1,) + X.shape[:-1], dtype=np.int32)
@@ -380,10 +365,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
         ops = _LayerOps(v_next, dx)
         terms = []
         for a, b in pairs:
-            if b is None:
-                t_eff, x_eff = _clamped(t_k, T), X
-            else:
-                t_eff, x_eff = _clamped(t_k + b[0], T), X + b[1:]
+            t_eff, x_eff = base_point(t_k, X, b, T)
             z_c, const = _adverse_terms(model, t_eff, x_eff, v_next, ops, a)
             terms.append((a, t_eff, x_eff, z_c, const))
 
@@ -392,8 +374,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
         for it in range(_FP_MAX_ITERS):
             stack = np.empty((len(terms),) + y.shape)
             for j, (a, t_eff, x_eff, z_c, const) in enumerate(terms):
-                u = model.u_hat(t_eff, x_eff, y, z_c, a)
-                stack[j] = np.asarray(model.mu_Y(t_eff, x_eff, y, u, a)) + const
+                stack[j] = np.asarray(mu_Y_hat(t_eff, x_eff, y, z_c, a, model)) + const
             s_min = stack.min(axis=0)
             y_new = v_next - dt * s_min
             delta = float(np.max(np.abs(y_new - y)))
@@ -434,11 +415,6 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
                         a_count=len(pairs), meta=meta)
 
 
-def policy(surface: ValueSurface) -> np.ndarray:
-    """Adverse argmin indices chosen in the final fixed-point round."""
-    return surface.policy
-
-
 @dataclass
 class ResidualReport:
     grid: np.ndarray
@@ -449,27 +425,6 @@ class ResidualReport:
     def to_dict(self):
         return {"max_abs": self.max_abs, "min_value": self.min_value,
                 "argmin": [float(v) for v in self.argmin]}
-
-
-def min_generator_field(model: ModelSpec, t: float, X, y, q, p, M):
-    """Vectorised min_a La over a field of derivative packs."""
-    best = None
-    idx = None
-    for j, a in enumerate(model.A_points):
-        mu = np.asarray(model.mu_X(t, X, a), dtype=float)
-        sig = np.asarray(model.sigma_X(t, X, a), dtype=float)
-        Sig = np.einsum("...ik,...jk->...ij", sig, sig)
-        z = np.einsum("...ji,...j->...i", sig, p)
-        u = model.u_hat(t, X, y, z, a)
-        f = np.asarray(model.mu_Y(t, X, y, u, a), dtype=float)
-        val = f - q - np.einsum("...i,...i->...", mu, p) - 0.5 * np.einsum("...ij,...ij->...", Sig, M)
-        if best is None:
-            best, idx = val, np.zeros(val.shape, dtype=np.int32)
-        else:
-            take = val < best
-            best = np.where(take, val, best)
-            idx = np.where(take, j, idx)
-    return best, idx
 
 
 def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
@@ -532,6 +487,46 @@ def save_csv(surface: ValueSurface, path):
         fh.write(buf.getvalue())
 
 
+def write_cache(path, magic, header: dict, arrays):
+    """Cache layout: 8-byte magic, <Q header length, JSON header, raw arrays."""
+    hb = json.dumps(header, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<Q", len(hb)))
+        fh.write(hb)
+        for arr in arrays:
+            fh.write(arr.tobytes())
+
+
+def read_cache(path, magic, parse):
+    """Read a ``write_cache`` file as ``parse(header, take)``; ``take(dtype,
+    shape)`` returns the next array. Wrong magic, short, garbled or overlong
+    files raise HedgeGameError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:8] != magic:
+        raise HedgeGameError(f"not a {magic!r} cache file: bad magic {data[:8]!r}")
+    pos = 16
+
+    def take(dtype, shape):
+        nonlocal pos
+        if min(shape) < 0:
+            raise ValueError(f"negative array shape {shape}")
+        arr = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=pos)
+        pos += arr.nbytes
+        return arr.reshape(shape).copy()
+
+    try:
+        pos += struct.unpack_from("<Q", data, 8)[0]
+        out = parse(json.loads(data[16:pos].decode()), take)
+        if pos != len(data):
+            raise ValueError("file size does not match its header")
+        return out
+    except (struct.error, ValueError, KeyError, TypeError, IndexError, OverflowError,
+            ZeroDivisionError) as exc:
+        raise HedgeGameError(f"corrupt cache file {path}: {exc}") from None
+
+
 def save_binary(surface: ValueSurface, path):
     header = {
         "t_steps": surface.grid.t_steps,
@@ -546,36 +541,21 @@ def save_binary(surface: ValueSurface, path):
         "model_hash": surface.model_hash,
         "meta": {k: v for k, v in surface.meta.items() if isinstance(v, (int, float, str))},
     }
-    hb = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<Q", len(hb)))
-        fh.write(hb)
-        fh.write(np.ascontiguousarray(surface.values, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(surface.policy, dtype="<i4").tobytes())
+    write_cache(path, BINARY_MAGIC, header, [np.ascontiguousarray(surface.values, dtype="<f8"),
+                                             np.ascontiguousarray(surface.policy, dtype="<i4")])
 
 
-def load_binary(path) -> ValueSurface:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != BINARY_MAGIC:
-            raise HedgeGameError(f"not a surface cache file: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        grid = GridSpec(
-            t_steps=header["t_steps"],
-            x_min=tuple(header["x_min"]),
-            x_max=tuple(header["x_max"]),
-            x_steps=tuple(header["x_steps"]),
-            boundary_mode=header["boundary_mode"],
-        )
-        shape = (header["n_layers"],) + tuple(s + 1 for s in grid.x_steps)
-        count = int(np.prod(shape))
-        values = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-        policy_arr = np.frombuffer(fh.read(count * 4), dtype="<i4").reshape(shape)
+def _surface_from_cache(header, take) -> ValueSurface:
+    grid = GridSpec(header["t_steps"], header["x_min"], header["x_max"], header["x_steps"],
+                    header["boundary_mode"])
+    shape = (header["n_layers"],) + tuple(s + 1 for s in grid.x_steps)
     n_layers = header["n_layers"] - 1
     dt = (header["horizon_T"] - header["t_start"]) / n_layers
     t = header["t_start"] + dt * np.arange(n_layers + 1)
     t[-1] = header["horizon_T"]
-    return ValueSurface(grid, header["model_hash"], t, grid.axes(), values.copy(),
-                        policy_arr.copy(), header["a_count"], header.get("meta", {}))
+    return ValueSurface(grid, header["model_hash"], t, grid.axes(), take("<f8", shape),
+                        take("<i4", shape), header["a_count"], header.get("meta", {}))
+
+
+def load_binary(path) -> ValueSurface:
+    return read_cache(path, BINARY_MAGIC, _surface_from_cache)

@@ -193,37 +193,14 @@ def mu_Y_hat(t, x, y, z, a, model: ModelSpec):
     return model.mu_Y(t, x, y, u, a)
 
 
-def operator_La(t, x, pack: DerivativePack, a, model: ModelSpec) -> float:
-    """One-adversary generator applied to a derivative pack.
+def base_point(t, x, b, T):
+    """Base point (t, x) + b with time clamped to [0, T]; b None is no shift.
 
-    Value of  mu_Y_hat(., y, sigma_X^T p, a) - q - mu_X.p - 1/2 Tr[sigma_X
-    sigma_X^T M].  The transposed volatility in the z-slot is what makes the
-    finance preset collapse to the delta rule u = p.
+    The clamp extends every coefficient constantly in time past the horizon.
     """
-    x1 = np.asarray(x, dtype=float).reshape(1, -1)
-    mu = np.asarray(model.mu_X(t, x1, a), dtype=float).reshape(-1)
-    sig = np.asarray(model.sigma_X(t, x1, a), dtype=float).reshape(
-        model.dim, model.dim
-    )
-    z = sig.T @ pack.p
-    f = float(np.asarray(mu_Y_hat(t, x1, np.asarray([pack.y]), z.reshape(1, -1), a, model)).reshape(()))
-    diffusion = 0.5 * float(np.trace(sig @ sig.T @ pack.M))
-    return f - pack.q - float(mu @ pack.p) - diffusion
-
-
-def operator_L(t, x, pack: DerivativePack, model: ModelSpec):
-    """Worst case over the adverse set: (min_a La, argmin index).
-
-    Ties break to the lowest index in ``A_points`` so policy surfaces are
-    deterministic.
-    """
-    best_val = np.inf
-    best_idx = 0
-    for i, a in enumerate(model.A_points):
-        v = operator_La(t, x, pack, a, model)
-        if v < best_val:
-            best_val, best_idx = v, i
-    return best_val, best_idx
+    if b is not None:
+        t, x = t + b[0], x + b[1:]
+    return min(max(t, 0.0), T), x
 
 
 def shake_lattice(eps: float, dim: int) -> np.ndarray:
@@ -243,11 +220,72 @@ def shake_lattice(eps: float, dim: int) -> np.ndarray:
     return pts[order]
 
 
-def operator_H_eps(t, x, pack: DerivativePack, eps, shake_points, model: ModelSpec) -> float:
-    """Shaken generator: min of operator_L over shifted base points (t,x)+b.
+def adverse_pairs(model: ModelSpec, shake_points=None) -> list:
+    """(a, b) pairs in A-major order, b None without ``shake_points``.
 
-    Shifted times are clamped to [0, horizon_T]; coefficients are thereby
-    extended constantly in time outside the horizon.
+    Policy and argmin indices of the solve and the generator index this list.
+    """
+    if shake_points is None:
+        return [(a, None) for a in model.A_points]
+    shakes = np.atleast_2d(np.asarray(shake_points, dtype=float))
+    return [(a, b) for a in model.A_points for b in shakes]
+
+
+def min_generator_field(model: ModelSpec, t: float, X, y, q, p, M, pairs=None):
+    """Worst-case generator over a field of derivative packs: (min, argmin).
+
+    Each pair (a, b) contributes La at the shifted base point (t, X) + b:
+    mu_Y_hat(., y, sigma_X^T p, a) - q - mu_X.p - 1/2 sigma_X sigma_X^T : M.
+    The transposed volatility in the z-slot is what makes the finance preset
+    collapse to the delta rule u = p. ``pairs`` defaults to the unshaken
+    adverse set, giving L = min_a La; the pairs of a shake lattice give
+    H_eps. Ties break to the lowest pair index.
+    """
+    if pairs is None:
+        pairs = adverse_pairs(model)
+    best = idx = None
+    for j, (a, b) in enumerate(pairs):
+        t_b, X_b = base_point(t, X, b, model.horizon_T)
+        mu = np.asarray(model.mu_X(t_b, X_b, a), dtype=float)
+        sig = np.asarray(model.sigma_X(t_b, X_b, a), dtype=float)
+        Sig = np.einsum("...ik,...jk->...ij", sig, sig)
+        z = np.einsum("...ji,...j->...i", sig, p)
+        f = np.asarray(mu_Y_hat(t_b, X_b, y, z, a, model), dtype=float)
+        val = f - q - np.einsum("...i,...i->...", mu, p) - 0.5 * np.einsum("...ij,...ij->...", Sig, M)
+        if best is None:
+            best, idx = val, np.zeros(val.shape, dtype=np.int32)
+        else:
+            take = val < best
+            best = np.where(take, val, best)
+            idx = np.where(take, j, idx)
+    return best, idx
+
+
+def _one_node(t, x, pack: DerivativePack, model: ModelSpec, pairs):
+    """min_generator_field at the single node x, as (float, int)."""
+    best, idx = min_generator_field(model, t, np.asarray(x, dtype=float).reshape(1, -1),
+                                    np.asarray([pack.y]), pack.q, pack.p[None], pack.M[None], pairs)
+    return float(best[0]), int(idx[0])
+
+
+def operator_La(t, x, pack: DerivativePack, a, model: ModelSpec) -> float:
+    """One-adversary generator La applied to a derivative pack."""
+    return _one_node(t, x, pack, model, [(a, None)])[0]
+
+
+def operator_L(t, x, pack: DerivativePack, model: ModelSpec):
+    """Worst case over the adverse set: (min_a La, argmin index).
+
+    Ties break to the lowest index in ``A_points`` so policy surfaces are
+    deterministic.
+    """
+    return _one_node(t, x, pack, model, None)
+
+
+def operator_H_eps(t, x, pack: DerivativePack, eps, shake_points, model: ModelSpec) -> float:
+    """Shaken generator: min of La over adverse points and shifted base points.
+
+    Shifted times are clamped to [0, horizon_T] (see ``base_point``).
     """
     if shake_points is None:
         shake_points = shake_lattice(eps, model.dim)
@@ -255,13 +293,7 @@ def operator_H_eps(t, x, pack: DerivativePack, eps, shake_points, model: ModelSp
     norms = np.sqrt((shake_points**2).sum(axis=1))
     if np.any(norms > eps + 1e-12):
         raise ModelError("shake_points must lie in the closed ball of radius eps")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    best = np.inf
-    for b in shake_points:
-        t_s = min(max(t + b[0], 0.0), model.horizon_T)
-        v, _ = operator_L(t_s, x + b[1:], pack, model)
-        best = min(best, v)
-    return best
+    return _one_node(t, x, pack, model, adverse_pairs(model, shake_points))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -609,19 +641,15 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
     # midpoint concavity of (y, p) -> La(t, x, y, 0, p, 0)
     p1 = rng.normal(0.0, 2.0, (n, d))
     p2 = rng.normal(0.0, 2.0, (n, d))
+    zero_M = np.zeros((n, d, d))
     worst_conc, wit_conc = np.inf, None
     for t in ts:
         for a in model.A_points:
-            def la(xb, yb, pb):
-                x2d = np.atleast_2d(xb)
-                sig = np.asarray(model.sigma_X(t, x2d, a), dtype=float)
-                mu = np.asarray(model.mu_X(t, x2d, a), dtype=float)
-                zz = np.einsum("...ji,...j->...i", sig, np.atleast_2d(pb))
-                f = np.asarray(mu_Y_hat(t, x2d, np.atleast_1d(yb), zz, a, model), dtype=float)
-                return f - (mu * np.atleast_2d(pb)).sum(axis=-1)
+            def la(yb, pb):
+                return min_generator_field(model, t, x1, yb, 0.0, pb, zero_M, [(a, None)])[0]
 
-            mid = la(x1, 0.5 * (y1 + y2), 0.5 * (p1 + p2))
-            avg = 0.5 * (la(x1, y1, p1) + la(x1, y2, p2))
+            mid = la(0.5 * (y1 + y2), 0.5 * (p1 + p2))
+            avg = 0.5 * (la(y1, p1) + la(y2, p2))
             defect = mid - avg
             i = int(np.argmin(defect))
             if defect[i] < worst_conc:

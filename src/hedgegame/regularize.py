@@ -318,16 +318,14 @@ class SmoothSurface:
     def horizon_T(self) -> float:
         return float(self.t_nodes[-1])
 
-    def _quad_1d(self, centre, lo_off, hi_off, coords):
-        return _subdivide(centre + lo_off, centre + hi_off, coords)
-
     def eval(self, t: float, x, need_second: bool = True) -> hjb.EvalPack:
         """(value, gradient, hessian, time derivative) at one point."""
         d = self.dim
         dl = self.delta
         x = np.asarray(x, dtype=float).reshape(d)
-        tq, tw = self._quad_1d(float(t), -dl, 0.0, self.t_nodes)
-        xqs = [self._quad_1d(x[i], -dl, dl, self.axes[i]) for i in range(d)]
+        t = float(t)
+        tq, tw = _subdivide(t - dl, t, self.t_nodes)
+        xqs = [_subdivide(x[i] - dl, x[i] + dl, self.axes[i]) for i in range(d)]
         grids = np.meshgrid(tq, *[q for q, _ in xqs], indexing="ij")
         wgts = np.meshgrid(tw, *[w for _, w in xqs], indexing="ij")
         pts_t = grids[0].reshape(-1)
@@ -428,16 +426,13 @@ class SmoothSurface:
         return v, g
 
 
-def mollify(node_values, t_nodes, axes, delta: float, *, kernel=None,
-            eps: float = 0.0, k: float = 0.0, weights=None, B_set=None,
-            model_hash: str = "", meta=None) -> SmoothSurface:
+def mollify(node_values, t_nodes, axes, delta: float, *, eps: float = 0.0,
+            k: float = 0.0, weights=None, B_set=None, model_hash: str = "",
+            meta=None) -> SmoothSurface:
     """Wrap grid values into a smooth surface mollified at width delta."""
-    surf = SmoothSurface(t_nodes, axes, node_values, delta, eps=eps, k=k,
+    return SmoothSurface(t_nodes, axes, node_values, delta, eps=eps, k=k,
                          weights=weights, B_set=B_set, model_hash=model_hash,
                          meta=meta)
-    if kernel is not None:
-        surf.kernel = kernel
-    return surf
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hedgegame.cli import (
     save_smooth,
     validate_config,
 )
+from hedgegame.model import HedgeGameError
 from hedgegame.regularize import SmoothSurface
 
 
@@ -178,6 +179,71 @@ class TestSolveSimulatePipeline:
         assert rc == 2
 
 
+def error_payload(capsys):
+    """The JSON error object of the last run, read from stderr."""
+    return json.loads(capsys.readouterr().err.strip().split("\n")[-1])["error"]
+
+
+class TestExitCodeContract:
+    def test_zero_paths_fail_closed(self, tmp_path):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        rc = main(["simulate", "-c", path, "--out", str(out), "--set", "sim.paths=0"])
+        assert rc == 4
+        rep = json.loads((out / "simreport.json").read_text())
+        assert rep["passed"] is False
+        assert all(run["n_paths"] == 0 for run in rep["runs"])
+
+    def test_non_integer_dim_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        rc = main(["price", "-c", path, "--out", str(tmp_path / "out"),
+                   "--set", 'model.dim="x"'])
+        assert rc == 2
+        assert error_payload(capsys)["code"] == 2
+
+    def test_non_numeric_grid_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        rc = main(["price", "-c", path, "--out", str(tmp_path / "out"),
+                   "--set", 'grid.x_steps=["x"]'])
+        assert rc == 2
+        assert error_payload(capsys)["kind"] == "config"
+
+    def test_truncated_surface_cache_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["solve", "-c", path, "--out", str(out)]) == 0
+        blob = (out / "surface.bin").read_bytes()
+        rng = np.random.default_rng(4242)
+        cuts = sorted(set(rng.integers(0, len(blob), 18).tolist()) | {0, 300, len(blob) - 1})
+        for cut in cuts:
+            bad = tmp_path / f"cut{cut}.bin"
+            bad.write_bytes(blob[:cut])
+            capsys.readouterr()
+            rc = main(["simulate", "-c", path, "--out", str(tmp_path / "sim"),
+                       "--surface", str(bad)])
+            assert rc == 2, f"truncation at byte {cut} exited {rc}"
+            assert error_payload(capsys)["code"] == 2
+
+    def test_garbled_surface_header_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["solve", "-c", path, "--out", str(out)]) == 0
+        blob = bytearray((out / "surface.bin").read_bytes())
+        blob[20:40] = b"\xff" * 20
+        bad = tmp_path / "garbled.bin"
+        bad.write_bytes(bytes(blob))
+        rc = main(["simulate", "-c", path, "--out", str(tmp_path / "sim"), "--surface", str(bad)])
+        assert rc == 2
+        assert error_payload(capsys)["kind"] == "config"
+
+    def test_missing_surface_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        rc = main(["simulate", "-c", path, "--out", str(tmp_path / "sim"),
+                   "--surface", str(tmp_path / "absent.bin")])
+        assert rc == 2
+        assert error_payload(capsys)["code"] == 2
+
+
 class TestDualCommand:
     def test_dual_constant(self, tmp_path):
         cfg = base_config()
@@ -220,6 +286,37 @@ class TestRegularizeCommand:
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
         smooth = load_smooth(tmp_path / "out" / "smooth.bin")
         assert smooth.eps == cert["eps"]
+
+    def test_simulate_hedges_with_certified_smooth_surface(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["grid"]["x_steps"] = [50]
+        cfg["regularize"] = {
+            "eta": 0.5, "tol": 1e-3, "eps_ladder": [0.2, 0.1],
+            "B": {"t": [0.0, 1.0], "x": [[-0.5, 0.5]]},
+            "check_shape": [10, 20], "phi": "v-plus-margin:1.0",
+        }
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["regularize", "-c", path, "--out", str(out)]) == 0
+        smooth = str(out / "smooth.bin")
+        rc = main(["simulate", "-c", path, "--out", str(tmp_path / "sim"), "--surface", smooth])
+        assert rc == 0
+        rep = json.loads((tmp_path / "sim" / "simreport.json").read_text())
+        assert rep["passed"] is True
+        assert [r["adversary"] for r in rep["runs"]] == ["constant:0", "random:4"]
+        # the worst-case adversary reads a policy grid, which a smooth surface lacks
+        capsys.readouterr()
+        rc = main(["simulate", "-c", path, "--out", str(tmp_path / "worst"),
+                   "--surface", smooth, "--adversary", "worst"])
+        assert rc == 2
+        assert "policy" in error_payload(capsys)["message"]
+        # the model-hash check applies to smooth caches too
+        other = base_config(payoff={"type": "constant", "level": 2.0})
+        other["grid"] = cfg["grid"]
+        rc = main(["simulate", "-c", write_config(tmp_path, other, "other.json"),
+                   "--out", str(tmp_path / "o2"), "--surface", smooth])
+        assert rc == 2
+        assert "different model" in error_payload(capsys)["message"]
 
     def test_certification_failure_exit_4(self, tmp_path, capsys):
         # eta so tight no rung can satisfy the gap test
@@ -295,3 +392,19 @@ class TestSmoothCache:
         assert np.array_equal(back.node_values, s.node_values)
         assert back.delta == s.delta and back.eps == s.eps and back.k == s.k
         assert back.model_hash == "abc"
+
+    def test_truncated_cache_rejected(self, tmp_path):
+        t = np.linspace(-0.1, 1.0, 23)
+        ax = np.linspace(-1.0, 1.0, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            s = SmoothSurface(t, [ax], np.outer(1 + t, np.sin(ax)), 0.2, model_hash="abc")
+        path = tmp_path / "s.bin"
+        save_smooth(s, path)
+        blob = path.read_bytes()
+        rng = np.random.default_rng(77)
+        for cut in sorted(set(rng.integers(8, len(blob), 12).tolist()) | {8, len(blob) - 1}):
+            bad = tmp_path / "cut.bin"
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(HedgeGameError):
+                load_smooth(bad)

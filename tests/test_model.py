@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
+from hedgegame.hjb import GridSpec, solve
 from hedgegame.model import (
     DerivativePack,
     FinanceSpec,
     ModelError,
+    adverse_pairs,
+    base_point,
+    make_finance_model,
+    make_payoff,
+    min_generator_field,
     mu_Y_hat,
     operator_H_eps,
     operator_L,
@@ -23,6 +29,19 @@ from conftest import (
     sigma_from_a,
     uncertain_vol_model,
 )
+
+
+def wavy_vol_model(dim=1):
+    """sigma(t, x, a) = a (1 + 0.1 sin x_0) I: the adverse set {0.2, 0.3}."""
+
+    def sigma(t, x, a):
+        s = float(np.asarray(a).reshape(-1)[0]) * (1.0 + 0.1 * np.sin(np.asarray(x, float)[..., 0]))
+        return s[..., None, None] * np.eye(dim)
+
+    fin = FinanceSpec(mu=constant_mu(dim), sigma=sigma,
+                      r_lend=constant_rate(0.0), r_borrow=constant_rate(0.0))
+    return make_finance_model(fin, make_payoff("constant", level=0.0), dim,
+                              [np.array([0.2]), np.array([0.3])], 1.0, 0.5)
 
 
 def pack(y=0.0, q=0.0, p=0.0, M=0.0, d=1):
@@ -216,15 +235,7 @@ class TestOperatorHEps:
 
     def test_brute_force_over_shifts(self):
         # sigma(t,x,a) = a * (1 + 0.1 sin x): shifted minima match a direct loop
-        def sigma(t, x, a):
-            s = float(np.asarray(a).reshape(-1)[0]) * (1.0 + 0.1 * np.sin(np.asarray(x, float)[..., 0]))
-            return s[..., None, None] * np.eye(1)
-
-        fin = FinanceSpec(mu=constant_mu(1), sigma=sigma,
-                          r_lend=constant_rate(0.0), r_borrow=constant_rate(0.0))
-        from hedgegame.model import make_finance_model, make_payoff
-        model = make_finance_model(fin, make_payoff("constant", level=0.0), 1,
-                                   [np.array([0.2]), np.array([0.3])], 1.0, 0.5)
+        model = wavy_vol_model()
         eps = 0.05
         shakes = np.array([[dt, dx] for dt in (-eps, 0.0, eps) for dx in (-eps, 0.0, eps)
                            if dt * dt + dx * dx <= eps * eps + 1e-15])
@@ -248,6 +259,53 @@ class TestOperatorHEps:
         model = bs_singleton_model()
         with pytest.raises(ModelError, match="ball"):
             operator_H_eps(0.5, np.zeros(1), pack(), 0.1, np.array([[0.2, 0.0]]), model)
+
+
+class TestMinGeneratorField:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_shaken_field_matches_operator_H_eps(self, dim, rng):
+        model = wavy_vol_model(dim)
+        eps = 0.05
+        shakes = shake_lattice(eps, dim)
+        pairs = adverse_pairs(model, shakes)
+        n = 30
+        X = rng.uniform(-1.5, 1.5, (n, dim))
+        y, q = rng.normal(size=n), rng.normal(size=n)
+        p = rng.normal(size=(n, dim))
+        A = rng.normal(size=(n, dim, dim))
+        M = A + np.swapaxes(A, -1, -2)
+        for t in (0.4, 0.98):  # at 0.98 the +eps time shifts are clamped to T
+            best, idx = min_generator_field(model, t, X, y, q, p, M, pairs=pairs)
+            for i in range(n):
+                pk = DerivativePack(y=y[i], q=q[i], p=p[i], M=M[i])
+                assert best[i] == operator_H_eps(t, X[i], pk, eps, shakes, model)
+                per_pair = [operator_La(*base_point(t, X[i], b, model.horizon_T), pk, a, model)
+                            for a, b in pairs]
+                assert idx[i] == int(np.argmin(per_pair))
+
+    def test_pairs_are_A_major_like_the_policy(self):
+        model = wavy_vol_model()
+        shakes = shake_lattice(0.05, 1)
+        pairs = adverse_pairs(model, shakes)
+        assert len(pairs) == len(model.A_points) * len(shakes)
+        for j, (a, b) in enumerate(pairs):
+            assert np.array_equal(a, model.A_points[j // len(shakes)])
+            assert np.array_equal(b, shakes[j % len(shakes)])
+        # a convex payoff makes the largest volatility worst: argmin pairs of the
+        # field and policy entries of the shaken solve both land in its block
+        model = uncertain_vol_model(vols=(0.1, 0.3), payoff_kind="call")
+        pairs = adverse_pairs(model, shakes)
+        grid = GridSpec(t_steps=40, x_min=(-1.0,), x_max=(1.0,), x_steps=(20,))
+        surf = solve(model, grid, shake_points=shakes, validate=False)
+        assert surf.a_count == len(pairs)
+        n_s = len(shakes)
+        near_money = np.abs(surf.axes[0]) < 0.3
+        assert np.all(surf.policy[0][near_money] // n_s == 1)
+        x = surf.axes[0][near_money].reshape(-1, 1)
+        k = x.shape[0]
+        _, idx = min_generator_field(model, 0.5, x, np.zeros(k), np.zeros(k), np.zeros((k, 1)),
+                                     np.ones((k, 1, 1)), pairs=pairs)
+        assert np.all(idx // n_s == 1)
 
 
 class TestShakeLattice:
