@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -260,16 +261,23 @@ def emit_plot_data(obj, kind: str, path, t0: float = 0.0):
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _config_values():
+    """Report a config value of the wrong type or shape as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+        raise ConfigError(f"invalid config value: {exc!r}") from None
+
+
 def _prepare(args):
     """Config, output directory, model and grid; bad values are ConfigErrors."""
-    try:
+    with _config_values():
         cfg = load_config(args.config, args.set)
         out_dir = args.out or cfg["output"]["directory"]
         os.makedirs(out_dir, exist_ok=True)
         model = model_from_config(cfg["model"])
         grid = grid_from_config(cfg["grid"])
-    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
-        raise ConfigError(f"invalid config value: {exc!r}") from None
     return cfg, out_dir, model, grid
 
 
@@ -285,9 +293,9 @@ def _checked_solve(model, grid, args):
 def cmd_price(args):
     t_start = time.monotonic()
     cfg, out_dir, model, grid = _prepare(args)
+    with _config_values():
+        x0, t0 = np.asarray(cfg["sim"]["x0"], dtype=float), float(cfg["sim"]["t0"])
     surface = _checked_solve(model, grid, args)
-    x0 = np.asarray(cfg["sim"]["x0"], dtype=float)
-    t0 = float(cfg["sim"]["t0"])
     price = surface.value(t0, x0)
     res = hjb.residual(surface, model)
     summary = {
@@ -309,14 +317,15 @@ def cmd_price(args):
 def cmd_solve(args):
     t_start = time.monotonic()
     cfg, out_dir, model, grid = _prepare(args)
+    with _config_values():
+        x0, t0 = np.asarray(cfg["sim"]["x0"], dtype=float), float(cfg["sim"]["t0"])
     surface = _checked_solve(model, grid, args)
     artifacts = ["surface.csv", "surface.bin", "summary.json"]
     hjb.save_csv(surface, os.path.join(out_dir, "surface.csv"))
     hjb.save_binary(surface, os.path.join(out_dir, "surface.bin"))
-    x0 = np.asarray(cfg["sim"]["x0"], dtype=float)
     res = hjb.residual(surface, model)
     _write_json(os.path.join(out_dir, "summary.json"), {
-        "price": surface.value(float(cfg["sim"]["t0"]), x0),
+        "price": surface.value(t0, x0),
         "cfl": surface.meta["cfl"],
         "residual_max_abs": res.max_abs,
         "residual_min": res.min_value,
@@ -324,8 +333,7 @@ def cmd_solve(args):
         "grid_hash": config_hash(cfg["grid"]),
     })
     if args.plots:
-        emit_plot_data(surface, "value_slice", os.path.join(out_dir, "value_slice.tsv"),
-                       t0=float(cfg["sim"]["t0"]))
+        emit_plot_data(surface, "value_slice", os.path.join(out_dir, "value_slice.tsv"), t0=t0)
         emit_plot_data(surface, "policy_map", os.path.join(out_dir, "policy_map.tsv"))
         artifacts += ["value_slice.tsv", "policy_map.tsv"]
     write_manifest(out_dir, "solve", cfg, artifacts, t_start, {})
@@ -350,9 +358,10 @@ def _box_for(cfg, grid, horizon_T):
         x_lo = [lo + 0.25 * (hi - lo) for lo, hi in zip(grid.x_min, grid.x_max)]
         x_hi = [hi - 0.25 * (hi - lo) for lo, hi in zip(grid.x_min, grid.x_max)]
         return regularize.Box(0.0, horizon_T, tuple(x_lo), tuple(x_hi))
-    return regularize.Box(bcfg["t"][0], bcfg["t"][1],
-                          tuple(lo for lo, _ in bcfg["x"]),
-                          tuple(hi for _, hi in bcfg["x"]))
+    with _config_values():
+        return regularize.Box(float(bcfg["t"][0]), float(bcfg["t"][1]),
+                              tuple(float(lo) for lo, _ in bcfg["x"]),
+                              tuple(float(hi) for _, hi in bcfg["x"]))
 
 
 def cmd_regularize(args):
@@ -361,10 +370,13 @@ def cmd_regularize(args):
     surface = _checked_solve(model, grid, args)
     box = _box_for(cfg, grid, model.horizon_T)
     rcfg = cfg["regularize"]
+    with _config_values():
+        eta, tol = float(rcfg["eta"]), float(rcfg["tol"])
+        eps_ladder = tuple(float(e) for e in rcfg["eps_ladder"])
+        check_shape = tuple(int(n) for n in rcfg["check_shape"])
     smooth = regularize.build_smooth_supersolution(
-        model, _phi_for(cfg, model, surface), box, float(rcfg["eta"]), grid,
-        eps_ladder=tuple(rcfg["eps_ladder"]), tol=float(rcfg["tol"]),
-        check_shape=tuple(rcfg["check_shape"]), validate=False,
+        model, _phi_for(cfg, model, surface), box, eta, grid,
+        eps_ladder=eps_ladder, tol=tol, check_shape=check_shape, validate=False,
     )
     artifacts = ["certificate.json", "smooth.bin"]
     _write_json(os.path.join(out_dir, "certificate.json"), smooth.certificate.to_dict())
@@ -398,13 +410,17 @@ def cmd_simulate(args):
             raise ConfigError("surface cache was built from a different model")
     else:
         source = _checked_solve(model, grid, args)
-    margin = float(args.margin if args.margin is not None else scfg["margin"])
-    sim = game.SimParams(
-        x0=tuple(scfg["x0"]), t0=float(scfg["t0"]), paths=int(scfg["paths"]),
-        steps=int(scfg["steps"]), seed=int(scfg["seed"]),
-        tol_sim=float(scfg["tol_sim"]), p_sim=float(scfg["p_sim"]),
-        switch_rate=float(scfg["switch_rate"]),
-    )
+    with _config_values():
+        margin = float(args.margin if args.margin is not None else scfg["margin"])
+        sim = game.SimParams(
+            x0=tuple(float(v) for v in scfg["x0"]), t0=float(scfg["t0"]),
+            paths=int(scfg["paths"]), steps=int(scfg["steps"]), seed=int(scfg["seed"]),
+            tol_sim=float(scfg["tol_sim"]), p_sim=float(scfg["p_sim"]),
+            switch_rate=float(scfg["switch_rate"]),
+        )
+        # an explicit start level is taken verbatim, margin applies to auto only
+        auto_y0 = str(scfg["y0"]) == "auto" and args.y0 is None
+        y0 = None if auto_y0 else float(args.y0 if args.y0 is not None else scfg["y0"])
     artifacts = ["simreport.json"]
     status = EXIT_OK
     if args.adversary == "all":
@@ -415,11 +431,8 @@ def cmd_simulate(args):
             status = EXIT_CERT
     else:
         strategy = game.make_strategy(source, model)
-        if str(scfg["y0"]) == "auto" and args.y0 is None:
+        if y0 is None:
             y0 = strategy.value(sim.t0, np.asarray(sim.x0)) + margin
-        else:
-            # an explicit start level is taken verbatim, margin applies to auto only
-            y0 = float(args.y0 if args.y0 is not None else scfg["y0"])
         adv = _parse_adversary(args.adversary, model, source)
         rep = game.simulate(model, strategy, adv, sim.t0, np.asarray(sim.x0),
                             y0, sim.paths, sim.steps, sim.seed)
@@ -438,7 +451,7 @@ def cmd_simulate(args):
         emit_plot_data(reports[0], "shortfall_hist", os.path.join(out_dir, "shortfall_hist.tsv"))
         artifacts.append("shortfall_hist.tsv")
     write_manifest(out_dir, "simulate", cfg, artifacts, t_start,
-                   {"sim": int(scfg["seed"])})
+                   {"sim": sim.seed})
     return status
 
 
@@ -446,24 +459,22 @@ def cmd_dual(args):
     t_start = time.monotonic()
     cfg, out_dir, model, _ = _prepare(args)
     dcfg = cfg["dual"]
-    scfg = cfg["sim"]
-    t0 = float(scfg["t0"])
-    x0 = np.asarray(scfg["x0"], dtype=float)
-    lattice = dual.make_lattice(model, t0, int(dcfg["knots"]), float(dcfg["eps"]),
-                                substeps=int(dcfg["substeps"]))
-    mid = args.mid if args.mid is not None else dcfg["mid"]
+    with _config_values():
+        t0, x0 = float(cfg["sim"]["t0"]), np.asarray(cfg["sim"]["x0"], dtype=float)
+        knots, degree, paths, seed, substeps = (
+            int(dcfg[key]) for key in ("knots", "degree", "paths", "seed", "substeps"))
+        eps, mid = float(dcfg["eps"]), args.mid if args.mid is not None else dcfg["mid"]
+        mid = None if mid is None else float(mid)
+    lattice = dual.make_lattice(model, t0, knots, eps, substeps=substeps)
     if mid is not None:
-        rep = dual.dpp_check(model, float(dcfg["eps"]), t0, x0, float(mid),
-                             lattice, int(dcfg["paths"]), int(dcfg["seed"]))
+        rep = dual.dpp_check(model, eps, t0, x0, mid, lattice, paths, seed)
         payload = rep.to_dict()
     else:
-        est = dual.dual_value_lsmc(model, float(dcfg["eps"]), t0, x0, lattice,
-                                   int(dcfg["degree"]), int(dcfg["paths"]),
-                                   int(dcfg["seed"]))
+        est = dual.dual_value_lsmc(model, eps, t0, x0, lattice, degree, paths, seed)
         payload = est.to_dict()
     _write_json(os.path.join(out_dir, "dual.json"), payload)
     write_manifest(out_dir, "dual", cfg, ["dual.json"], t_start,
-                   {"dual": int(dcfg["seed"])})
+                   {"dual": seed})
     return EXIT_OK
 
 

@@ -32,10 +32,8 @@ class StrategyMap:
         self.clamped = 0
         if isinstance(source, regularize.SmoothSurface):
             self._t_lo = max(float(source.t_nodes[0]) + source.delta, 0.0)
-            self._mode = "smooth"
         elif isinstance(source, hjb.ValueSurface):
             self._t_lo = max(source.t_start, 0.0)
-            self._mode = "grid"
         else:
             raise HedgeGameError(f"unsupported strategy source {type(source)!r}")
         self._t_hi = source.horizon_T
@@ -52,17 +50,14 @@ class StrategyMap:
 
     def value(self, t, x) -> float:
         tc, xc = self._clamp(t, x)
-        if self._mode == "smooth":
+        if isinstance(self.source, regularize.SmoothSurface):
             v, _ = self.source.fast_value_grad(tc, xc)
             return float(v[0])
         return float(self.source.value(tc, xc)[0])
 
     def gradient(self, t, xs) -> np.ndarray:
         tc, xc = self._clamp(t, xs)
-        if self._mode == "smooth":
-            _, g = self.source.fast_value_grad(tc, xc)
-            return g
-        return self.source.eval(tc, xc).p
+        return self.source.gradient(tc, xc)
 
     def rule(self, t, xs, ys, a) -> np.ndarray:
         """Hedge controls for a batch of paths under one adverse point."""

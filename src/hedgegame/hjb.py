@@ -192,6 +192,12 @@ class ValueSurface:
         out = self._interp(self.values, t, x)
         return float(out[0]) if scalar and np.isscalar(t) else out
 
+    def gradient(self, t, x) -> np.ndarray:
+        """Interpolated gradient alone: the ``p`` of ``eval`` bit for bit."""
+        _, p, _ = self._derivative_fields()
+        xq = np.atleast_2d(np.asarray(x, dtype=float))
+        return np.stack([self._interp(p[i], t, xq) for i in range(self.dim)], axis=-1)
+
     def eval(self, t, x) -> EvalPack:
         """Interpolated (value, gradient, hessian, time derivative) at (t, x).
 
@@ -199,13 +205,13 @@ class ValueSurface:
         stored layers, multilinearly interpolated between nodes.
         """
         scalar = np.asarray(x).ndim == 1 and np.isscalar(t)
-        q, p, M = self._derivative_fields()
+        q, _, M = self._derivative_fields()
         xq = np.atleast_2d(np.asarray(x, dtype=float))
         n = xq.shape[0]
         d = self.dim
         val = self._interp(self.values, t, xq)
         qv = self._interp(q, t, xq)
-        pv = np.stack([self._interp(p[i], t, xq) for i in range(d)], axis=-1)
+        pv = self.gradient(t, xq)
         Mv = np.zeros((n, d, d))
         for i in range(d):
             Mv[:, i, i] = self._interp(M[(i, i)], t, xq)

@@ -14,18 +14,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import Polynomial
 
 from . import hjb
 from .model import HedgeGameError, ModelSpec, shake_lattice
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-
-# normalised bump constants: int (1-s^2)^4 over [-1,1] is 256/315
+# normalised bump constant: int (1-s^2)^4 over [-1,1] is 256/315
 _C_SPACE = 315.0 / 256.0
-_C_TIME = 315.0 / 128.0
 
 
 class CertificationError(HedgeGameError):
@@ -202,88 +200,99 @@ def inf_convolution(values: np.ndarray, k: float, coords, weights=None):
 # ---------------------------------------------------------------------------
 
 
-def _bump(s):
-    v = 1.0 - s * s
-    return np.where(np.abs(s) <= 1.0, v**4, 0.0)
-
-
-def _bump_d1(s):
-    v = 1.0 - s * s
-    return np.where(np.abs(s) <= 1.0, -8.0 * s * v**3, 0.0)
-
-
-def _bump_d2(s):
-    v = 1.0 - s * s
-    return np.where(np.abs(s) <= 1.0, -8.0 * v**3 + 48.0 * s * s * v**2, 0.0)
-
-
 class MollifierKernel:
     """Product bump kernel: support [-1, 0] in time, [-1, 1]^d in space.
 
-    Each factor is a normalised polynomial bump (1 - s^2)^4; the time factor
-    is the same bump shifted onto [-1, 0]. All derivatives are closed-form.
+    Each factor is the normalised polynomial bump k(s) = C (1 - s^2)^4; the
+    time factor is the same bump mapped onto [-1, 0], k_t(s) = 2 k(2 s + 1),
+    so time is mollified like a space axis of half-width delta / 2 centred
+    at t - delta / 2. Besides the density ("pdf") the mollifier reads the
+    CDF Phi and the upper second antiderivative Q(w) = int_w^1 (s - w) k(s) ds.
     """
 
-    def time_value(self, s):
-        return _C_TIME * _bump(2.0 * s + 1.0)
+    def __init__(self):
+        pdf = _C_SPACE * Polynomial([1.0, 0.0, -1.0]) ** 4
+        cdf = pdf.integ(lbnd=-1.0)
+        self.coef = {"pdf": pdf.coef, "cdf": cdf.coef,
+                     "upper": (-(1.0 - cdf).integ(lbnd=1.0)).coef}
 
-    def time_d1(self, s):
-        return _C_TIME * 2.0 * _bump_d1(2.0 * s + 1.0)
+    def __call__(self, name, s):
+        """Horner's rule in place on s clipped to [-1, 1]; the dyadic
+        coefficients make k = 0, Phi = 0 or 1 and Q = 1 or 0 exact there."""
+        coef = self.coef[name]
+        s = np.clip(s, -1.0, 1.0)
+        out = np.full_like(s, coef[-1])
+        for c in coef[-2::-1]:
+            out *= s
+            out += c
+        return out
 
     def space_value(self, s):
-        return _C_SPACE * _bump(s)
-
-    def space_d1(self, s):
-        return _C_SPACE * _bump_d1(s)
-
-    def space_d2(self, s):
-        return _C_SPACE * _bump_d2(s)
+        return self("pdf", s)
 
 
-def _subdivide(lo: float, hi: float, knots: np.ndarray):
-    """Gauss-Legendre nodes/weights on [lo, hi] split at interior knots."""
-    inner = knots[(knots > lo + 1e-15) & (knots < hi - 1e-15)]
-    edges = np.concatenate([[lo], np.sort(inner), [hi]])
-    nodes = []
-    wgts = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        nodes.append(mid + half * _GL_NODES)
-        wgts.append(half * _GL_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(wgts)
+_KERNEL = MollifierKernel()
 
 
-def _interp_clamped(t_nodes, axes, values, tq, xq):
-    """Multilinear interpolation with constant extension outside the grid."""
-    d = len(axes)
-    out_idx = []
-    out_w = []
-    for coords, q in [(t_nodes, tq)] + [(axes[i], xq[..., i]) for i in range(d)]:
-        h = coords[1] - coords[0]
-        pos = np.clip((q - coords[0]) / h, 0.0, len(coords) - 1.0)
-        idx = np.minimum(pos.astype(int), len(coords) - 2)
-        out_idx.append(idx)
-        out_w.append(np.clip(pos - idx, 0.0, 1.0))
-    res = np.zeros(np.asarray(tq).shape)
-    for corner in product((0, 1), repeat=1 + d):
-        wgt = np.ones_like(res)
-        sel = []
-        for j, c in enumerate(corner):
-            wgt = wgt * (out_w[j] if c else (1.0 - out_w[j]))
-            sel.append(out_idx[j] + c)
-        res += wgt * values[tuple(sel)]
-    return res
+def _band_size(coords, half):
+    # the kernel vanishes to fourth order at its edge, so rounding in
+    # 2 half / h may drop a sliver of the support without a visible error
+    return int(math.ceil(2.0 * half / float(coords[1] - coords[0]) - 1e-9)) + 2
+
+
+class _Band:
+    """Kernel weights on the nodes of one uniform axis within reach of queries.
+
+    For each query centre c the band holds the m nodes j0 .. j0 + m - 1 with
+    j0 = floor((c - w - x0) / h), which cover the support [c - w, c + w].
+    Node indices are clipped only when data is gathered, so the multilinear
+    interpolant continues as a constant outside the grid. On the band the
+    interpolant f has slopes s_j = (f[j+1] - f[j]) / h, and with
+    z_j = (x_j - c) / w the three 1-d functionals are exact closed forms:
+
+        value   f[j0] + w sum_j s_j (Q(z_j) - Q(z_j+1))
+        grad    sum_j s_j (Phi(z_j+1) - Phi(z_j))
+        second  sum_j (s_j - s_j-1) k(z_j) / w
+    """
+
+    def __init__(self, coords, centres, half):
+        x0, self.h, self.half = float(coords[0]), float(coords[1] - coords[0]), half
+        self.m = _band_size(coords, half)
+        # a band wholly outside the grid reads constant data wherever it
+        # lies, so far-off starts are clipped before the integer cast
+        pos = np.clip((centres - half - x0) / self.h, -self.m - 1.0, float(len(coords)))
+        self.j0 = np.floor(pos).astype(np.int64)
+        z0 = (x0 + self.j0 * self.h - centres) / half
+        self.z = z0[:, None] + (self.h / half) * np.arange(self.m)
+
+    def apply(self, G, kind):
+        """Contract axis 1 of G, which runs along this band, per query."""
+        z, h, w = self.z, self.h, self.half
+        if kind == "second":
+            wts = _KERNEL("pdf", z[:, 1:-1]) / (w * h)
+            return np.einsum("nj...,nj->n...", G[:, 2:] - 2.0 * G[:, 1:-1] + G[:, :-2], wts)
+        if kind == "grad":
+            return np.einsum("nj...,nj->n...", np.diff(G, axis=1),
+                             np.diff(_KERNEL("cdf", z), axis=1) / h)
+        q = _KERNEL("upper", z) + np.maximum(-1.0 - z, 0.0)  # Q(s) = -s below -1
+        return G[:, 0] + np.einsum("nj...,nj->n...", np.diff(G, axis=1),
+                                   (q[:, :-1] - q[:, 1:]) * (w / h))
 
 
 class SmoothSurface:
-    """Mollified envelope surface with analytic-kernel derivatives.
+    """Mollified envelope surface with exact derivatives.
 
     Holds inf-convolved node values on the (time-extended) solve grid plus
-    the mollification parameters; point evaluation integrates the exactly
-    differentiated kernel against the multilinearly interpolated nodes, with
-    the integration split at grid lines so the quadrature is exact.
+    the mollification parameters. The kernel is a product of 1-d bumps and
+    the node interpolant is multilinear, so the mollified surface is the
+    separable sum of W[k, i] alpha_k(t) beta_i(x); a derivative swaps one
+    factor for its differentiated version. Time is contracted once per
+    distinct t (``gradient_lattice``), then space on the band of nodes
+    around each point.
     """
+
+    _ROW_CACHE_FLOATS = 1 << 20
+    _BLOCK = 1 << 15  # band entries per block of points
 
     def __init__(self, t_nodes, axes, node_values, delta, *, eps=0.0, k=0.0,
                  weights=None, B_set=None, model_hash="", meta=None):
@@ -297,11 +306,11 @@ class SmoothSurface:
         self.B_set = B_set
         self.model_hash = model_hash
         self.meta = dict(meta or {})
-        self.kernel = MollifierKernel()
         self.certificate = None
-        self._grad_cache = None
+        self._rows = {}
         if self.delta <= 0.0:
             raise HedgeGameError("delta must be positive")
+        self._band_sizes = [_band_size(ax, self.delta) for ax in self.axes]
         steps = [self.t_nodes[1] - self.t_nodes[0]] + [a[1] - a[0] for a in self.axes]
         if self.delta < max(steps):
             warnings.warn(
@@ -318,112 +327,89 @@ class SmoothSurface:
     def horizon_T(self) -> float:
         return float(self.t_nodes[-1])
 
+    def _time_row(self, t, kind):
+        """Time functional of the nodes at t, edge-padded by one space band
+        per side so that every point's band window lies inside it."""
+        band = _Band(self.t_nodes, np.array([t - 0.5 * self.delta]), 0.5 * self.delta)
+        k = np.clip(band.j0[0] + np.arange(band.m), 0, len(self.t_nodes) - 1)
+        row = band.apply(self.node_values[k][None], kind)[0]
+        return np.pad(row, [(m, m) for m in self._band_sizes], mode="edge")
+
+    def gradient_lattice(self, t):
+        """Time-contracted (padded) value row at t, cached per t so that the
+        game's step times share it across adversaries; oldest rows go first."""
+        row = self._rows.get(float(t))
+        if row is None:
+            row = self._time_row(float(t), "value")
+            if len(self._rows) * row.size >= self._ROW_CACHE_FLOATS:
+                self._rows.pop(next(iter(self._rows)))
+            self._rows[float(t)] = row
+        return row
+
+    def _space_read(self, xs, reads):
+        """Space functionals at the points xs, one array per (padded row,
+        per-axis kinds) in reads: each point gathers its band window of the
+        row, then every axis is contracted in turn. Points go in blocks so
+        that the band temporaries stay small."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        out = [np.empty(len(xs)) for _ in reads]
+        step = max(1, self._BLOCK // math.prod(self._band_sizes))
+        for lo in range(0, len(xs), step):
+            bands = [_Band(ax, xs[lo:lo + step, i], self.delta) for i, ax in enumerate(self.axes)]
+            start = tuple(np.clip(b.j0, -b.m, len(ax) - 1) + b.m
+                          for b, ax in zip(bands, self.axes))
+            for res, (row, kinds) in zip(out, reads):
+                G = sliding_window_view(row, self._band_sizes)[start]
+                for b, kind in zip(bands, kinds):
+                    G = b.apply(G, kind)
+                res[lo:lo + step] = G
+        return out
+
+    def _kinds(self, axis=None, kind=None):
+        return tuple(kind if i == axis else "value" for i in range(self.dim))
+
+    def _grad_reads(self, row):
+        return [(row, self._kinds(i, "grad")) for i in range(self.dim)]
+
+    def eval_batch(self, ts, xs, need_second: bool = True) -> hjb.EvalPack:
+        """(value, gradient, hessian, time derivative) at a batch of points."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        n, d = xs.shape[0], self.dim
+        ts = np.broadcast_to(np.asarray(ts, dtype=float), (n,))
+        vals, qs, ps = np.full(n, np.nan), np.full(n, np.nan), np.full((n, d), np.nan)
+        Ms = np.zeros((n, d, d))
+        hess = [((i, i), self._kinds(i, "second")) for i in range(d)] if need_second else []
+        hess += [((0, 1), ("grad", "grad"))] if need_second and d == 2 else []
+        for tv in np.unique(ts):
+            sel = ts == tv
+            row = self.gradient_lattice(tv)
+            reads = [(row, self._kinds()), (self._time_row(tv, "grad"), self._kinds())]
+            reads += self._grad_reads(row) + [(row, kinds) for _, kinds in hess]
+            vals[sel], qs[sel], *rest = self._space_read(xs[sel], reads)
+            ps[sel] = np.stack(rest[:d], axis=-1)
+            for ((i, j), _), m in zip(hess, rest[d:]):
+                Ms[sel, i, j] = Ms[sel, j, i] = m
+        return hjb.EvalPack(vals, ps, Ms, qs)
+
     def eval(self, t: float, x, need_second: bool = True) -> hjb.EvalPack:
         """(value, gradient, hessian, time derivative) at one point."""
-        d = self.dim
-        dl = self.delta
-        x = np.asarray(x, dtype=float).reshape(d)
-        t = float(t)
-        tq, tw = _subdivide(t - dl, t, self.t_nodes)
-        xqs = [_subdivide(x[i] - dl, x[i] + dl, self.axes[i]) for i in range(d)]
-        grids = np.meshgrid(tq, *[q for q, _ in xqs], indexing="ij")
-        wgts = np.meshgrid(tw, *[w for _, w in xqs], indexing="ij")
-        pts_t = grids[0].reshape(-1)
-        pts_x = np.stack([g.reshape(-1) for g in grids[1:]], axis=-1)
-        weight = np.ones_like(pts_t)
-        for w in wgts:
-            weight = weight * w.reshape(-1)
-        W = _interp_clamped(self.t_nodes, self.axes, self.node_values, pts_t, pts_x)
-
-        st = (pts_t - t) / dl
-        sx = [(pts_x[:, i] - x[i]) / dl for i in range(d)]
-        kt = self.kernel.time_value(st)
-        kx = [self.kernel.space_value(s) for s in sx]
-        scale = dl ** (-(d + 1))
-        base = weight * W * scale
-
-        prod_all = kt.copy()
-        for f in kx:
-            prod_all = prod_all * f
-        value = float(np.sum(base * prod_all))
-
-        # d/dt picks the differentiated time factor, with a 1/delta chain term
-        dt_fac = self.kernel.time_d1(st) / dl
-        for f in kx:
-            dt_fac = dt_fac * f
-        q = -float(np.sum(base * dt_fac))
-
-        p = np.zeros(d)
-        for i in range(d):
-            fac = kt * (self.kernel.space_d1(sx[i]) / dl)
-            for j in range(d):
-                if j != i:
-                    fac = fac * kx[j]
-            p[i] = -float(np.sum(base * fac))
-
-        M = np.zeros((d, d))
-        if need_second:
-            for i in range(d):
-                fac = kt * (self.kernel.space_d2(sx[i]) / dl**2)
-                for j in range(d):
-                    if j != i:
-                        fac = fac * kx[j]
-                M[i, i] = float(np.sum(base * fac))
-            if d == 2:
-                fac = kt * (self.kernel.space_d1(sx[0]) / dl) * (self.kernel.space_d1(sx[1]) / dl)
-                M[0, 1] = M[1, 0] = float(np.sum(base * fac))
-        return hjb.EvalPack(value, p, M, q)
-
-    def eval_batch(self, ts, xs, need_second: bool = True):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        n = xs.shape[0]
-        ts = np.broadcast_to(np.asarray(ts, dtype=float), (n,))
-        vals = np.empty(n)
-        qs = np.empty(n)
-        ps = np.empty((n, self.dim))
-        Ms = np.empty((n, self.dim, self.dim))
-        for i in range(n):
-            pk = self.eval(float(ts[i]), xs[i], need_second=need_second)
-            vals[i], qs[i], ps[i], Ms[i] = pk.value, pk.q, pk.p, pk.M
-        return hjb.EvalPack(vals, ps, Ms, qs)
+        pk = self.eval_batch(float(t), np.asarray(x, dtype=float).reshape(1, self.dim),
+                             need_second=need_second)
+        return hjb.EvalPack(float(pk.value[0]), pk.p[0], pk.M[0], float(pk.q[0]))
 
     def value(self, t, x):
         return self.eval(float(t), x, need_second=False).value
 
-    # -- fast path for simulation ------------------------------------------
-
-    def gradient_lattice(self, nt: int = 81, nx_per_axis: int = 241):
-        """Cache (value, gradient) on a lattice for cheap interpolated reads."""
-        if self._grad_cache is not None:
-            return self._grad_cache
-        t_lo = max(float(self.t_nodes[0]) + self.delta, 0.0)
-        t_axis = np.linspace(t_lo, self.horizon_T, nt)
-        axes = [np.linspace(a[0], a[-1], nx_per_axis) for a in self.axes]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        vshape = (nt,) + tuple(nx_per_axis for _ in range(self.dim))
-        vals = np.empty(vshape)
-        grads = np.empty(vshape + (self.dim,))
-        for it, tv in enumerate(t_axis):
-            pk = self.eval_batch(tv, mesh, need_second=False)
-            vals[it] = pk.value.reshape(vshape[1:])
-            grads[it] = pk.p.reshape(vshape[1:] + (self.dim,))
-        self._grad_cache = (t_axis, axes, vals, grads)
-        return self._grad_cache
-
     def fast_value_grad(self, t, xs):
-        """Interpolated (value, gradient) from the cached lattice."""
-        t_axis, axes, vals, grads = self.gradient_lattice()
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        tq = np.broadcast_to(np.asarray(t, dtype=float), (xs.shape[0],))
-        tq = np.clip(tq, t_axis[0], t_axis[-1])
-        xc = np.stack([np.clip(xs[:, i], axes[i][0], axes[i][-1])
-                       for i in range(self.dim)], axis=-1)
-        v = _interp_clamped(t_axis, axes, vals, tq, xc)
-        g = np.stack(
-            [_interp_clamped(t_axis, axes, grads[..., i], tq, xc) for i in range(self.dim)],
-            axis=-1,
-        )
-        return v, g
+        """Exact (value, gradient) at points sharing one time t."""
+        row = self.gradient_lattice(t)
+        value, *grads = self._space_read(xs, [(row, self._kinds())] + self._grad_reads(row))
+        return value, np.stack(grads, axis=-1)
+
+    def gradient(self, t, xs):
+        """Exact gradient alone at points sharing one time t: the hedge."""
+        return np.stack(self._space_read(xs, self._grad_reads(self.gradient_lattice(t))),
+                        axis=-1)
 
 
 def mollify(node_values, t_nodes, axes, delta: float, *, eps: float = 0.0,

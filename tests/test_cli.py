@@ -236,6 +236,20 @@ class TestExitCodeContract:
         assert rc == 2
         assert error_payload(capsys)["kind"] == "config"
 
+    @pytest.mark.parametrize("command, override", [
+        ("simulate", 'sim.paths="x"'),
+        ("dual", 'dual.knots="x"'),
+        ("regularize", 'regularize.B={"t":[0],"x":[[0,1]]}'),
+        ("price", 'sim.x0=["x"]'),
+        ("solve", 'sim.t0="x"'),
+    ])
+    def test_bad_section_value_exit_2(self, tmp_path, capsys, command, override):
+        path = write_config(tmp_path, base_config())
+        rc = main([command, "-c", path, "--out", str(tmp_path / "out"), "--set", override])
+        assert rc == 2
+        err = error_payload(capsys)
+        assert err["kind"] == "config" and err["code"] == 2
+
     def test_missing_surface_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         rc = main(["simulate", "-c", path, "--out", str(tmp_path / "sim"),

@@ -12,6 +12,7 @@ from hedgegame.game import (
 )
 from hedgegame.hjb import GridSpec, ValueSurface, solve
 from hedgegame.model import HedgeGameError, ModelSpec, make_finance_model, make_payoff
+from hedgegame.regularize import SmoothSurface
 
 from conftest import (
     bs_call_delta_logspace,
@@ -85,6 +86,24 @@ class TestStrategyMap:
             u0 = strat.rule(t, x, np.array([float(rng.normal())]), model.A_points[0])
             u1 = strat.rule(t, x, np.array([float(rng.normal())]), model.A_points[1])
             assert np.max(np.abs(u0 - u1)) <= 1e-10
+
+    def test_grid_gradient_is_eval_p_bitwise(self, uv_surface, rng):
+        _, surf = uv_surface
+        xs = rng.uniform(-1.5, 1.5, (500, 1))
+        for t in (0.0, 0.3712, 1.0):
+            assert np.array_equal(surf.gradient(t, xs), surf.eval(t, xs).p)
+
+    def test_smooth_strategy_hedges_with_certified_gradient(self, bs_surface):
+        # the hedge reads the exact gradient of the mollified surface, not a
+        # re-interpolated cache of it
+        model, surf = bs_surface
+        smooth = SmoothSurface(surf.t, surf.axes, surf.values, 0.05)
+        strat = make_strategy(smooth, model)
+        xs = np.linspace(-0.9, 0.9, 37).reshape(-1, 1)
+        for t in (0.05, 0.37, 0.8):
+            want = smooth.eval_batch(t, xs).p
+            assert np.max(np.abs(strat.gradient(t, xs) - want)) <= 1e-12
+            assert np.array_equal(smooth.fast_value_grad(t, xs)[1], strat.gradient(t, xs))
 
     def test_out_of_domain_clamped_and_counted(self, bs_surface):
         model, surf = bs_surface

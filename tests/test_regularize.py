@@ -18,7 +18,7 @@ from hedgegame.regularize import (
     verify_supersolution,
 )
 
-from conftest import bs_singleton_model, finance_spec, uncertain_vol_model
+from conftest import bs_singleton_model, finance_spec, mollifier_oracle, uncertain_vol_model
 
 
 def brute_force_envelope(values, k, coords, weights=None):
@@ -210,6 +210,88 @@ class TestMollify:
         vals = np.zeros((121, 401))
         with pytest.warns(RuntimeWarning, match="grid cell"):
             mollify(vals, self.t, [self.ax], 0.001)
+
+
+class TestSeparableMollifier:
+    """The banded closed-form operator against per-point subdivided
+    Gauss-Legendre quadrature, which is exact on every cell."""
+
+    @staticmethod
+    def surface(d, rng):
+        t = np.linspace(-0.15, 1.0, 93)
+        axes = [np.linspace(-1.0, 1.0, 81), np.linspace(-0.5, 1.5, 41)][:d]
+        mesh = np.meshgrid(t, *axes, indexing="ij")
+        vals = np.sin(2.0 * mesh[1]) * np.cos(1.5 * mesh[0]) + 0.3 * mesh[1] ** 2
+        if d == 2:
+            vals = vals + np.exp(0.5 * mesh[2]) * mesh[1] - 0.2 * mesh[2] ** 2
+        vals = vals + 1e-3 * rng.normal(size=vals.shape)
+        return SmoothSurface(t, axes, vals, 0.06)
+
+    @staticmethod
+    def points(smooth, rng, n):
+        """Interior points, points within delta of each grid edge and points
+        beyond it (constant extension)."""
+        d = smooth.dim
+        xs = np.stack([rng.uniform(ax[0] + 0.1, ax[-1] - 0.1, n) for ax in smooth.axes], -1)
+        edge = []
+        for i, ax in enumerate(smooth.axes):
+            for off in (-0.3, -0.05, -0.01, 0.0, 0.02, 0.059):
+                for side, sign in ((ax[0], 1.0), (ax[-1], -1.0)):
+                    x = np.array([0.5 * (a[0] + a[-1]) for a in smooth.axes])
+                    x[i] = side + sign * off
+                    edge.append(x)
+        if d == 2:
+            edge += [np.array([smooth.axes[0][0] - 0.02, smooth.axes[1][-1] + 0.04]),
+                     np.array([smooth.axes[0][-1] + 0.5, smooth.axes[1][0] - 0.5])]
+        return np.concatenate([xs, np.array(edge)])
+
+    def check(self, smooth, ts, xs):
+        pk = smooth.eval_batch(ts, xs)
+        ts = np.broadcast_to(ts, (len(xs),))
+        for i in range(len(xs)):
+            value, p, M, q = mollifier_oracle(smooth, ts[i], xs[i])
+            assert abs(pk.value[i] - value) <= 1e-12 * (1.0 + abs(value))
+            assert abs(pk.q[i] - q) <= 1e-12 * (1.0 + abs(q))
+            assert np.max(np.abs(pk.p[i] - p)) <= 1e-12 * (1.0 + np.max(np.abs(p)))
+            assert np.max(np.abs(pk.M[i] - M)) <= 1e-10 * (1.0 + np.max(np.abs(M)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_oracle_on_one_time(self, d, rng):
+        smooth = self.surface(d, rng)
+        xs = self.points(smooth, rng, 40)
+        for t in (0.4321, 1.0):
+            self.check(smooth, t, xs)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_oracle_near_padded_start(self, d, rng):
+        # t - delta before the first node layer: the time band is clipped
+        smooth = self.surface(d, rng)
+        xs = self.points(smooth, rng, 10)
+        for t in (-0.15, -0.12, -0.09, -0.1 + 1e-9):
+            self.check(smooth, t, xs)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_oracle_on_mixed_times(self, d, rng):
+        smooth = self.surface(d, rng)
+        xs = self.points(smooth, rng, 30)
+        ts = rng.choice([-0.13, 0.25, 0.25, 0.7, 1.0], size=len(xs))
+        self.check(smooth, ts, xs)
+        # eval is a one-point eval_batch
+        one = [smooth.eval(ts[i], xs[i]) for i in range(len(xs))]
+        pk = smooth.eval_batch(ts, xs)
+        assert np.allclose(pk.value, [e.value for e in one], rtol=0.0, atol=1e-14)
+        assert np.allclose(pk.p, [e.p for e in one], rtol=0.0, atol=1e-13)
+
+    def test_row_cache_is_bounded(self, rng):
+        smooth = self.surface(1, rng)
+        xs = self.points(smooth, rng, 20)
+        want = smooth.eval_batch(0.5, xs)
+        smooth._ROW_CACHE_FLOATS = 3 * smooth.gradient_lattice(0.5).size
+        for t in np.linspace(0.0, 1.0, 9):
+            smooth.gradient_lattice(t)
+            assert len(smooth._rows) <= 3
+        got = smooth.eval_batch(0.5, xs)
+        assert np.array_equal(got.value, want.value) and np.array_equal(got.M, want.M)
 
 
 class TestBuildAndVerify:
