@@ -233,7 +233,7 @@ def emit_plot_data(obj, kind: str, path, t0: float = 0.0):
     if kind == "value_slice":
         ax = obj.axes[0]
         others = [np.full_like(ax, 0.5 * (a[0] + a[-1])) for a in obj.axes[1:]]
-        vals = obj._interp(obj.values, t0, np.stack([ax] + others, axis=-1))
+        vals = obj.value(t0, np.stack([ax] + others, axis=-1))
         header = "x\tvalue"
         rows = [f"{x:.17g}\t{v:.17g}" for x, v in zip(ax, vals)]
     elif kind == "policy_map":
@@ -467,7 +467,7 @@ def cmd_dual(args):
         mid = None if mid is None else float(mid)
     lattice = dual.make_lattice(model, t0, knots, eps, substeps=substeps)
     if mid is not None:
-        rep = dual.dpp_check(model, eps, t0, x0, mid, lattice, paths, seed)
+        rep = dual.dpp_check(model, eps, t0, x0, mid, lattice, paths, seed, degree)
         payload = rep.to_dict()
     else:
         est = dual.dual_value_lsmc(model, eps, t0, x0, lattice, degree, paths, seed)

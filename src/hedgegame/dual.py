@@ -110,15 +110,27 @@ def _fit(basis: _Basis, xs: np.ndarray, ys: np.ndarray):
     return basis, coef
 
 
-class _PolyMax:
-    """Pointwise maximum of per-control regression polynomials."""
+def _scores(fits, xs: np.ndarray) -> np.ndarray:
+    """Per-control regression polynomials read at xs, stacked on axis 0."""
+    return np.stack([b.features(xs) @ c for b, c in fits], axis=0)
 
-    def __init__(self, fits):
-        self.fits = fits  # list of (basis, coef)
 
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        vals = np.stack([b.features(xs) @ c for b, c in self.fits], axis=0)
-        return vals.max(axis=0)
+def _regress_yz(xj, y_next, dW, dtau, degree):
+    """One regression BSDE step: conditional y and martingale-increment z.
+
+    A collapsed cloud (every path at one point) is fitted with constants.
+    Returns the basis used, so the caller can regress its own target on it.
+    """
+    deg = 0 if bool(np.all(xj.std(axis=0) < 1e-12)) else degree
+    basis = _Basis(xj, deg)
+    b_y, c_y = _fit(basis, xj, y_next)
+    yhat = b_y.features(xj) @ c_y
+    resid = y_next - yhat
+    zhat = np.empty_like(dW)
+    for kdim in range(dW.shape[1]):
+        b_z, c_z = _fit(basis, xj, resid * dW[:, kdim] / dtau)
+        zhat[:, kdim] = b_z.features(xj) @ c_z
+    return basis, yhat, zhat
 
 
 # ---------------------------------------------------------------------------
@@ -152,39 +164,43 @@ def _driver(model, gamma, t, xs, ys, zs):
     return np.asarray(mu_Y_hat(t_eff, x_eff, ys, zs, a, model), dtype=float)
 
 
+def _advance(model, lattice, j, X, pick, rng):
+    """Run every path over knot interval j under its control index ``pick``.
+
+    Controls run in index order, one Euler segment per control that has
+    paths, so the Brownian stream is consumed in that order. Returns the
+    states at knot j + 1 and the per-path Brownian sums.
+    """
+    knots = lattice.time_knots
+    X_next = np.empty_like(X)
+    dW = np.empty_like(X)
+    for i, gamma in enumerate(lattice.gamma_points):
+        mask = pick == i
+        if np.any(mask):
+            X_next[mask], dW[mask] = _euler_segment(
+                model, gamma, knots[j], knots[j + 1], X[mask], lattice.substeps, rng)
+    return X_next, dW
+
+
 # ---------------------------------------------------------------------------
 # backward induction
 # ---------------------------------------------------------------------------
 
 
-def _training_cloud(model, lattice, x0, n_paths, rng_mix, rng_path):
-    """Forward states at every knot under randomly mixed controls.
+def _rngs(seed, n):
+    """n independent Philox generators spawned from one seed."""
+    return [np.random.Generator(np.random.Philox(s))
+            for s in np.random.SeedSequence(int(seed)).spawn(n)]
 
-    ``x0`` may be a single point (tiled across paths) or a full start cloud
-    of shape (n_paths, d).
-    """
-    knots = lattice.time_knots
-    d = model.dim
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim <= 1:
-        X = np.tile(x0.reshape(1, d), (n_paths, 1))
-    else:
-        X = x0.copy()
-    clouds = [X.copy()]
-    n_g = len(lattice.gamma_points)
-    for j in range(len(knots) - 1):
-        pick = rng_mix.integers(0, n_g, n_paths)
-        X_next = np.empty_like(X)
-        for i in range(n_g):
-            mask = pick == i
-            if not np.any(mask):
-                continue
-            X_next[mask], _ = _euler_segment(
-                model, lattice.gamma_points[i], knots[j], knots[j + 1],
-                X[mask], lattice.substeps, rng_path,
-            )
-        X = X_next
-        clouds.append(X.copy())
+
+def _training_cloud(model, lattice, X, rng_mix, rng_path):
+    """Forward states at every knot from the start cloud X (n_paths, d)
+    under uniformly mixed controls."""
+    clouds = [X]
+    for j in range(len(lattice.time_knots) - 1):
+        pick = rng_mix.integers(0, len(lattice.gamma_points), X.shape[0])
+        X, _ = _advance(model, lattice, j, X, pick, rng_path)
+        clouds.append(X)
     return clouds
 
 
@@ -195,14 +211,13 @@ def _terminal_payoff(model, eps):
     return terminal_fn
 
 
-def _fit_tables(model, eps, lattice, clouds, degree, rng_branch, terminal_fn):
+def _fit_tables(model, lattice, clouds, degree, rng_branch, terminal_fn):
     """Backward regression sweep over knots.
 
     At each knot the one-step BSDE value under every control is regressed on
-    state features (with the martingale-increment estimator for the z slot)
-    and the pointwise maximum of the fitted polynomials becomes the
-    continuation function. Returns per-knot per-control fits plus the
-    knot-0 continuation function.
+    state features and the pointwise maximum of the fitted polynomials
+    becomes the continuation function. Returns the per-knot per-control
+    value fits plus the knot-0 continuation function.
     """
     knots = lattice.time_knots
     tables = [None] * (len(knots) - 1)
@@ -210,59 +225,31 @@ def _fit_tables(model, eps, lattice, clouds, degree, rng_branch, terminal_fn):
     for j in range(len(knots) - 2, -1, -1):
         xj = clouds[j]
         dtau = knots[j + 1] - knots[j]
-        deg = 0 if bool(np.all(xj.std(axis=0) < 1e-12)) else degree
-        row = []
+        fits = []
         for gamma in lattice.gamma_points:
             x_end, dW = _euler_segment(model, gamma, knots[j], knots[j + 1],
                                        xj, lattice.substeps, rng_branch)
-            y_next = np.asarray(V_next(x_end), dtype=float)
-            basis = _Basis(xj, deg)
-            b_y, c_y = _fit(basis, xj, y_next)
-            yhat = b_y.features(xj) @ c_y
-            resid = y_next - yhat
-            z_fits = []
-            zhat = np.empty((xj.shape[0], model.dim))
-            for kdim in range(model.dim):
-                b_z, c_z = _fit(basis, xj, resid * dW[:, kdim] / dtau)
-                z_fits.append((b_z, c_z))
-                zhat[:, kdim] = b_z.features(xj) @ c_z
+            basis, yhat, zhat = _regress_yz(
+                xj, np.asarray(V_next(x_end), dtype=float), dW, dtau, degree)
             f = _driver(model, gamma, knots[j], xj, yhat, zhat)
-            v_fit = _fit(basis, xj, yhat - dtau * f)
-            row.append({"v": v_fit, "y": (b_y, c_y), "z": z_fits})
-        tables[j] = row
-        V_next = _PolyMax([r["v"] for r in row])
+            fits.append(_fit(basis, xj, yhat - dtau * f))
+        tables[j] = fits
+        V_next = lambda xs, fits=fits: _scores(fits, xs).max(axis=0)
     return tables, V_next
 
 
-def _policy_rollout(model, eps, lattice, x0, tables, n_paths, rng):
-    """Simulate fresh paths under the fitted control policy.
+def _policy_rollout(model, lattice, X, tables, rng):
+    """Simulate fresh paths from the start cloud X under the fitted policy.
 
     Per knot each path plays the control whose fitted value polynomial is
     largest (ties to the lowest index). Returns the per-knot states, the
     chosen control indices and the per-segment Brownian sums.
     """
-    knots = lattice.time_knots
-    d = model.dim
-    X = np.tile(np.asarray(x0, dtype=float).reshape(1, d), (n_paths, 1))
-    states = [X.copy()]
-    picks = []
-    dWs = []
-    for j in range(len(knots) - 1):
-        row = tables[j]
-        scores = np.stack([b.features(X) @ c for b, c in (r["v"] for r in row)], axis=0)
-        pick = np.argmax(scores, axis=0)
-        X_next = np.empty_like(X)
-        dW = np.empty_like(X)
-        for i in range(len(row)):
-            mask = pick == i
-            if not np.any(mask):
-                continue
-            X_next[mask], dW[mask] = _euler_segment(
-                model, lattice.gamma_points[i], knots[j], knots[j + 1],
-                X[mask], lattice.substeps, rng,
-            )
-        X = X_next
-        states.append(X.copy())
+    states, picks, dWs = [X], [], []
+    for j, fits in enumerate(tables):
+        pick = np.argmax(_scores(fits, X), axis=0)
+        X, dW = _advance(model, lattice, j, X, pick, rng)
+        states.append(X)
         picks.append(pick)
         dWs.append(dW)
     return states, picks, dWs
@@ -277,26 +264,16 @@ def _policy_value(model, lattice, states, picks, dWs, terminal_fn, degree):
     up to Monte Carlo noise and knot-discretisation error.
     """
     knots = lattice.time_knots
-    d = model.dim
     Y = np.asarray(terminal_fn(states[-1]), dtype=float)
     for j in range(len(knots) - 2, -1, -1):
         xj = states[j]
         dtau = knots[j + 1] - knots[j]
-        deg = 0 if bool(np.all(xj.std(axis=0) < 1e-12)) else degree
-        basis = _Basis(xj, deg)
-        b_y, c_y = _fit(basis, xj, Y)
-        yhat = b_y.features(xj) @ c_y
-        resid = Y - yhat
-        zhat = np.empty((xj.shape[0], d))
-        for kdim in range(d):
-            b_z, c_z = _fit(basis, xj, resid * dWs[j][:, kdim] / dtau)
-            zhat[:, kdim] = b_z.features(xj) @ c_z
+        _, yhat, zhat = _regress_yz(xj, Y, dWs[j], dtau, degree)
         f = np.empty(xj.shape[0])
         for i, gamma in enumerate(lattice.gamma_points):
             mask = picks[j] == i
-            if not np.any(mask):
-                continue
-            f[mask] = _driver(model, gamma, knots[j], xj[mask], yhat[mask], zhat[mask])
+            if np.any(mask):
+                f[mask] = _driver(model, gamma, knots[j], xj[mask], yhat[mask], zhat[mask])
         Y = Y - dtau * f
     return Y
 
@@ -319,19 +296,13 @@ def dual_value_lsmc(model: ModelSpec, eps: float, t0: float, x0, lattice: Contro
         return DualEstimate(g, 0.0, n_paths, basis_degree, 1, eps, int(seed))
     if terminal_fn is None:
         terminal_fn = _terminal_payoff(model, eps)
-    ss = np.random.SeedSequence(int(seed))
-    s_mix, s_path, s_branch, s_roll, s_boot = ss.spawn(5)
-    rng_mix = np.random.Generator(np.random.Philox(s_mix))
-    rng_path = np.random.Generator(np.random.Philox(s_path))
-    rng_branch = np.random.Generator(np.random.Philox(s_branch))
-    clouds = _training_cloud(model, lattice, x0, n_paths, rng_mix, rng_path)
-    tables, _ = _fit_tables(model, eps, lattice, clouds, basis_degree,
-                            rng_branch, terminal_fn)
-    states, picks, dWs = _policy_rollout(model, eps, lattice, x0, tables, n_paths,
-                                         np.random.Generator(np.random.Philox(s_roll)))
+    rng_mix, rng_path, rng_branch, rng_roll, rng_boot = _rngs(seed, 5)
+    start = np.tile(x0.reshape(1, model.dim), (n_paths, 1))
+    clouds = _training_cloud(model, lattice, start, rng_mix, rng_path)
+    tables, _ = _fit_tables(model, lattice, clouds, basis_degree, rng_branch, terminal_fn)
+    states, picks, dWs = _policy_rollout(model, lattice, start, tables, rng_roll)
     vals = _policy_value(model, lattice, states, picks, dWs, terminal_fn, basis_degree)
     value = float(vals.mean())
-    rng_boot = np.random.Generator(np.random.Philox(s_boot))
     boots = np.empty(_BOOTSTRAP)
     for bidx in range(_BOOTSTRAP):
         idx = rng_boot.integers(0, n_paths, n_paths)
@@ -360,7 +331,8 @@ class DppReport:
 
 
 def dpp_check(model: ModelSpec, eps: float, t0: float, x0, mid_time: float,
-              lattice: ControlLattice, n_paths: int, seed: int) -> DppReport:
+              lattice: ControlLattice, n_paths: int, seed: int,
+              basis_degree: int = 2) -> DppReport:
     """Compare the direct estimate with the two-leg composition through mid_time.
 
     The inner leg regresses the dual value at mid_time as a function of the
@@ -375,28 +347,21 @@ def dpp_check(model: ModelSpec, eps: float, t0: float, x0, mid_time: float,
     if not np.any(np.isclose(knots, mid_time, atol=1e-12)):
         raise HedgeGameError("mid_time must be one of the lattice knots")
 
-    direct = dual_value_lsmc(model, eps, t0, x0, lattice, 2, n_paths, seed)
+    direct = dual_value_lsmc(model, eps, t0, x0, lattice, basis_degree, n_paths, seed)
 
     inner_knots = tuple(float(t) for t in knots[knots >= mid_time - 1e-12])
     outer_knots = tuple(float(t) for t in knots[knots <= mid_time + 1e-12])
     inner_lat = ControlLattice(inner_knots, lattice.gamma_points, lattice.substeps)
     outer_lat = ControlLattice(outer_knots, lattice.gamma_points, lattice.substeps)
 
-    ss = np.random.SeedSequence(int(seed) + 1)
-    s_mix, s_path, s_cloud, s_branch = ss.spawn(4)
-    rng_mix = np.random.Generator(np.random.Philox(s_mix))
-    rng_path = np.random.Generator(np.random.Philox(s_path))
-    rng_branch = np.random.Generator(np.random.Philox(s_branch))
+    rng_mix, rng_path, rng_cloud, rng_branch = _rngs(seed + 1, 4)
     # cloud at mid_time from mixed play over [t0, mid], then inner backward
-    to_mid = ControlLattice(outer_knots, lattice.gamma_points, lattice.substeps)
-    mid_cloud = _training_cloud(model, to_mid, x0, n_paths, rng_mix, rng_path)[-1]
-    inner_clouds = _training_cloud(
-        model, inner_lat, mid_cloud, n_paths,
-        np.random.Generator(np.random.Philox(s_cloud)), rng_path,
-    )
-    _, v_mid = _fit_tables(model, eps, inner_lat, inner_clouds, 2, rng_branch,
+    mid_cloud = _training_cloud(model, outer_lat, np.tile(x0, (n_paths, 1)),
+                                rng_mix, rng_path)[-1]
+    inner_clouds = _training_cloud(model, inner_lat, mid_cloud, rng_cloud, rng_path)
+    _, v_mid = _fit_tables(model, inner_lat, inner_clouds, basis_degree, rng_branch,
                            _terminal_payoff(model, eps))
-    composed = dual_value_lsmc(model, eps, t0, x0, outer_lat, 2, n_paths,
+    composed = dual_value_lsmc(model, eps, t0, x0, outer_lat, basis_degree, n_paths,
                                seed + 2, terminal_fn=v_mid)
     diff = abs(direct.value - composed.value)
     combined = float(np.hypot(direct.std_error, composed.std_error))

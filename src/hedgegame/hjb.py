@@ -169,34 +169,41 @@ class ValueSurface:
         w = np.clip((q - axis[idx]) / h, 0.0, 1.0)
         return idx, w
 
-    def _interp(self, field, tq, xq):
-        """Multilinear interpolation of a node field at (tq, xq)."""
+    def _corners(self, tq, xq):
+        """Node indices and multilinear weights of the 2^(1+d) cell corners
+        around each query (t, x), each axis located once."""
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        n = xq.shape[0]
-        tq = np.broadcast_to(np.asarray(tq, dtype=float), (n,))
-        it, wt = self._locate(self.t, tq)
-        locs = [self._locate(self.axes[i], xq[:, i]) for i in range(self.dim)]
-        out = np.zeros(n)
-        for corner in product((0, 1), repeat=1 + self.dim):
-            wgt = np.where(corner[0], wt, 1.0 - wt)
-            idx = (it + corner[0],)
-            for i in range(self.dim):
-                ii, wi = locs[i]
-                wgt = wgt * np.where(corner[1 + i], wi, 1.0 - wi)
-                idx = idx + (ii + corner[1 + i],)
+        tq = np.broadcast_to(np.asarray(tq, dtype=float), (xq.shape[0],))
+        sides = []
+        for axis, q in zip([self.t] + self.axes, [tq] + list(xq.T)):
+            idx, w = self._locate(axis, q)
+            sides.append(((idx, 1.0 - w), (idx + 1, w)))
+        corners = []
+        for corner in product(*sides):
+            wgt = corner[0][1]
+            for _, w in corner[1:]:
+                wgt = wgt * w
+            corners.append((tuple(idx for idx, _ in corner), wgt))
+        return corners
+
+    @staticmethod
+    def _interp(field, corners):
+        """Multilinear interpolation of a node field at located corners."""
+        out = np.zeros(corners[0][1].shape)
+        for idx, wgt in corners:
             out += wgt * field[idx]
         return out
 
     def value(self, t, x):
         scalar = np.asarray(x).ndim == 1
-        out = self._interp(self.values, t, x)
+        out = self._interp(self.values, self._corners(t, x))
         return float(out[0]) if scalar and np.isscalar(t) else out
 
     def gradient(self, t, x) -> np.ndarray:
         """Interpolated gradient alone: the ``p`` of ``eval`` bit for bit."""
         _, p, _ = self._derivative_fields()
-        xq = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.stack([self._interp(p[i], t, xq) for i in range(self.dim)], axis=-1)
+        corners = self._corners(t, x)
+        return np.stack([self._interp(p[i], corners) for i in range(self.dim)], axis=-1)
 
     def eval(self, t, x) -> EvalPack:
         """Interpolated (value, gradient, hessian, time derivative) at (t, x).
@@ -205,18 +212,18 @@ class ValueSurface:
         stored layers, multilinearly interpolated between nodes.
         """
         scalar = np.asarray(x).ndim == 1 and np.isscalar(t)
-        q, _, M = self._derivative_fields()
-        xq = np.atleast_2d(np.asarray(x, dtype=float))
-        n = xq.shape[0]
+        q, p, M = self._derivative_fields()
+        corners = self._corners(t, x)
+        n = corners[0][1].shape[0]
         d = self.dim
-        val = self._interp(self.values, t, xq)
-        qv = self._interp(q, t, xq)
-        pv = self.gradient(t, xq)
+        val = self._interp(self.values, corners)
+        qv = self._interp(q, corners)
+        pv = np.stack([self._interp(p[i], corners) for i in range(d)], axis=-1)
         Mv = np.zeros((n, d, d))
         for i in range(d):
-            Mv[:, i, i] = self._interp(M[(i, i)], t, xq)
+            Mv[:, i, i] = self._interp(M[(i, i)], corners)
         if d == 2:
-            cross = self._interp(M[(0, 1)], t, xq)
+            cross = self._interp(M[(0, 1)], corners)
             Mv[:, 0, 1] = cross
             Mv[:, 1, 0] = cross
         if scalar:

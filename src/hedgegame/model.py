@@ -91,7 +91,11 @@ class ModelSpec:
 
     @cached_property
     def hash(self) -> str:
-        """Stable fingerprint from coefficient samples at fixed probe points."""
+        """Stable fingerprint: the canonical config when the model was built
+        from one, else coefficient samples at fixed probe points."""
+        if self.config is not None:
+            blob = json.dumps(self.config, sort_keys=True).encode()
+            return hashlib.sha256(blob).hexdigest()[:16]
         rng = np.random.default_rng(1234567)
         n = 8
         x = rng.normal(0.0, 1.0, (n, self.dim))

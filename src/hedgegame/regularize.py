@@ -166,10 +166,10 @@ def _axis_pass(arr: np.ndarray, axis: int, coords: np.ndarray, k: float):
     return np.moveaxis(out, -1, axis), np.moveaxis(arg, -1, axis)
 
 
-def inf_convolution(values: np.ndarray, k: float, coords, weights=None):
+def inf_convolution(values: np.ndarray, k: float, coords):
     """Discrete quadratic inf-convolution over all grid nodes.
 
-    Computes min over nodes z' of values(z') + k sum_ax (w_ax (z_ax-z'_ax))^2
+    Computes min over nodes z' of values(z') + k sum_ax (z_ax - z'_ax)^2
     one axis at a time (the separable distance-transform factorisation) and
     returns the envelope together with the argmin multi-index per node.
     """
@@ -177,14 +177,10 @@ def inf_convolution(values: np.ndarray, k: float, coords, weights=None):
     coords = [np.asarray(c, dtype=float) for c in coords]
     if len(coords) != values.ndim:
         raise HedgeGameError("one coordinate array per axis required")
-    if weights is None:
-        weights = np.ones(values.ndim)
-    weights = np.asarray(weights, dtype=float)
     out = values
     args = []
     for ax in range(values.ndim):
-        scaled = weights[ax] * coords[ax]
-        out, win = _axis_pass(out, ax, scaled, k)
+        out, win = _axis_pass(out, ax, coords[ax], k)
         for j in range(len(args)):
             args[j] = np.take_along_axis(np.moveaxis(args[j], ax, -1),
                                          np.moveaxis(win, ax, -1),
@@ -295,15 +291,13 @@ class SmoothSurface:
     _BLOCK = 1 << 15  # band entries per block of points
 
     def __init__(self, t_nodes, axes, node_values, delta, *, eps=0.0, k=0.0,
-                 weights=None, B_set=None, model_hash="", meta=None):
+                 model_hash="", meta=None):
         self.t_nodes = np.asarray(t_nodes, dtype=float)
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         self.node_values = np.asarray(node_values, dtype=float)
         self.delta = float(delta)
         self.eps = float(eps)
         self.k = float(k)
-        self.weights = None if weights is None else np.asarray(weights, dtype=float)
-        self.B_set = B_set
         self.model_hash = model_hash
         self.meta = dict(meta or {})
         self.certificate = None
@@ -413,12 +407,10 @@ class SmoothSurface:
 
 
 def mollify(node_values, t_nodes, axes, delta: float, *, eps: float = 0.0,
-            k: float = 0.0, weights=None, B_set=None, model_hash: str = "",
-            meta=None) -> SmoothSurface:
+            k: float = 0.0, model_hash: str = "", meta=None) -> SmoothSurface:
     """Wrap grid values into a smooth surface mollified at width delta."""
     return SmoothSurface(t_nodes, axes, node_values, delta, eps=eps, k=k,
-                         weights=weights, B_set=B_set, model_hash=model_hash,
-                         meta=meta)
+                         model_hash=model_hash, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +506,13 @@ def phi_from_surface(surface: hjb.ValueSurface, margin: float):
     """Target callable phi = v + margin read off a solved surface."""
 
     def phi(t, xs):
-        return surface._interp(surface.values, t, xs) + margin
+        return surface.value(t, xs) + margin
 
     return phi
 
 
 DEFAULT_EPS_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125)
+_DELTA_TRIES = 6  # mollifier widths per rung: delta0, delta0 / 2, ...
 
 
 def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
@@ -527,10 +520,6 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
                                eps_ladder=DEFAULT_EPS_LADDER,
                                tol: float = 1e-3,
                                check_shape=(50, 100),
-                               terminal_buffer=None,
-                               delta_halvings: int = 6,
-                               base_surface: ShakenSurface | None = None,
-                               infconv_weights=None,
                                validate: bool = True) -> SmoothSurface:
     """Certified smooth supersolution below phi on B, built on a ladder.
 
@@ -544,10 +533,7 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
     T = model.horizon_T
     dt = T / grid.t_steps
     pad_layers = int(math.ceil(0.5 * max(eps_ladder) / dt)) + 2
-    if base_surface is None:
-        base = solve_shaken(model, grid, 0.0, pad_layers=pad_layers, validate=validate)
-    else:
-        base = base_surface
+    base = solve_shaken(model, grid, 0.0, pad_layers=pad_layers, validate=validate)
 
     # target must clear the base solution by eta on B
     t_sel = [k for k, tv in enumerate(base.surface.t)
@@ -579,27 +565,22 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
         w_inf = float(np.max(np.abs(shaken.surface.values)))
         k_conv = math.ceil(8.0 * w_inf / eps**2)
         coords = [shaken.surface.t] + list(shaken.surface.axes)
-        conv, _ = inf_convolution(shaken.surface.values, float(k_conv), coords,
-                                  weights=infconv_weights)
+        conv, _ = inf_convolution(shaken.surface.values, float(k_conv), coords)
 
         pad_time = -float(shaken.surface.t[0])
         delta0 = min(0.5 * eps, 0.9 * shaken.c_eps if shaken.c_eps > 0 else 0.5 * eps,
                      pad_time)
         delta = delta0
-        for _ in range(delta_halvings):
+        for _ in range(_DELTA_TRIES):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 smooth = SmoothSurface(
                     shaken.surface.t, shaken.surface.axes, conv, delta,
-                    eps=float(eps), k=float(k_conv), weights=infconv_weights,
-                    B_set=B_set, model_hash=shaken.surface.model_hash,
+                    eps=float(eps), k=float(k_conv), model_hash=shaken.surface.model_hash,
                     meta={"c_reg": shaken.c_reg, "c_eps": shaken.c_eps,
                           "c_eps_B": c_B, "pad_layers": pad_layers},
                 )
-            buf = terminal_buffer
-            if buf is None:
-                buf = max(3.0 * delta, 10.0 * dt)
-            t_hi = max(T - buf, 0.5 * T)
+            t_hi = max(T - max(3.0 * delta, 10.0 * dt), 0.5 * T)
             cg = make_check_grid(max(B_set.t_lo, 0.0), min(B_set.t_hi, t_hi),
                                  B_set.x_lo, B_set.x_hi, check_shape)
             report = verify_supersolution(smooth, model, cg, tol=tol, phi=phi, B_set=B_set)

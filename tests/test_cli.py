@@ -279,6 +279,18 @@ class TestDualCommand:
         rep = json.loads((tmp_path / "out" / "dual.json").read_text())
         assert rep["difference"] <= 1e-9
 
+    def test_dpp_mode_honours_degree(self, tmp_path):
+        cfg = base_config()
+        cfg["dual"] = {"knots": 4, "degree": 2, "paths": 500, "eps": 0.0,
+                       "seed": 3, "substeps": 5}
+        path = write_config(tmp_path, cfg)
+        rc = main(["dual", "-c", path, "--out", str(tmp_path / "out"),
+                   "--set", "dual.degree=1", "--mid", "0.5"])
+        assert rc == 0
+        rep = json.loads((tmp_path / "out" / "dual.json").read_text())
+        assert rep["direct"]["basis_degree"] == 1
+        assert rep["composed"]["basis_degree"] == 1
+
 
 class TestRegularizeCommand:
     def test_constant_model_certifies(self, tmp_path):

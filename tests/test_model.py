@@ -11,6 +11,7 @@ from hedgegame.model import (
     make_finance_model,
     make_payoff,
     min_generator_field,
+    model_from_config,
     mu_Y_hat,
     operator_H_eps,
     operator_L,
@@ -353,3 +354,31 @@ class TestValidateAssumptions:
         avg = 0.5 * (rho(0.0, x, 1.0, np.array([[0.0]]), fin, a)[0]
                      + rho(0.0, x, -1.0, np.array([[0.0]]), fin, a)[0])
         assert mid < avg - 1e-3  # convex kink: midpoint strictly below average
+
+
+class TestModelHash:
+    @staticmethod
+    def tabulated_config(last_sigma):
+        return {
+            "kind": "custom-tabulated", "dim": 1, "A_points": [[0.2]],
+            "horizon_T": 1.0, "lipschitz_K": 0.5,
+            "finance": {
+                "mu": {"type": "constant", "value": 0.0},
+                "sigma": {"type": "tabulated_x", "x": [-8.0, -4.0, 0.0, 4.0, 8.0],
+                          "values": [0.2, 0.2, 0.2, 0.2, last_sigma]},
+                "r_lend": {"type": "constant", "value": 0.0},
+                "r_borrow": {"type": "constant", "value": 0.0},
+            },
+            "payoff": {"type": "call", "strike": 1.0},
+        }
+
+    def test_models_differing_away_from_probe_points_hash_apart(self):
+        # the sigmas agree on [-4, 4], where the coefficient probe points lie
+        a = model_from_config(self.tabulated_config(0.2))
+        b = model_from_config(self.tabulated_config(0.45))
+        assert a.hash != b.hash
+
+    def test_config_hash_ignores_key_order(self):
+        cfg = self.tabulated_config(0.45)
+        shuffled = dict(reversed(list(cfg.items())))
+        assert model_from_config(cfg).hash == model_from_config(shuffled).hash
