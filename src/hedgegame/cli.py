@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,19 +57,15 @@ _DEFAULTS = {
         "knots": 4, "degree": 2, "paths": 100000, "eps": 0.0, "seed": 11,
         "substeps": 25, "mid": None,
     },
-    "output": {"directory": "out", "formats": ["csv", "json"]},
+    "output": {"directory": "out"},
 }
 
+# keys of the sections without defaults; a defaulted section allows its defaults' keys
 _ALLOWED = {
     "model": {"kind", "dim", "A_points", "horizon_T", "lipschitz_K", "finance", "payoff"},
     "model.finance": {"mu", "sigma", "r_lend", "r_borrow"},
-    "grid": {"t_steps", "x_min", "x_max", "x_steps", "boundary_mode"},
-    "regularize": {"eps_ladder", "eta", "tol", "B", "check_shape", "phi"},
+    "grid": {"t_steps", "x_min", "x_max", "x_steps"},
     "regularize.B": {"t", "x"},
-    "sim": {"paths", "steps", "seed", "tol_sim", "p_sim", "margin", "t0", "x0",
-            "y0", "switch_rate"},
-    "dual": {"knots", "degree", "paths", "eps", "seed", "substeps", "mid"},
-    "output": {"directory", "formats"},
 }
 
 _PAYOFF_KEYS = {"type", "strike", "cap", "level", "width", "x", "values"}
@@ -105,11 +102,10 @@ def validate_config(raw: dict) -> dict:
     for req in ("t_steps", "x_min", "x_max", "x_steps"):
         if req not in g:
             raise ConfigError(f"grid.{req} is required")
-    g.setdefault("boundary_mode", "extrapolate_linear")
 
     for section, defaults in _DEFAULTS.items():
         body = cfg.setdefault(section, {})
-        _check_keys(body, _ALLOWED[section], section)
+        _check_keys(body, set(defaults), section)
         for key, val in defaults.items():
             body.setdefault(key, json.loads(json.dumps(val)))
     if cfg["regularize"]["B"] is not None:
@@ -164,7 +160,6 @@ def grid_from_config(gcfg: dict) -> hjb.GridSpec:
         x_min=tuple(gcfg["x_min"]),
         x_max=tuple(gcfg["x_max"]),
         x_steps=tuple(gcfg["x_steps"]),
-        boundary_mode=gcfg["boundary_mode"],
     )
 
 
@@ -271,14 +266,54 @@ def _config_values():
 
 
 def _prepare(args):
-    """Config, output directory, model and grid; bad values are ConfigErrors."""
+    """Parse the run once: config, output directory, model, grid and the typed
+    values of every section, with the --margin, --y0 and --mid flags folded in.
+    Bad values and a start point outside [0, T) x R^d are ConfigErrors."""
     with _config_values():
         cfg = load_config(args.config, args.set)
-        out_dir = args.out or cfg["output"]["directory"]
-        os.makedirs(out_dir, exist_ok=True)
         model = model_from_config(cfg["model"])
         grid = grid_from_config(cfg["grid"])
-    return cfg, out_dir, model, grid
+        s, r, d = cfg["sim"], cfg["regularize"], cfg["dual"]
+        sim = game.SimParams(
+            x0=tuple(float(v) for v in s["x0"]), t0=float(s["t0"]),
+            paths=int(s["paths"]), steps=int(s["steps"]), seed=int(s["seed"]),
+            tol_sim=float(s["tol_sim"]), p_sim=float(s["p_sim"]),
+            switch_rate=float(s["switch_rate"]),
+        )
+        if len(sim.x0) != model.dim:
+            raise ConfigError(f"sim.x0 needs {model.dim} entries, got {len(sim.x0)}")
+        if not sim.t0 < model.horizon_T:
+            raise ConfigError(f"sim.t0 {sim.t0} must be below horizon_T {model.horizon_T}")
+        margin = s["margin"] if getattr(args, "margin", None) is None else args.margin
+        y0 = s["y0"] if getattr(args, "y0", None) is None else args.y0
+        mid = d["mid"] if getattr(args, "mid", None) is None else args.mid
+        if r["B"] is None:  # central half of the grid in every axis, full time range
+            box = regularize.Box(
+                0.0, model.horizon_T,
+                tuple(lo + 0.25 * (hi - lo) for lo, hi in zip(grid.x_min, grid.x_max)),
+                tuple(hi - 0.25 * (hi - lo) for lo, hi in zip(grid.x_min, grid.x_max)))
+        else:
+            box = regularize.Box(float(r["B"]["t"][0]), float(r["B"]["t"][1]),
+                                 [lo for lo, _ in r["B"]["x"]], [hi for _, hi in r["B"]["x"]])
+        if not isinstance(r["phi"], str):
+            raise ConfigError(f"unsupported regularize.phi {r['phi']!r}")
+        run = SimpleNamespace(
+            cfg=cfg, out_dir=args.out or cfg["output"]["directory"], model=model, grid=grid,
+            sim=sim, margin=float(margin),
+            # an explicit start level is taken verbatim, margin applies to auto only
+            y0=None if y0 == "auto" else float(y0),
+            box=box, eta=float(r["eta"]), tol=float(r["tol"]),
+            eps_ladder=tuple(float(e) for e in r["eps_ladder"]),
+            check_shape=tuple(int(n) for n in r["check_shape"]),
+            # phi = v + margin, v the solved surface (path None) or a surface.bin file
+            phi=((None, float(r["phi"].split(":", 1)[1]))
+                 if r["phi"].startswith("v-plus-margin:") else (r["phi"], 0.0)),
+            dual=SimpleNamespace(
+                **{key: int(d[key]) for key in ("knots", "degree", "paths", "seed", "substeps")},
+                eps=float(d["eps"]), mid=None if mid is None else float(mid)),
+        )
+        os.makedirs(run.out_dir, exist_ok=True)
+    return run
 
 
 def _checked_solve(model, grid, args):
@@ -292,10 +327,10 @@ def _checked_solve(model, grid, args):
 
 def cmd_price(args):
     t_start = time.monotonic()
-    cfg, out_dir, model, grid = _prepare(args)
-    with _config_values():
-        x0, t0 = np.asarray(cfg["sim"]["x0"], dtype=float), float(cfg["sim"]["t0"])
-    surface = _checked_solve(model, grid, args)
+    run = _prepare(args)
+    cfg, out_dir, model = run.cfg, run.out_dir, run.model
+    x0, t0 = np.asarray(run.sim.x0, dtype=float), run.sim.t0
+    surface = _checked_solve(model, run.grid, args)
     price = surface.value(t0, x0)
     res = hjb.residual(surface, model)
     summary = {
@@ -316,10 +351,10 @@ def cmd_price(args):
 
 def cmd_solve(args):
     t_start = time.monotonic()
-    cfg, out_dir, model, grid = _prepare(args)
-    with _config_values():
-        x0, t0 = np.asarray(cfg["sim"]["x0"], dtype=float), float(cfg["sim"]["t0"])
-    surface = _checked_solve(model, grid, args)
+    run = _prepare(args)
+    cfg, out_dir, model = run.cfg, run.out_dir, run.model
+    x0, t0 = np.asarray(run.sim.x0, dtype=float), run.sim.t0
+    surface = _checked_solve(model, run.grid, args)
     artifacts = ["surface.csv", "surface.bin", "summary.json"]
     hjb.save_csv(surface, os.path.join(out_dir, "surface.csv"))
     hjb.save_binary(surface, os.path.join(out_dir, "surface.bin"))
@@ -340,43 +375,16 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _phi_for(cfg, model, surface):
-    spec = cfg["regularize"]["phi"]
-    if isinstance(spec, str) and spec.startswith("v-plus-margin:"):
-        margin = float(spec.split(":", 1)[1])
-        return regularize.phi_from_surface(surface, margin)
-    if isinstance(spec, str):
-        other = hjb.load_binary(spec)
-        return regularize.phi_from_surface(other, 0.0)
-    raise ConfigError(f"unsupported regularize.phi {spec!r}")
-
-
-def _box_for(cfg, grid, horizon_T):
-    bcfg = cfg["regularize"]["B"]
-    if bcfg is None:
-        # central half of the grid in every axis, full time range
-        x_lo = [lo + 0.25 * (hi - lo) for lo, hi in zip(grid.x_min, grid.x_max)]
-        x_hi = [hi - 0.25 * (hi - lo) for lo, hi in zip(grid.x_min, grid.x_max)]
-        return regularize.Box(0.0, horizon_T, tuple(x_lo), tuple(x_hi))
-    with _config_values():
-        return regularize.Box(float(bcfg["t"][0]), float(bcfg["t"][1]),
-                              tuple(float(lo) for lo, _ in bcfg["x"]),
-                              tuple(float(hi) for _, hi in bcfg["x"]))
-
-
 def cmd_regularize(args):
     t_start = time.monotonic()
-    cfg, out_dir, model, grid = _prepare(args)
-    surface = _checked_solve(model, grid, args)
-    box = _box_for(cfg, grid, model.horizon_T)
-    rcfg = cfg["regularize"]
-    with _config_values():
-        eta, tol = float(rcfg["eta"]), float(rcfg["tol"])
-        eps_ladder = tuple(float(e) for e in rcfg["eps_ladder"])
-        check_shape = tuple(int(n) for n in rcfg["check_shape"])
+    run = _prepare(args)
+    cfg, out_dir, model = run.cfg, run.out_dir, run.model
+    surface = _checked_solve(model, run.grid, args)
+    phi_path, phi_margin = run.phi
+    phi_base = surface if phi_path is None else hjb.load_binary(phi_path)
     smooth = regularize.build_smooth_supersolution(
-        model, _phi_for(cfg, model, surface), box, eta, grid,
-        eps_ladder=eps_ladder, tol=tol, check_shape=check_shape, validate=False,
+        model, regularize.phi_from_surface(phi_base, phi_margin), run.box, run.eta, run.grid,
+        eps_ladder=run.eps_ladder, tol=run.tol, check_shape=run.check_shape, validate=False,
     )
     artifacts = ["certificate.json", "smooth.bin"]
     _write_json(os.path.join(out_dir, "certificate.json"), smooth.certificate.to_dict())
@@ -402,25 +410,15 @@ def _parse_adversary(spec: str, model, policy_surface):
 
 def cmd_simulate(args):
     t_start = time.monotonic()
-    cfg, out_dir, model, grid = _prepare(args)
-    scfg = cfg["sim"]
+    run = _prepare(args)
+    cfg, out_dir, model = run.cfg, run.out_dir, run.model
+    sim, margin, y0 = run.sim, run.margin, run.y0
     if args.surface:
         source = load_surface(args.surface)
         if source.model_hash != model.hash:
             raise ConfigError("surface cache was built from a different model")
     else:
-        source = _checked_solve(model, grid, args)
-    with _config_values():
-        margin = float(args.margin if args.margin is not None else scfg["margin"])
-        sim = game.SimParams(
-            x0=tuple(float(v) for v in scfg["x0"]), t0=float(scfg["t0"]),
-            paths=int(scfg["paths"]), steps=int(scfg["steps"]), seed=int(scfg["seed"]),
-            tol_sim=float(scfg["tol_sim"]), p_sim=float(scfg["p_sim"]),
-            switch_rate=float(scfg["switch_rate"]),
-        )
-        # an explicit start level is taken verbatim, margin applies to auto only
-        auto_y0 = str(scfg["y0"]) == "auto" and args.y0 is None
-        y0 = None if auto_y0 else float(args.y0 if args.y0 is not None else scfg["y0"])
+        source = _checked_solve(model, run.grid, args)
     artifacts = ["simreport.json"]
     status = EXIT_OK
     if args.adversary == "all":
@@ -457,24 +455,19 @@ def cmd_simulate(args):
 
 def cmd_dual(args):
     t_start = time.monotonic()
-    cfg, out_dir, model, _ = _prepare(args)
-    dcfg = cfg["dual"]
-    with _config_values():
-        t0, x0 = float(cfg["sim"]["t0"]), np.asarray(cfg["sim"]["x0"], dtype=float)
-        knots, degree, paths, seed, substeps = (
-            int(dcfg[key]) for key in ("knots", "degree", "paths", "seed", "substeps"))
-        eps, mid = float(dcfg["eps"]), args.mid if args.mid is not None else dcfg["mid"]
-        mid = None if mid is None else float(mid)
-    lattice = dual.make_lattice(model, t0, knots, eps, substeps=substeps)
-    if mid is not None:
-        rep = dual.dpp_check(model, eps, t0, x0, mid, lattice, paths, seed, degree)
+    run = _prepare(args)
+    cfg, out_dir, model, dv = run.cfg, run.out_dir, run.model, run.dual
+    t0, x0 = run.sim.t0, np.asarray(run.sim.x0, dtype=float)
+    lattice = dual.make_lattice(model, t0, dv.knots, dv.eps, substeps=dv.substeps)
+    if dv.mid is not None:
+        rep = dual.dpp_check(model, dv.eps, t0, x0, dv.mid, lattice, dv.paths, dv.seed, dv.degree)
         payload = rep.to_dict()
     else:
-        est = dual.dual_value_lsmc(model, eps, t0, x0, lattice, degree, paths, seed)
+        est = dual.dual_value_lsmc(model, dv.eps, t0, x0, lattice, dv.degree, dv.paths, dv.seed)
         payload = est.to_dict()
     _write_json(os.path.join(out_dir, "dual.json"), payload)
     write_manifest(out_dir, "dual", cfg, ["dual.json"], t_start,
-                   {"dual": seed})
+                   {"dual": dv.seed})
     return EXIT_OK
 
 

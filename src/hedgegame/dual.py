@@ -96,7 +96,10 @@ class _Basis:
 
 
 def _fit(basis: _Basis, xs: np.ndarray, ys: np.ndarray):
-    """Least squares onto the basis, reducing degree on rank deficiency."""
+    """Least squares onto the basis, reducing degree on rank deficiency.
+
+    Returns the basis actually used, its coefficients and the fitted values.
+    """
     B = basis.features(xs)
     coef, _, rank, _ = np.linalg.lstsq(B, ys, rcond=None)
     if rank < B.shape[1] and basis.degree > 0:
@@ -107,7 +110,7 @@ def _fit(basis: _Basis, xs: np.ndarray, ys: np.ndarray):
         )
         smaller = _Basis(xs, basis.degree - 1)
         return _fit(smaller, xs, ys)
-    return basis, coef
+    return basis, coef, B @ coef
 
 
 def _scores(fits, xs: np.ndarray) -> np.ndarray:
@@ -123,13 +126,11 @@ def _regress_yz(xj, y_next, dW, dtau, degree):
     """
     deg = 0 if bool(np.all(xj.std(axis=0) < 1e-12)) else degree
     basis = _Basis(xj, deg)
-    b_y, c_y = _fit(basis, xj, y_next)
-    yhat = b_y.features(xj) @ c_y
+    yhat = _fit(basis, xj, y_next)[2]
     resid = y_next - yhat
     zhat = np.empty_like(dW)
     for kdim in range(dW.shape[1]):
-        b_z, c_z = _fit(basis, xj, resid * dW[:, kdim] / dtau)
-        zhat[:, kdim] = b_z.features(xj) @ c_z
+        zhat[:, kdim] = _fit(basis, xj, resid * dW[:, kdim] / dtau)[2]
     return basis, yhat, zhat
 
 
@@ -232,7 +233,7 @@ def _fit_tables(model, lattice, clouds, degree, rng_branch, terminal_fn):
             basis, yhat, zhat = _regress_yz(
                 xj, np.asarray(V_next(x_end), dtype=float), dW, dtau, degree)
             f = _driver(model, gamma, knots[j], xj, yhat, zhat)
-            fits.append(_fit(basis, xj, yhat - dtau * f))
+            fits.append(_fit(basis, xj, yhat - dtau * f)[:2])
         tables[j] = fits
         V_next = lambda xs, fits=fits: _scores(fits, xs).max(axis=0)
     return tables, V_next

@@ -197,6 +197,8 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
     if n_steps < 1:
         raise HedgeGameError("n_steps must be >= 1")
     T = model.horizon_T
+    if not t0 < T:
+        raise HedgeGameError(f"start time t0 = {t0} must be below the horizon T = {T}")
     d = model.dim
     n_A = len(model.A_points)
     dt = (T - t0) / n_steps

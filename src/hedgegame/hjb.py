@@ -52,14 +52,11 @@ class GridSpec:
     x_min: tuple
     x_max: tuple
     x_steps: tuple
-    boundary_mode: str = "extrapolate_linear"
 
     def __post_init__(self):
         object.__setattr__(self, "x_min", tuple(float(v) for v in np.atleast_1d(self.x_min)))
         object.__setattr__(self, "x_max", tuple(float(v) for v in np.atleast_1d(self.x_max)))
         object.__setattr__(self, "x_steps", tuple(int(v) for v in np.atleast_1d(self.x_steps)))
-        if self.boundary_mode not in ("extrapolate_linear", "clamp_payoff"):
-            raise HedgeGameError(f"unknown boundary_mode {self.boundary_mode!r}")
         if self.t_steps < 1 or any(s < 2 for s in self.x_steps):
             raise HedgeGameError("t_steps >= 1 and x_steps >= 2 required")
         if len(self.x_min) != len(self.x_max) or len(self.x_min) != len(self.x_steps):
@@ -349,7 +346,6 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     axes = grid.axes()
     X = grid.mesh()
     dx = grid.dx
-    d = grid.dim
 
     g_term = terminal if terminal is not None else model.payoff_g
     pairs = adverse_pairs(model, shake_points)
@@ -357,19 +353,6 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     values = np.empty((n_layers + 1,) + X.shape[:-1])
     policy = np.zeros((n_layers + 1,) + X.shape[:-1], dtype=np.int32)
     values[-1] = np.asarray(g_term(X), dtype=float)
-
-    clamp_mode = grid.boundary_mode == "clamp_payoff"
-    boundary_mask = None
-    g_boundary = None
-    if clamp_mode:
-        boundary_mask = np.zeros(X.shape[:-1], dtype=bool)
-        for i in range(d):
-            sl = [slice(None)] * d
-            sl[i] = 0
-            boundary_mask[tuple(sl)] = True
-            sl[i] = -1
-            boundary_mask[tuple(sl)] = True
-        g_boundary = values[-1][boundary_mask]
 
     max_iters_seen = 0
     for k in range(n_layers - 1, -1, -1):
@@ -405,12 +388,6 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
             )
         values[k] = y
         policy[k] = np.argmin(stack, axis=0).astype(np.int32)
-        if clamp_mode:
-            r = 0.0
-            if model.finance is not None:
-                xb = X[boundary_mask]
-                r = np.asarray(model.finance.r_lend(t_k, xb, model.A_points[0]), dtype=float)
-            values[k][boundary_mask] = g_boundary * np.exp(-r * (T - t_k))
 
     g_abs = float(np.max(np.abs(values[-1])))
     K = model.lipschitz_K
@@ -421,7 +398,6 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
         "bound": g_abs * float(np.exp(K * T)) + K * T,
         "max_abs_value": float(np.max(np.abs(values))),
         "fixed_point_max_iters": max_iters_seen,
-        "boundary_mode": grid.boundary_mode,
         "n_pairs": len(pairs),
     }
     return ValueSurface(grid, model.hash, t_vals, axes, values, policy,
@@ -489,13 +465,11 @@ def save_csv(surface: ValueSurface, path):
     buf = io.StringIO()
     buf.write(",".join(cols) + "\n")
     mesh = np.stack(np.meshgrid(*surface.axes, indexing="ij"), axis=-1).reshape(-1, d)
+    coords = [",".join(f"{c:.17g}" for c in row) for row in mesh.tolist()]
     for k in range(surface.values.shape[0]):
-        vals = surface.values[k].reshape(-1)
-        pol = surface.policy[k].reshape(-1)
-        tk = surface.t[k]
-        for row in range(mesh.shape[0]):
-            xs = ",".join(f"{c:.17g}" for c in mesh[row])
-            buf.write(f"{k},{tk:.17g},{xs},{vals[row]:.17g},{pol[row]}\n")
+        head = f"{k},{surface.t[k]:.17g},"
+        vals, pol = surface.values[k].reshape(-1).tolist(), surface.policy[k].reshape(-1).tolist()
+        buf.writelines(f"{head}{xs},{v:.17g},{p}\n" for xs, v, p in zip(coords, vals, pol))
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 
@@ -546,7 +520,6 @@ def save_binary(surface: ValueSurface, path):
         "x_min": list(surface.grid.x_min),
         "x_max": list(surface.grid.x_max),
         "x_steps": list(surface.grid.x_steps),
-        "boundary_mode": surface.grid.boundary_mode,
         "t_start": surface.t_start,
         "horizon_T": surface.horizon_T,
         "n_layers": int(surface.values.shape[0]),
@@ -559,8 +532,7 @@ def save_binary(surface: ValueSurface, path):
 
 
 def _surface_from_cache(header, take) -> ValueSurface:
-    grid = GridSpec(header["t_steps"], header["x_min"], header["x_max"], header["x_steps"],
-                    header["boundary_mode"])
+    grid = GridSpec(header["t_steps"], header["x_min"], header["x_max"], header["x_steps"])
     shape = (header["n_layers"],) + tuple(s + 1 for s in grid.x_steps)
     n_layers = header["n_layers"] - 1
     dt = (header["horizon_T"] - header["t_start"]) / n_layers

@@ -406,13 +406,6 @@ class SmoothSurface:
                         axis=-1)
 
 
-def mollify(node_values, t_nodes, axes, delta: float, *, eps: float = 0.0,
-            k: float = 0.0, model_hash: str = "", meta=None) -> SmoothSurface:
-    """Wrap grid values into a smooth surface mollified at width delta."""
-    return SmoothSurface(t_nodes, axes, node_values, delta, eps=eps, k=k,
-                         model_hash=model_hash, meta=meta)
-
-
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from hedgegame.hjb import GridSpec, solve
 from hedgegame.model import make_finance_model, make_payoff, make_single_rate_model
 from hedgegame.regularize import (
     Box,
+    SmoothSurface,
     build_smooth_supersolution,
     inf_convolution,
-    mollify,
     phi_from_surface,
 )
 
@@ -184,7 +184,7 @@ def test_criterion_6_mollifier():
     t = np.linspace(-0.2, 1.0, 241)
     ax = np.linspace(-1.0, 1.0, 401)
     vals = np.sin(2.0 * ax)[None, :] * np.cos(1.5 * t)[:, None] + 0.3 * ax[None, :] ** 2
-    s = mollify(vals, t, [ax], 0.06)
+    s = SmoothSurface(t, [ax], vals, 0.06)
     h = 1e-4
     worst = 0.0
     for _ in range(1000):
@@ -201,13 +201,13 @@ def test_criterion_6_mollifier():
                     abs(pk.M[0, 0] - fd_M) / (1 + abs(pk.M[0, 0])))
     deriv_ok = worst <= 1e-4
 
-    const = mollify(np.full((241, 401), 2.5), t, [ax], 0.05)
+    const = SmoothSurface(t, [ax], np.full((241, 401), 2.5), 0.05)
     pk_c = const.eval(0.5, np.array([0.1]))
     const_ok = (abs(pk_c.value - 2.5) <= 1e-10 and abs(pk_c.q) <= 1e-10
                 and abs(pk_c.p[0]) <= 1e-10)
-    lin = mollify(np.tile(ax, (241, 1)), t, [ax], 0.05)
+    lin = SmoothSurface(t, [ax], np.tile(ax, (241, 1)), 0.05)
     lin_ok = abs(lin.value(0.5, np.array([0.123])) - 0.123) <= 1e-10
-    quad = mollify(np.tile(ax**2, (241, 1)), t, [ax], 0.2)
+    quad = SmoothSurface(t, [ax], np.tile(ax**2, (241, 1)), 0.2)
     from hedgegame.regularize import MollifierKernel
     nodes, wts = np.polynomial.legendre.leggauss(32)
     m2 = float(np.sum(wts * nodes**2 * MollifierKernel().space_value(nodes)))

@@ -74,9 +74,9 @@ class TestConfig:
 
     def test_overrides_parse_json(self):
         cfg = validate_config(base_config())
-        apply_overrides(cfg, ["sim.paths=999", "grid.boundary_mode=\"clamp_payoff\""])
+        apply_overrides(cfg, ["sim.paths=999", "regularize.phi=\"v-plus-margin:0.5\""])
         assert cfg["sim"]["paths"] == 999
-        assert cfg["grid"]["boundary_mode"] == "clamp_payoff"
+        assert cfg["regularize"]["phi"] == "v-plus-margin:0.5"
 
     def test_override_unknown_path(self):
         cfg = validate_config(base_config())
@@ -242,6 +242,13 @@ class TestExitCodeContract:
         ("regularize", 'regularize.B={"t":[0],"x":[[0,1]]}'),
         ("price", 'sim.x0=["x"]'),
         ("solve", 'sim.t0="x"'),
+        ("price", "sim.x0=[0.0,0.5]"),
+        ("simulate", "sim.x0=[0.0,0.5]"),
+        ("dual", "sim.x0=[0.0,0.5]"),
+        ("solve", "sim.x0=[]"),
+        ("simulate", "sim.t0=2.0"),
+        ("price", 'grid.boundary_mode="clamp_payoff"'),
+        ("solve", 'output.formats=["csv"]'),
     ])
     def test_bad_section_value_exit_2(self, tmp_path, capsys, command, override):
         path = write_config(tmp_path, base_config())

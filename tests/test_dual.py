@@ -137,9 +137,10 @@ class TestRegressionFallback:
         xs = np.array([[0.0], [1.0]] * 50)
         ys = xs[:, 0] * 2.0 + 1.0
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
-            basis, coef = _fit(_Basis(xs, 2), xs, ys)
+            basis, coef, fitted = _fit(_Basis(xs, 2), xs, ys)
         assert basis.degree < 2
         pred = basis.features(xs) @ coef
+        assert np.array_equal(fitted, pred)
         assert np.allclose(pred, ys, atol=1e-10)
 
 

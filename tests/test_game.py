@@ -174,6 +174,17 @@ class TestSimulate:
             simulate(model, make_strategy(surf, model), ConstantAdversary(0),
                      0.0, np.array([0.0]), 0.1, 10, 0, seed=1)
 
+    @pytest.mark.parametrize("t0", [1.0, 2.0])
+    def test_start_at_or_after_horizon_rejected(self, t0):
+        model = frozen_model(level=1.0)
+        surf = constant_surface(level=1.0)
+        with pytest.raises(HedgeGameError, match="horizon"):
+            simulate(model, make_strategy(surf, model), ConstantAdversary(0),
+                     t0, np.array([0.0]), 1.0, 50, 10, seed=1)
+        # a library caller reaches the same check through simulate
+        with pytest.raises(HedgeGameError, match="horizon"):
+            superhedge_check(model, surf, 0.0, SimParams(x0=(0.0,), t0=t0, paths=50, steps=10))
+
 
 class TestAdversaries:
     def test_piecewise_random_non_anticipative(self, rng):

@@ -22,8 +22,8 @@ from conftest import (
 )
 
 
-def small_grid(x_lo=-1.2, x_hi=1.2, nx=100, nt=200, mode="extrapolate_linear"):
-    return GridSpec(t_steps=nt, x_min=(x_lo,), x_max=(x_hi,), x_steps=(nx,), boundary_mode=mode)
+def small_grid(x_lo=-1.2, x_hi=1.2, nx=100, nt=200):
+    return GridSpec(t_steps=nt, x_min=(x_lo,), x_max=(x_hi,), x_steps=(nx,))
 
 
 def tabulated_surface(fn, x_lo=-1.0, x_hi=1.0, nx=50, nt=10, T=1.0):
@@ -288,3 +288,6 @@ class TestSurfaceIO:
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[2]) == surf.axes[0][0]
         assert float(first[3]) == surf.values[0, 0]
+        # every row as the per-node formatting loop writes it
+        assert lines[1:] == [f"{k},{tk:.17g},{x:.17g},{surf.values[k, i]:.17g},{surf.policy[k, i]}"
+                             for k, tk in enumerate(surf.t) for i, x in enumerate(surf.axes[0])]

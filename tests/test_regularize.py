@@ -12,7 +12,6 @@ from hedgegame.regularize import (
     build_smooth_supersolution,
     inf_convolution,
     make_check_grid,
-    mollify,
     phi_from_surface,
     solve_shaken,
     verify_supersolution,
@@ -152,14 +151,14 @@ class TestMollify:
 
     def test_constant_input(self):
         vals = np.full((121, 401), 2.5)
-        s = mollify(vals, self.t, [self.ax], 0.05)
+        s = SmoothSurface(self.t, [self.ax], vals, 0.05)
         pk = s.eval(0.5, np.array([0.1]))
         assert pk.value == pytest.approx(2.5, abs=1e-10)
         assert abs(pk.q) <= 1e-10 and abs(pk.p[0]) <= 1e-10 and abs(pk.M[0, 0]) <= 1e-9
 
     def test_linear_input_symmetric_kernel(self):
         vals = np.tile(self.ax, (121, 1))
-        s = mollify(vals, self.t, [self.ax], 0.05)
+        s = SmoothSurface(self.t, [self.ax], vals, 0.05)
         pk = s.eval(0.5, np.array([0.123]))
         assert pk.value == pytest.approx(0.123, abs=1e-10)
         assert pk.p[0] == pytest.approx(1.0, abs=1e-10)
@@ -167,7 +166,7 @@ class TestMollify:
     def test_quadratic_second_moment(self):
         delta = 0.2
         vals = np.tile(self.ax**2, (121, 1))
-        s = mollify(vals, self.t, [self.ax], delta)
+        s = SmoothSurface(self.t, [self.ax], vals, delta)
         # kernel second moment by independent high-order quadrature
         from hedgegame.regularize import MollifierKernel
         nodes, wts = np.polynomial.legendre.leggauss(32)
@@ -177,7 +176,7 @@ class TestMollify:
 
     def test_derivatives_match_finite_differences(self, rng):
         vals = np.sin(2.0 * self.ax)[None, :] * np.cos(1.5 * self.t)[:, None]
-        s = mollify(vals, self.t, [self.ax], 0.06)
+        s = SmoothSurface(self.t, [self.ax], vals, 0.06)
         h = 1e-4
         for _ in range(25):
             tq = float(rng.uniform(0.1, 0.9))
@@ -193,7 +192,7 @@ class TestMollify:
 
     def test_continuity_across_cells(self, rng):
         vals = np.cos(3.0 * self.ax)[None, :] * (1.0 + self.t)[:, None]
-        s = mollify(vals, self.t, [self.ax], 0.05)
+        s = SmoothSurface(self.t, [self.ax], vals, 0.05)
         eps = 1e-9
         for _ in range(10):
             i = int(rng.integers(100, 300))
@@ -209,7 +208,7 @@ class TestMollify:
     def test_degenerate_width_warns(self):
         vals = np.zeros((121, 401))
         with pytest.warns(RuntimeWarning, match="grid cell"):
-            mollify(vals, self.t, [self.ax], 0.001)
+            SmoothSurface(self.t, [self.ax], vals, 0.001)
 
 
 class TestSeparableMollifier:
