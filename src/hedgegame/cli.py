@@ -295,6 +295,8 @@ def _prepare(args):
         else:
             box = regularize.Box(float(r["B"]["t"][0]), float(r["B"]["t"][1]),
                                  [lo for lo, _ in r["B"]["x"]], [hi for _, hi in r["B"]["x"]])
+            if len(box.x_lo) != model.dim:
+                raise ConfigError(f"regularize.B.x needs {model.dim} intervals, got {len(box.x_lo)}")
         if not isinstance(r["phi"], str):
             raise ConfigError(f"unsupported regularize.phi {r['phi']!r}")
         run = SimpleNamespace(

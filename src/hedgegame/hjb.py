@@ -28,6 +28,7 @@ from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, min_ge
 _PROBE_H = 1e-6
 _FP_TOL = 1e-10
 _FP_MAX_ITERS = 50
+_RESIDUAL_BLOCK = 256  # layers per residual() difference block; bounds its q/p/M buffers
 
 BINARY_MAGIC = b"HJBSURF1"
 
@@ -273,30 +274,34 @@ class _LayerOps:
         self.p_cen = np.stack(self.cen, axis=-1)
 
 
-def _adverse_terms(model, t_eff, x_eff, y_ref, ops: _LayerOps, a):
-    """Per-adverse-point pieces of the discrete generator.
+def _adverse_terms(model, t_eff, x_rows, ops: _LayerOps, a):
+    """Discrete-generator pieces of the m pairs of one adverse point that
+    share the clamped time ``t_eff``; ``x_rows`` stacks their shifted meshes.
 
-    Returns (z_c, const) with const = everything except the hedged drift:
-    the drift/diffusion terms with the p-dependence linearised around the
-    centered gradient and its linear part moved onto upwind differences.
+    Returns (z_c, const, f0): the z rows; const = everything except the
+    hedged drift (the drift/diffusion terms with the p-dependence linearised
+    around the centered gradient and its linear part moved onto upwind
+    differences); f0 = the hedged drift at y = v_next, the first fixed-point
+    round, read in one mu_Y_hat call together with the 2d probes.
     """
-    d = x_eff.shape[-1]
-    mu = np.asarray(model.mu_X(t_eff, x_eff, a), dtype=float)
-    sig = np.asarray(model.sigma_X(t_eff, x_eff, a), dtype=float)
+    d = x_rows.shape[-1]
+    shape = (x_rows.shape[0] // ops.center.size,) + ops.center.shape
+    mu = np.asarray(model.mu_X(t_eff, x_rows, a), dtype=float).reshape(shape + (d,))
+    sig = np.asarray(model.sigma_X(t_eff, x_rows, a), dtype=float).reshape(shape + (d, d))
     Sig = np.einsum("...ik,...jk->...ij", sig, sig)
     z_c = np.einsum("...ji,...j->...i", sig, ops.p_cen)
-    fz = np.empty_like(z_c)
+    h = _PROBE_H * (1.0 + np.abs(z_c))
+    n_z = 2 * d + 1  # z rows per pair: +h and -h on each axis, then z_c
+    zs = np.repeat(z_c[None], n_z, axis=0)
     for j in range(d):
-        h = _PROBE_H * (1.0 + np.abs(z_c[..., j]))
-        zp = z_c.copy()
-        zp[..., j] += h
-        zm = z_c.copy()
-        zm[..., j] -= h
-        fp = np.asarray(mu_Y_hat(t_eff, x_eff, y_ref, zp, a, model))
-        fm = np.asarray(mu_Y_hat(t_eff, x_eff, y_ref, zm, a, model))
-        fz[..., j] = (fp - fm) / (2.0 * h)
+        zs[2 * j, ..., j] += h[..., j]
+        zs[2 * j + 1, ..., j] -= h[..., j]
+    y0 = np.concatenate([ops.center.reshape(-1)] * (n_z * shape[0]))
+    f = np.asarray(mu_Y_hat(t_eff, np.concatenate([x_rows] * n_z), y0, zs.reshape(-1, d), a, model))
+    f = f.reshape(zs.shape[:-1])
+    fz = np.stack([(f[2 * j] - f[2 * j + 1]) / (2.0 * h[..., j]) for j in range(d)], axis=-1)
     drift_eff = mu - np.einsum("...ij,...j->...i", sig, fz)
-    const = np.zeros(ops.center.shape)
+    const = np.zeros(shape)
     for i in range(d):
         p_up = np.where(drift_eff[..., i] > 0.0, ops.fwd[i], ops.bwd[i])
         const -= mu[..., i] * ops.cen[i]
@@ -304,7 +309,7 @@ def _adverse_terms(model, t_eff, x_eff, y_ref, ops: _LayerOps, a):
         const -= 0.5 * Sig[..., i, i] * ops.sec[i]
     if d == 2:
         const -= Sig[..., 0, 1] * ops.cross
-    return z_c, const
+    return z_c.reshape(-1, d), const, f[-1]
 
 
 def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
@@ -354,23 +359,34 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     policy = np.zeros((n_layers + 1,) + X.shape[:-1], dtype=np.int32)
     values[-1] = np.asarray(g_term(X), dtype=float)
 
+    Xf = X.reshape(-1, grid.dim)
+    n_b = len(pairs) // len(model.A_points)  # shifts per adverse point (pairs are A-major)
     max_iters_seen = 0
     for k in range(n_layers - 1, -1, -1):
         t_k = float(t_vals[k])
         v_next = values[k + 1]
         ops = _LayerOps(v_next, dx)
+        # one coefficient and hedged-drift read per (A index, clamped time) group
+        groups = {}
+        for j, (a, b) in enumerate(pairs):
+            t_eff, x_eff = base_point(t_k, Xf, b, T)
+            idx, rows = groups.setdefault((j // n_b, t_eff), ([], []))
+            idx.append(j)
+            rows.append(x_eff)
         terms = []
-        for a, b in pairs:
-            t_eff, x_eff = base_point(t_k, X, b, T)
-            z_c, const = _adverse_terms(model, t_eff, x_eff, v_next, ops, a)
-            terms.append((a, t_eff, x_eff, z_c, const))
+        for (i_a, t_eff), (idx, rows) in groups.items():
+            x_rows = np.concatenate(rows)
+            a = model.A_points[i_a]
+            terms.append((a, t_eff, idx, x_rows, *_adverse_terms(model, t_eff, x_rows, ops, a)))
 
         y = v_next.copy()
         converged = False
         for it in range(_FP_MAX_ITERS):
-            stack = np.empty((len(terms),) + y.shape)
-            for j, (a, t_eff, x_eff, z_c, const) in enumerate(terms):
-                stack[j] = np.asarray(mu_Y_hat(t_eff, x_eff, y, z_c, a, model)) + const
+            stack = np.empty((len(pairs),) + y.shape)
+            for a, t_eff, idx, x_rows, z_c, const, f0 in terms:
+                y_rows = np.concatenate([y.reshape(-1)] * len(idx))
+                f = f0 if it == 0 else np.asarray(mu_Y_hat(t_eff, x_rows, y_rows, z_c, a, model))
+                stack[idx] = f.reshape(const.shape) + const
             s_min = stack.min(axis=0)
             y_new = v_next - dt * s_min
             delta = float(np.max(np.abs(y_new - y)))
@@ -430,21 +446,21 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
     X = np.stack(np.meshgrid(*surface.axes, indexing="ij"), axis=-1)
     out = np.full(v.shape, np.nan)
     interior = tuple(slice(1, -1) for _ in range(d))
-    for k in range(1, v.shape[0] - 1):
-        q = (v[k + 1] - v[k - 1]) / (2.0 * dt)
-        layer = v[k]
-        p = np.stack([np.gradient(layer, dx[i], axis=i) for i in range(d)], axis=-1)
-        M = np.zeros(layer.shape + (d, d))
+    for k0 in range(1, v.shape[0] - 1, _RESIDUAL_BLOCK):
+        k1 = min(k0 + _RESIDUAL_BLOCK, v.shape[0] - 1)
+        blk = v[k0:k1]
+        q = (v[k0 + 1:k1 + 1] - v[k0 - 1:k1 - 1]) / (2.0 * dt)
+        p = np.stack([np.gradient(blk, dx[i], axis=1 + i) for i in range(d)], axis=-1)
+        M = np.zeros(blk.shape + (d, d))
         for i in range(d):
-            M[..., i, i] = np.gradient(np.gradient(layer, dx[i], axis=i), dx[i], axis=i)
+            M[..., i, i] = np.gradient(np.gradient(blk, dx[i], axis=1 + i), dx[i], axis=1 + i)
         if d == 2:
-            cr = np.gradient(np.gradient(layer, dx[0], axis=0), dx[1], axis=1)
+            cr = np.gradient(np.gradient(blk, dx[0], axis=1), dx[1], axis=2)
             M[..., 0, 1] = cr
             M[..., 1, 0] = cr
-        best, _ = min_generator_field(model, float(t[k]), X, layer, q, p, M)
-        res = np.full(layer.shape, np.nan)
-        res[interior] = best[interior]
-        out[k] = res
+        for k in range(k0, k1):
+            best, _ = min_generator_field(model, float(t[k]), X, v[k], q[k - k0], p[k - k0], M[k - k0])
+            out[k][interior] = best[interior]
     finite = out[np.isfinite(out)]
     max_abs = float(np.max(np.abs(finite)))
     min_val = float(np.min(finite))

@@ -15,7 +15,9 @@ All coefficient callables are vectorised over one leading batch axis:
     u_hat(t, x, y, z, a)    z: (n, d)            -> (n, d)
     payoff_g(x)             x: (n, d)            -> (n,)
 
-``t`` is a python float and ``a`` is one entry of ``A_points``.
+``t`` is a python float and ``a`` is one entry of ``A_points``. Closures
+must be row-wise pure: row i of the output depends only on row i of the
+inputs, because a batch may stack several shifted meshes and probes.
 """
 
 from __future__ import annotations

@@ -191,3 +191,142 @@ def mollifier_oracle(smooth, t, x):
     if d == 2:
         M[0, 1] = M[1, 0] = integral(kt, k1)
     return value, p, M, q
+
+
+# ---------------------------------------------------------------------------
+# per-pair sweep oracle: the backward sweep with one hedged-drift read per
+# (adverse point, shake) pair, per probe and per fixed-point round
+# ---------------------------------------------------------------------------
+
+
+class _OracleLayerOps:
+    """Finite differences of one known layer, shared across adverse points."""
+
+    def __init__(self, v, dx):
+        from hedgegame.hjb import _pad_linear, _shift
+
+        d = v.ndim
+        vp = _pad_linear(v)
+        self.center = v
+        self.fwd = [( _shift(vp, i, +1, d) - v) / dx[i] for i in range(d)]
+        self.bwd = [(v - _shift(vp, i, -1, d)) / dx[i] for i in range(d)]
+        self.cen = [(_shift(vp, i, +1, d) - _shift(vp, i, -1, d)) / (2.0 * dx[i]) for i in range(d)]
+        self.sec = [(_shift(vp, i, +1, d) - 2.0 * v + _shift(vp, i, -1, d)) / (dx[i] ** 2) for i in range(d)]
+        self.cross = None
+        if d == 2:
+            pp = vp[2:, 2:]
+            mm = vp[:-2, :-2]
+            pm = vp[2:, :-2]
+            mp = vp[:-2, 2:]
+            self.cross = (pp + mm - pm - mp) / (4.0 * dx[0] * dx[1])
+        self.p_cen = np.stack(self.cen, axis=-1)
+
+
+def _oracle_adverse_terms(model, t_eff, x_eff, y_ref, ops, a):
+    """Per-adverse-point pieces of the discrete generator.
+
+    Returns (z_c, const) with const = everything except the hedged drift:
+    the drift/diffusion terms with the p-dependence linearised around the
+    centered gradient and its linear part moved onto upwind differences.
+    """
+    from hedgegame.hjb import _PROBE_H
+    from hedgegame.model import mu_Y_hat
+
+    d = x_eff.shape[-1]
+    mu = np.asarray(model.mu_X(t_eff, x_eff, a), dtype=float)
+    sig = np.asarray(model.sigma_X(t_eff, x_eff, a), dtype=float)
+    Sig = np.einsum("...ik,...jk->...ij", sig, sig)
+    z_c = np.einsum("...ji,...j->...i", sig, ops.p_cen)
+    fz = np.empty_like(z_c)
+    for j in range(d):
+        h = _PROBE_H * (1.0 + np.abs(z_c[..., j]))
+        zp = z_c.copy()
+        zp[..., j] += h
+        zm = z_c.copy()
+        zm[..., j] -= h
+        fp = np.asarray(mu_Y_hat(t_eff, x_eff, y_ref, zp, a, model))
+        fm = np.asarray(mu_Y_hat(t_eff, x_eff, y_ref, zm, a, model))
+        fz[..., j] = (fp - fm) / (2.0 * h)
+    drift_eff = mu - np.einsum("...ij,...j->...i", sig, fz)
+    const = np.zeros(ops.center.shape)
+    for i in range(d):
+        p_up = np.where(drift_eff[..., i] > 0.0, ops.fwd[i], ops.bwd[i])
+        const -= mu[..., i] * ops.cen[i]
+        const -= drift_eff[..., i] * (p_up - ops.cen[i])
+        const -= 0.5 * Sig[..., i, i] * ops.sec[i]
+    if d == 2:
+        const -= Sig[..., 0, 1] * ops.cross
+    return z_c, const
+
+
+def sweep_oracle(model, grid, *, pad_layers=0, shake_points=None):
+    """(values, policy) of ``hjb.solve`` evaluated pair by pair: every
+    (adverse point, shake) pair reads its coefficients and hedged drift on
+    its own, on mesh-shaped batches. No validation or CFL check."""
+    from hedgegame.hjb import _FP_MAX_ITERS, _FP_TOL
+    from hedgegame.model import adverse_pairs, base_point, mu_Y_hat
+
+    T = model.horizon_T
+    dt = T / grid.t_steps
+    n_layers = grid.t_steps + pad_layers
+    t_vals = np.concatenate([T - dt * np.arange(n_layers, 0, -1), [T]])
+    X = grid.mesh()
+    pairs = adverse_pairs(model, shake_points)
+    values = np.empty((n_layers + 1,) + X.shape[:-1])
+    policy = np.zeros((n_layers + 1,) + X.shape[:-1], dtype=np.int32)
+    values[-1] = np.asarray(model.payoff_g(X), dtype=float)
+    for k in range(n_layers - 1, -1, -1):
+        t_k = float(t_vals[k])
+        v_next = values[k + 1]
+        ops = _OracleLayerOps(v_next, grid.dx)
+        terms = []
+        for a, b in pairs:
+            t_eff, x_eff = base_point(t_k, X, b, T)
+            z_c, const = _oracle_adverse_terms(model, t_eff, x_eff, v_next, ops, a)
+            terms.append((a, t_eff, x_eff, z_c, const))
+
+        y = v_next.copy()
+        for it in range(_FP_MAX_ITERS):
+            stack = np.empty((len(terms),) + y.shape)
+            for j, (a, t_eff, x_eff, z_c, const) in enumerate(terms):
+                stack[j] = np.asarray(mu_Y_hat(t_eff, x_eff, y, z_c, a, model)) + const
+            s_min = stack.min(axis=0)
+            y_new = v_next - dt * s_min
+            delta = float(np.max(np.abs(y_new - y)))
+            omega = 1.0 if it < 8 else 0.5
+            y = y + omega * (y_new - y)
+            if delta < _FP_TOL:
+                break
+        values[k] = y
+        policy[k] = np.argmin(stack, axis=0).astype(np.int32)
+    return values, policy
+
+
+def residual_oracle(surface, model):
+    """``hjb.residual(...).grid`` with the differences taken layer by layer."""
+    from hedgegame.model import min_generator_field
+
+    v = surface.values
+    t = surface.t
+    dt = float(t[1] - t[0])
+    d = surface.dim
+    dx = [ax[1] - ax[0] for ax in surface.axes]
+    X = np.stack(np.meshgrid(*surface.axes, indexing="ij"), axis=-1)
+    out = np.full(v.shape, np.nan)
+    interior = tuple(slice(1, -1) for _ in range(d))
+    for k in range(1, v.shape[0] - 1):
+        q = (v[k + 1] - v[k - 1]) / (2.0 * dt)
+        layer = v[k]
+        p = np.stack([np.gradient(layer, dx[i], axis=i) for i in range(d)], axis=-1)
+        M = np.zeros(layer.shape + (d, d))
+        for i in range(d):
+            M[..., i, i] = np.gradient(np.gradient(layer, dx[i], axis=i), dx[i], axis=i)
+        if d == 2:
+            cr = np.gradient(np.gradient(layer, dx[0], axis=0), dx[1], axis=1)
+            M[..., 0, 1] = cr
+            M[..., 1, 0] = cr
+        best, _ = min_generator_field(model, float(t[k]), X, layer, q, p, M)
+        res = np.full(layer.shape, np.nan)
+        res[interior] = best[interior]
+        out[k] = res
+    return out

@@ -240,6 +240,8 @@ class TestExitCodeContract:
         ("simulate", 'sim.paths="x"'),
         ("dual", 'dual.knots="x"'),
         ("regularize", 'regularize.B={"t":[0],"x":[[0,1]]}'),
+        ("regularize", 'regularize.B={"t":[0,1],"x":[[-0.5,0.5],[-0.5,0.5]]}'),
+        ("regularize", 'regularize.B={"t":[0,1],"x":[]}'),
         ("price", 'sim.x0=["x"]'),
         ("solve", 'sim.t0="x"'),
         ("price", "sim.x0=[0.0,0.5]"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,18 @@ from hedgegame.hjb import (
     save_csv,
     solve,
 )
-from hedgegame.model import HedgeGameError, make_finance_model, make_payoff, make_single_rate_model
+from hedgegame.model import (FinanceSpec, HedgeGameError, make_finance_model, make_payoff,
+                             make_single_rate_model, shake_lattice)
 
 from conftest import (
     bs_call,
     bs_call_spread,
     bs_singleton_model,
+    constant_mu,
+    constant_rate,
     finance_spec,
+    residual_oracle,
+    sweep_oracle,
     uncertain_vol_model,
 )
 
@@ -235,6 +242,92 @@ class TestResidual:
             sub = rep.grid[1:-cut][:, xmask]
             maxima.append(np.max(np.abs(sub[np.isfinite(sub)])))
         assert maxima[0] / maxima[1] >= 1.5
+
+
+def time_dependent_vol_model():
+    """Uncertain vol {0.1, 0.3} scaled by 1 + t, so every clamped time reads
+    its own coefficients."""
+
+    def sigma(t, x, a):
+        s = float(np.asarray(a).reshape(-1)[0]) * (1.0 + t)
+        return np.broadcast_to(s * np.eye(1), np.asarray(x).shape[:-1] + (1, 1))
+
+    fin = FinanceSpec(mu=constant_mu(1), sigma=sigma, r_lend=constant_rate(0.01),
+                      r_borrow=constant_rate(0.04))
+    return make_finance_model(fin, make_payoff("call", strike=1.0), 1,
+                              [np.array([0.1]), np.array([0.3])], 1.0, 0.6)
+
+
+def counted(model, names):
+    """Copy of ``model`` whose named coefficients count their calls; the
+    model hash is taken first, so only later calls are counted."""
+    counts = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def inner(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return inner
+
+    out = dataclasses.replace(model, **{n: wrap(n, getattr(model, n)) for n in names})
+    out.hash
+    counts.update(dict.fromkeys(names, 0))
+    return out, counts
+
+
+class TestStackedSweep:
+    """The sweep reads coefficients and the hedged drift once per (adverse
+    point, clamped time) on stacked rows; values and policy stay those of
+    the per-pair evaluation bit for bit."""
+
+    def assert_matches_oracle(self, model, grid, **kw):
+        surf = solve(model, grid, validate=False, **kw)
+        values, policy = sweep_oracle(model, grid, **kw)
+        assert np.array_equal(surf.values, values)
+        assert np.array_equal(surf.policy, policy)
+        return surf
+
+    def test_two_rate_call(self):
+        model = uncertain_vol_model(vols=(0.2,), r_lend=0.02, r_borrow=0.05)
+        surf = self.assert_matches_oracle(model, small_grid(nx=40, nt=100))
+        assert surf.meta["fixed_point_max_iters"] >= 3
+
+    def test_uncertain_vol_shaken_with_pad_layers(self):
+        grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
+        self.assert_matches_oracle(uncertain_vol_model(), grid, pad_layers=10,
+                                   shake_points=shake_lattice(0.05, 1))
+
+    def test_dim2_shaken(self):
+        model = uncertain_vol_model(dim=2, r_lend=0.02, r_borrow=0.05)
+        grid = GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10))
+        self.assert_matches_oracle(model, grid, pad_layers=5, shake_points=shake_lattice(0.05, 2))
+
+    def test_time_dependent_vol_keeps_clamped_times_apart(self):
+        grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
+        self.assert_matches_oracle(time_dependent_vol_model(), grid, pad_layers=10,
+                                   shake_points=shake_lattice(0.05, 1))
+
+    def test_call_counts(self):
+        model, counts = counted(uncertain_vol_model(), ("mu_X", "u_hat"))
+        shakes = shake_lattice(0.05, 1)
+        grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
+        surf = solve(model, grid, pad_layers=10, shake_points=shakes, validate=False)
+        T = model.horizon_T
+        groups = sum(len({min(max(float(tk) + b[0], 0.0), T) for b in shakes})
+                     for tk in surf.t[:-1]) * len(model.A_points)
+        assert counts["mu_X"] == groups
+        assert counts["u_hat"] <= surf.meta["fixed_point_max_iters"] * counts["mu_X"]
+
+    @pytest.mark.parametrize("model, grid", [
+        (bs_singleton_model(), small_grid(nx=30, nt=600)),
+        (uncertain_vol_model(r_lend=0.02, r_borrow=0.05), small_grid(nx=30, nt=100)),
+        (uncertain_vol_model(dim=2), GridSpec(t_steps=300, x_min=(-1.0, -1.0),
+                                              x_max=(1.0, 1.0), x_steps=(10, 8))),
+    ], ids=["d1-600-layers", "d1-one-block", "d2-300-layers"])
+    def test_residual_blocks_match_per_layer(self, model, grid):
+        surf = solve(model, grid, validate=False)
+        assert np.array_equal(residual(surf, model).grid, residual_oracle(surf, model),
+                              equal_nan=True)
 
 
 class TestEval:
