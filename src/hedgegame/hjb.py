@@ -22,8 +22,8 @@ from itertools import product
 
 import numpy as np
 
-from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, min_generator_field,
-                    mu_Y_hat, validate_assumptions)
+from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, coefficients_at,
+                    min_generator_field, validate_assumptions)
 
 _PROBE_H = 1e-6
 _FP_TOL = 1e-10
@@ -278,16 +278,16 @@ def _adverse_terms(model, t_eff, x_rows, ops: _LayerOps, a):
     """Discrete-generator pieces of the m pairs of one adverse point that
     share the clamped time ``t_eff``; ``x_rows`` stacks their shifted meshes.
 
-    Returns (z_c, const, f0): the z rows; const = everything except the
-    hedged drift (the drift/diffusion terms with the p-dependence linearised
-    around the centered gradient and its linear part moved onto upwind
-    differences); f0 = the hedged drift at y = v_next, the first fixed-point
-    round, read in one mu_Y_hat call together with the 2d probes.
+    Returns (z_c, const, f0, drift): the z rows; const = everything except
+    the hedged drift (the drift/diffusion terms with the p-dependence
+    linearised around the centered gradient and its linear part moved onto
+    upwind differences); f0 = the hedged drift at y = v_next (the first
+    round, read with the 2d probes); drift = the group's frozen (y, z) drift.
     """
     d = x_rows.shape[-1]
     shape = (x_rows.shape[0] // ops.center.size,) + ops.center.shape
-    mu = np.asarray(model.mu_X(t_eff, x_rows, a), dtype=float).reshape(shape + (d,))
-    sig = np.asarray(model.sigma_X(t_eff, x_rows, a), dtype=float).reshape(shape + (d, d))
+    mu, sig, drift = coefficients_at(model, t_eff, x_rows, a)
+    mu, sig = mu.reshape(shape + (d,)), sig.reshape(shape + (d, d))
     Sig = np.einsum("...ik,...jk->...ij", sig, sig)
     z_c = np.einsum("...ji,...j->...i", sig, ops.p_cen)
     h = _PROBE_H * (1.0 + np.abs(z_c))
@@ -296,9 +296,8 @@ def _adverse_terms(model, t_eff, x_rows, ops: _LayerOps, a):
     for j in range(d):
         zs[2 * j, ..., j] += h[..., j]
         zs[2 * j + 1, ..., j] -= h[..., j]
-    y0 = np.concatenate([ops.center.reshape(-1)] * (n_z * shape[0]))
-    f = np.asarray(mu_Y_hat(t_eff, np.concatenate([x_rows] * n_z), y0, zs.reshape(-1, d), a, model))
-    f = f.reshape(zs.shape[:-1])
+    y0 = np.concatenate([ops.center.reshape(-1)] * shape[0])
+    f = np.asarray(drift(y0, zs.reshape(n_z, -1, d))).reshape(zs.shape[:-1])
     fz = np.stack([(f[2 * j] - f[2 * j + 1]) / (2.0 * h[..., j]) for j in range(d)], axis=-1)
     drift_eff = mu - np.einsum("...ij,...j->...i", sig, fz)
     const = np.zeros(shape)
@@ -309,7 +308,7 @@ def _adverse_terms(model, t_eff, x_rows, ops: _LayerOps, a):
         const -= 0.5 * Sig[..., i, i] * ops.sec[i]
     if d == 2:
         const -= Sig[..., 0, 1] * ops.cross
-    return z_c.reshape(-1, d), const, f[-1]
+    return z_c.reshape(-1, d), const, f[-1], drift
 
 
 def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
@@ -366,26 +365,23 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
         t_k = float(t_vals[k])
         v_next = values[k + 1]
         ops = _LayerOps(v_next, dx)
-        # one coefficient and hedged-drift read per (A index, clamped time) group
+        # one frozen coefficient read per (A index, clamped time) group
         groups = {}
         for j, (a, b) in enumerate(pairs):
             t_eff, x_eff = base_point(t_k, Xf, b, T)
             idx, rows = groups.setdefault((j // n_b, t_eff), ([], []))
             idx.append(j)
             rows.append(x_eff)
-        terms = []
-        for (i_a, t_eff), (idx, rows) in groups.items():
-            x_rows = np.concatenate(rows)
-            a = model.A_points[i_a]
-            terms.append((a, t_eff, idx, x_rows, *_adverse_terms(model, t_eff, x_rows, ops, a)))
+        terms = [(idx, *_adverse_terms(model, t_eff, np.concatenate(rows), ops, model.A_points[i_a]))
+                 for (i_a, t_eff), (idx, rows) in groups.items()]
 
         y = v_next.copy()
         converged = False
         for it in range(_FP_MAX_ITERS):
             stack = np.empty((len(pairs),) + y.shape)
-            for a, t_eff, idx, x_rows, z_c, const, f0 in terms:
+            for idx, z_c, const, f0, drift in terms:
                 y_rows = np.concatenate([y.reshape(-1)] * len(idx))
-                f = f0 if it == 0 else np.asarray(mu_Y_hat(t_eff, x_rows, y_rows, z_c, a, model))
+                f = f0 if it == 0 else np.asarray(drift(y_rows, z_c))
                 stack[idx] = f.reshape(const.shape) + const
             s_min = stack.min(axis=0)
             y_new = v_next - dt * s_min

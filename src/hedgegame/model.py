@@ -18,6 +18,12 @@ All coefficient callables are vectorised over one leading batch axis:
 ``t`` is a python float and ``a`` is one entry of ``A_points``. Closures
 must be row-wise pure: row i of the output depends only on row i of the
 inputs, because a batch may stack several shifted meshes and probes.
+
+The solvers read a model with a ``finance`` spec through that spec, once per
+(t, x, a) for all fixed-point rounds (``coefficients_at``); its closures must
+compute the same, as ``make_finance_model`` builds them. ``dataclasses.replace``
+keeps ``finance``, so a copy that replaces a closure by other values must
+replace or clear ``finance`` too, or ``validate_assumptions`` fails the copy.
 """
 
 from __future__ import annotations
@@ -57,11 +63,6 @@ class FinanceSpec:
     sigma: Callable
     r_lend: Callable
     r_borrow: Callable
-
-    def gamma(self, t, x, a):
-        """Diagonal of sigma sigma^T (the quadratic-variation correction)."""
-        sig = self.sigma(t, x, a)
-        return np.einsum("...ij,...ij->...i", sig, sig)
 
 
 @dataclass(frozen=True)
@@ -161,42 +162,82 @@ def rho(t, x, y, u, finance: FinanceSpec, a=None):
     cash = np.asarray(y, dtype=float) - u.sum(axis=-1)
     rl = np.asarray(finance.r_lend(t, x, a), dtype=float)
     rb = np.asarray(finance.r_borrow(t, x, a), dtype=float)
+    return _financing(cash, rl, rb)
+
+
+def _financing(cash, rl, rb):
     return np.maximum(cash, 0.0) * rl - np.maximum(-cash, 0.0) * rb
+
+
+def _market_read(finance: FinanceSpec, t, x, a):
+    """mu, sigma and the wealth drift (y, u) -> u.(mu + gamma/2) + rho, read once."""
+    mu = np.asarray(finance.mu(t, x, a), dtype=float)
+    sig = np.asarray(finance.sigma(t, x, a), dtype=float)
+    mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
+    rl, rb = (np.asarray(r(t, x, a), dtype=float) for r in (finance.r_lend, finance.r_borrow))
+
+    def wealth(y, u):
+        cash = np.asarray(y, dtype=float) - u.sum(axis=-1)
+        return (u * mg).sum(axis=-1) + _financing(cash, rl, rb)
+
+    return mu, sig, wealth
+
+
+def _hedge_map(sig, t, x, a):
+    """z -> (sigma^-1)^T z, z rows or a stack of them over the rows of x:
+    a division in d = 1, else a LAPACK solve."""
+    x2 = np.atleast_2d(np.asarray(x, dtype=float))
+    if sig.ndim == 2:
+        sig = np.broadcast_to(sig, x2.shape[:-1] + sig.shape)
+    if sig.shape[-1] == 1:
+        s = sig[..., 0, 0][..., None]
+        if np.any(s == 0.0):
+            pt = x2[np.nonzero(s[..., 0] == 0.0)[0][0]] if x2.shape[0] > 1 else x2[0]
+            raise ModelError(f"singular volatility at t={t}, x={pt}, a={np.asarray(a)}")
+        return lambda z: z / s
+
+    def solve(z):
+        try:
+            return np.linalg.solve(np.swapaxes(sig, -1, -2), z[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            bad = int(np.argmin(np.abs(np.linalg.det(sig))))
+            raise ModelError(f"singular volatility at t={t}, x={x2[bad]}, a={np.asarray(a)}") from None
+
+    return solve
 
 
 def u_hat_finance(t, x, y, z, a, finance: FinanceSpec):
     """Hedge recovering diffusion row z: u = (sigma^-1)^T z."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     sig = np.asarray(finance.sigma(t, x2, a), dtype=float)
-    if sig.ndim == 2:
-        sig = np.broadcast_to(sig, (z.shape[0],) + sig.shape)
-    if sig.shape[-1] == 1:
-        s = sig[..., 0, 0]
-        if np.any(s == 0.0):
-            bad = np.nonzero(s == 0.0)
-            pt = x2[bad[0][0]] if x2.shape[0] > 1 else x2[0]
-            raise ModelError(f"singular volatility at t={t}, x={pt}, a={np.asarray(a)}")
-        u = z / s[..., None]
-    else:
-        sig_t = np.swapaxes(sig, -1, -2)
-        try:
-            u = np.linalg.solve(sig_t, z[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            det = np.linalg.det(sig)
-            bad = int(np.argmin(np.abs(det)))
-            raise ModelError(
-                f"singular volatility at t={t}, x={x2[bad]}, a={np.asarray(a)}"
-            ) from None
-    if np.asarray(x, dtype=float).ndim == 1 and np.asarray(z, dtype=float).ndim == 1:
-        return u[0]
-    return u
+    return _hedge_map(sig, t, x2, a)(np.atleast_2d(np.asarray(z, dtype=float)))
+
+
+def coefficients_at(model: ModelSpec, t, x, a):
+    """(mu_X, sigma_X, drift) at (t, x, a), drift(y, z) the hedged wealth
+    drift mu_Y(., u_hat(., z, .), .) on z rows or on a stack (k,) + x.shape
+    of them. A finance model is read once through ``finance``; any other
+    through its closures, a z stack as one batch of k copies of x and y."""
+    if model.finance is not None:
+        mu, sig, wealth = _market_read(model.finance, t, np.asarray(x, dtype=float), a)
+        hedge = _hedge_map(sig, t, x, a)
+        return mu, sig, lambda y, z: wealth(y, hedge(z))
+
+    def drift(y, z):
+        if np.ndim(z) == np.ndim(x):
+            return mu_Y_hat(t, x, y, z, a, model)
+        xs, ys = np.concatenate([x] * len(z)), np.concatenate([y] * len(z))
+        return np.asarray(mu_Y_hat(t, xs, ys, np.reshape(z, xs.shape), a, model)).reshape(np.shape(z)[:-1])
+
+    return (np.asarray(model.mu_X(t, x, a), dtype=float),
+            np.asarray(model.sigma_X(t, x, a), dtype=float), drift)
 
 
 def mu_Y_hat(t, x, y, z, a, model: ModelSpec):
     """Wealth drift at the z-matching hedge: mu_Y(., u_hat(., z, .), .)."""
-    u = model.u_hat(t, x, y, z, a)
-    return model.mu_Y(t, x, y, u, a)
+    if model.finance is not None:
+        return coefficients_at(model, t, x, a)[2](y, z)
+    return model.mu_Y(t, x, y, model.u_hat(t, x, y, z, a), a)
 
 
 def base_point(t, x, b, T):
@@ -252,11 +293,10 @@ def min_generator_field(model: ModelSpec, t: float, X, y, q, p, M, pairs=None):
     best = idx = None
     for j, (a, b) in enumerate(pairs):
         t_b, X_b = base_point(t, X, b, model.horizon_T)
-        mu = np.asarray(model.mu_X(t_b, X_b, a), dtype=float)
-        sig = np.asarray(model.sigma_X(t_b, X_b, a), dtype=float)
+        mu, sig, drift = coefficients_at(model, t_b, X_b, a)
         Sig = np.einsum("...ik,...jk->...ij", sig, sig)
         z = np.einsum("...ji,...j->...i", sig, p)
-        f = np.asarray(mu_Y_hat(t_b, X_b, y, z, a, model), dtype=float)
+        f = np.asarray(drift(y, z), dtype=float)
         val = f - q - np.einsum("...i,...i->...", mu, p) - 0.5 * np.einsum("...ij,...ij->...", Sig, M)
         if best is None:
             best, idx = val, np.zeros(val.shape, dtype=np.int32)
@@ -323,13 +363,8 @@ def make_finance_model(
     """
 
     def mu_Y(t, x, y, u, a):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        drift = np.asarray(finance.mu(t, x2, a), dtype=float)
-        gam = finance.gamma(t, x2, a)
-        lin = (u * (drift + 0.5 * gam)).sum(axis=-1)
-        out = lin + rho(t, x2, y, u, finance, a)
-        return out if np.asarray(u).ndim > 1 else out[0]
+        wealth = _market_read(finance, t, np.atleast_2d(np.asarray(x, dtype=float)), a)[2]
+        return wealth(y, np.atleast_2d(np.asarray(u, dtype=float)))
 
     def sigma_Y(t, x, y, u, a):
         u2 = np.atleast_2d(np.asarray(u, dtype=float))
@@ -338,16 +373,13 @@ def make_finance_model(
         out = np.einsum("...ji,...j->...i", sig, u2)
         return out if np.asarray(u).ndim > 1 else out[0]
 
-    def u_hat(t, x, y, z, a):
-        return u_hat_finance(t, x, y, z, a, finance)
-
     return ModelSpec(
         dim=dim,
         mu_X=lambda t, x, a: np.asarray(finance.mu(t, np.asarray(x, dtype=float), a), dtype=float),
         sigma_X=lambda t, x, a: np.asarray(finance.sigma(t, np.asarray(x, dtype=float), a), dtype=float),
         mu_Y=mu_Y,
         sigma_Y=sigma_Y,
-        u_hat=u_hat,
+        u_hat=lambda t, x, y, z, a: u_hat_finance(t, x, y, z, a, finance),
         payoff_g=payoff_g,
         A_points=tuple(A_points),
         horizon_T=horizon_T,
@@ -644,6 +676,18 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
                 worst_inv, wit_inv = float(err[i]), (t, x1[i], y1[i], z[i], a)
     checks.append(AssumptionCheck("inversion_u_hat", worst_inv <= 1e-10, worst_inv, 1e-10, wit_inv))
 
+    # the read through finance equals the closures (a copy that replaced a closure but kept finance)
+    if model.finance is not None:
+        worst_fr, wit_fr = 0.0, None
+        for t, a in ((t, a) for t in ts for a in model.A_points):
+            mu, sig, drift = coefficients_at(model, t, x1, a)
+            for got, ref in ((mu, model.mu_X(t, x1, a)), (sig, model.sigma_X(t, x1, a)),
+                             (drift(y1, z), model.mu_Y(t, x1, y1, model.u_hat(t, x1, y1, z, a), a))):
+                err = float(np.max(np.nan_to_num(np.abs(got - ref) / (1.0 + np.abs(ref)), nan=np.inf)))
+                if err > worst_fr:
+                    worst_fr, wit_fr = err, (t, a)
+        checks.append(AssumptionCheck("frozen_read_matches", worst_fr <= 1e-12, worst_fr, 1e-12, wit_fr))
+
     # midpoint concavity of (y, p) -> La(t, x, y, 0, p, 0)
     p1 = rng.normal(0.0, 2.0, (n, d))
     p2 = rng.normal(0.0, 2.0, (n, d))
@@ -680,7 +724,7 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
                 if sig.ndim == 2:
                     sig = np.broadcast_to(sig, (n, d, d))
                 mu = np.asarray(fin.mu(t, x1, a), dtype=float)
-                gam = fin.gamma(t, x1, a)
+                gam = np.einsum("...ij,...ij->...i", sig, sig)
                 for r in (rb, rl):
                     lam = np.linalg.solve(sig, (mu + 0.5 * gam - r[..., None] * ones)[..., None])[..., 0]
                     mag = _norm_rows(lam)

@@ -195,8 +195,14 @@ def mollifier_oracle(smooth, t, x):
 
 # ---------------------------------------------------------------------------
 # per-pair sweep oracle: the backward sweep with one hedged-drift read per
-# (adverse point, shake) pair, per probe and per fixed-point round
+# (adverse point, shake) pair, per probe and per fixed-point round, each read
+# through the mu_Y and u_hat closures (never a frozen coefficient read)
 # ---------------------------------------------------------------------------
+
+
+def _closure_mu_Y_hat(t, x, y, z, a, model):
+    """Hedged wealth drift straight from the closures: mu_Y(., u_hat(., z, .), .)."""
+    return model.mu_Y(t, x, y, model.u_hat(t, x, y, z, a), a)
 
 
 class _OracleLayerOps:
@@ -230,7 +236,6 @@ def _oracle_adverse_terms(model, t_eff, x_eff, y_ref, ops, a):
     centered gradient and its linear part moved onto upwind differences.
     """
     from hedgegame.hjb import _PROBE_H
-    from hedgegame.model import mu_Y_hat
 
     d = x_eff.shape[-1]
     mu = np.asarray(model.mu_X(t_eff, x_eff, a), dtype=float)
@@ -244,8 +249,8 @@ def _oracle_adverse_terms(model, t_eff, x_eff, y_ref, ops, a):
         zp[..., j] += h
         zm = z_c.copy()
         zm[..., j] -= h
-        fp = np.asarray(mu_Y_hat(t_eff, x_eff, y_ref, zp, a, model))
-        fm = np.asarray(mu_Y_hat(t_eff, x_eff, y_ref, zm, a, model))
+        fp = np.asarray(_closure_mu_Y_hat(t_eff, x_eff, y_ref, zp, a, model))
+        fm = np.asarray(_closure_mu_Y_hat(t_eff, x_eff, y_ref, zm, a, model))
         fz[..., j] = (fp - fm) / (2.0 * h)
     drift_eff = mu - np.einsum("...ij,...j->...i", sig, fz)
     const = np.zeros(ops.center.shape)
@@ -264,7 +269,7 @@ def sweep_oracle(model, grid, *, pad_layers=0, shake_points=None):
     (adverse point, shake) pair reads its coefficients and hedged drift on
     its own, on mesh-shaped batches. No validation or CFL check."""
     from hedgegame.hjb import _FP_MAX_ITERS, _FP_TOL
-    from hedgegame.model import adverse_pairs, base_point, mu_Y_hat
+    from hedgegame.model import adverse_pairs, base_point
 
     T = model.horizon_T
     dt = T / grid.t_steps
@@ -289,7 +294,7 @@ def sweep_oracle(model, grid, *, pad_layers=0, shake_points=None):
         for it in range(_FP_MAX_ITERS):
             stack = np.empty((len(terms),) + y.shape)
             for j, (a, t_eff, x_eff, z_c, const) in enumerate(terms):
-                stack[j] = np.asarray(mu_Y_hat(t_eff, x_eff, y, z_c, a, model)) + const
+                stack[j] = np.asarray(_closure_mu_Y_hat(t_eff, x_eff, y, z_c, a, model)) + const
             s_min = stack.min(axis=0)
             y_new = v_next - dt * s_min
             delta = float(np.max(np.abs(y_new - y)))
@@ -302,10 +307,32 @@ def sweep_oracle(model, grid, *, pad_layers=0, shake_points=None):
     return values, policy
 
 
-def residual_oracle(surface, model):
-    """``hjb.residual(...).grid`` with the differences taken layer by layer."""
-    from hedgegame.model import min_generator_field
+def _oracle_min_generator(model, t, X, y, q, p, M):
+    """Worst-case generator over the unshaken adverse set, pair by pair, with
+    separate mu_X, sigma_X and hedged-drift closure reads: (min, argmin)."""
+    from hedgegame.model import adverse_pairs, base_point
 
+    best = idx = None
+    for j, (a, b) in enumerate(adverse_pairs(model)):
+        t_b, X_b = base_point(t, X, b, model.horizon_T)
+        mu = np.asarray(model.mu_X(t_b, X_b, a), dtype=float)
+        sig = np.asarray(model.sigma_X(t_b, X_b, a), dtype=float)
+        Sig = np.einsum("...ik,...jk->...ij", sig, sig)
+        z = np.einsum("...ji,...j->...i", sig, p)
+        f = np.asarray(_closure_mu_Y_hat(t_b, X_b, y, z, a, model), dtype=float)
+        val = f - q - np.einsum("...i,...i->...", mu, p) - 0.5 * np.einsum("...ij,...ij->...", Sig, M)
+        if best is None:
+            best, idx = val, np.zeros(val.shape, dtype=np.int32)
+        else:
+            take = val < best
+            best = np.where(take, val, best)
+            idx = np.where(take, j, idx)
+    return best, idx
+
+
+def residual_oracle(surface, model):
+    """``hjb.residual(...).grid`` with the differences taken layer by layer
+    and the generator read pair by pair from the closures."""
     v = surface.values
     t = surface.t
     dt = float(t[1] - t[0])
@@ -325,7 +352,7 @@ def residual_oracle(surface, model):
             cr = np.gradient(np.gradient(layer, dx[0], axis=0), dx[1], axis=1)
             M[..., 0, 1] = cr
             M[..., 1, 0] = cr
-        best, _ = min_generator_field(model, float(t[k]), X, layer, q, p, M)
+        best, _ = _oracle_min_generator(model, float(t[k]), X, layer, q, p, M)
         res = np.full(layer.shape, np.nan)
         res[interior] = best[interior]
         out[k] = res

@@ -13,8 +13,10 @@ from hedgegame.hjb import (
     save_csv,
     solve,
 )
-from hedgegame.model import (FinanceSpec, HedgeGameError, make_finance_model, make_payoff,
-                             make_single_rate_model, shake_lattice)
+from hedgegame import hjb
+from hedgegame.model import (FinanceSpec, HedgeGameError, ModelSpec, coefficients_at,
+                             make_finance_model, make_payoff, make_single_rate_model,
+                             shake_lattice)
 
 from conftest import (
     bs_call,
@@ -258,6 +260,32 @@ def time_dependent_vol_model():
                               [np.array([0.1]), np.array([0.3])], 1.0, 0.6)
 
 
+def column_indexed_model(r_lend=0.02, r_borrow=0.05, drift=0.01):
+    """d = 1 two-rate call built by hand, without a FinanceSpec; its closures
+    index column 0, so they are only correct on (n, 1) rows."""
+    def vol(x, a):
+        return float(a[0]) * (1.0 + 0.1 * np.sin(x[:, 0]))
+
+    def mu_Y(t, x, y, u, a):
+        s = vol(x, a)
+        cash = y - u[:, 0]
+        return (u[:, 0] * (drift + 0.5 * s * s) + np.maximum(cash, 0.0) * r_lend
+                - np.maximum(-cash, 0.0) * r_borrow)
+
+    return ModelSpec(
+        dim=1,
+        mu_X=lambda t, x, a: np.full((x.shape[0], 1), drift),
+        sigma_X=lambda t, x, a: vol(x, a)[:, None, None],
+        mu_Y=mu_Y,
+        sigma_Y=lambda t, x, y, u, a: (vol(x, a) * u[:, 0])[:, None],
+        u_hat=lambda t, x, y, z, a: (z[:, 0] / vol(x, a))[:, None],
+        payoff_g=make_payoff("call", strike=1.0),
+        A_points=(np.array([0.1]), np.array([0.3])),
+        horizon_T=1.0,
+        lipschitz_K=0.6,
+    )
+
+
 def counted(model, names):
     """Copy of ``model`` whose named coefficients count their calls; the
     model hash is taken first, so only later calls are counted."""
@@ -302,21 +330,56 @@ class TestStackedSweep:
         grid = GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10))
         self.assert_matches_oracle(model, grid, pad_layers=5, shake_points=shake_lattice(0.05, 2))
 
+    def test_closures_without_finance(self):
+        # a model without a FinanceSpec reads the stacked z through its closures
+        model = uncertain_vol_model(dim=2, r_lend=0.02, r_borrow=0.05)
+        grid = GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10))
+        kw = dict(pad_layers=5, shake_points=shake_lattice(0.05, 2))
+        plain = self.assert_matches_oracle(dataclasses.replace(model, finance=None), grid, **kw)
+        assert np.array_equal(plain.values, solve(model, grid, validate=False, **kw).values)
+
+    def test_closures_indexing_columns(self):
+        # hand-written closures that take x[:, 0] and u[:, 0] see (n, 1) rows only
+        grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
+        self.assert_matches_oracle(column_indexed_model(), grid, pad_layers=10,
+                                   shake_points=shake_lattice(0.05, 1))
+
     def test_time_dependent_vol_keeps_clamped_times_apart(self):
         grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
         self.assert_matches_oracle(time_dependent_vol_model(), grid, pad_layers=10,
                                    shake_points=shake_lattice(0.05, 1))
 
-    def test_call_counts(self):
-        model, counts = counted(uncertain_vol_model(), ("mu_X", "u_hat"))
+    def test_call_counts(self, monkeypatch):
+        # one coefficient read per (A index, clamped time) group and layer; it
+        # reads finance.sigma once and the preset mu_Y and u_hat never run
+        reads = [0]
+
+        def counted_read(*args):
+            reads[0] += 1
+            return coefficients_at(*args)
+
+        monkeypatch.setattr(hjb, "coefficients_at", counted_read)
+        fin = finance_spec()
+        sigma_reads = [0]
+
+        def sigma(t, x, a):
+            sigma_reads[0] += 1
+            return fin.sigma(t, x, a)
+
+        model = make_finance_model(dataclasses.replace(fin, sigma=sigma),
+                                   make_payoff("call", strike=1.0), 1,
+                                   [np.array([0.1]), np.array([0.3])], 1.0, 0.3)
+        model, counts = counted(model, ("mu_Y", "u_hat"))
+        sigma_reads[0] = 0
         shakes = shake_lattice(0.05, 1)
         grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
         surf = solve(model, grid, pad_layers=10, shake_points=shakes, validate=False)
         T = model.horizon_T
         groups = sum(len({min(max(float(tk) + b[0], 0.0), T) for b in shakes})
                      for tk in surf.t[:-1]) * len(model.A_points)
-        assert counts["mu_X"] == groups
-        assert counts["u_hat"] <= surf.meta["fixed_point_max_iters"] * counts["mu_X"]
+        assert reads[0] == groups
+        assert sigma_reads[0] == groups
+        assert counts["mu_Y"] == counts["u_hat"] == 0
 
     @pytest.mark.parametrize("model, grid", [
         (bs_singleton_model(), small_grid(nx=30, nt=600)),

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,11 @@ from hedgegame.hjb import GridSpec, solve
 from hedgegame.model import (
     DerivativePack,
     FinanceSpec,
+    HedgeGameError,
     ModelError,
     adverse_pairs,
     base_point,
+    coefficients_at,
     make_finance_model,
     make_payoff,
     min_generator_field,
@@ -143,6 +148,79 @@ class TestMuYHat:
         expect = rho(0.0, np.zeros((1, 1)), 2.0, u, fin, a) + u[0, 0] * (0.01 + 0.02)
         assert out[0] == pytest.approx(float(expect[0]), abs=1e-14)
         assert out[0] == pytest.approx(0.05, abs=1e-14)
+
+
+def skewed_vol_model(dim):
+    """Two-rate market (2 % / 5 %) whose vol varies with x; in d = 2 it is
+    lower triangular, so the hedge needs a full solve."""
+    shape = np.array([[1.0, 0.0], [0.3, 1.0]])[:dim, :dim]
+
+    def sigma(t, x, a):
+        s = float(np.asarray(a).reshape(-1)[0]) * (1.0 + 0.1 * np.sin(np.asarray(x, float)[..., 0]))
+        return s[..., None, None] * shape
+
+    fin = FinanceSpec(mu=constant_mu(dim, 0.01), sigma=sigma,
+                      r_lend=constant_rate(0.02), r_borrow=constant_rate(0.05))
+    return make_finance_model(fin, make_payoff("call", strike=1.0), dim,
+                              [np.array([0.2]), np.array([0.3])], 1.0, 0.5)
+
+
+def closure_drift(model, t, x, y, z, a):
+    return model.mu_Y(t, x, y, model.u_hat(t, x, y, z, a), a)
+
+
+class TestFrozenRead:
+    """The read of a finance model through its FinanceSpec: one coefficient
+    read whose hedged drift equals mu_Y(u_hat(...)) of the closures bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equals_closures_bitwise(self, dim, rng):
+        model = skewed_vol_model(dim)
+        x = rng.uniform(-1.0, 1.0, (200, dim))
+        y = rng.uniform(-2.0, 2.0, 200)
+        z = rng.normal(0.0, 0.3, (200, dim))
+        for a in model.A_points:
+            mu, sig, drift = coefficients_at(model, 0.4, x, a)
+            assert np.array_equal(mu, model.mu_X(0.4, x, a))
+            assert np.array_equal(sig, model.sigma_X(0.4, x, a))
+            assert np.array_equal(drift(y, z), closure_drift(model, 0.4, x, y, z, a))
+            cash = y - model.u_hat(0.4, x, y, z, a).sum(axis=-1)
+            assert np.any(cash > 0.0) and np.any(cash < 0.0)  # both rates are used
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_single_row(self, dim):
+        model = skewed_vol_model(dim)
+        x, y, z = np.full((1, dim), 0.3), np.array([0.7]), np.full((1, dim), 0.25)
+        a = model.A_points[1]
+        got = coefficients_at(model, 0.1, x, a)[2](y, z)
+        assert got.shape == (1,)
+        assert np.array_equal(got, closure_drift(model, 0.1, x, y, z, a))
+        assert np.array_equal(got, mu_Y_hat(0.1, x, y, z, a, model))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_z_equals_row_by_row(self, dim, rng):
+        model = skewed_vol_model(dim)
+        x = rng.uniform(-1.0, 1.0, (20, dim))
+        y = rng.uniform(-2.0, 2.0, 20)
+        zs = rng.normal(0.0, 0.3, (3, 20, dim))
+        a = model.A_points[0]
+        rows = np.array([[closure_drift(model, 0.6, x[r:r + 1], y[r:r + 1], zs[i, r:r + 1], a)[0]
+                          for r in range(20)] for i in range(3)])
+        assert np.array_equal(coefficients_at(model, 0.6, x, a)[2](y, zs), rows)
+        # without finance the stack is read as one batch of the closures
+        plain = dataclasses.replace(model, finance=None)
+        assert np.array_equal(coefficients_at(plain, 0.6, x, a)[2](y, zs), rows)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_vol_raises(self, dim):
+        fin = FinanceSpec(mu=constant_mu(dim),
+                          sigma=lambda t, x, a: np.zeros(np.asarray(x).shape[:-1] + (dim, dim)),
+                          r_lend=constant_rate(0.0), r_borrow=constant_rate(0.0))
+        model = make_finance_model(fin, make_payoff("constant", level=0.0), dim,
+                                   [np.array([0.2])], 1.0, 0.5)
+        with pytest.raises(ModelError, match="singular"):
+            coefficients_at(model, 0.5, np.ones((3, dim)), model.A_points[0])[2](
+                np.zeros(3), np.full((3, dim), 0.1))
 
 
 class TestOperatorLa:
@@ -340,6 +418,33 @@ class TestValidateAssumptions:
         rep = validate_assumptions(model, sample_count=100, rng_seed=3)
         assert rep["x_lipschitz_muX_sigmaX"].worst == pytest.approx(0.0, abs=1e-12)
         assert rep.ok
+
+    def test_stale_closure_fails_closed(self):
+        model = bs_singleton_model(vol=0.2)  # the read through finance.sigma: vol 0.2
+        stale = dataclasses.replace(model, sigma_X=lambda t, x, a: np.broadcast_to(
+            0.3 * np.eye(1), np.asarray(x).shape[:-1] + (1, 1)))
+        grid = GridSpec(t_steps=50, x_min=(-1.0,), x_max=(1.0,), x_steps=(20,))
+        assert not validate_assumptions(stale)["frozen_read_matches"].passed
+        with pytest.raises(HedgeGameError, match="FAIL frozen_read_matches"):
+            solve(stale, grid)
+        cleared = dataclasses.replace(stale, finance=None)
+        assert "frozen_read_matches" not in {c.id for c in validate_assumptions(cleared).checks}
+
+    def test_wrapped_closures_keep_the_read_valid(self):
+        # closures wrapped as a call tracer wraps them still return the same values
+        def wrapped(fn):
+            @functools.wraps(fn)
+            def inner(*args, **kwargs):
+                return fn(*args, **kwargs)
+            return inner
+
+        model = bs_singleton_model(vol=0.2)
+        traced = dataclasses.replace(model, **{c: wrapped(getattr(model, c)) for c in
+                                               ("mu_X", "sigma_X", "mu_Y", "sigma_Y", "u_hat")})
+        rep = validate_assumptions(traced)
+        assert rep["frozen_read_matches"].passed and rep["frozen_read_matches"].worst == 0.0
+        grid = GridSpec(t_steps=50, x_min=(-1.0,), x_max=(1.0,), x_steps=(20,))
+        assert np.array_equal(solve(traced, grid).values, solve(model, grid).values)
 
     def test_sample_count_guard(self):
         with pytest.raises(ModelError):
