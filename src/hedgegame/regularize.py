@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
 
 from . import hjb
 from .model import HedgeGameError, ModelSpec, shake_lattice
@@ -203,7 +203,9 @@ class MollifierKernel:
     time factor is the same bump mapped onto [-1, 0], k_t(s) = 2 k(2 s + 1),
     so time is mollified like a space axis of half-width delta / 2 centred
     at t - delta / 2. Besides the density ("pdf") the mollifier reads the
-    CDF Phi and the upper second antiderivative Q(w) = int_w^1 (s - w) k(s) ds.
+    CDF Phi and the upper second antiderivative Q(w) = int_w^1 (s - w) k(s) ds,
+    each as a polynomial in a point's offset inside its grid cell
+    (``columns``).
     """
 
     def __init__(self):
@@ -212,19 +214,29 @@ class MollifierKernel:
         self.coef = {"pdf": pdf.coef, "cdf": cdf.coef,
                      "upper": (-(1.0 - cdf).integ(lbnd=1.0)).coef}
 
-    def __call__(self, name, s):
-        """Horner's rule in place on s clipped to [-1, 1]; the dyadic
-        coefficients make k = 0, Phi = 0 or 1 and Q = 1 or 0 exact there."""
-        coef = self.coef[name]
-        s = np.clip(s, -1.0, 1.0)
-        out = np.full_like(s, coef[-1])
-        for c in coef[-2::-1]:
-            out *= s
-            out += c
-        return out
-
     def space_value(self, s):
-        return self("pdf", s)
+        """The bump k(s), zero outside [-1, 1]."""
+        return polyval(np.clip(s, -1.0, 1.0), self.coef["pdf"])
+
+    def columns(self, name, z):
+        """Coefficients in v of the functional at z - v clipped to [-1, 1],
+        for every entry of z: re-expanded about z inside (-1, 1), else the
+        edge value, which the dyadic coefficients make exact (k = 0, Phi = 0
+        or 1, Q = 1 or 0), and for Q below -1 its continuation Q(s) = -s."""
+        coef = self.coef[name]
+        out = np.empty(np.shape(z) + coef.shape)
+        out[...] = coef
+        zc = np.clip(z, -1.0, 1.0)
+        for i in range(len(coef) - 1):  # Horner's Taylor shift to P(zc + y)
+            for j in range(len(coef) - 2, i - 1, -1):
+                out[..., j] += zc * out[..., j + 1]
+        out *= (-1.0) ** np.arange(len(coef))  # y = -v
+        edge, below = np.abs(z) >= 1.0, z <= -1.0
+        out[edge, 1:] = 0.0
+        if name == "upper":
+            out[below, 0] += -1.0 - z[below]
+            out[below, 1] = 1.0
+        return out
 
 
 _KERNEL = MollifierKernel()
@@ -236,43 +248,80 @@ def _band_size(coords, half):
     return int(math.ceil(2.0 * half / float(coords[1] - coords[0]) - 1e-9)) + 2
 
 
-class _Band:
-    """Kernel weights on the nodes of one uniform axis within reach of queries.
+class _Axis:
+    """The three 1-d functionals on one uniform axis, tabulated per cell.
 
-    For each query centre c the band holds the m nodes j0 .. j0 + m - 1 with
-    j0 = floor((c - w - x0) / h), which cover the support [c - w, c + w].
-    Node indices are clipped only when data is gathered, so the multilinear
-    interpolant continues as a constant outside the grid. On the band the
-    interpolant f has slopes s_j = (f[j+1] - f[j]) / h, and with
-    z_j = (x_j - c) / w the three 1-d functionals are exact closed forms:
+    A query centre c has its band of m nodes j0 .. j0 + m - 1 from
+    j0 = floor(pos), pos = (c - w - x0) / h, which covers the support
+    [c - w, c + w]. Node indices are clipped only when data is gathered, so
+    the multilinear interpolant continues as a constant outside the grid.
+    On the band the interpolant f has slopes s_j = (f[j+1] - f[j]) / h, and
+    with z_j = (x_j - c) / w the functionals are exact closed forms:
 
         value   f[j0] + w sum_j s_j (Q(z_j) - Q(z_j+1))
         grad    sum_j s_j (Phi(z_j+1) - Phi(z_j))
         second  sum_j (s_j - s_j-1) k(z_j) / w
+
+    Inside one cell z_j = j rho - 1 - u, with rho = h / w and u = rho
+    (pos - j0) the centre's offset, so every weight is a polynomial in u.
+    Only column 0 lies below z = -1, and at most one column crosses z = 1
+    inside a cell, at u = j rho - 2; that splits the cell in two pieces.
+    ``table[kind]`` holds the weight of each node difference as
+    coefficients in v = u - mid, about the piece's midpoint, with shape
+    (columns, pieces, coefficients).
     """
 
-    def __init__(self, coords, centres, half):
-        x0, self.h, self.half = float(coords[0]), float(coords[1] - coords[0]), half
+    def __init__(self, coords, half):
+        self.x0, self.h, self.half = float(coords[0]), float(coords[1] - coords[0]), half
+        self.n = len(coords)
         self.m = _band_size(coords, half)
+        rho = self.h / half
+        cross = rho * np.arange(self.m) - 2.0
+        cross = cross[(cross > 0.0) & (cross < rho)]
+        self.split = float(cross[0]) if cross.size else 0.0
+        self.mid = np.array([0.5 * self.split, 0.5 * (self.split + rho)])
+        z = rho * np.arange(self.m)[:, None] - 1.0 - self.mid
+        q, cdf, pdf = (_KERNEL.columns(name, z) for name in ("upper", "cdf", "pdf"))
+        self.table = {"value": (q[:-1] - q[1:]) * (half / self.h),
+                      "grad": (cdf[1:] - cdf[:-1]) / self.h,
+                      "second": pdf[1:-1] / (half * self.h)}
+
+    def locate(self, centres):
+        """Band start j0, piece and offset v from the piece midpoint."""
         # a band wholly outside the grid reads constant data wherever it
         # lies, so far-off starts are clipped before the integer cast
-        pos = np.clip((centres - half - x0) / self.h, -self.m - 1.0, float(len(coords)))
-        self.j0 = np.floor(pos).astype(np.int64)
-        z0 = (x0 + self.j0 * self.h - centres) / half
-        self.z = z0[:, None] + (self.h / half) * np.arange(self.m)
+        pos = np.clip((centres - self.half - self.x0) / self.h, -self.m - 1.0, float(self.n))
+        j0 = np.floor(pos)
+        u = (pos - j0) * (self.h / self.half)
+        piece = (u >= self.split).astype(np.intp)
+        return j0.astype(np.int64), piece, u - self.mid[piece]
 
-    def apply(self, G, kind):
-        """Contract axis 1 of G, which runs along this band, per query."""
-        z, h, w = self.z, self.h, self.half
-        if kind == "second":
-            wts = _KERNEL("pdf", z[:, 1:-1]) / (w * h)
-            return np.einsum("nj...,nj->n...", G[:, 2:] - 2.0 * G[:, 1:-1] + G[:, :-2], wts)
-        if kind == "grad":
-            return np.einsum("nj...,nj->n...", np.diff(G, axis=1),
-                             np.diff(_KERNEL("cdf", z), axis=1) / h)
-        q = _KERNEL("upper", z) + np.maximum(-1.0 - z, 0.0)  # Q(s) = -s below -1
-        return G[:, 0] + np.einsum("nj...,nj->n...", np.diff(G, axis=1),
-                                   (q[:, :-1] - q[:, 1:]) * (w / h))
+    def weights(self, kind, piece, v):
+        """Column weights at located points, shape (columns, points)."""
+        return _horner(self.table[kind][:, piece], v)
+
+
+def _horner(coef, v):
+    """Horner's rule in v over the last axis of coef."""
+    out = coef[..., -1] * v
+    for k in range(coef.shape[-1] - 2, 0, -1):
+        out += coef[..., k]
+        out *= v
+    return out + coef[..., 0]
+
+
+def _weigh(G, kind, W, at=Ellipsis):
+    """The kind's functional of the band running along axis 0 of G: its
+    node differences times the column weights W[i], plus f[j0] for the
+    value, added at out[at]. Elementwise only, so a point reads the same
+    bits in any batch."""
+    D = G[2:] - 2.0 * G[1:-1] + G[:-2] if kind == "second" else G[1:] - G[:-1]
+    out = D[0] * W[0]
+    for i in range(1, len(W)):
+        out += D[i] * W[i]
+    if kind == "value":
+        out[at] += G[0]
+    return out
 
 
 class SmoothSurface:
@@ -283,12 +332,15 @@ class SmoothSurface:
     the node interpolant is multilinear, so the mollified surface is the
     separable sum of W[k, i] alpha_k(t) beta_i(x); a derivative swaps one
     factor for its differentiated version. Time is contracted once per
-    distinct t (``gradient_lattice``), then space on the band of nodes
-    around each point.
+    distinct t (``gradient_lattice``). Space axis 0 is contracted once per
+    grid cell the points touch, into polynomial coefficients in the
+    offset inside the cell (``_Axis``); each point takes its cell's
+    coefficients, contracts axis 1 (d = 2) with its own column weights and
+    ends with one Horner pass.
     """
 
     _ROW_CACHE_FLOATS = 1 << 20
-    _BLOCK = 1 << 15  # band entries per block of points
+    _BLOCK = 1 << 17  # coefficients per block of points
 
     def __init__(self, t_nodes, axes, node_values, delta, *, eps=0.0, k=0.0,
                  model_hash="", meta=None):
@@ -304,7 +356,8 @@ class SmoothSurface:
         self._rows = {}
         if self.delta <= 0.0:
             raise HedgeGameError("delta must be positive")
-        self._band_sizes = [_band_size(ax, self.delta) for ax in self.axes]
+        self._time = _Axis(self.t_nodes, 0.5 * self.delta)
+        self._space = [_Axis(ax, self.delta) for ax in self.axes]
         steps = [self.t_nodes[1] - self.t_nodes[0]] + [a[1] - a[0] for a in self.axes]
         if self.delta < max(steps):
             warnings.warn(
@@ -324,10 +377,10 @@ class SmoothSurface:
     def _time_row(self, t, kind):
         """Time functional of the nodes at t, edge-padded by one space band
         per side so that every point's band window lies inside it."""
-        band = _Band(self.t_nodes, np.array([t - 0.5 * self.delta]), 0.5 * self.delta)
-        k = np.clip(band.j0[0] + np.arange(band.m), 0, len(self.t_nodes) - 1)
-        row = band.apply(self.node_values[k][None], kind)[0]
-        return np.pad(row, [(m, m) for m in self._band_sizes], mode="edge")
+        j0, piece, v = self._time.locate(np.array([t - 0.5 * self.delta]))
+        k = np.clip(j0[0] + np.arange(self._time.m), 0, len(self.t_nodes) - 1)
+        row = _weigh(self.node_values[k], kind, self._time.weights(kind, piece, v)[:, 0])
+        return np.pad(row, [(ax.m, ax.m) for ax in self._space], mode="edge")
 
     def gradient_lattice(self, t):
         """Time-contracted (padded) value row at t, cached per t so that the
@@ -340,23 +393,47 @@ class SmoothSurface:
             self._rows[float(t)] = row
         return row
 
+    def _cell_blocks(self, row, kind, starts, pieces):
+        """Coefficients in v of axis 0's functional of the padded row, one
+        block per (band start, piece) pair, carrying the other axes: shape
+        (pairs, ...other axes, coefficients)."""
+        T = np.moveaxis(self._space[0].table[kind][:, pieces], -1, 1)
+        G = row[starts + np.arange(self._space[0].m)[:, None]]
+        out = _weigh(G, kind, T.reshape(T.shape + (1,) * (row.ndim - 1)), at=0)
+        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+
     def _space_read(self, xs, reads):
         """Space functionals at the points xs, one array per (padded row,
-        per-axis kinds) in reads: each point gathers its band window of the
-        row, then every axis is contracted in turn. Points go in blocks so
-        that the band temporaries stay small."""
+        per-axis kinds) in reads. Points go in blocks so that the per-point
+        coefficients stay small."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         out = [np.empty(len(xs)) for _ in reads]
-        step = max(1, self._BLOCK // math.prod(self._band_sizes))
-        for lo in range(0, len(xs), step):
-            bands = [_Band(ax, xs[lo:lo + step, i], self.delta) for i, ax in enumerate(self.axes)]
-            start = tuple(np.clip(b.j0, -b.m, len(ax) - 1) + b.m
-                          for b, ax in zip(bands, self.axes))
-            for res, (row, kinds) in zip(out, reads):
-                G = sliding_window_view(row, self._band_sizes)[start]
-                for b, kind in zip(bands, kinds):
-                    G = b.apply(G, kind)
-                res[lo:lo + step] = G
+        if not len(xs):
+            return out
+        locs = [ax.locate(xs[:, i]) for i, ax in enumerate(self._space)]
+        start = [np.clip(j0, -ax.m, ax.n - 1) + ax.m for ax, (j0, _, _) in zip(self._space, locs)]
+        _, piece, v = locs[0]
+        # axis 0 is contracted once per (band start, piece) pair in use
+        lo, span = int(start[0].min()), int(start[0].max() - start[0].min()) + 1
+        pair = piece * span + start[0] - lo
+        used = np.zeros(2 * span, dtype=bool)
+        used[pair] = True
+        block = np.cumsum(used)[pair] - 1
+        used = np.flatnonzero(used)
+        coefs = [self._cell_blocks(row, kinds[0], used % span + lo, used // span)
+                 for row, kinds in reads]
+        step = max(1, self._BLOCK // max(c.shape[-1] for c in coefs)
+                   // math.prod(ax.m for ax in self._space[1:]))
+        for a in range(0, len(xs), step):
+            pts = slice(a, a + step)
+            for res, coef, (_, kinds) in zip(out, coefs, reads):
+                if self.dim == 1:
+                    coef = np.take(coef, block[pts], axis=0)
+                else:
+                    ax, (_, piece1, v1) = self._space[1], locs[1]
+                    win = coef[block[pts], start[1][pts] + np.arange(ax.m)[:, None]]
+                    coef = _weigh(win, kinds[1], ax.weights(kinds[1], piece1[pts], v1[pts])[..., None])
+                res[pts] = _horner(coef, v[pts])
         return out
 
     def _kinds(self, axis=None, kind=None):

@@ -153,7 +153,11 @@ def mollifier_oracle(smooth, t, x):
     """(value, gradient, hessian, time derivative) of a SmoothSurface at one
     point: the differentiated kernel integrated against the multilinearly
     interpolated nodes, split at grid lines so every piece is a polynomial
-    of degree <= 9 that the 5-point rule integrates exactly."""
+    of degree <= 9 that the 5-point rule integrates exactly. The kernel
+    takes a constant to itself and its derivatives take it to zero, so the
+    rule integrates the nodes less their value at the point: the same
+    integrals, without the roundoff of a large constant summed against a
+    kernel of width delta."""
     d = smooth.dim
     dl = smooth.delta
     x = np.asarray(x, dtype=float).reshape(d)
@@ -174,7 +178,9 @@ def mollifier_oracle(smooth, t, x):
     kt = _C_TIME * _bump(2.0 * st + 1.0)
     kx = [_C_SPACE * _bump(s) for s in sx]
     k1 = [_C_SPACE * _bump_d1(s) / dl for s in sx]
-    base = weight * W * dl ** (-(d + 1))
+    c = _interp_clamped(smooth.t_nodes, smooth.axes, smooth.node_values,
+                        np.array([t]), x[None])[0]
+    base = weight * (W - c) * dl ** (-(d + 1))
 
     def integral(time_factor, factors):
         fac = time_factor
@@ -182,7 +188,7 @@ def mollifier_oracle(smooth, t, x):
             fac = fac * f
         return float(np.sum(base * fac))
 
-    value = integral(kt, kx)
+    value = c + integral(kt, kx)
     q = -integral(_C_TIME * 2.0 * _bump_d1(2.0 * st + 1.0) / dl, kx)
     p = np.array([-integral(kt, kx[:i] + [k1[i]] + kx[i + 1:]) for i in range(d)])
     M = np.zeros((d, d))

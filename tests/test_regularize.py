@@ -216,15 +216,15 @@ class TestSeparableMollifier:
     Gauss-Legendre quadrature, which is exact on every cell."""
 
     @staticmethod
-    def surface(d, rng):
+    def surface(d, rng, delta=0.06, n0=81):
         t = np.linspace(-0.15, 1.0, 93)
-        axes = [np.linspace(-1.0, 1.0, 81), np.linspace(-0.5, 1.5, 41)][:d]
+        axes = [np.linspace(-1.0, 1.0, n0), np.linspace(-0.5, 1.5, 41)][:d]
         mesh = np.meshgrid(t, *axes, indexing="ij")
         vals = np.sin(2.0 * mesh[1]) * np.cos(1.5 * mesh[0]) + 0.3 * mesh[1] ** 2
         if d == 2:
             vals = vals + np.exp(0.5 * mesh[2]) * mesh[1] - 0.2 * mesh[2] ** 2
         vals = vals + 1e-3 * rng.normal(size=vals.shape)
-        return SmoothSurface(t, axes, vals, 0.06)
+        return SmoothSurface(t, axes, vals, delta)
 
     @staticmethod
     def points(smooth, rng, n):
@@ -280,6 +280,61 @@ class TestSeparableMollifier:
         pk = smooth.eval_batch(ts, xs)
         assert np.allclose(pk.value, [e.value for e in one], rtol=0.0, atol=1e-14)
         assert np.allclose(pk.p, [e.p for e in one], rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_oracle_on_integer_band_ratio(self, d, rng):
+        # the certify workload's band: 2 delta / h rounds just below 10, so
+        # the column that reaches z = 1 crosses it a rounding error into
+        # every cell and the cell's first piece is a sliver
+        smooth = self.surface(d, rng, delta=0.05, n0=201)
+        assert 2.0 * smooth.delta / (smooth.axes[0][1] - smooth.axes[0][0]) == 9.999999999999991
+        xs = self.points(smooth, rng, 30)
+        for t in (0.4321, 1.0):
+            self.check(smooth, t, xs)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_oracle_below_one_cell(self, d, rng):
+        # delta = 0.4 h: a band of three nodes, rho = h / delta > 1 on every
+        # axis, and the cell's first piece holds no interior column
+        with pytest.warns(RuntimeWarning, match="grid cell"):
+            smooth = self.surface(d, rng, delta=0.4 * 0.025)
+        xs = self.points(smooth, rng, 30)
+        for t in (0.4321, 1.0):
+            self.check(smooth, t, xs)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_point_reads_the_same_bits_in_any_batch(self, d, rng):
+        smooth = self.surface(d, rng)
+        smooth._BLOCK = 1 << 10  # a few dozen points per block
+        batch = self.points(smooth, rng, 300)
+        rng.shuffle(batch)
+        t = 0.4321
+        # interior, edge and far-off points, each read alone and inside the
+        # batch at its first, last and two middle positions
+        for x in self.points(smooth, rng, 3):
+            alone = smooth.eval_batch(t, x[None])
+            value, grad = smooth.fast_value_grad(t, x[None])
+            assert smooth.value(t, x) == value[0]
+            assert np.array_equal(smooth.gradient(t, x[None]), grad)
+            for pos in (0, 17, 150, len(batch)):
+                xs = np.insert(batch, pos, x, axis=0)
+                pk = smooth.eval_batch(t, xs)
+                for f in ("value", "p", "M", "q"):
+                    assert np.array_equal(getattr(pk, f)[pos], getattr(alone, f)[0])
+                v, g = smooth.fast_value_grad(t, xs)
+                assert v[pos] == value[0] and np.array_equal(g[pos], grad[0])
+                assert np.array_equal(smooth.gradient(t, xs)[pos], grad[0])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_read_of_no_points_is_empty(self, d, rng):
+        smooth = self.surface(d, rng)
+        none = np.empty((0, d))
+        pk = smooth.eval_batch(0.5, none)
+        assert pk.value.shape == pk.q.shape == (0,)
+        assert pk.p.shape == (0, d) and pk.M.shape == (0, d, d)
+        value, grad = smooth.fast_value_grad(0.5, none)
+        assert value.shape == (0,) and grad.shape == (0, d)
+        assert smooth.gradient(0.5, none).shape == (0, d)
 
     def test_row_cache_is_bounded(self, rng):
         smooth = self.surface(1, rng)
