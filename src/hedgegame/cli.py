@@ -20,7 +20,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, dual, game, hjb, regularize
-from .model import HedgeGameError, model_from_config, validate_assumptions
+from .model import HedgeGameError, model_from_config
+from .model import validate_assumptions  # noqa: F401  (perfbench reads cli.validate_assumptions)
 
 SMOOTH_MAGIC = b"SMOOTH1\x00"
 
@@ -318,62 +319,48 @@ def _prepare(args):
     return run
 
 
-def _checked_solve(model, grid, args):
-    if not args.override_assumptions:
-        rep = validate_assumptions(model, sample_count=256, rng_seed=0,
-                                   x_box=(min(grid.x_min), max(grid.x_max)))
-        if not rep.ok:
-            raise ConfigError("model violates standing assumptions:\n" + rep.summary())
-    return hjb.solve(model, grid, validate=False)
+def _solve_summary(run, args):
+    """Validated solve of the run's model (unless --override-assumptions) and
+    the summary that ``price`` and ``solve`` write: the price at (t0, x0),
+    the CFL number, the residual and the hashes."""
+    surface = hjb.solve(run.model, run.grid, validate=not args.override_assumptions)
+    res = hjb.residual(surface, run.model)
+    summary = {
+        "price": surface.value(run.sim.t0, np.asarray(run.sim.x0, dtype=float)),
+        "cfl": surface.meta["cfl"],
+        "residual_max_abs": res.max_abs,
+        "residual_min": res.min_value,
+        "model_hash": surface.model_hash,
+        "grid_hash": config_hash(run.cfg["grid"]),
+    }
+    return surface, summary
 
 
 def cmd_price(args):
     t_start = time.monotonic()
     run = _prepare(args)
-    cfg, out_dir, model = run.cfg, run.out_dir, run.model
-    x0, t0 = np.asarray(run.sim.x0, dtype=float), run.sim.t0
-    surface = _checked_solve(model, run.grid, args)
-    price = surface.value(t0, x0)
-    res = hjb.residual(surface, model)
-    summary = {
-        "price": price,
-        "t0": t0,
-        "x0": list(x0),
-        "cfl": surface.meta["cfl"],
-        "residual_max_abs": res.max_abs,
-        "residual_min": res.min_value,
-        "grid_hash": config_hash(cfg["grid"]),
-        "model_hash": surface.model_hash,
-    }
-    _write_json(os.path.join(out_dir, "price.json"), summary)
-    write_manifest(out_dir, "price", cfg, ["price.json"], t_start, {})
-    print(f"{price:.10g}")
+    _, summary = _solve_summary(run, args)
+    summary.update(t0=run.sim.t0, x0=list(run.sim.x0))
+    _write_json(os.path.join(run.out_dir, "price.json"), summary)
+    write_manifest(run.out_dir, "price", run.cfg, ["price.json"], t_start, {})
+    print(f"{summary['price']:.10g}")
     return EXIT_OK
 
 
 def cmd_solve(args):
     t_start = time.monotonic()
     run = _prepare(args)
-    cfg, out_dir, model = run.cfg, run.out_dir, run.model
-    x0, t0 = np.asarray(run.sim.x0, dtype=float), run.sim.t0
-    surface = _checked_solve(model, run.grid, args)
+    out_dir, t0 = run.out_dir, run.sim.t0
+    surface, summary = _solve_summary(run, args)
     artifacts = ["surface.csv", "surface.bin", "summary.json"]
     hjb.save_csv(surface, os.path.join(out_dir, "surface.csv"))
     hjb.save_binary(surface, os.path.join(out_dir, "surface.bin"))
-    res = hjb.residual(surface, model)
-    _write_json(os.path.join(out_dir, "summary.json"), {
-        "price": surface.value(t0, x0),
-        "cfl": surface.meta["cfl"],
-        "residual_max_abs": res.max_abs,
-        "residual_min": res.min_value,
-        "model_hash": surface.model_hash,
-        "grid_hash": config_hash(cfg["grid"]),
-    })
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     if args.plots:
         emit_plot_data(surface, "value_slice", os.path.join(out_dir, "value_slice.tsv"), t0=t0)
         emit_plot_data(surface, "policy_map", os.path.join(out_dir, "policy_map.tsv"))
         artifacts += ["value_slice.tsv", "policy_map.tsv"]
-    write_manifest(out_dir, "solve", cfg, artifacts, t_start, {})
+    write_manifest(out_dir, "solve", run.cfg, artifacts, t_start, {})
     return EXIT_OK
 
 
@@ -381,7 +368,7 @@ def cmd_regularize(args):
     t_start = time.monotonic()
     run = _prepare(args)
     cfg, out_dir, model = run.cfg, run.out_dir, run.model
-    surface = _checked_solve(model, run.grid, args)
+    surface = hjb.solve(model, run.grid, validate=not args.override_assumptions)
     phi_path, phi_margin = run.phi
     phi_base = surface if phi_path is None else hjb.load_binary(phi_path)
     smooth = regularize.build_smooth_supersolution(
@@ -420,7 +407,7 @@ def cmd_simulate(args):
         if source.model_hash != model.hash:
             raise ConfigError("surface cache was built from a different model")
     else:
-        source = _checked_solve(model, run.grid, args)
+        source = hjb.solve(model, run.grid, validate=not args.override_assumptions)
     artifacts = ["simreport.json"]
     status = EXIT_OK
     if args.adversary == "all":

@@ -1,11 +1,12 @@
 """Feedback hedging strategies and adversarial Monte Carlo verification.
 
 A strategy map turns a solved (or certified smooth) surface into the
-Markovian hedge u = u_hat(t, X, Y, sigma_X^T Dw, a); in the finance preset
-this collapses to the delta rule u = Dw independently of wealth and of
-the adverse control. Simulation runs the game under Euler-Maruyama with
-shared Brownian increments against constant, randomly switching and
-worst-case-feedback adversaries, and reports terminal shortfall statistics.
+Markovian hedge u = u_hat(t, X, Y, z, a) whose wealth-diffusion row is
+z = sigma_X^T Dw; in the finance preset this collapses to the delta rule
+u = Dw independently of wealth and of the adverse control. Simulation runs
+the game under Euler-Maruyama with shared Brownian increments against
+constant, randomly switching and worst-case-feedback adversaries, and
+reports terminal shortfall statistics.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import hjb, regularize
-from .model import HedgeGameError, ModelSpec
+from .model import HedgeGameError, ModelSpec, coefficients_at
 
 
 class StrategyMap:
@@ -50,10 +51,7 @@ class StrategyMap:
 
     def value(self, t, x) -> float:
         tc, xc = self._clamp(t, x)
-        if isinstance(self.source, regularize.SmoothSurface):
-            v, _ = self.source.fast_value_grad(tc, xc)
-            return float(v[0])
-        return float(self.source.value(tc, xc)[0])
+        return float(self.source.value(tc, xc[0]))
 
     def gradient(self, t, xs) -> np.ndarray:
         tc, xc = self._clamp(t, xs)
@@ -190,9 +188,12 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
     """Euler-Maruyama game run with shared Brownian increments per path.
 
     Each step the adversary emits its control from (t_n, X_n) and its own
-    random stream, the strategy reacts through the feedback rule, then X and
-    Y advance on the same increments. Non-finite paths are excluded and
-    counted.
+    random stream, the strategy reads the surface gradient once for all
+    paths, then each adverse point's paths make one frozen coefficient read
+    (``coefficients_at``) and X and Y advance on the same increments. Y
+    diffuses with z = sigma_X^T Dw, the row the hedge u_hat(z) matches
+    (``validate_assumptions``: ``inversion_u_hat``), and drifts with the
+    hedged drift at z. Non-finite paths are excluded and counted.
     """
     if n_steps < 1:
         raise HedgeGameError("n_steps must be >= 1")
@@ -230,23 +231,17 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
     clamp_before = strategy.clamped
     for n in range(n_steps):
         t_n = t0 + n * dt
-        if plan is not None:
-            a_idx = plan[n]
-        else:
-            a_idx = _worst_lookup(adversary.surface, t_n, X)
+        a_idx = plan[n] if plan is not None else _worst_lookup(adversary.surface, t_n, X)
+        grad = strategy.gradient(t_n, X)
         for j in range(n_A):
             mask = a_idx == j
             if not np.any(mask):
                 continue
-            a = model.A_points[j]
             xm, ym, wm = X[mask], Y[mask], dW[n][mask]
-            u = strategy.rule(t_n, xm, ym, a)
-            mu = np.asarray(model.mu_X(t_n, xm, a), dtype=float)
-            sig = np.asarray(model.sigma_X(t_n, xm, a), dtype=float)
-            muY = np.asarray(model.mu_Y(t_n, xm, ym, u, a), dtype=float)
-            sgY = np.asarray(model.sigma_Y(t_n, xm, ym, u, a), dtype=float)
+            mu, sig, drift = coefficients_at(model, t_n, xm, model.A_points[j])
+            z = np.einsum("...ji,...j->...i", sig, grad[mask])
             X[mask] = xm + mu * dt + np.einsum("...ij,...j->...i", sig, wm)
-            Y[mask] = ym + muY * dt + np.einsum("...i,...i->...", sgY, wm)
+            Y[mask] = ym + drift(ym, z) * dt + np.einsum("...i,...i->...", z, wm)
 
     finite = np.isfinite(Y) & np.all(np.isfinite(X), axis=1)
     excluded = int(n_paths - finite.sum())

@@ -328,13 +328,10 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     if grid.dim != model.dim:
         raise HedgeGameError(f"grid dim {grid.dim} != model dim {model.dim}")
     if validate:
-        rep = validate_assumptions(model, sample_count=128, rng_seed=0,
+        rep = validate_assumptions(model, sample_count=256, rng_seed=0,
                                    x_box=(min(grid.x_min), max(grid.x_max)))
         if not rep.ok:
-            raise HedgeGameError(
-                "model violates standing assumptions (pass validate=False to override):\n"
-                + rep.summary()
-            )
+            raise HedgeGameError("model violates standing assumptions:\n" + rep.summary())
     T = model.horizon_T
     dt = T / grid.t_steps
     cfl = grid.cfl_number(model.lipschitz_K, dt)

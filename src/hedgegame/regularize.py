@@ -539,9 +539,15 @@ def verify_supersolution(smooth: SmoothSurface, model: ModelSpec, check_grid,
     """
     t_nodes, axes = check_grid
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dim)
+    check_phi = phi is not None and B_set is not None
+    if check_phi:
+        sel = np.ones(mesh.shape[0], dtype=bool)
+        for i in range(model.dim):
+            sel &= (mesh[:, i] >= B_set.x_lo[i] - 1e-12) & (mesh[:, i] <= B_set.x_hi[i] + 1e-12)
     min_res = np.inf
     argmin = (np.nan,) * (1 + model.dim)
     n_total = 0
+    phi_margin = np.inf
     for tv in t_nodes:
         pk = smooth.eval_batch(float(tv), mesh)
         best, _ = hjb.min_generator_field(model, float(tv), mesh, pk.value, pk.q, pk.p, pk.M)
@@ -550,23 +556,15 @@ def verify_supersolution(smooth: SmoothSurface, model: ModelSpec, check_grid,
         if best[i] < min_res:
             min_res = float(best[i])
             argmin = (float(tv),) + tuple(mesh[i])
+        if check_phi and B_set.t_lo - 1e-12 <= tv <= B_set.t_hi + 1e-12:
+            target = np.asarray(phi(float(tv), mesh[sel]), dtype=float)
+            phi_margin = min(phi_margin, float(np.min(target - pk.value[sel])))
     T = model.horizon_T
     term = smooth.eval_batch(T, mesh, need_second=False).value
     g = np.asarray(model.payoff_g(mesh), dtype=float)
     terminal_margin = float(np.min(term - g))
-    phi_margin = np.inf
-    if phi is not None and B_set is not None:
-        sel = np.ones(mesh.shape[0], dtype=bool)
-        for i in range(model.dim):
-            sel &= (mesh[:, i] >= B_set.x_lo[i] - 1e-12) & (mesh[:, i] <= B_set.x_hi[i] + 1e-12)
-        for tv in t_nodes:
-            if not (B_set.t_lo - 1e-12 <= tv <= B_set.t_hi + 1e-12):
-                continue
-            w = smooth.eval_batch(float(tv), mesh[sel], need_second=False).value
-            target = np.asarray(phi(float(tv), mesh[sel]), dtype=float)
-            phi_margin = min(phi_margin, float(np.min(target - w)))
     passed = (min_res >= -tol) and (terminal_margin >= -tol)
-    if phi is not None and B_set is not None:
+    if check_phi:
         passed = passed and (phi_margin >= -1e-9)
     return CertReport(passed, min_res, argmin, terminal_margin, phi_margin,
                       tol, smooth.eps, smooth.k, smooth.delta, n_total)

@@ -363,3 +363,71 @@ def residual_oracle(surface, model):
         res[interior] = best[interior]
         out[k] = res
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-group game oracle: each adverse point's paths read the hedge rule and
+# then mu_X, sigma_X, mu_Y and sigma_Y, each straight from the closures
+# (never a frozen coefficient read), with the gradient read on the group's
+# paths alone and Y diffusing with sigma_Y(u)
+# ---------------------------------------------------------------------------
+
+
+def simulate_oracle(model, strategy, adversary, t0, x0, y0, n_paths, n_steps, seed):
+    """(terminal gap, excluded paths, clamped queries) of ``game.simulate``
+    stepped group by group through the closures. A clamped time counts once
+    per group here, once per step in ``game.simulate``."""
+    from hedgegame.game import (ConstantAdversary, PiecewiseRandomAdversary,
+                                _worst_lookup)
+
+    T = model.horizon_T
+    d = model.dim
+    n_A = len(model.A_points)
+    dt = (T - t0) / n_steps
+    brown_ss, adv_ss = np.random.SeedSequence(int(seed)).spawn(2)
+    dW = np.random.Generator(np.random.Philox(brown_ss)).standard_normal((n_steps, n_paths, d)) \
+        * np.sqrt(dt)
+    if isinstance(adversary, ConstantAdversary):
+        plan = np.full((n_steps, n_paths), adversary.a_index, dtype=np.int64)
+    elif isinstance(adversary, PiecewiseRandomAdversary):
+        rng_a = np.random.Generator(np.random.Philox(adv_ss))
+        switch_u = rng_a.random((n_steps, n_paths))
+        choice_u = rng_a.random((n_steps, n_paths))
+        p_switch = 1.0 - np.exp(-adversary.switch_rate * dt)
+        plan = PiecewiseRandomAdversary.controls_from_draws(switch_u, choice_u, n_A, p_switch)
+    else:
+        plan = None
+
+    def rule(t, xs, ys, a):
+        grad = strategy.gradient(t, xs)
+        sig = np.asarray(model.sigma_X(t, xs, a), dtype=float)
+        z = np.einsum("...ji,...j->...i", sig, grad)
+        if not np.any(z):
+            return np.zeros_like(z)
+        return np.asarray(model.u_hat(t, xs, np.asarray(ys, dtype=float), z, a), dtype=float)
+
+    X = np.tile(np.asarray(x0, dtype=float).reshape(1, d), (n_paths, 1))
+    Y = np.full(n_paths, float(y0))
+    clamp_before = strategy.clamped
+    for n in range(n_steps):
+        t_n = t0 + n * dt
+        if plan is not None:
+            a_idx = plan[n]
+        else:
+            a_idx = _worst_lookup(adversary.surface, t_n, X)
+        for j in range(n_A):
+            mask = a_idx == j
+            if not np.any(mask):
+                continue
+            a = model.A_points[j]
+            xm, ym, wm = X[mask], Y[mask], dW[n][mask]
+            u = rule(t_n, xm, ym, a)
+            mu = np.asarray(model.mu_X(t_n, xm, a), dtype=float)
+            sig = np.asarray(model.sigma_X(t_n, xm, a), dtype=float)
+            muY = np.asarray(model.mu_Y(t_n, xm, ym, u, a), dtype=float)
+            sgY = np.asarray(model.sigma_Y(t_n, xm, ym, u, a), dtype=float)
+            X[mask] = xm + mu * dt + np.einsum("...ij,...j->...i", sig, wm)
+            Y[mask] = ym + muY * dt + np.einsum("...i,...i->...", sgY, wm)
+    finite = np.isfinite(Y) & np.all(np.isfinite(X), axis=1)
+    gap = Y[finite] - np.asarray(model.payoff_g(X[finite]), dtype=float)
+    return gap, int(n_paths - finite.sum()), strategy.clamped - clamp_before

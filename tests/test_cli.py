@@ -113,6 +113,18 @@ class TestPriceCommand:
         assert err["error"]["kind"] == "config"
         assert "assumption" in err["error"]["message"]
 
+    def test_lipschitz_below_vol_bound_exit_2_unless_overridden(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(lipschitz_K=0.1))  # vol 0.2 > K
+        rc = main(["price", "-c", path, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "config"
+        assert "standing assumptions" in err["error"]["message"]
+        rc = main(["price", "-c", path, "--out", str(tmp_path / "out"), "--override-assumptions"])
+        assert rc == 0
+        assert json.loads((tmp_path / "out" / "price.json").read_text())["price"] \
+            == pytest.approx(1.0, abs=1e-12)
+
     def test_cfl_violation_exit_3(self, tmp_path, capsys):
         cfg = base_config()
         cfg["grid"] = {"t_steps": 2, "x_min": [-1.0], "x_max": [1.0], "x_steps": [200]}

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hedgegame import game
 from hedgegame.game import (
     ConstantAdversary,
     MarkovWorstAdversary,
@@ -11,13 +14,15 @@ from hedgegame.game import (
     superhedge_check,
 )
 from hedgegame.hjb import GridSpec, ValueSurface, solve
-from hedgegame.model import HedgeGameError, ModelSpec, make_finance_model, make_payoff
+from hedgegame.model import (HedgeGameError, ModelSpec, coefficients_at, make_finance_model,
+                             make_payoff)
 from hedgegame.regularize import SmoothSurface
 
 from conftest import (
     bs_call_delta_logspace,
     bs_singleton_model,
     finance_spec,
+    simulate_oracle,
     uncertain_vol_model,
 )
 
@@ -184,6 +189,102 @@ class TestSimulate:
         # a library caller reaches the same check through simulate
         with pytest.raises(HedgeGameError, match="horizon"):
             superhedge_check(model, surf, 0.0, SimParams(x0=(0.0,), t0=t0, paths=50, steps=10))
+
+
+def analytic_surface_2d(model, nt=40, n=30):
+    """A d = 2 grid surface with a gradient along both axes, read off a
+    smooth function rather than a solve."""
+    grid = GridSpec(t_steps=nt, x_min=(-1.5, -1.5), x_max=(1.5, 1.5), x_steps=(n, n))
+    t = np.linspace(0.0, model.horizon_T, nt + 1)
+    X = grid.mesh()
+    vals = np.log1p(np.exp(X[..., 0]))[None] + 0.2 * np.sin(X[..., 1])[None] + 0.1 * t[:, None, None]
+    pol = np.zeros(vals.shape, dtype=np.int32)
+    return ValueSurface(grid, model.hash, t, grid.axes(), vals, pol, len(model.A_points), {})
+
+
+class TestFrozenGameStep:
+    """The game reads the gradient once per step and each adverse point's
+    coefficients once per step through ``coefficients_at``, and plays the
+    per-group closure step of ``conftest.simulate_oracle`` to roundoff."""
+
+    @staticmethod
+    def cases(uv_surface):
+        model, surf = uv_surface
+        smooth = SmoothSurface(surf.t, surf.axes, surf.values, 0.05)
+        closure_only = dataclasses.replace(model, finance=None)
+        model2 = uncertain_vol_model(dim=2)
+        surf2 = analytic_surface_2d(model2)
+        random = PiecewiseRandomAdversary(4.0)
+        return [
+            ("grid-constant", model, surf, ConstantAdversary(1), 0.0, (0.0,)),
+            ("grid-random-edge", model, surf, random, 0.0, (1.7,)),
+            ("grid-worst", model, surf, MarkovWorstAdversary(surf), 0.0, (0.0,)),
+            ("smooth-constant", model, smooth, ConstantAdversary(0), 0.1, (0.0,)),
+            ("smooth-random", model, smooth, random, 0.1, (0.3,)),
+            ("smooth-worst", model, smooth, MarkovWorstAdversary(surf), 0.1, (0.0,)),
+            ("closure-only-random", closure_only, surf, random, 0.0, (0.0,)),
+            ("closure-only-worst", closure_only, smooth, MarkovWorstAdversary(surf), 0.1, (0.0,)),
+            ("d2-random", model2, surf2, random, 0.0, (0.0, 0.2)),
+            ("d2-constant", model2, surf2, ConstantAdversary(0), 0.0, (1.3, -1.3)),
+        ]
+
+    def test_matches_per_group_closure_oracle(self, uv_surface):
+        clamps = 0
+        for name, model, source, adv, t0, x0 in self.cases(uv_surface):
+            args = (adv, t0, np.array(x0), 0.15, 400, 60, 17)
+            rep = simulate(model, make_strategy(source, model), *args)
+            gap, excluded, clamped = simulate_oracle(model, make_strategy(source, model), *args)
+            assert rep.excluded_paths == excluded, name
+            assert rep.clamped_queries == clamped, name
+            assert rep.shortfall_prob(0.02) == np.mean(np.maximum(-gap, 0.0) > 0.02), name
+            assert np.all(np.abs(rep.terminal_gap - gap) <= 1e-12 * (1.0 + np.abs(gap))), name
+            clamps += clamped
+        assert clamps > 0  # the edge cases reach the clamp
+
+    def test_one_frozen_read_per_step_and_adverse_point(self, uv_surface, monkeypatch):
+        base, surf = uv_surface
+        counts = {"sigma": 0, "closures": 0}
+
+        def sigma(t, x, a):
+            counts["sigma"] += 1
+            return base.finance.sigma(t, x, a)
+
+        def counted(fn):
+            def call(*args):
+                counts["closures"] += 1
+                return fn(*args)
+            return call
+
+        fin = dataclasses.replace(base.finance, sigma=sigma)
+        model = make_finance_model(fin, base.payoff_g, 1, base.A_points, base.horizon_T,
+                                   base.lipschitz_K)
+        model = dataclasses.replace(model, **{c: counted(getattr(model, c)) for c in
+                                              ("mu_X", "sigma_X", "mu_Y", "sigma_Y", "u_hat")})
+        reads = []
+
+        def frozen_read(m, t, x, a):
+            reads.append((t, float(a[0]), len(x)))
+            return coefficients_at(m, t, x, a)
+
+        monkeypatch.setattr(game, "coefficients_at", frozen_read)
+        strat = make_strategy(surf, model)
+        grads = []
+        read_gradient = strat.gradient
+        strat.gradient = lambda t, xs: grads.append(t) or read_gradient(t, xs)
+        n_steps = 30
+        simulate(model, strat, PiecewiseRandomAdversary(4.0), 0.0, np.array([0.0]),
+                 0.15, 400, n_steps, seed=3)
+        assert len(grads) == n_steps
+        assert len({(t, a) for t, a, _ in reads}) == len(reads) == n_steps * len(model.A_points)
+        assert all(n > 0 for _, _, n in reads)
+        assert counts == {"sigma": len(reads), "closures": 0}
+
+    def test_clamped_time_counts_once_per_step(self, uv_surface):
+        model, surf = uv_surface
+        smooth = SmoothSurface(surf.t, surf.axes, surf.values, 0.05)  # times below 0.05 clamp
+        rep = simulate(model, make_strategy(smooth, model), PiecewiseRandomAdversary(4.0),
+                       0.0, np.array([0.0]), 0.15, 400, 20, seed=3)
+        assert rep.clamped_queries == 1  # step 0 only, with both adverse points in play
 
 
 class TestAdversaries:
