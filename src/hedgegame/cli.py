@@ -300,6 +300,9 @@ def _prepare(args):
                 raise ConfigError(f"regularize.B.x needs {model.dim} intervals, got {len(box.x_lo)}")
         if not isinstance(r["phi"], str):
             raise ConfigError(f"unsupported regularize.phi {r['phi']!r}")
+        check_shape = tuple(int(n) for n in r["check_shape"])
+        if len(check_shape) != 2 or min(check_shape) < 1:
+            raise ConfigError(f"regularize.check_shape needs two entries >= 1, got {list(check_shape)}")
         run = SimpleNamespace(
             cfg=cfg, out_dir=args.out or cfg["output"]["directory"], model=model, grid=grid,
             sim=sim, margin=float(margin),
@@ -307,7 +310,7 @@ def _prepare(args):
             y0=None if y0 == "auto" else float(y0),
             box=box, eta=float(r["eta"]), tol=float(r["tol"]),
             eps_ladder=tuple(float(e) for e in r["eps_ladder"]),
-            check_shape=tuple(int(n) for n in r["check_shape"]),
+            check_shape=check_shape,
             # phi = v + margin, v the solved surface (path None) or a surface.bin file
             phi=((None, float(r["phi"].split(":", 1)[1]))
                  if r["phi"].startswith("v-plus-margin:") else (r["phi"], 0.0)),

@@ -28,7 +28,9 @@ from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, coeffi
 _PROBE_H = 1e-6
 _FP_TOL = 1e-10
 _FP_MAX_ITERS = 50
-_RESIDUAL_BLOCK = 256  # layers per residual() difference block; bounds its q/p/M buffers
+# layers per residual() block; bounds its difference and coefficient stacks
+# (128 layers raised the `price` benchmark's peak RSS from 194 to 205 MB)
+_RESIDUAL_BLOCK = 64
 
 BINARY_MAGIC = b"HJBSURF1"
 
@@ -430,6 +432,9 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
 
     A numerical certificate that the discrete solution drives the worst-case
     generator to ~0 away from kinks; boundary and terminal nodes are NaN.
+    The generator is evaluated once per block of layers. A surface without a
+    finite interior value (one time step has no interior layer) raises
+    HedgeGameError.
     """
     v = surface.values
     t = surface.t
@@ -451,10 +456,12 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
             cr = np.gradient(np.gradient(blk, dx[0], axis=1), dx[1], axis=2)
             M[..., 0, 1] = cr
             M[..., 1, 0] = cr
-        for k in range(k0, k1):
-            best, _ = min_generator_field(model, float(t[k]), X, v[k], q[k - k0], p[k - k0], M[k - k0])
-            out[k][interior] = best[interior]
+        best, _ = min_generator_field(model, t[k0:k1], X, blk, q, p, M)
+        out[(slice(k0, k1),) + interior] = best[(slice(None),) + interior]
     finite = out[np.isfinite(out)]
+    if finite.size == 0:
+        raise HedgeGameError(f"residual has no finite interior value on {len(t)} layers "
+                             f"(interior layers need t_steps >= 2)")
     max_abs = float(np.max(np.abs(finite)))
     min_val = float(np.min(finite))
     flat_arg = int(np.nanargmin(np.where(np.isfinite(out), out, np.inf)))

@@ -24,6 +24,9 @@ The solvers read a model with a ``finance`` spec through that spec, once per
 compute the same, as ``make_finance_model`` builds them. ``dataclasses.replace``
 keeps ``finance``, so a copy that replaces a closure by other values must
 replace or clear ``finance`` too, or ``validate_assumptions`` fails the copy.
+``coefficients_at`` and ``min_generator_field`` also take a 1-d numpy array
+of times; they still call every closure once per time, with that time as a
+python float.
 """
 
 from __future__ import annotations
@@ -169,12 +172,19 @@ def _financing(cash, rl, rb):
     return np.maximum(cash, 0.0) * rl - np.maximum(-cash, 0.0) * rb
 
 
+def _per_time(f, t, x, a):
+    """f(t, x, a) as a float array; a 1-d array ``t`` calls f once per time,
+    with a python float, and stacks the results on a leading time axis."""
+    if not isinstance(t, np.ndarray):
+        return np.asarray(f(t, x, a), dtype=float)
+    return np.stack([np.asarray(f(float(s), x, a), dtype=float) for s in t])
+
+
 def _market_read(finance: FinanceSpec, t, x, a):
     """mu, sigma and the wealth drift (y, u) -> u.(mu + gamma/2) + rho, read once."""
-    mu = np.asarray(finance.mu(t, x, a), dtype=float)
-    sig = np.asarray(finance.sigma(t, x, a), dtype=float)
+    mu, sig = _per_time(finance.mu, t, x, a), _per_time(finance.sigma, t, x, a)
+    rl, rb = _per_time(finance.r_lend, t, x, a), _per_time(finance.r_borrow, t, x, a)
     mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
-    rl, rb = (np.asarray(r(t, x, a), dtype=float) for r in (finance.r_lend, finance.r_borrow))
 
     def wealth(y, u):
         cash = np.asarray(y, dtype=float) - u.sum(axis=-1)
@@ -184,24 +194,33 @@ def _market_read(finance: FinanceSpec, t, x, a):
 
 
 def _hedge_map(sig, t, x, a):
-    """z -> (sigma^-1)^T z, z rows or a stack of them over the rows of x:
-    a division in d = 1, else a LAPACK solve."""
+    """z -> (sigma^-1)^T z on the batch axes x.shape[:-1], led by a time axis
+    for a 1-d array t, z rows or a stack of them: a division in d = 1, else
+    a LAPACK solve. A singular sigma raises ModelError naming its time and
+    node."""
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    if sig.ndim == 2:
-        sig = np.broadcast_to(sig, x2.shape[:-1] + sig.shape)
+    lead = (len(t),) if isinstance(t, np.ndarray) else ()
+    batch = lead + x2.shape[:-1]
+    if sig.shape[:-2] != batch:
+        sig = np.broadcast_to(sig, batch + sig.shape[-2:])
+
+    def singular(flat):
+        i = np.unravel_index(flat, batch)
+        at = float(t[i[0]]) if lead else t
+        return ModelError(f"singular volatility at t={at}, x={x2[i[len(lead):]]}, a={np.asarray(a)}")
+
     if sig.shape[-1] == 1:
         s = sig[..., 0, 0][..., None]
-        if np.any(s == 0.0):
-            pt = x2[np.nonzero(s[..., 0] == 0.0)[0][0]] if x2.shape[0] > 1 else x2[0]
-            raise ModelError(f"singular volatility at t={t}, x={pt}, a={np.asarray(a)}")
+        zero = s[..., 0] == 0.0
+        if np.any(zero):
+            raise singular(int(np.argmax(zero)))
         return lambda z: z / s
 
     def solve(z):
         try:
             return np.linalg.solve(np.swapaxes(sig, -1, -2), z[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            bad = int(np.argmin(np.abs(np.linalg.det(sig))))
-            raise ModelError(f"singular volatility at t={t}, x={x2[bad]}, a={np.asarray(a)}") from None
+            raise singular(int(np.argmin(np.abs(np.linalg.det(sig))))) from None
 
     return solve
 
@@ -216,21 +235,31 @@ def u_hat_finance(t, x, y, z, a, finance: FinanceSpec):
 def coefficients_at(model: ModelSpec, t, x, a):
     """(mu_X, sigma_X, drift) at (t, x, a), drift(y, z) the hedged wealth
     drift mu_Y(., u_hat(., z, .), .) on z rows or on a stack (k,) + x.shape
-    of them. A finance model is read once through ``finance``; any other
-    through its closures, a z stack as one batch of k copies of x and y."""
+    of them. A 1-d array ``t`` adds a leading time axis to the coefficients,
+    and y and z carry it in front of x's rows. A finance model is read once per
+    time through ``finance`` and its drift is one expression for all times;
+    any other through its closures, its drift one call per time, a z stack
+    as one batch of k copies of x and y."""
+    x = np.asarray(x, dtype=float)
     if model.finance is not None:
-        mu, sig, wealth = _market_read(model.finance, t, np.asarray(x, dtype=float), a)
+        mu, sig, wealth = _market_read(model.finance, t, x, a)
         hedge = _hedge_map(sig, t, x, a)
         return mu, sig, lambda y, z: wealth(y, hedge(z))
 
-    def drift(y, z):
+    def drift_at(s, y, z):
         if np.ndim(z) == np.ndim(x):
-            return mu_Y_hat(t, x, y, z, a, model)
+            return mu_Y_hat(s, x, y, z, a, model)
         xs, ys = np.concatenate([x] * len(z)), np.concatenate([y] * len(z))
-        return np.asarray(mu_Y_hat(t, xs, ys, np.reshape(z, xs.shape), a, model)).reshape(np.shape(z)[:-1])
+        return np.asarray(mu_Y_hat(s, xs, ys, np.reshape(z, xs.shape), a, model)).reshape(np.shape(z)[:-1])
 
-    return (np.asarray(model.mu_X(t, x, a), dtype=float),
-            np.asarray(model.sigma_X(t, x, a), dtype=float), drift)
+    def drift(y, z):
+        if not isinstance(t, np.ndarray):
+            return drift_at(t, y, z)
+        ax = np.ndim(z) - np.ndim(x) - 1  # the time axis of z
+        return np.stack([drift_at(float(s), y[i], np.take(z, i, axis=ax)) for i, s in enumerate(t)],
+                        axis=ax)
+
+    return _per_time(model.mu_X, t, x, a), _per_time(model.sigma_X, t, x, a), drift
 
 
 def mu_Y_hat(t, x, y, z, a, model: ModelSpec):
@@ -242,12 +271,13 @@ def mu_Y_hat(t, x, y, z, a, model: ModelSpec):
 
 def base_point(t, x, b, T):
     """Base point (t, x) + b with time clamped to [0, T]; b None is no shift.
+    ``t`` is a float or a 1-d numpy array of times.
 
     The clamp extends every coefficient constantly in time past the horizon.
     """
     if b is not None:
         t, x = t + b[0], x + b[1:]
-    return min(max(t, 0.0), T), x
+    return (np.clip(t, 0.0, T) if isinstance(t, np.ndarray) else min(max(t, 0.0), T)), x
 
 
 def shake_lattice(eps: float, dim: int) -> np.ndarray:
@@ -278,7 +308,7 @@ def adverse_pairs(model: ModelSpec, shake_points=None) -> list:
     return [(a, b) for a in model.A_points for b in shakes]
 
 
-def min_generator_field(model: ModelSpec, t: float, X, y, q, p, M, pairs=None):
+def min_generator_field(model: ModelSpec, t, X, y, q, p, M, pairs=None):
     """Worst-case generator over a field of derivative packs: (min, argmin).
 
     Each pair (a, b) contributes La at the shifted base point (t, X) + b:
@@ -287,6 +317,10 @@ def min_generator_field(model: ModelSpec, t: float, X, y, q, p, M, pairs=None):
     collapse to the delta rule u = p. ``pairs`` defaults to the unshaken
     adverse set, giving L = min_a La; the pairs of a shake lattice give
     H_eps. Ties break to the lowest pair index.
+
+    ``t`` may be a 1-d numpy array of layer times, with a leading layer axis
+    on y, q, p and M over the one field X: each pair then reads its
+    coefficients once per time and evaluates La once for all of them.
     """
     if pairs is None:
         pairs = adverse_pairs(model)

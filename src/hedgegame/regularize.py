@@ -536,9 +536,13 @@ def verify_supersolution(smooth: SmoothSurface, model: ModelSpec, check_grid,
     PASS iff the minimum residual over the check nodes is >= -tol and the
     terminal layer dominates the payoff to within tol. When a target phi and
     a box are supplied, domination w <= phi on the box is checked as well.
+    A lattice without a node fails.
     """
     t_nodes, axes = check_grid
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dim)
+    if len(t_nodes) == 0 or mesh.shape[0] == 0:
+        return CertReport(False, np.inf, (np.nan,) * (1 + model.dim), np.inf, np.inf,
+                          tol, smooth.eps, smooth.k, smooth.delta, 0)
     check_phi = phi is not None and B_set is not None
     if check_phi:
         sel = np.ones(mesh.shape[0], dtype=bool)

@@ -263,6 +263,11 @@ class TestExitCodeContract:
         ("simulate", "sim.t0=2.0"),
         ("price", 'grid.boundary_mode="clamp_payoff"'),
         ("solve", 'output.formats=["csv"]'),
+        ("regularize", "regularize.check_shape=[0,100]"),
+        ("regularize", "regularize.check_shape=[50,0]"),
+        # one time step passes the CFL check on 4 cells but leaves no interior layer
+        ("price", 'grid={"t_steps":1,"x_min":[-1.0],"x_max":[1.0],"x_steps":[4]}'),
+        ("solve", 'grid={"t_steps":1,"x_min":[-1.0],"x_max":[1.0],"x_steps":[4]}'),
     ])
     def test_bad_section_value_exit_2(self, tmp_path, capsys, command, override):
         path = write_config(tmp_path, base_config())

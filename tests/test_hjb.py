@@ -381,14 +381,19 @@ class TestStackedSweep:
         assert sigma_reads[0] == groups
         assert counts["mu_Y"] == counts["u_hat"] == 0
 
-    @pytest.mark.parametrize("model, grid", [
-        (bs_singleton_model(), small_grid(nx=30, nt=600)),
-        (uncertain_vol_model(r_lend=0.02, r_borrow=0.05), small_grid(nx=30, nt=100)),
+    @pytest.mark.parametrize("model, grid, pad_layers", [
+        (bs_singleton_model(), small_grid(nx=30, nt=600), 0),
+        (uncertain_vol_model(r_lend=0.02, r_borrow=0.05), small_grid(nx=30, nt=60), 0),
         (uncertain_vol_model(dim=2), GridSpec(t_steps=300, x_min=(-1.0, -1.0),
-                                              x_max=(1.0, 1.0), x_steps=(10, 8))),
-    ], ids=["d1-600-layers", "d1-one-block", "d2-300-layers"])
-    def test_residual_blocks_match_per_layer(self, model, grid):
-        surf = solve(model, grid, validate=False)
+                                              x_max=(1.0, 1.0), x_steps=(10, 8)), 0),
+        # every layer reads its own coefficients; the pad layers clamp to t = 0
+        (time_dependent_vol_model(), small_grid(nx=30, nt=150), 20),
+        (column_indexed_model(), small_grid(nx=30, nt=130), 0),
+    ], ids=["d1-600-layers", "d1-one-block", "d2-300-layers", "d1-time-dependent-vol-padded",
+            "d1-closures-without-finance"])
+    def test_residual_blocks_match_per_layer(self, model, grid, pad_layers):
+        # interior layer counts 599, 59, 299, 169 and 129: none a multiple of the block
+        surf = solve(model, grid, validate=False, pad_layers=pad_layers)
         assert np.array_equal(residual(surf, model).grid, residual_oracle(surf, model),
                               equal_nan=True)
 

@@ -165,6 +165,15 @@ def skewed_vol_model(dim):
                               [np.array([0.2]), np.array([0.3])], 1.0, 0.5)
 
 
+def drifting_vol_model(dim):
+    """skewed_vol_model with its vol scaled by 1 + t, so every time reads its
+    own coefficients."""
+    base = skewed_vol_model(dim)
+    sigma = base.finance.sigma
+    fin = dataclasses.replace(base.finance, sigma=lambda t, x, a: (1.0 + t) * sigma(t, x, a))
+    return make_finance_model(fin, base.payoff_g, dim, base.A_points, 1.0, 0.5)
+
+
 def closure_drift(model, t, x, y, z, a):
     return model.mu_Y(t, x, y, model.u_hat(t, x, y, z, a), a)
 
@@ -221,6 +230,28 @@ class TestFrozenRead:
         with pytest.raises(ModelError, match="singular"):
             coefficients_at(model, 0.5, np.ones((3, dim)), model.A_points[0])[2](
                 np.zeros(3), np.full((3, dim), 0.1))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_vol_at_one_stacked_time_names_it(self, dim):
+        X = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * dim, indexing="ij"), axis=-1)
+        bad = (2,) * dim  # the one node whose vol vanishes, and only at t = 0.5
+
+        def sigma(t, x, a):
+            s = np.broadcast_to(0.2 * np.eye(dim), x.shape[:-1] + (dim, dim)).copy()
+            if t == 0.5:
+                s[bad] = 0.0
+            return s
+
+        fin = FinanceSpec(mu=constant_mu(dim), sigma=sigma,
+                          r_lend=constant_rate(0.0), r_borrow=constant_rate(0.0))
+        model = make_finance_model(fin, make_payoff("constant", level=0.0), dim,
+                                   [np.array([0.2])], 1.0, 0.5)
+        ts = np.array([0.25, 0.5, 0.75])
+        lead = (len(ts),) + X.shape[:-1]
+        with pytest.raises(ModelError, match="singular") as err:
+            min_generator_field(model, ts, X, np.zeros(lead), np.zeros(lead),
+                                np.full(lead + (dim,), 0.1), np.zeros(lead + (dim, dim)))
+        assert f"t=0.5, x={X[bad]}," in str(err.value)
 
 
 class TestOperatorLa:
@@ -361,6 +392,29 @@ class TestMinGeneratorField:
                 per_pair = [operator_La(*base_point(t, X[i], b, model.horizon_T), pk, a, model)
                             for a, b in pairs]
                 assert idx[i] == int(np.argmin(per_pair))
+
+    @pytest.mark.parametrize("finance", [True, False], ids=["finance", "closures"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_times_stacked_equals_per_time(self, dim, finance, rng):
+        # a 1-d t with a leading layer axis on (y, q, p, M) over one mesh, as
+        # hjb.residual reads a block of layers; -0.1 is clamped to t = 0
+        model = drifting_vol_model(dim)
+        if not finance:
+            model = dataclasses.replace(model, finance=None)
+        ts = np.array([-0.1, 0.0, 0.35, 0.8, 1.0])
+        X = np.stack(np.meshgrid(*[np.linspace(-1.5, 1.5, 9 - dim)] * dim, indexing="ij"), axis=-1)
+        lead = (len(ts),) + X.shape[:-1]
+        y, q = rng.uniform(-2.0, 2.0, lead), rng.normal(size=lead)
+        p = rng.normal(0.0, 2.0, lead + (dim,))
+        A = rng.normal(size=lead + (dim, dim))
+        M = A + np.swapaxes(A, -1, -2)
+        best, idx = min_generator_field(model, ts, X, y, q, p, M)
+        assert best.shape == idx.shape == lead
+        for i, t in enumerate(ts):
+            b_i, j_i = min_generator_field(model, float(t), X, y[i], q[i], p[i], M[i])
+            assert np.array_equal(best[i], b_i)
+            assert np.array_equal(idx[i], j_i)
+        assert set(np.unique(idx)) == {0, 1}
 
     def test_pairs_are_A_major_like_the_policy(self):
         model = wavy_vol_model()

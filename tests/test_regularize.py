@@ -432,3 +432,7 @@ class TestBuildAndVerify:
         rep = verify_supersolution(s, model, cg, tol=1e-6)
         assert rep.passed
         assert rep.min_residual == pytest.approx(0.0, abs=1e-9)
+        # a lattice without a time or a space node certifies nothing: it fails
+        for shape in ((0, 20), (10, 0)):
+            empty = verify_supersolution(s, model, make_check_grid(0.0, 0.9, (-0.5,), (0.5,), shape))
+            assert not empty.passed and empty.n_checked == 0
