@@ -268,10 +268,11 @@ def _config_values():
 
 def _prepare(args):
     """Parse the run once: config, output directory, model, grid and the typed
-    values of every section, with the --margin, --y0 and --mid flags folded in.
-    Bad values and a start point outside [0, T) x R^d are ConfigErrors."""
+    values of every section. The --margin, --y0 and --mid flags are --set
+    entries applied after the others, so the manifest's config hash covers
+    them. Bad values and a start point outside [0, T) x R^d are ConfigErrors."""
     with _config_values():
-        cfg = load_config(args.config, args.set)
+        cfg = load_config(args.config, (args.set or []) + (args.shorthands or []))
         model = model_from_config(cfg["model"])
         grid = grid_from_config(cfg["grid"])
         s, r, d = cfg["sim"], cfg["regularize"], cfg["dual"]
@@ -285,9 +286,6 @@ def _prepare(args):
             raise ConfigError(f"sim.x0 needs {model.dim} entries, got {len(sim.x0)}")
         if not sim.t0 < model.horizon_T:
             raise ConfigError(f"sim.t0 {sim.t0} must be below horizon_T {model.horizon_T}")
-        margin = s["margin"] if getattr(args, "margin", None) is None else args.margin
-        y0 = s["y0"] if getattr(args, "y0", None) is None else args.y0
-        mid = d["mid"] if getattr(args, "mid", None) is None else args.mid
         if r["B"] is None:  # central half of the grid in every axis, full time range
             box = regularize.Box(
                 0.0, model.horizon_T,
@@ -305,9 +303,9 @@ def _prepare(args):
             raise ConfigError(f"regularize.check_shape needs two entries >= 1, got {list(check_shape)}")
         run = SimpleNamespace(
             cfg=cfg, out_dir=args.out or cfg["output"]["directory"], model=model, grid=grid,
-            sim=sim, margin=float(margin),
+            sim=sim, margin=float(s["margin"]),
             # an explicit start level is taken verbatim, margin applies to auto only
-            y0=None if y0 == "auto" else float(y0),
+            y0=None if s["y0"] == "auto" else float(s["y0"]),
             box=box, eta=float(r["eta"]), tol=float(r["tol"]),
             eps_ladder=tuple(float(e) for e in r["eps_ladder"]),
             check_shape=check_shape,
@@ -316,7 +314,7 @@ def _prepare(args):
                  if r["phi"].startswith("v-plus-margin:") else (r["phi"], 0.0)),
             dual=SimpleNamespace(
                 **{key: int(d[key]) for key in ("knots", "degree", "paths", "seed", "substeps")},
-                eps=float(d["eps"]), mid=None if mid is None else float(mid)),
+                eps=float(d["eps"]), mid=None if d["mid"] is None else float(d["mid"])),
         )
         os.makedirs(run.out_dir, exist_ok=True)
     return run
@@ -479,18 +477,26 @@ def build_parser():
         p.add_argument("-c", "--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--set", action="append", metavar="PATH=VALUE")
-        p.add_argument("--plots", action="store_true")
-        p.add_argument("--override-assumptions", action="store_true")
-        p.set_defaults(func=fn)
+        if name in ("solve", "regularize", "simulate"):
+            p.add_argument("--plots", action="store_true")
+        if name != "dual":
+            p.add_argument("--override-assumptions", action="store_true")
+        p.set_defaults(func=fn, shorthands=None)
         if name == "simulate":
             p.add_argument("--surface", default=None)
             p.add_argument("--adversary", default="all")
-            p.add_argument("--y0", default=None)
-            p.add_argument("--margin", type=float, default=None)
+            p.add_argument("--y0", **_shorthand("sim.y0"))
+            p.add_argument("--margin", **_shorthand("sim.margin"))
             p.add_argument("--per-path-csv", action="store_true")
         if name == "dual":
-            p.add_argument("--mid", type=float, default=None)
+            p.add_argument("--mid", **_shorthand("dual.mid"))
     return parser
+
+
+def _shorthand(path):
+    """A flag that stands for --set PATH=VALUE (see _prepare)."""
+    return {"dest": "shorthands", "action": "append", "metavar": "VALUE",
+            "type": lambda value: f"{path}={value}"}
 
 
 def _emit_error(kind, code, message):

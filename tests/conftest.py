@@ -200,6 +200,29 @@ def mollifier_oracle(smooth, t, x):
 
 
 # ---------------------------------------------------------------------------
+# inf-convolution oracle: every source of every line, one axis at a time
+# ---------------------------------------------------------------------------
+
+
+def inf_convolution_oracle(values, k, coords):
+    """O(n^2) per axis: (envelope, argmin multi-index) of ``inf_convolution``.
+
+    Along each axis, node p's candidates w[..., q] + k (c[p] - c[q])^2 over
+    every source q are reduced with ``min`` and ``argmin`` (first index on
+    ties); the earlier axes' argmins are gathered through the new one.
+    """
+    out = np.asarray(values, dtype=float)
+    args = []
+    for ax, c in enumerate(coords):
+        c = np.asarray(c, dtype=float)
+        cand = np.moveaxis(out, ax, -1)[..., None, :] + k * (c[:, None] - c[None, :]) ** 2
+        out = np.moveaxis(cand.min(axis=-1), -1, ax)
+        win = np.moveaxis(cand.argmin(axis=-1), -1, ax)
+        args = [np.take_along_axis(a, win, axis=ax) for a in args] + [win]
+    return out, np.stack(args, axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # per-pair sweep oracle: the backward sweep with one hedged-drift read per
 # (adverse point, shake) pair, per probe and per fixed-point round, each read
 # through the mu_Y and u_hat closures (never a frozen coefficient read)

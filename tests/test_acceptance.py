@@ -33,6 +33,8 @@ from hedgegame.regularize import (
 )
 
 from conftest import (
+    _C_SPACE,
+    _bump,
     bs_call,
     bs_call_spread,
     bs_singleton_model,
@@ -208,9 +210,8 @@ def test_criterion_6_mollifier():
     lin = SmoothSurface(t, [ax], np.tile(ax, (241, 1)), 0.05)
     lin_ok = abs(lin.value(0.5, np.array([0.123])) - 0.123) <= 1e-10
     quad = SmoothSurface(t, [ax], np.tile(ax**2, (241, 1)), 0.2)
-    from hedgegame.regularize import MollifierKernel
     nodes, wts = np.polynomial.legendre.leggauss(32)
-    m2 = float(np.sum(wts * nodes**2 * MollifierKernel().space_value(nodes)))
+    m2 = float(np.sum(wts * nodes**2 * _C_SPACE * _bump(nodes)))
     quad_got = quad.value(0.5, np.array([0.1]))
     quad_ok = abs(quad_got - (0.01 + m2 * 0.04)) <= 5e-5
 

@@ -276,6 +276,40 @@ class TestExitCodeContract:
         err = error_payload(capsys)
         assert err["kind"] == "config" and err["code"] == 2
 
+    @pytest.mark.parametrize("command, flag", [
+        ("price", "--plots"), ("dual", "--plots"), ("dual", "--override-assumptions"),
+    ])
+    def test_flag_the_command_would_ignore_exit_2(self, tmp_path, capsys, command, flag):
+        path = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-c", path, "--out", str(tmp_path / "out"), flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, override, artifact", [
+        ("simulate", ["--margin", "0.1"], "sim.margin=0.1", "simreport.json"),
+        ("simulate", ["--y0", "1.5"], "sim.y0=1.5", "simreport.json"),
+        ("dual", ["--mid", "0.5"], "dual.mid=0.5", "dual.json"),
+    ], ids=["margin", "y0", "mid"])
+    def test_shorthand_flag_is_its_set_entry(self, tmp_path, command, flag, override, artifact):
+        cfg = base_config()
+        cfg["sim"]["paths"] = 50
+        cfg["dual"] = {"knots": 4, "paths": 500, "substeps": 5}
+        path = write_config(tmp_path, cfg)
+        key = override.split("=")[0]
+        runs = {}
+        # the flag applies after every --set entry, wherever it stands
+        for name, extra in (("none", []), ("set", ["--set", override]),
+                            ("flag", flag + ["--set", f"{key}=0.25"])):
+            out = tmp_path / name
+            argv = [command, "-c", path, "--out", str(out)] + extra
+            assert main(argv + (["--adversary", "constant:0"] if command == "simulate" else [])) == 0
+            runs[name] = (json.loads((out / "manifest.json").read_text())["config_hash"],
+                          json.loads((out / artifact).read_text()))
+        assert runs["flag"] == runs["set"]
+        assert runs["flag"][0] != runs["none"][0]
+        assert runs["flag"][1] != runs["none"][1]
+
     def test_missing_surface_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
         rc = main(["simulate", "-c", path, "--out", str(tmp_path / "sim"),
