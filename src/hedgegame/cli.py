@@ -466,9 +466,16 @@ def cmd_dual(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors (exit 2, one
+    JSON error object); its subcommand parsers share the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="hedgegame",
-                                     description="worst-case super-hedging engine")
+    parser = _Parser(prog="hedgegame", description="worst-case super-hedging engine")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("price", cmd_price), ("solve", cmd_solve),
                      ("regularize", cmd_regularize), ("simulate", cmd_simulate),
@@ -505,8 +512,8 @@ def _emit_error(kind, code, message):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         _emit_error("config", EXIT_CONFIG, exc)

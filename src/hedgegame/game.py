@@ -187,42 +187,58 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
              n_paths: int, n_steps: int, seed: int) -> SimReport:
     """Euler-Maruyama game run with shared Brownian increments per path.
 
-    Each step the adversary emits its control from (t_n, X_n) and its own
-    random stream, the strategy reads the surface gradient once for all
-    paths, then each adverse point's paths make one frozen coefficient read
-    (``coefficients_at``) and X and Y advance on the same increments. Y
-    diffuses with z = sigma_X^T Dw, the row the hedge u_hat(z) matches
+    The increments are drawn from ``seed`` before play, so every adversary
+    run with one seed meets the same draws. Each step the adversary emits
+    its control from (t_n, X_n) and its own random stream, the strategy
+    reads the surface gradient once for all paths, then each adverse
+    point's paths make one frozen coefficient read (``coefficients_at``)
+    and X and Y advance on the same increments. Paths are split per adverse
+    point by integer indices, and not at all when one point holds them all.
+    Y diffuses with z = sigma_X^T Dw, the row the hedge u_hat(z) matches
     (``validate_assumptions``: ``inversion_u_hat``), and drifts with the
     hedged drift at z. Non-finite paths are excluded and counted.
     """
+    dW = _increments(model, t0, n_paths, n_steps, seed)
+    return _play(model, strategy, adversary, t0, x0, y0, dW, seed)
+
+
+def _increments(model: ModelSpec, t0, n_paths, n_steps, seed):
+    """The (n_steps, n_paths, d) Brownian increments of a game run on
+    [t0, T]: the first stream spawned from ``seed``."""
     if n_steps < 1:
         raise HedgeGameError("n_steps must be >= 1")
     T = model.horizon_T
     if not t0 < T:
         raise HedgeGameError(f"start time t0 = {t0} must be below the horizon T = {T}")
-    d = model.dim
+    brown_ss, _ = np.random.SeedSequence(int(seed)).spawn(2)
+    dW = np.random.Generator(np.random.Philox(brown_ss)).standard_normal((n_steps, n_paths, model.dim))
+    dW *= np.sqrt((T - t0) / n_steps)
+    return dW
+
+
+def _play(model, strategy, adversary, t0, x0, y0, dW, seed) -> SimReport:
+    """``simulate`` on the increments ``dW``; the adversary draws from the
+    second stream spawned from ``seed``."""
+    n_steps, n_paths, d = dW.shape
     n_A = len(model.A_points)
-    dt = (T - t0) / n_steps
-    sqdt = np.sqrt(dt)
-    ss = np.random.SeedSequence(int(seed))
-    brown_ss, adv_ss = ss.spawn(2)
-    rng_w = np.random.Generator(np.random.Philox(brown_ss))
-    dW = rng_w.standard_normal((n_steps, n_paths, d)) * sqdt
+    dt = (model.horizon_T - t0) / n_steps
 
     if isinstance(adversary, ConstantAdversary):
         if not 0 <= adversary.a_index < n_A:
             raise HedgeGameError(f"adversary index {adversary.a_index} out of range")
-        plan = np.full((n_steps, n_paths), adversary.a_index, dtype=np.int64)
+        controls = lambda n, X: adversary.a_index
     elif isinstance(adversary, PiecewiseRandomAdversary):
+        _, adv_ss = np.random.SeedSequence(int(seed)).spawn(2)
         rng_a = np.random.Generator(np.random.Philox(adv_ss))
         switch_u = rng_a.random((n_steps, n_paths))
         choice_u = rng_a.random((n_steps, n_paths))
         p_switch = 1.0 - np.exp(-adversary.switch_rate * dt)
         plan = PiecewiseRandomAdversary.controls_from_draws(switch_u, choice_u, n_A, p_switch)
+        controls = lambda n, X: plan[n]
     elif isinstance(adversary, MarkovWorstAdversary):
         if adversary.surface.a_count != n_A:
             raise HedgeGameError("worst-case adversary needs an unshaken policy surface")
-        plan = None
+        controls = lambda n, X: _worst_lookup(adversary.surface, t0 + n * dt, X)
     else:
         raise HedgeGameError(f"unknown adversary {adversary!r}")
 
@@ -231,17 +247,15 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
     clamp_before = strategy.clamped
     for n in range(n_steps):
         t_n = t0 + n * dt
-        a_idx = plan[n] if plan is not None else _worst_lookup(adversary.surface, t_n, X)
+        a_idx = controls(n, X)
         grad = strategy.gradient(t_n, X)
-        for j in range(n_A):
-            mask = a_idx == j
-            if not np.any(mask):
-                continue
-            xm, ym, wm = X[mask], Y[mask], dW[n][mask]
+        for j, rows in _split(a_idx, n_A):
+            xm, ym, wm = X[rows], Y[rows], dW[n][rows]
             mu, sig, drift = coefficients_at(model, t_n, xm, model.A_points[j])
-            z = np.einsum("...ji,...j->...i", sig, grad[mask])
-            X[mask] = xm + mu * dt + np.einsum("...ij,...j->...i", sig, wm)
-            Y[mask] = ym + drift(ym, z) * dt + np.einsum("...i,...i->...", z, wm)
+            z = np.einsum("...ji,...j->...i", sig, grad[rows])
+            # Y first: xm may be a view of X that a closure drift reads lazily
+            Y[rows] = ym + drift(ym, z) * dt + np.einsum("...i,...i->...", z, wm)
+            X[rows] = xm + mu * dt + np.einsum("...ij,...j->...i", sig, wm)
 
     finite = np.isfinite(Y) & np.all(np.isfinite(X), axis=1)
     excluded = int(n_paths - finite.sum())
@@ -264,6 +278,22 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
         shortfall=shortfall,
         terminal_gap=gap,
     )
+
+
+def _split(a_idx, n_A):
+    """(adverse index, path rows) for each adverse point that holds paths
+    under the controls ``a_idx``: integer indices, or a slice of every path
+    (a view, no gather) when one point holds them all."""
+    if np.ndim(a_idx) == 0:
+        return [(int(a_idx), slice(None))]
+    parts = []
+    for j in range(n_A):
+        rows = np.flatnonzero(a_idx == j)
+        if rows.size == a_idx.size:
+            return [(j, slice(None))]
+        if rows.size:
+            parts.append((j, rows))
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +347,8 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
 
     Runs the feedback hedge against each constant adverse point, a randomly
     switching adversary and the worst-case policy feedback, all on the same
-    Brownian increments (shared-seed coupling). PASS iff every run keeps
+    Brownian increments, drawn once: each run is the ``simulate`` run with
+    the same arguments, bit for bit. PASS iff every run keeps
     shortfall_prob(tol_sim) <= p_sim over at least one path, with no
     excluded paths; a run without a finite path is no evidence and fails.
     """
@@ -331,11 +362,11 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
         pol_src = source
     if pol_src is not None:
         adversaries.append(MarkovWorstAdversary(pol_src))
+    dW = _increments(model, sim.t0, sim.paths, sim.steps, sim.seed)
     reports = []
     ok = True
     for adv in adversaries:
-        rep = simulate(model, strategy, adv, sim.t0, np.asarray(sim.x0, dtype=float),
-                       y0, sim.paths, sim.steps, sim.seed)
+        rep = _play(model, strategy, adv, sim.t0, np.asarray(sim.x0, dtype=float), y0, dW, sim.seed)
         reports.append(rep)
         if rep.excluded_paths > 0 or rep.shortfall.size == 0 \
                 or rep.shortfall_prob(sim.tol_sim) > sim.p_sim:

@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, coefficients_at,
-                    min_generator_field, validate_assumptions)
+                    market_coefficients, market_read, min_generator_field, validate_assumptions)
 
 _PROBE_H = 1e-6
 _FP_TOL = 1e-10
@@ -276,9 +276,44 @@ class _LayerOps:
         self.p_cen = np.stack(self.cen, axis=-1)
 
 
-def _adverse_terms(model, t_eff, x_rows, ops: _LayerOps, a):
-    """Discrete-generator pieces of the m pairs of one adverse point that
-    share the clamped time ``t_eff``; ``x_rows`` stacks their shifted meshes.
+def _frozen_reads(model, groups, n_nodes, drop_equal):
+    """One frozen coefficient read per (A index, clamped time) group of
+    pairs, as an iterable of (stack rows, (mu, sig, drift)), and the pair
+    index of each stack row (None: row j is pair j).
+
+    With ``drop_equal`` the group's raw market read is split per pair, and a
+    pair whose read equals bit for bit that of a lower pair of the same
+    adverse point gets no stack row: its row would equal that pair's.
+    """
+    if not drop_equal:
+        return ((idx, coefficients_at(model, t_eff, np.concatenate(rows), model.A_points[i_a]))
+                for (i_a, t_eff), (idx, rows) in groups.items()), None
+    lowest = {}  # read bits -> (pair, group, shifted mesh, read) of the lowest pair reading them
+    for (i_a, t_eff), (idx, rows) in groups.items():
+        read = market_read(model.finance, t_eff, np.concatenate(rows), model.A_points[i_a])
+        for m, j in enumerate(idx):
+            part = [r[m * n_nodes:(m + 1) * n_nodes] for r in read]
+            key = (i_a, *[r.tobytes() for r in part])  # bits: -0.0 and 0.0 stay apart
+            if key not in lowest or j < lowest[key][0]:
+                lowest[key] = (j, (i_a, t_eff), rows[m], part)
+    # stack rows in ascending pair order, so argmin ties still go to the lowest pair
+    kept = sorted(lowest.values(), key=lambda entry: entry[0])
+    by_group = {}
+    for row, (_, group, x, part) in enumerate(kept):
+        by_group.setdefault(group, []).append((row, x, part))
+    reads = []
+    for (i_a, t_eff), members in by_group.items():
+        rows, xs, parts = zip(*members)
+        x, read = xs[0], parts[0]
+        if len(members) > 1:
+            x, read = np.concatenate(xs), [np.concatenate(p) for p in zip(*parts)]
+        reads.append((list(rows), market_coefficients(read, t_eff, x, model.A_points[i_a])))
+    return reads, np.asarray([entry[0] for entry in kept], dtype=np.int32)
+
+
+def _adverse_terms(coeffs, ops: _LayerOps):
+    """Discrete-generator pieces of the m pairs of one frozen read
+    ``coeffs`` = (mu, sig, drift), taken on their m stacked shifted meshes.
 
     Returns (z_c, const, f0, drift): the z rows; const = everything except
     the hedged drift (the drift/diffusion terms with the p-dependence
@@ -286,9 +321,9 @@ def _adverse_terms(model, t_eff, x_rows, ops: _LayerOps, a):
     upwind differences); f0 = the hedged drift at y = v_next (the first
     round, read with the 2d probes); drift = the group's frozen (y, z) drift.
     """
-    d = x_rows.shape[-1]
-    shape = (x_rows.shape[0] // ops.center.size,) + ops.center.shape
-    mu, sig, drift = coefficients_at(model, t_eff, x_rows, a)
+    mu, sig, drift = coeffs
+    d = mu.shape[-1]
+    shape = (mu.shape[0] // ops.center.size,) + ops.center.shape
     mu, sig = mu.reshape(shape + (d,)), sig.reshape(shape + (d, d))
     Sig = np.einsum("...ik,...jk->...ij", sig, sig)
     z_c = np.einsum("...ji,...j->...i", sig, ops.p_cen)
@@ -322,6 +357,13 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     listed base-point shifts of (t, x), with shifted times clamped to
     [0, T]. ``pad_layers`` extends the sweep below t = 0 with coefficients
     frozen at their t = 0 values.
+
+    Coefficients are read once per layer and (adverse point, clamped time)
+    group of pairs. For a model with a ``finance`` spec and several shifts,
+    a pair whose market read (mu, sigma and both rates on its shifted mesh)
+    equals bit for bit that of a lower pair of its adverse point is left
+    out of the minimum: its generator row would be the same bits, and the
+    policy keeps the lowest pair index of a tie either way.
 
     Refuses to run when the K-based stability number exceeds 1; the
     semilinear wealth term is resolved per node by damped fixed-point
@@ -359,6 +401,8 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
 
     Xf = X.reshape(-1, grid.dim)
     n_b = len(pairs) // len(model.A_points)  # shifts per adverse point (pairs are A-major)
+    # with one shift nothing can drop, and the comparison would only cost time
+    drop_equal = model.finance is not None and n_b > 1
     max_iters_seen = 0
     for k in range(n_layers - 1, -1, -1):
         t_k = float(t_vals[k])
@@ -371,13 +415,14 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
             idx, rows = groups.setdefault((j // n_b, t_eff), ([], []))
             idx.append(j)
             rows.append(x_eff)
-        terms = [(idx, *_adverse_terms(model, t_eff, np.concatenate(rows), ops, model.A_points[i_a]))
-                 for (i_a, t_eff), (idx, rows) in groups.items()]
+        reads, pair_of_row = _frozen_reads(model, groups, Xf.shape[0], drop_equal)
+        terms = [(rows, *_adverse_terms(coeffs, ops)) for rows, coeffs in reads]
+        n_rows = sum(len(term[0]) for term in terms)
 
         y = v_next.copy()
         converged = False
         for it in range(_FP_MAX_ITERS):
-            stack = np.empty((len(pairs),) + y.shape)
+            stack = np.empty((n_rows,) + y.shape)
             for idx, z_c, const, f0, drift in terms:
                 y_rows = np.concatenate([y.reshape(-1)] * len(idx))
                 f = f0 if it == 0 else np.asarray(drift(y_rows, z_c))
@@ -398,7 +443,8 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
                 f"residual {delta:.3e}"
             )
         values[k] = y
-        policy[k] = np.argmin(stack, axis=0).astype(np.int32)
+        best = np.argmin(stack, axis=0)
+        policy[k] = best if pair_of_row is None else pair_of_row[best]
 
     g_abs = float(np.max(np.abs(values[-1])))
     K = model.lipschitz_K

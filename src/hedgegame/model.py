@@ -20,8 +20,10 @@ must be row-wise pure: row i of the output depends only on row i of the
 inputs, because a batch may stack several shifted meshes and probes.
 
 The solvers read a model with a ``finance`` spec through that spec, once per
-(t, x, a) for all fixed-point rounds (``coefficients_at``); its closures must
-compute the same, as ``make_finance_model`` builds them. ``dataclasses.replace``
+(t, x, a) for all fixed-point rounds (``coefficients_at``; the shaken sweep
+compares raw ``market_read``s and derives from them with
+``market_coefficients``); its closures must compute the same, as
+``make_finance_model`` builds them. ``dataclasses.replace``
 keeps ``finance``, so a copy that replaces a closure by other values must
 replace or clear ``finance`` too, or ``validate_assumptions`` fails the copy.
 ``coefficients_at`` and ``min_generator_field`` also take a 1-d numpy array
@@ -180,17 +182,22 @@ def _per_time(f, t, x, a):
     return np.stack([np.asarray(f(float(s), x, a), dtype=float) for s in t])
 
 
-def _market_read(finance: FinanceSpec, t, x, a):
-    """mu, sigma and the wealth drift (y, u) -> u.(mu + gamma/2) + rho, read once."""
-    mu, sig = _per_time(finance.mu, t, x, a), _per_time(finance.sigma, t, x, a)
-    rl, rb = _per_time(finance.r_lend, t, x, a), _per_time(finance.r_borrow, t, x, a)
+def market_read(finance: FinanceSpec, t, x, a):
+    """The raw market read (mu, sigma, r_lend, r_borrow) at (t, x, a), float
+    arrays; every coefficient of a finance model derives from it."""
+    return (_per_time(finance.mu, t, x, a), _per_time(finance.sigma, t, x, a),
+            _per_time(finance.r_lend, t, x, a), _per_time(finance.r_borrow, t, x, a))
+
+
+def _wealth(mu, sig, rl, rb):
+    """The wealth drift (y, u) -> u.(mu + gamma/2) + rho of one market read."""
     mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
 
     def wealth(y, u):
         cash = np.asarray(y, dtype=float) - u.sum(axis=-1)
         return (u * mg).sum(axis=-1) + _financing(cash, rl, rb)
 
-    return mu, sig, wealth
+    return wealth
 
 
 def _hedge_map(sig, t, x, a):
@@ -242,9 +249,7 @@ def coefficients_at(model: ModelSpec, t, x, a):
     as one batch of k copies of x and y."""
     x = np.asarray(x, dtype=float)
     if model.finance is not None:
-        mu, sig, wealth = _market_read(model.finance, t, x, a)
-        hedge = _hedge_map(sig, t, x, a)
-        return mu, sig, lambda y, z: wealth(y, hedge(z))
+        return market_coefficients(market_read(model.finance, t, x, a), t, x, a)
 
     def drift_at(s, y, z):
         if np.ndim(z) == np.ndim(x):
@@ -260,6 +265,14 @@ def coefficients_at(model: ModelSpec, t, x, a):
                         axis=ax)
 
     return _per_time(model.mu_X, t, x, a), _per_time(model.sigma_X, t, x, a), drift
+
+
+def market_coefficients(read, t, x, a):
+    """``coefficients_at`` of a finance model, derived from its ``market_read``
+    at (t, x, a) without a further closure call."""
+    mu, sig = read[0], read[1]
+    wealth, hedge = _wealth(*read), _hedge_map(sig, t, x, a)
+    return mu, sig, lambda y, z: wealth(y, hedge(z))
 
 
 def mu_Y_hat(t, x, y, z, a, model: ModelSpec):
@@ -397,7 +410,7 @@ def make_finance_model(
     """
 
     def mu_Y(t, x, y, u, a):
-        wealth = _market_read(finance, t, np.atleast_2d(np.asarray(x, dtype=float)), a)[2]
+        wealth = _wealth(*market_read(finance, t, np.atleast_2d(np.asarray(x, dtype=float)), a))
         return wealth(y, np.atleast_2d(np.asarray(u, dtype=float)))
 
     def sigma_Y(t, x, y, u, a):

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import dataclasses
 import math
 from itertools import product
 
@@ -82,6 +83,21 @@ def uncertain_vol_model(vols=(0.1, 0.3), payoff_kind="call", strike=1.0, T=1.0,
         A_points=[np.array([v]) for v in vols],
         horizon_T=T, lipschitz_K=max(vols),
     )
+
+
+def x_varying_vol_model(time_factor=False):
+    """Uncertain vol {0.1, 0.3} scaled by 1 + 0.1 sin(x), and by 1 + t with
+    ``time_factor``, so every x-shift (and time shift) reads its own vol."""
+
+    def sigma(t, x, a):
+        s = float(a[0]) * (1.0 + 0.1 * np.sin(np.asarray(x)[..., 0]))
+        if time_factor:
+            s = s * (1.0 + t)
+        return s[..., None, None] * np.eye(1)
+
+    fin = dataclasses.replace(finance_spec(r_lend=0.01, r_borrow=0.04), sigma=sigma)
+    return make_finance_model(fin, make_payoff("call", strike=1.0), 1,
+                              [np.array([0.1]), np.array([0.3])], 1.0, 0.6)
 
 
 @pytest.fixture(scope="session")

@@ -281,10 +281,20 @@ class TestExitCodeContract:
     ])
     def test_flag_the_command_would_ignore_exit_2(self, tmp_path, capsys, command, flag):
         path = write_config(tmp_path, base_config())
+        assert main([command, "-c", path, "--out", str(tmp_path / "out"), flag]) == 2
+        err = capsys.readouterr().err.strip()
+        payload = json.loads(err)  # one JSON object, no usage text
+        assert payload["error"]["kind"] == "config" and payload["error"]["code"] == 2
+        assert "unrecognized arguments" in payload["error"]["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["price", "--help"]], ids=["top", "price"])
+    def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main([command, "-c", path, "--out", str(tmp_path / "out"), flag])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr()
+        assert out.out.startswith("usage: hedgegame") and out.err == ""
 
     @pytest.mark.parametrize("command, flag, override, artifact", [
         ("simulate", ["--margin", "0.1"], "sim.margin=0.1", "simreport.json"),

@@ -24,6 +24,7 @@ from conftest import (
     finance_spec,
     simulate_oracle,
     uncertain_vol_model,
+    x_varying_vol_model,
 )
 
 
@@ -212,6 +213,8 @@ class TestFrozenGameStep:
         model, surf = uv_surface
         smooth = SmoothSurface(surf.t, surf.axes, surf.values, 0.05)
         closure_only = dataclasses.replace(model, finance=None)
+        xvol = x_varying_vol_model()
+        xvol_closure_only = dataclasses.replace(xvol, finance=None)  # drift reads x
         model2 = uncertain_vol_model(dim=2)
         surf2 = analytic_surface_2d(model2)
         random = PiecewiseRandomAdversary(4.0)
@@ -224,6 +227,9 @@ class TestFrozenGameStep:
             ("smooth-worst", model, smooth, MarkovWorstAdversary(surf), 0.1, (0.0,)),
             ("closure-only-random", closure_only, surf, random, 0.0, (0.0,)),
             ("closure-only-worst", closure_only, smooth, MarkovWorstAdversary(surf), 0.1, (0.0,)),
+            ("xvol-constant", xvol, surf, ConstantAdversary(1), 0.0, (0.0,)),
+            ("xvol-closure-only-constant", xvol_closure_only, surf, ConstantAdversary(1), 0.0, (0.0,)),
+            ("xvol-closure-only-random", xvol_closure_only, smooth, random, 0.1, (0.3,)),
             ("d2-random", model2, surf2, random, 0.0, (0.0, 0.2)),
             ("d2-constant", model2, surf2, ConstantAdversary(0), 0.0, (1.3, -1.3)),
         ]
@@ -322,6 +328,40 @@ class TestAdversaries:
             simulate(model, make_strategy(surf, model),
                      MarkovWorstAdversary(shaken.surface),
                      0.0, np.array([0.0]), 0.2, 10, 5, seed=1)
+
+
+class TestSharedIncrements:
+    """``superhedge_check`` draws the increments once for all adversaries;
+    each of its runs is the standalone ``simulate`` run, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["uncertain-vol", "bs-singleton"])
+    def test_check_runs_are_simulate_runs(self, uv_surface, bs_surface, monkeypatch, case):
+        model, surf = uv_surface if case == "uncertain-vol" else bs_surface
+        splits = []
+        split = game._split
+
+        def recorded_split(a_idx, n_A):
+            parts = split(a_idx, n_A)
+            splits.append([isinstance(rows, slice) for _, rows in parts])
+            return parts
+
+        monkeypatch.setattr(game, "_split", recorded_split)
+        sim = SimParams(x0=(0.1,), paths=1500, steps=80, seed=21)
+        check = superhedge_check(model, surf, 0.0, sim)
+        n_A = len(model.A_points)
+        adversaries = [ConstantAdversary(i) for i in range(n_A)]
+        adversaries += [PiecewiseRandomAdversary(sim.switch_rate), MarkovWorstAdversary(surf)]
+        assert [r.adversary for r in check.reports] == [a.label() for a in adversaries]
+        for rep, adv in zip(check.reports, adversaries):
+            solo = simulate(model, make_strategy(surf, model), adv, sim.t0, np.asarray(sim.x0),
+                            check.y0, sim.paths, sim.steps, sim.seed)
+            assert np.array_equal(rep.terminal_gap, solo.terminal_gap), rep.adversary
+            assert np.array_equal(rep.shortfall, solo.shortfall), rep.adversary
+            assert rep.excluded_paths == solo.excluded_paths, rep.adversary
+            assert rep.clamped_queries == solo.clamped_queries, rep.adversary
+        # with two adverse points the paths split; with one they are never indexed
+        assert any(len(parts) > 1 for parts in splits) == (n_A > 1)
+        assert all(parts == [True] for parts in splits if len(parts) == 1)
 
 
 class TestSuperhedgeCheck:

@@ -14,9 +14,8 @@ from hedgegame.hjb import (
     solve,
 )
 from hedgegame import hjb
-from hedgegame.model import (FinanceSpec, HedgeGameError, ModelSpec, coefficients_at,
-                             make_finance_model, make_payoff, make_single_rate_model,
-                             shake_lattice)
+from hedgegame.model import (FinanceSpec, HedgeGameError, ModelSpec, make_finance_model,
+                             make_payoff, make_single_rate_model, market_read, shake_lattice)
 
 from conftest import (
     bs_call,
@@ -28,6 +27,7 @@ from conftest import (
     residual_oracle,
     sweep_oracle,
     uncertain_vol_model,
+    x_varying_vol_model,
 )
 
 
@@ -350,15 +350,15 @@ class TestStackedSweep:
                                    shake_points=shake_lattice(0.05, 1))
 
     def test_call_counts(self, monkeypatch):
-        # one coefficient read per (A index, clamped time) group and layer; it
+        # one market read per (A index, clamped time) group and layer; it
         # reads finance.sigma once and the preset mu_Y and u_hat never run
         reads = [0]
 
         def counted_read(*args):
             reads[0] += 1
-            return coefficients_at(*args)
+            return market_read(*args)
 
-        monkeypatch.setattr(hjb, "coefficients_at", counted_read)
+        monkeypatch.setattr(hjb, "market_read", counted_read)
         fin = finance_spec()
         sigma_reads = [0]
 
@@ -380,6 +380,94 @@ class TestStackedSweep:
         assert reads[0] == groups
         assert sigma_reads[0] == groups
         assert counts["mu_Y"] == counts["u_hat"] == 0
+
+    @staticmethod
+    def kept_rows(monkeypatch, model, grid, eps, pad_layers=10):
+        """(surface, shakes, stack rows built per layer in the order of
+        ``surface.t``) of a shaken solve, counted where the terms are built."""
+        layers = []
+        build = hjb._adverse_terms
+
+        def counted_build(coeffs, ops):
+            if not layers or layers[-1][0] is not ops:
+                layers.append([ops, 0])
+            layers[-1][1] += coeffs[0].shape[0] // ops.center.size
+            return build(coeffs, ops)
+
+        monkeypatch.setattr(hjb, "_adverse_terms", counted_build)
+        shakes = shake_lattice(eps, model.dim)
+        surf = solve(model, grid, validate=False, pad_layers=pad_layers, shake_points=shakes)
+        assert len(layers) == len(surf.t) - 1
+        values, policy = sweep_oracle(model, grid, pad_layers=pad_layers, shake_points=shakes)
+        assert np.array_equal(surf.values, values) and np.array_equal(surf.policy, policy)
+        return surf, shakes, [n for _, n in reversed(layers)]  # the sweep runs backward
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_constant_coefficients_keep_one_pair_per_adverse_point(self, monkeypatch, dim):
+        model = uncertain_vol_model(dim=dim, r_lend=0.02, r_borrow=0.05)
+        grid = (small_grid(nx=30, nt=80) if dim == 1 else
+                GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10)))
+        surf, shakes, rows = self.kept_rows(monkeypatch, model, grid, 0.05)
+        assert len(shakes) == 2 * dim + 3
+        assert rows == [len(model.A_points)] * (len(surf.t) - 1)
+
+    @staticmethod
+    def clamped_times(surf, shakes):
+        T = surf.horizon_T
+        return [{min(max(float(tk) + b[0], 0.0), T) for b in shakes} for tk in surf.t[:-1]]
+
+    def test_time_dependent_vol_keeps_its_time_shifts(self, monkeypatch):
+        model = time_dependent_vol_model()
+        surf, shakes, rows = self.kept_rows(monkeypatch, model, small_grid(nx=30, nt=80), 0.05)
+        times = self.clamped_times(surf, shakes)
+        assert rows == [len(model.A_points) * len(ts) for ts in times]
+        assert {len(ts) for ts in times} == {1, 2, 3}  # near and below t = 0 times clamp together
+
+    def test_vol_varying_in_x_keeps_its_x_shifts(self, monkeypatch):
+        model = x_varying_vol_model()
+        surf, shakes, rows = self.kept_rows(monkeypatch, model, small_grid(nx=30, nt=80), 0.05)
+        # the three x-shifts read three vols; the two time shifts read the unshifted one
+        assert rows == [3 * len(model.A_points)] * (len(surf.t) - 1)
+
+    def test_unsorted_shifts_stack_kept_pairs_in_pair_order(self, monkeypatch):
+        # shifts out of time order interleave the clamped-time groups (t: pairs
+        # 0, 3, 4; t - eps: 1; t + eps: 2); the stack still holds the kept pairs
+        # in ascending pair order, so argmin ties go to the lowest pair
+        model = x_varying_vol_model(time_factor=True)
+        shakes = shake_lattice(0.05, 1)[[2, 0, 4, 1, 3]]
+        orders = []
+        frozen_reads = hjb._frozen_reads
+
+        def recorded(*args):
+            reads, pair_of_row = frozen_reads(*args)
+            orders.append(pair_of_row.tolist())
+            return reads, pair_of_row
+
+        monkeypatch.setattr(hjb, "_frozen_reads", recorded)
+        grid = small_grid(nx=30, nt=80)
+        surf = solve(model, grid, validate=False, pad_layers=10, shake_points=shakes)
+        values, policy = sweep_oracle(model, grid, pad_layers=10, shake_points=shakes)
+        assert np.array_equal(surf.values, values) and np.array_equal(surf.policy, policy)
+        assert list(range(10)) in orders  # every pair kept where no time clamps
+        assert all(order == sorted(order) for order in orders)
+
+    def test_closure_only_model_keeps_every_pair(self, monkeypatch):
+        model = dataclasses.replace(uncertain_vol_model(r_lend=0.02, r_borrow=0.05), finance=None)
+        surf, shakes, rows = self.kept_rows(monkeypatch, model, small_grid(nx=30, nt=80), 0.05)
+        assert rows == [len(shakes) * len(model.A_points)] * (len(surf.t) - 1)
+
+    def test_reads_apart_only_in_the_sign_of_zero_keep_both_pairs(self, monkeypatch):
+        # mu is -0.0 before t = 0.5 and 0.0 from then on: equal values, different bits
+        def mu(t, x, a):
+            return np.full(np.asarray(x).shape[:-1] + (1,), -0.0 if t < 0.5 else 0.0)
+
+        fin = dataclasses.replace(finance_spec(r_lend=0.02, r_borrow=0.05), mu=mu)
+        model = make_finance_model(fin, make_payoff("call", strike=1.0), 1,
+                                   [np.array([0.1]), np.array([0.3])], 1.0, 0.3)
+        surf, shakes, rows = self.kept_rows(monkeypatch, model, small_grid(nx=30, nt=80), 0.05)
+        signs = [len({t < 0.5 for t in ts}) for ts in self.clamped_times(surf, shakes)]
+        assert rows == [len(model.A_points) * n for n in signs]
+        assert 2 in signs
 
     @pytest.mark.parametrize("model, grid, pad_layers", [
         (bs_singleton_model(), small_grid(nx=30, nt=600), 0),
