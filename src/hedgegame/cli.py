@@ -296,6 +296,8 @@ def _prepare(args):
                                  [lo for lo, _ in r["B"]["x"]], [hi for _, hi in r["B"]["x"]])
             if len(box.x_lo) != model.dim:
                 raise ConfigError(f"regularize.B.x needs {model.dim} intervals, got {len(box.x_lo)}")
+        if sim.seed < 0 or int(d["seed"]) < 0:
+            raise ConfigError(f"sim.seed and dual.seed must be >= 0, got {sim.seed} and {d['seed']}")
         if not isinstance(r["phi"], str):
             raise ConfigError(f"unsupported regularize.phi {r['phi']!r}")
         check_shape = tuple(int(n) for n in r["check_shape"])

@@ -288,8 +288,9 @@ def dual_value_lsmc(model: ModelSpec, eps: float, t0: float, x0, lattice: Contro
     policy; the reported value is the rollout mean. Collapsing lattices
     (t0 = T) return the terminal data exactly.
     """
-    if basis_degree < 0:
-        raise HedgeGameError("basis_degree must be >= 0")
+    if basis_degree < 0 or n_paths < 1:
+        raise HedgeGameError(f"basis_degree >= 0 and n_paths >= 1 required, "
+                             f"got {basis_degree} and {n_paths}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     T = model.horizon_T
     if T - t0 <= 1e-12:

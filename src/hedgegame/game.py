@@ -11,7 +11,7 @@ reports terminal shortfall statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -196,8 +196,11 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
     point by integer indices, and not at all when one point holds them all.
     Y diffuses with z = sigma_X^T Dw, the row the hedge u_hat(z) matches
     (``validate_assumptions``: ``inversion_u_hat``), and drifts with the
-    hedged drift at z. Non-finite paths are excluded and counted.
+    hedged drift at z. Non-finite paths are excluded and counted. A run
+    needs n_paths >= 1.
     """
+    if n_paths < 1:
+        raise HedgeGameError(f"a game run needs n_paths >= 1, got {n_paths}")
     dW = _increments(model, t0, n_paths, n_steps, seed)
     return _play(model, strategy, adversary, t0, x0, y0, dW, seed)
 
@@ -205,8 +208,8 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
 def _increments(model: ModelSpec, t0, n_paths, n_steps, seed):
     """The (n_steps, n_paths, d) Brownian increments of a game run on
     [t0, T]: the first stream spawned from ``seed``."""
-    if n_steps < 1:
-        raise HedgeGameError("n_steps must be >= 1")
+    if n_steps < 1 or n_paths < 0:
+        raise HedgeGameError(f"n_steps >= 1 and n_paths >= 0 required, got {n_steps} and {n_paths}")
     T = model.horizon_T
     if not t0 < T:
         raise HedgeGameError(f"start time t0 = {t0} must be below the horizon T = {T}")
@@ -223,9 +226,8 @@ def _play(model, strategy, adversary, t0, x0, y0, dW, seed) -> SimReport:
     n_A = len(model.A_points)
     dt = (model.horizon_T - t0) / n_steps
 
+    _check_adversary(adversary, n_A)
     if isinstance(adversary, ConstantAdversary):
-        if not 0 <= adversary.a_index < n_A:
-            raise HedgeGameError(f"adversary index {adversary.a_index} out of range")
         controls = lambda n, X: adversary.a_index
     elif isinstance(adversary, PiecewiseRandomAdversary):
         _, adv_ss = np.random.SeedSequence(int(seed)).spawn(2)
@@ -236,8 +238,6 @@ def _play(model, strategy, adversary, t0, x0, y0, dW, seed) -> SimReport:
         plan = PiecewiseRandomAdversary.controls_from_draws(switch_u, choice_u, n_A, p_switch)
         controls = lambda n, X: plan[n]
     elif isinstance(adversary, MarkovWorstAdversary):
-        if adversary.surface.a_count != n_A:
-            raise HedgeGameError("worst-case adversary needs an unshaken policy surface")
         controls = lambda n, X: _worst_lookup(adversary.surface, t0 + n * dt, X)
     else:
         raise HedgeGameError(f"unknown adversary {adversary!r}")
@@ -278,6 +278,14 @@ def _play(model, strategy, adversary, t0, x0, y0, dW, seed) -> SimReport:
         shortfall=shortfall,
         terminal_gap=gap,
     )
+
+
+def _check_adversary(adversary, n_A):
+    """Raise HedgeGameError for an adversary that cannot play n_A adverse points."""
+    if isinstance(adversary, ConstantAdversary) and not 0 <= adversary.a_index < n_A:
+        raise HedgeGameError(f"adversary index {adversary.a_index} out of range")
+    if isinstance(adversary, MarkovWorstAdversary) and adversary.surface.a_count != n_A:
+        raise HedgeGameError("worst-case adversary needs an unshaken policy surface")
 
 
 def _split(a_idx, n_A):
@@ -348,9 +356,11 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
     Runs the feedback hedge against each constant adverse point, a randomly
     switching adversary and the worst-case policy feedback, all on the same
     Brownian increments, drawn once: each run is the ``simulate`` run with
-    the same arguments, bit for bit. PASS iff every run keeps
-    shortfall_prob(tol_sim) <= p_sim over at least one path, with no
-    excluded paths; a run without a finite path is no evidence and fails.
+    the same arguments, bit for bit. With one adverse point every adversary
+    plays it, so the check plays once and reports that run per adversary.
+    PASS iff every run keeps shortfall_prob(tol_sim) <= p_sim over at least
+    one path, with no excluded paths; a run without a finite path (zero
+    paths included) is no evidence and fails.
     """
     strategy = make_strategy(source, model)
     y0 = strategy.value(sim.t0, np.asarray(sim.x0, dtype=float).reshape(1, -1)) + margin
@@ -363,12 +373,15 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
     if pol_src is not None:
         adversaries.append(MarkovWorstAdversary(pol_src))
     dW = _increments(model, sim.t0, sim.paths, sim.steps, sim.seed)
-    reports = []
-    ok = True
-    for adv in adversaries:
-        rep = _play(model, strategy, adv, sim.t0, np.asarray(sim.x0, dtype=float), y0, dW, sim.seed)
-        reports.append(rep)
-        if rep.excluded_paths > 0 or rep.shortfall.size == 0 \
-                or rep.shortfall_prob(sim.tol_sim) > sim.p_sim:
-            ok = False
+    x0 = np.asarray(sim.x0, dtype=float)
+    if len(model.A_points) == 1:
+        # every adversary plays the one adverse point on the same increments
+        for adv in adversaries:
+            _check_adversary(adv, 1)
+        rep = _play(model, strategy, adversaries[0], sim.t0, x0, y0, dW, sim.seed)
+        reports = [replace(rep, adversary=adv.label()) for adv in adversaries]
+    else:
+        reports = [_play(model, strategy, adv, sim.t0, x0, y0, dW, sim.seed) for adv in adversaries]
+    ok = not any(rep.excluded_paths > 0 or rep.shortfall.size == 0
+                 or rep.shortfall_prob(sim.tol_sim) > sim.p_sim for rep in reports)
     return CheckReport(ok, float(y0), float(margin), sim.tol_sim, sim.p_sim, reports)

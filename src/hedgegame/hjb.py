@@ -276,65 +276,34 @@ class _LayerOps:
         self.p_cen = np.stack(self.cen, axis=-1)
 
 
-def _frozen_reads(model, groups, n_nodes, drop_equal):
-    """One frozen coefficient read per (A index, clamped time) group of
-    pairs, as an iterable of (stack rows, (mu, sig, drift)), and the pair
-    index of each stack row (None: row j is pair j).
-
-    With ``drop_equal`` the group's raw market read is split per pair, and a
-    pair whose read equals bit for bit that of a lower pair of the same
-    adverse point gets no stack row: its row would equal that pair's.
-    """
-    if not drop_equal:
-        return ((idx, coefficients_at(model, t_eff, np.concatenate(rows), model.A_points[i_a]))
-                for (i_a, t_eff), (idx, rows) in groups.items()), None
-    lowest = {}  # read bits -> (pair, group, shifted mesh, read) of the lowest pair reading them
-    for (i_a, t_eff), (idx, rows) in groups.items():
-        read = market_read(model.finance, t_eff, np.concatenate(rows), model.A_points[i_a])
-        for m, j in enumerate(idx):
-            part = [r[m * n_nodes:(m + 1) * n_nodes] for r in read]
-            key = (i_a, *[r.tobytes() for r in part])  # bits: -0.0 and 0.0 stay apart
-            if key not in lowest or j < lowest[key][0]:
-                lowest[key] = (j, (i_a, t_eff), rows[m], part)
-    # stack rows in ascending pair order, so argmin ties still go to the lowest pair
-    kept = sorted(lowest.values(), key=lambda entry: entry[0])
-    by_group = {}
-    for row, (_, group, x, part) in enumerate(kept):
-        by_group.setdefault(group, []).append((row, x, part))
-    reads = []
-    for (i_a, t_eff), members in by_group.items():
-        rows, xs, parts = zip(*members)
-        x, read = xs[0], parts[0]
-        if len(members) > 1:
-            x, read = np.concatenate(xs), [np.concatenate(p) for p in zip(*parts)]
-        reads.append((list(rows), market_coefficients(read, t_eff, x, model.A_points[i_a])))
-    return reads, np.asarray([entry[0] for entry in kept], dtype=np.int32)
+def _same_read(read, other) -> bool:
+    """Two market reads with the same bits (-0.0 and 0.0 stay apart)."""
+    return all(r.tobytes() == o.tobytes() for r, o in zip(read, other))
 
 
 def _adverse_terms(coeffs, ops: _LayerOps):
-    """Discrete-generator pieces of the m pairs of one frozen read
-    ``coeffs`` = (mu, sig, drift), taken on their m stacked shifted meshes.
+    """Discrete-generator pieces of one pair's frozen read ``coeffs`` =
+    (mu, sig, drift), taken on its shifted mesh.
 
     Returns (z_c, const, f0, drift): the z rows; const = everything except
     the hedged drift (the drift/diffusion terms with the p-dependence
     linearised around the centered gradient and its linear part moved onto
     upwind differences); f0 = the hedged drift at y = v_next (the first
-    round, read with the 2d probes); drift = the group's frozen (y, z) drift.
+    round, read with the 2d probes); drift = the pair's frozen (y, z) drift.
     """
     mu, sig, drift = coeffs
     d = mu.shape[-1]
-    shape = (mu.shape[0] // ops.center.size,) + ops.center.shape
+    shape = ops.center.shape
     mu, sig = mu.reshape(shape + (d,)), sig.reshape(shape + (d, d))
     Sig = np.einsum("...ik,...jk->...ij", sig, sig)
     z_c = np.einsum("...ji,...j->...i", sig, ops.p_cen)
     h = _PROBE_H * (1.0 + np.abs(z_c))
-    n_z = 2 * d + 1  # z rows per pair: +h and -h on each axis, then z_c
+    n_z = 2 * d + 1  # z rows: +h and -h on each axis, then z_c
     zs = np.repeat(z_c[None], n_z, axis=0)
     for j in range(d):
         zs[2 * j, ..., j] += h[..., j]
         zs[2 * j + 1, ..., j] -= h[..., j]
-    y0 = np.concatenate([ops.center.reshape(-1)] * shape[0])
-    f = np.asarray(drift(y0, zs.reshape(n_z, -1, d))).reshape(zs.shape[:-1])
+    f = np.asarray(drift(ops.center.reshape(-1), zs.reshape(n_z, -1, d))).reshape(zs.shape[:-1])
     fz = np.stack([(f[2 * j] - f[2 * j + 1]) / (2.0 * h[..., j]) for j in range(d)], axis=-1)
     drift_eff = mu - np.einsum("...ij,...j->...i", sig, fz)
     const = np.zeros(shape)
@@ -358,12 +327,13 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     [0, T]. ``pad_layers`` extends the sweep below t = 0 with coefficients
     frozen at their t = 0 values.
 
-    Coefficients are read once per layer and (adverse point, clamped time)
-    group of pairs. For a model with a ``finance`` spec and several shifts,
-    a pair whose market read (mu, sigma and both rates on its shifted mesh)
-    equals bit for bit that of a lower pair of its adverse point is left
-    out of the minimum: its generator row would be the same bits, and the
-    policy keeps the lowest pair index of a tie either way.
+    Each layer reads every pair once, on its own shifted mesh, for all
+    fixed-point rounds. A model with a ``finance`` spec is read through
+    ``market_read``; a pair whose read (mu, sigma and both rates) equals bit
+    for bit a kept read of its adverse point is left out of the minimum: its
+    generator row would be the same bits, and the policy keeps the lowest
+    pair index of a tie either way. The first pair of an adverse point has
+    nothing to compare against, so an unshaken solve never compares.
 
     Refuses to run when the K-based stability number exceeds 1; the
     semilinear wealth term is resolved per node by damped fixed-point
@@ -401,32 +371,33 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
 
     Xf = X.reshape(-1, grid.dim)
     n_b = len(pairs) // len(model.A_points)  # shifts per adverse point (pairs are A-major)
-    # with one shift nothing can drop, and the comparison would only cost time
-    drop_equal = model.finance is not None and n_b > 1
     max_iters_seen = 0
     for k in range(n_layers - 1, -1, -1):
         t_k = float(t_vals[k])
         v_next = values[k + 1]
         ops = _LayerOps(v_next, dx)
-        # one frozen coefficient read per (A index, clamped time) group
-        groups = {}
+        terms, kept, reads = [], [], {}  # reads: A index -> kept market reads
         for j, (a, b) in enumerate(pairs):
             t_eff, x_eff = base_point(t_k, Xf, b, T)
-            idx, rows = groups.setdefault((j // n_b, t_eff), ([], []))
-            idx.append(j)
-            rows.append(x_eff)
-        reads, pair_of_row = _frozen_reads(model, groups, Xf.shape[0], drop_equal)
-        terms = [(rows, *_adverse_terms(coeffs, ops)) for rows, coeffs in reads]
-        n_rows = sum(len(term[0]) for term in terms)
+            if model.finance is None:
+                coeffs = coefficients_at(model, t_eff, x_eff, a)
+            else:
+                read = market_read(model.finance, t_eff, x_eff, a)
+                kept_reads = reads.setdefault(j // n_b, [])
+                if any(_same_read(read, other) for other in kept_reads):
+                    continue  # its stack row would be a kept pair's, bit for bit
+                kept_reads.append(read)
+                coeffs = market_coefficients(read, t_eff, x_eff, a)
+            terms.append(_adverse_terms(coeffs, ops))
+            kept.append(j)
 
         y = v_next.copy()
         converged = False
         for it in range(_FP_MAX_ITERS):
-            stack = np.empty((n_rows,) + y.shape)
-            for idx, z_c, const, f0, drift in terms:
-                y_rows = np.concatenate([y.reshape(-1)] * len(idx))
-                f = f0 if it == 0 else np.asarray(drift(y_rows, z_c))
-                stack[idx] = f.reshape(const.shape) + const
+            stack = np.empty((len(terms),) + y.shape)
+            for row, (z_c, const, f0, drift) in enumerate(terms):
+                f = f0 if it == 0 else np.asarray(drift(y.reshape(-1), z_c))
+                stack[row] = f.reshape(const.shape) + const
             s_min = stack.min(axis=0)
             y_new = v_next - dt * s_min
             delta = float(np.max(np.abs(y_new - y)))
@@ -443,8 +414,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
                 f"residual {delta:.3e}"
             )
         values[k] = y
-        best = np.argmin(stack, axis=0)
-        policy[k] = best if pair_of_row is None else pair_of_row[best]
+        policy[k] = np.asarray(kept)[np.argmin(stack, axis=0)]
 
     g_abs = float(np.max(np.abs(values[-1])))
     K = model.lipschitz_K

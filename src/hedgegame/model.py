@@ -17,13 +17,13 @@ All coefficient callables are vectorised over one leading batch axis:
 
 ``t`` is a python float and ``a`` is one entry of ``A_points``. Closures
 must be row-wise pure: row i of the output depends only on row i of the
-inputs, because a batch may stack several shifted meshes and probes.
+inputs, because a batch may stack probes or gather a subset of paths.
 
 The solvers read a model with a ``finance`` spec through that spec, once per
-(t, x, a) for all fixed-point rounds (``coefficients_at``; the shaken sweep
-compares raw ``market_read``s and derives from them with
-``market_coefficients``); its closures must compute the same, as
-``make_finance_model`` builds them. ``dataclasses.replace``
+(t, x, a) for all fixed-point rounds (``coefficients_at``; the sweep reads
+each pair's raw ``market_read``, compares it with the kept reads of its
+adverse point and derives the rest with ``market_coefficients``); its
+closures must compute the same, as ``make_finance_model`` builds them. ``dataclasses.replace``
 keeps ``finance``, so a copy that replaces a closure by other values must
 replace or clear ``finance`` too, or ``validate_assumptions`` fails the copy.
 ``coefficients_at`` and ``min_generator_field`` also take a 1-d numpy array

@@ -572,6 +572,8 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
     """
     if eta <= 0:
         raise HedgeGameError("eta must be positive")
+    if not eps_ladder or not all(0.0 < eps <= 1.0 for eps in eps_ladder):
+        raise HedgeGameError(f"eps_ladder needs one or more eps in (0, 1], got {list(eps_ladder)}")
     T = model.horizon_T
     dt = T / grid.t_steps
     pad_layers = int(math.ceil(0.5 * max(eps_ladder) / dt)) + 2

@@ -268,6 +268,14 @@ class TestExitCodeContract:
         # one time step passes the CFL check on 4 cells but leaves no interior layer
         ("price", 'grid={"t_steps":1,"x_min":[-1.0],"x_max":[1.0],"x_steps":[4]}'),
         ("solve", 'grid={"t_steps":1,"x_min":[-1.0],"x_max":[1.0],"x_steps":[4]}'),
+        # run sizes: negative path counts and seeds, no dual path, no usable eps
+        ("simulate", "sim.paths=-1"),
+        ("simulate", "sim.seed=-3"),
+        ("dual", "dual.paths=-1"),
+        ("dual", "dual.seed=-1"),
+        ("dual", "dual.paths=0"),
+        ("regularize", "regularize.eps_ladder=[]"),
+        ("regularize", "regularize.eps_ladder=[0.0]"),
     ])
     def test_bad_section_value_exit_2(self, tmp_path, capsys, command, override):
         path = write_config(tmp_path, base_config())
@@ -275,6 +283,16 @@ class TestExitCodeContract:
         assert rc == 2
         err = error_payload(capsys)
         assert err["kind"] == "config" and err["code"] == 2
+        assert not (tmp_path / "out" / "dual.json").exists()
+
+    def test_single_adversary_zero_paths_exit_2(self, tmp_path, capsys):
+        # one game run on no path measures nothing; the full check still fails closed (exit 4)
+        path = write_config(tmp_path, base_config())
+        rc = main(["simulate", "-c", path, "--out", str(tmp_path / "out"),
+                   "--adversary", "constant:0", "--set", "sim.paths=0"])
+        assert rc == 2
+        assert error_payload(capsys)["code"] == 2
+        assert not (tmp_path / "out" / "simreport.json").exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("price", "--plots"), ("dual", "--plots"), ("dual", "--override-assumptions"),

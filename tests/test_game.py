@@ -363,6 +363,31 @@ class TestSharedIncrements:
         assert any(len(parts) > 1 for parts in splits) == (n_A > 1)
         assert all(parts == [True] for parts in splits if len(parts) == 1)
 
+    @pytest.mark.parametrize("case", ["uncertain-vol", "bs-singleton"])
+    def test_one_adverse_point_plays_once(self, uv_surface, bs_surface, monkeypatch, case):
+        # with one adverse point every adversary plays it on the same increments
+        model, surf = uv_surface if case == "uncertain-vol" else bs_surface
+        plays = []
+        play = game._play
+
+        def counted(*args):
+            plays.append(args[2].label())
+            return play(*args)
+
+        monkeypatch.setattr(game, "_play", counted)
+        check = superhedge_check(model, surf, 0.0, SimParams(x0=(0.1,), paths=300, steps=20, seed=4))
+        n_A = len(model.A_points)
+        assert len(plays) == (1 if n_A == 1 else n_A + 2)
+        assert len(check.reports) == n_A + 2
+
+    def test_one_adverse_point_still_checks_the_policy_surface(self, bs_surface):
+        model, surf = bs_surface
+        shaken = ValueSurface(surf.grid, surf.model_hash, surf.t, surf.axes, surf.values,
+                              surf.policy, a_count=5, meta={})
+        with pytest.raises(HedgeGameError, match="unshaken"):
+            superhedge_check(model, surf, 0.0, SimParams(x0=(0.0,), paths=50, steps=10),
+                             policy_surface=shaken)
+
 
 class TestSuperhedgeCheck:
     def test_constant_model_margin_zero_passes(self):

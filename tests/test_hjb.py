@@ -304,9 +304,9 @@ def counted(model, names):
 
 
 class TestStackedSweep:
-    """The sweep reads coefficients and the hedged drift once per (adverse
-    point, clamped time) on stacked rows; values and policy stay those of
-    the per-pair evaluation bit for bit."""
+    """The sweep reads each (adverse point, shake) pair once per layer on its
+    own shifted mesh and stacks one row per kept pair; values and policy
+    stay those of the per-pair closure evaluation bit for bit."""
 
     def assert_matches_oracle(self, model, grid, **kw):
         surf = solve(model, grid, validate=False, **kw)
@@ -350,8 +350,8 @@ class TestStackedSweep:
                                    shake_points=shake_lattice(0.05, 1))
 
     def test_call_counts(self, monkeypatch):
-        # one market read per (A index, clamped time) group and layer; it
-        # reads finance.sigma once and the preset mu_Y and u_hat never run
+        # one market read per (layer, pair); it reads finance.sigma once and
+        # the preset mu_Y and u_hat never run
         reads = [0]
 
         def counted_read(*args):
@@ -374,11 +374,8 @@ class TestStackedSweep:
         shakes = shake_lattice(0.05, 1)
         grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
         surf = solve(model, grid, pad_layers=10, shake_points=shakes, validate=False)
-        T = model.horizon_T
-        groups = sum(len({min(max(float(tk) + b[0], 0.0), T) for b in shakes})
-                     for tk in surf.t[:-1]) * len(model.A_points)
-        assert reads[0] == groups
-        assert sigma_reads[0] == groups
+        layer_pairs = (len(surf.t) - 1) * len(shakes) * len(model.A_points)
+        assert reads[0] == sigma_reads[0] == layer_pairs
         assert counts["mu_Y"] == counts["u_hat"] == 0
 
     @staticmethod
@@ -429,27 +426,33 @@ class TestStackedSweep:
         # the three x-shifts read three vols; the two time shifts read the unshifted one
         assert rows == [3 * len(model.A_points)] * (len(surf.t) - 1)
 
-    def test_unsorted_shifts_stack_kept_pairs_in_pair_order(self, monkeypatch):
-        # shifts out of time order interleave the clamped-time groups (t: pairs
-        # 0, 3, 4; t - eps: 1; t + eps: 2); the stack still holds the kept pairs
-        # in ascending pair order, so argmin ties go to the lowest pair
+    def test_unsorted_shifts_stack_kept_pairs_in_pair_order(self):
+        # shifts out of time order (t: pairs 0, 3, 4; t - eps: 1; t + eps: 2);
+        # the stack holds the kept pairs in pair order, so argmin ties still
+        # go to the lowest pair
         model = x_varying_vol_model(time_factor=True)
         shakes = shake_lattice(0.05, 1)[[2, 0, 4, 1, 3]]
-        orders = []
-        frozen_reads = hjb._frozen_reads
+        self.assert_matches_oracle(model, small_grid(nx=30, nt=80), pad_layers=10,
+                                   shake_points=shakes)
 
-        def recorded(*args):
-            reads, pair_of_row = frozen_reads(*args)
-            orders.append(pair_of_row.tolist())
-            return reads, pair_of_row
+    @pytest.mark.parametrize("shaken", [False, True])
+    def test_reads_compared_only_within_a_shaken_adverse_point(self, monkeypatch, shaken):
+        # the first pair of an adverse point keeps its read without a comparison,
+        # so an unshaken solve never compares; constant coefficients keep one
+        # pair per adverse point and compare every other
+        compared = [0]
+        same_read = hjb._same_read
 
-        monkeypatch.setattr(hjb, "_frozen_reads", recorded)
-        grid = small_grid(nx=30, nt=80)
-        surf = solve(model, grid, validate=False, pad_layers=10, shake_points=shakes)
-        values, policy = sweep_oracle(model, grid, pad_layers=10, shake_points=shakes)
-        assert np.array_equal(surf.values, values) and np.array_equal(surf.policy, policy)
-        assert list(range(10)) in orders  # every pair kept where no time clamps
-        assert all(order == sorted(order) for order in orders)
+        def counted(*args):
+            compared[0] += 1
+            return same_read(*args)
+
+        monkeypatch.setattr(hjb, "_same_read", counted)
+        model = uncertain_vol_model(r_lend=0.02, r_borrow=0.05)
+        shakes = shake_lattice(0.05, 1) if shaken else None
+        surf = self.assert_matches_oracle(model, small_grid(nx=30, nt=80), shake_points=shakes)
+        n_b = len(shakes) if shaken else 1
+        assert compared[0] == (len(surf.t) - 1) * len(model.A_points) * (n_b - 1)
 
     def test_closure_only_model_keeps_every_pair(self, monkeypatch):
         model = dataclasses.replace(uncertain_vol_model(r_lend=0.02, r_borrow=0.05), finance=None)
