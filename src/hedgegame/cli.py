@@ -243,8 +243,8 @@ def emit_plot_data(obj, kind: str, path, t0: float = 0.0):
         header = "bin_left\tcount"
         rows = [f"{e:.17g}\t{c}" for e, c in zip(edges[:-1], counts)]
     elif kind == "eps_curve":
-        header = "eps\tmax_B_gap"
-        rows = [f"{e:.17g}\t{c:.17g}" for e, c in obj.c_curve]
+        header = "eps\tmax_B_gap\tpruned"
+        rows = [f"{e:.17g}\t{c:.17g}\t{int(e in obj.pruned)}" for e, c in obj.c_curve]
     else:
         raise HedgeGameError(f"unknown plot kind {kind!r}")
     with open(path, "w") as fh:
@@ -371,6 +371,9 @@ def cmd_regularize(args):
     t_start = time.monotonic()
     run = _prepare(args)
     cfg, out_dir, model = run.cfg, run.out_dir, run.model
+    # an unusable ladder or a box without a node of its grid fails before any solve
+    regularize.box_nodes(model, run.grid, run.box,
+                         regularize.ladder_pad_layers(model, run.grid, run.eps_ladder))
     surface = hjb.solve(model, run.grid, validate=not args.override_assumptions)
     phi_path, phi_margin = run.phi
     phi_base = surface if phi_path is None else hjb.load_binary(phi_path)

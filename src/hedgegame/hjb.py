@@ -84,6 +84,12 @@ class GridSpec:
         """Node coordinates, shape (n1, ..., nd, d)."""
         return np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
 
+    def layer_times(self, T: float, pad_layers: int = 0) -> np.ndarray:
+        """Node times of a sweep over [0, T] extended by ``pad_layers`` steps
+        below t = 0: T - dt n for n = t_steps + pad_layers, ..., 1, then T."""
+        dt = T / self.t_steps
+        return np.concatenate([T - dt * np.arange(self.t_steps + pad_layers, 0, -1), [T]])
+
     def cfl_number(self, lipschitz_K: float, dt: float) -> float:
         """Stability number from the coefficient bound K; must stay <= 1."""
         K = float(lipschitz_K)
@@ -356,8 +362,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
         )
 
     n_layers = grid.t_steps + pad_layers
-    t_vals = T - dt * np.arange(n_layers, 0, -1)
-    t_vals = np.concatenate([t_vals, [T]])
+    t_vals = grid.layer_times(T, pad_layers)
     axes = grid.axes()
     X = grid.mesh()
     dx = grid.dx

@@ -69,6 +69,15 @@ class ShakenSurface:
         return self.surface.values
 
 
+def _terminal(model: ModelSpec, eps: float):
+    """Terminal data g + 2 eps of the shaken solve."""
+
+    def terminal(x, _g=model.payoff_g, _e=eps):
+        return _g(x) + 2.0 * _e
+
+    return terminal
+
+
 def solve_shaken(model: ModelSpec, grid: hjb.GridSpec, eps: float,
                  shake_points=None, *, pad_layers: int = 0,
                  validate: bool = False) -> ShakenSurface:
@@ -86,11 +95,7 @@ def solve_shaken(model: ModelSpec, grid: hjb.GridSpec, eps: float,
     if shake_points is None:
         shake_points = shake_lattice(eps, model.dim)
     shake_points = np.atleast_2d(np.asarray(shake_points, dtype=float))
-
-    def terminal(x, _g=model.payoff_g, _e=eps):
-        return _g(x) + 2.0 * _e
-
-    surface = hjb.solve(model, grid, pad_layers=pad_layers, terminal=terminal,
+    surface = hjb.solve(model, grid, pad_layers=pad_layers, terminal=_terminal(model, eps),
                         shake_points=shake_points, validate=validate)
     T = surface.horizon_T
     g_eps = surface.values[-1]
@@ -470,7 +475,10 @@ class CertReport:
     k: float
     delta: float
     n_checked: int
+    # (eps, c_B) per rung tried; a pruned rung's entry is its terminal-row
+    # gap, a lower bound on c_B, and its eps is in ``pruned``
     c_curve: list = field(default_factory=list)
+    pruned: list = field(default_factory=list)
 
     def to_dict(self):
         return {
@@ -485,6 +493,7 @@ class CertReport:
             "delta": float(self.delta),
             "n_checked": int(self.n_checked),
             "c_curve": [[float(e), float(c)] for e, c in self.c_curve],
+            "pruned": [float(e) for e in self.pruned],
         }
 
 
@@ -557,6 +566,38 @@ DEFAULT_EPS_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125)
 _DELTA_TRIES = 6  # mollifier widths per rung: delta0, delta0 / 2, ...
 
 
+def ladder_pad_layers(model: ModelSpec, grid: hjb.GridSpec, eps_ladder) -> int:
+    """Layers below t = 0 that every solve of the ladder adds: the reach
+    eps/2 of the widest first mollifier, plus two. The ladder needs one or
+    more eps, each in (0, 1]."""
+    if not eps_ladder or not all(0.0 < eps <= 1.0 for eps in eps_ladder):
+        raise HedgeGameError(f"eps_ladder needs one or more eps in (0, 1], got {list(eps_ladder)}")
+    return int(math.ceil(0.5 * max(eps_ladder) / (model.horizon_T / grid.t_steps))) + 2
+
+
+def box_nodes(model: ModelSpec, grid: hjb.GridSpec, B_set: Box, pad_layers: int = 0):
+    """The solve-grid nodes in B: layer indices t_sel and a space mask.
+
+    A box that holds no time node or no space node of the grid raises,
+    since every gate on B would then pass or fail on zero evidence.
+    """
+    if len(B_set.x_lo) != grid.dim or grid.dim != model.dim:
+        raise HedgeGameError(f"box B has {len(B_set.x_lo)} space axes, grid {grid.dim}, "
+                             f"model {model.dim}")
+    t = grid.layer_times(model.horizon_T, pad_layers)
+    t_sel = np.flatnonzero((t >= B_set.t_lo - 1e-12) & (t <= B_set.t_hi + 1e-12))
+    mesh = grid.mesh()
+    b_mask = np.ones(mesh.shape[:-1], dtype=bool)
+    for i in range(grid.dim):
+        b_mask &= (mesh[..., i] >= B_set.x_lo[i] - 1e-12) & (mesh[..., i] <= B_set.x_hi[i] + 1e-12)
+    if not t_sel.size or not b_mask.any():
+        raise HedgeGameError(
+            f"box B (t in [{B_set.t_lo:g}, {B_set.t_hi:g}], x from {B_set.x_lo} to {B_set.x_hi}) "
+            f"holds no {'space' if t_sel.size else 'time'} node of the solve grid (t from "
+            f"{t[0]:.6g} to {t[-1]:.6g} in {len(t) - 1} steps; {grid})")
+    return t_sel, b_mask
+
+
 def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
                                grid: hjb.GridSpec, *,
                                eps_ladder=DEFAULT_EPS_LADDER,
@@ -565,28 +606,29 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
                                validate: bool = True) -> SmoothSurface:
     """Certified smooth supersolution below phi on B, built on a ladder.
 
-    Walks eps down until the uniform gap max_B(w_eps - w_0) falls below
-    eta/2, fixes k from the displacement budget (shift at most eps/2), then
-    shrinks the mollifier width from eps/2 until the certificate passes.
-    Raises CertificationError with the best report when every rung fails.
+    Walks eps down until the uniform gap c_B = max_B(w_eps - w_0) falls
+    below eta/2, fixes k from the displacement budget (shift at most
+    eps/2), then shrinks the mollifier width from eps/2 until the
+    certificate passes. When B reaches T, the terminal row of
+    w_eps - w_0, (g + 2 eps) - g on B, is known before the rung's solve; a
+    rung whose terminal row alone exceeds eta/2 is pruned. It is not
+    solved, and it enters ``c_curve`` with that row's max, a lower bound on
+    its c_B, and the certificate's ``pruned`` list. Every solve runs on one
+    grid padded for the largest eps; a box that holds no node of it raises
+    before any solve. When every rung fails, CertificationError carries the
+    best report and names the pruned rungs.
     """
     if eta <= 0:
         raise HedgeGameError("eta must be positive")
-    if not eps_ladder or not all(0.0 < eps <= 1.0 for eps in eps_ladder):
-        raise HedgeGameError(f"eps_ladder needs one or more eps in (0, 1], got {list(eps_ladder)}")
     T = model.horizon_T
     dt = T / grid.t_steps
-    pad_layers = int(math.ceil(0.5 * max(eps_ladder) / dt)) + 2
+    pad_layers = ladder_pad_layers(model, grid, eps_ladder)
+    t_sel, b_mask = box_nodes(model, grid, B_set, pad_layers)
     base = solve_shaken(model, grid, 0.0, pad_layers=pad_layers, validate=validate)
 
     # target must clear the base solution by eta on B
-    t_sel = [k for k, tv in enumerate(base.surface.t)
-             if B_set.t_lo - 1e-12 <= tv <= B_set.t_hi + 1e-12]
-    mesh = np.stack(np.meshgrid(*base.surface.axes, indexing="ij"), axis=-1)
-    b_mask = np.ones(mesh.shape[:-1], dtype=bool)
-    for i in range(model.dim):
-        b_mask &= (mesh[..., i] >= B_set.x_lo[i] - 1e-12) & (mesh[..., i] <= B_set.x_hi[i] + 1e-12)
-    xb = mesh[b_mask]
+    X = grid.mesh()
+    xb = X[b_mask]
     for k_idx in t_sel:
         tv = float(base.surface.t[k_idx])
         gap = np.asarray(phi(tv, xb), dtype=float) - base.surface.values[k_idx][b_mask]
@@ -596,14 +638,25 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
                 f"(min gap {float(np.min(gap)):.4g} < eta {eta})"
             )
 
-    c_curve = []
+    reject = 0.5 * eta + 1e-12  # a rung with c_B above this is not used
+    # B's terminal row of the base, when B reaches T: there each rung's
+    # terminal row of w_eps - w_0 is known before its solve
+    g_0 = base.surface.values[-1][b_mask] if t_sel[-1] == len(base.surface.t) - 1 else None
+    c_curve, pruned = [], []
     best_report = None
     for eps in eps_ladder:
+        if g_0 is not None:
+            g_eps = np.asarray(_terminal(model, float(eps))(X), dtype=float)[b_mask]
+            terminal_gap = float(np.max(g_eps - g_0))
+            if terminal_gap > reject:
+                c_curve.append((float(eps), terminal_gap))
+                pruned.append(float(eps))
+                continue
         shaken = solve_shaken(model, grid, float(eps), pad_layers=pad_layers, validate=False)
         diff = shaken.surface.values[t_sel][:, b_mask] - base.surface.values[t_sel][:, b_mask]
         c_B = float(np.max(diff))
         c_curve.append((float(eps), c_B))
-        if c_B > 0.5 * eta + 1e-12:
+        if c_B > reject:
             continue
 
         w_inf = float(np.max(np.abs(shaken.surface.values)))
@@ -628,7 +681,7 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
             cg = make_check_grid(max(B_set.t_lo, 0.0), min(B_set.t_hi, t_hi),
                                  B_set.x_lo, B_set.x_hi, check_shape)
             report = verify_supersolution(smooth, model, cg, tol=tol, phi=phi, B_set=B_set)
-            report.c_curve = list(c_curve)
+            report.c_curve, report.pruned = list(c_curve), list(pruned)
             if best_report is None or report.min_residual > best_report.min_residual:
                 best_report = report
             if report.passed:
@@ -641,6 +694,8 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
     raise CertificationError(
         "shaken/mollified ladder exhausted without certification"
         + ("" if best_report is None else
-           f" (best min residual {best_report.min_residual:.3e})"),
+           f" (best min residual {best_report.min_residual:.3e})")
+        + ("" if not pruned else
+           f"; eps {pruned} pruned, their terminal gap above eta/2 = {0.5 * eta:g}"),
         report=best_report,
     )

@@ -138,7 +138,7 @@ def test_criterion_3_two_rates():
 def test_criterion_4_regularization_pipeline(certified):
     _, _, smooth = certified
     cert = smooth.certificate
-    gaps = [c for _, c in cert.c_curve]
+    gaps = [c for e, c in cert.c_curve if e not in cert.pruned]  # measured, not bounds
     monotone = all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
     ok = (cert.passed and cert.min_residual >= -1e-3
           and cert.terminal_margin >= 0.0 and monotone)
@@ -147,6 +147,20 @@ def test_criterion_4_regularization_pipeline(certified):
            f"min residual {cert.min_residual:.2e} >= -1e-3 on {cert.n_checked}-node grid; "
            f"terminal margin {cert.terminal_margin:.4f} >= 0; "
            f"eps-gap curve {gaps} monotone: {monotone}")
+
+
+def test_criterion_4_solves_only_the_certified_rung(certified):
+    # eps 0.2, 0.1 and 0.05 are pruned on their terminal gap 2 eps > eta/2 = 0.05,
+    # so the ladder solves the base and eps 0.025, which certifies
+    cert = certified[2].certificate
+    assert cert.pruned == [0.2, 0.1, 0.05]
+    assert [e for e, _ in cert.c_curve] == [0.2, 0.1, 0.05, 0.025]
+    # the pruned entries are the terminal gaps 2 eps, and the whole curve is nonincreasing
+    gaps = [c for _, c in cert.c_curve]
+    assert gaps[:3] == pytest.approx([0.4, 0.2, 0.1], rel=1e-12, abs=0.0)
+    assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+    assert (cert.eps, cert.k, cert.delta) == (0.025, 65276.0, 0.0125)
+    assert cert.min_residual == pytest.approx(-3.732417909849822e-05, rel=1e-12, abs=0.0)
 
 
 def test_criterion_5_inf_convolution_oracle():

@@ -396,8 +396,13 @@ class TestRegularizeCommand:
         cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
         assert cert["passed"] is True
         curve = (tmp_path / "out" / "eps_curve.tsv").read_text().strip().split("\n")
-        gaps = [float(line.split("\t")[1]) for line in curve[1:]]
+        # monotone over the solved rungs; a pruned rung's entry is a bound
+        gaps = [float(line.split("\t")[1]) for line in curve[1:] if line.endswith("\t0")]
         assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
+        # eps 0.2 is pruned (terminal gap 0.4 > eta/2), eps 0.1 is solved
+        assert curve[0] == "eps\tmax_B_gap\tpruned"
+        assert [line.split("\t")[2] for line in curve[1:]] == ["1", "0"]
+        assert cert["pruned"] == [0.2] and cert["c_curve"][0] == pytest.approx([0.2, 0.4])
         smooth = load_smooth(tmp_path / "out" / "smooth.bin")
         assert smooth.eps == cert["eps"]
 
@@ -442,7 +447,28 @@ class TestRegularizeCommand:
         }
         path = write_config(tmp_path, cfg)
         rc = main(["regularize", "-c", path, "--out", str(tmp_path / "out")])
-        assert rc in (2, 4)
+        assert rc == 4
+        err = error_payload(capsys)
+        assert err["kind"] == "certification" and "eps [0.2, 0.1] pruned" in err["message"]
+
+    @pytest.mark.parametrize("box", [
+        '{"t":[0.305,0.306],"x":[[-0.5,0.5]]}',  # between two of the 60 time steps
+        '{"t":[0.0,1.0],"x":[[0.01,0.02]]}',  # between two of the 40 space cells
+    ])
+    def test_box_without_a_grid_node_exit_2_before_any_solve(self, tmp_path, capsys,
+                                                               monkeypatch, box):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the box was checked")
+
+        monkeypatch.setattr(cli.hjb, "solve", no_solve)
+        path = write_config(tmp_path, base_config())
+        rc = main(["regularize", "-c", path, "--out", str(tmp_path / "out"),
+                   "--set", f"regularize.B={box}"])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().split("\n")
+        err = json.loads(lines[0])["error"]
+        assert len(lines) == 1 and err["code"] == 2
+        assert "node of the solve grid" in err["message"]
 
 
 class TestReproducibility:

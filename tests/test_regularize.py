@@ -3,14 +3,17 @@ import warnings
 import numpy as np
 import pytest
 
+from hedgegame import regularize
 from hedgegame.hjb import GridSpec, solve
 from hedgegame.model import HedgeGameError, make_finance_model, make_payoff
 from hedgegame.regularize import (
     Box,
     CertificationError,
     SmoothSurface,
+    box_nodes,
     build_smooth_supersolution,
     inf_convolution,
+    ladder_pad_layers,
     make_check_grid,
     phi_from_surface,
     solve_shaken,
@@ -25,6 +28,7 @@ from conftest import (
     inf_convolution_oracle,
     mollifier_oracle,
     uncertain_vol_model,
+    x_varying_vol_model,
 )
 
 
@@ -379,7 +383,8 @@ class TestBuildAndVerify:
         assert cert.min_residual >= -1e-6
         assert smooth.value(0.3, np.array([0.2])) == pytest.approx(1.0 + 2 * cert.eps, abs=1e-8)
 
-    def test_bs_singleton_certified(self):
+    def test_bs_singleton_certified(self, monkeypatch):
+        solved = count_shaken_solves(monkeypatch)
         model = bs_singleton_model()
         grid = GridSpec(t_steps=520, x_min=(-1.0,), x_max=(1.0,), x_steps=(200,))
         v = solve(model, grid)
@@ -392,9 +397,13 @@ class TestBuildAndVerify:
         assert cert.min_residual >= -1e-3
         assert cert.terminal_margin >= 0.0
         assert cert.phi_margin >= 0.0
-        # monotone nonincreasing epsilon-gap curve
-        cs = [c for _, c in cert.c_curve]
+        # monotone nonincreasing epsilon-gap curve over the solved rungs
+        cs = [c for e, c in cert.c_curve if e not in cert.pruned]
         assert all(a >= b - 1e-12 for a, b in zip(cs, cs[1:]))
+        # eps 0.2 is pruned on its terminal gap 0.4 > eta/2: the base and eps 0.1 are solved
+        assert solved == [0.0, 0.1] and cert.pruned == [0.2] and cert.c_curve[0] == (0.2, 0.4)
+        assert (cert.eps, cert.k, cert.delta) == (0.1, 480.0, 0.05)
+        assert cert.min_residual == pytest.approx(-7.846753056991312e-04, rel=1e-12, abs=0.0)
 
     def test_corrupted_surface_fails_by_half(self):
         model = bs_singleton_model()
@@ -452,3 +461,93 @@ class TestBuildAndVerify:
         for shape in ((0, 20), (10, 0)):
             empty = verify_supersolution(s, model, make_check_grid(0.0, 0.9, (-0.5,), (0.5,), shape))
             assert not empty.passed and empty.n_checked == 0
+
+
+def count_shaken_solves(monkeypatch):
+    """The eps of every ``solve_shaken`` call the ladder makes, in order."""
+    solved, solve_shaken_ = [], regularize.solve_shaken
+
+    def counted(model, grid, eps, *args, **kwargs):
+        solved.append(eps)
+        return solve_shaken_(model, grid, eps, *args, **kwargs)
+
+    monkeypatch.setattr(regularize, "solve_shaken", counted)
+    return solved
+
+
+class TestLadderPruning:
+    """When B reaches T, a rung whose terminal gap exceeds eta/2 is not solved."""
+
+    def test_pruned_entry_is_the_terminal_row_of_its_gap(self, monkeypatch):
+        # the x- and time-varying vol lifts c_B above 2 eps, so the pruned
+        # entry, the terminal row of w_eps - w_0 on B, is a strict lower bound
+        solved = count_shaken_solves(monkeypatch)
+        model = x_varying_vol_model(time_factor=True)
+        grid = GridSpec(t_steps=200, x_min=(-1.8,), x_max=(1.8,), x_steps=(60,))
+        B = Box(0.0, 1.0, (-0.5,), (0.5,))
+        phi = lambda t, xs: np.full(len(np.atleast_2d(xs)), 10.0)
+        ladder = (0.1, 0.05)
+        try:
+            cert = build_smooth_supersolution(model, phi, B, 0.25, grid, eps_ladder=ladder,
+                                              check_shape=(10, 20), validate=False).certificate
+        except CertificationError as err:
+            cert = err.report
+        assert solved == [0.0, 0.05] and cert.pruned == [0.1]
+        pad = ladder_pad_layers(model, grid, ladder)
+        t_sel, b_mask = box_nodes(model, grid, B, pad)
+        base, shaken = (solve_shaken(model, grid, e, pad_layers=pad) for e in (0.0, 0.1))
+        diff = shaken.values[t_sel][:, b_mask] - base.values[t_sel][:, b_mask]
+        assert cert.c_curve[0] == (0.1, float(np.max(diff[-1])))
+        assert cert.c_curve[0][1] < float(np.max(diff))
+
+    def test_criterion_4_shaped_ladder_solves_base_and_first_open_rung(self, monkeypatch):
+        solved = count_shaken_solves(monkeypatch)
+        model = bs_singleton_model()
+        grid = GridSpec(t_steps=520, x_min=(-1.0,), x_max=(1.0,), x_steps=(200,))
+        v = solve(model, grid)
+        B = Box(0.0, 1.0, (-0.5,), (0.5,))
+        smooth = build_smooth_supersolution(model, phi_from_surface(v, 0.5), B, 0.2, grid,
+                                            validate=False)
+        cert = smooth.certificate
+        assert cert.passed and cert.eps == 0.05
+        assert solved == [0.0, 0.05]
+        assert cert.pruned == [0.2, 0.1]
+        assert cert.c_curve[:2] == [(0.2, 0.4), (0.1, 0.2)]
+        assert cert.to_dict()["pruned"] == [0.2, 0.1]
+
+    def test_all_rungs_pruned_solves_only_the_base(self, monkeypatch):
+        solved = count_shaken_solves(monkeypatch)
+        model = make_finance_model(finance_spec(), make_payoff("constant", level=1.0), 1,
+                                   [np.array([0.2])], 1.0, 0.2)
+        grid = GridSpec(t_steps=120, x_min=(-1.0,), x_max=(1.0,), x_steps=(60,))
+        B = Box(0.0, 1.0, (-0.5,), (0.5,))
+        phi = lambda t, xs: np.full(len(np.atleast_2d(xs)), 2.0)
+        with pytest.raises(CertificationError, match=r"eps \[0\.2, 0\.1\] pruned"):
+            build_smooth_supersolution(model, phi, B, 0.1, grid, eps_ladder=(0.2, 0.1),
+                                       validate=False)
+        assert solved == [0.0]
+
+    def test_box_ending_before_T_solves_every_rung(self, monkeypatch):
+        solved = count_shaken_solves(monkeypatch)
+        model = make_finance_model(finance_spec(), make_payoff("constant", level=1.0), 1,
+                                   [np.array([0.2])], 1.0, 0.2)
+        grid = GridSpec(t_steps=120, x_min=(-1.0,), x_max=(1.0,), x_steps=(60,))
+        B = Box(0.0, 0.5, (-0.5,), (0.5,))
+        phi = lambda t, xs: np.full(len(np.atleast_2d(xs)), 2.0)
+        with pytest.raises(CertificationError) as err:
+            build_smooth_supersolution(model, phi, B, 0.1, grid, eps_ladder=(0.2, 0.1),
+                                       validate=False)
+        assert solved == [0.0, 0.2, 0.1] and "pruned" not in str(err.value)
+
+    @pytest.mark.parametrize("B, empty", [
+        (Box(0.305, 0.306, (-0.5,), (0.5,)), "time"),
+        (Box(0.0, 1.0, (0.01,), (0.02,)), "space"),
+    ])
+    def test_box_without_a_grid_node_fails_before_any_solve(self, monkeypatch, B, empty):
+        solved = count_shaken_solves(monkeypatch)
+        model = bs_singleton_model()
+        grid = GridSpec(t_steps=104, x_min=(-1.0,), x_max=(1.0,), x_steps=(40,))
+        phi = lambda t, xs: np.full(len(np.atleast_2d(xs)), 5.0)
+        with pytest.raises(HedgeGameError, match=f"holds no {empty} node of the solve grid"):
+            build_smooth_supersolution(model, phi, B, 0.4, grid, validate=False)
+        assert solved == []
