@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, coefficients_at,
-                    market_coefficients, market_read, min_generator_field, validate_assumptions)
+                    market_drift, market_read, min_generator_field, validate_assumptions)
 
 _PROBE_H = 1e-6
 _FP_TOL = 1e-10
@@ -242,16 +242,6 @@ class ValueSurface:
 # ---------------------------------------------------------------------------
 
 
-def _pad_linear(v: np.ndarray) -> np.ndarray:
-    """Add one ghost node per side and axis by linear extrapolation."""
-    out = v
-    for ax in range(v.ndim):
-        lo = 2.0 * np.take(out, [0], axis=ax) - np.take(out, [1], axis=ax)
-        hi = 2.0 * np.take(out, [-1], axis=ax) - np.take(out, [-2], axis=ax)
-        out = np.concatenate([lo, out, hi], axis=ax)
-    return out
-
-
 def _shift(vp: np.ndarray, axis: int, off: int, d: int) -> np.ndarray:
     """Core-shaped view of the padded array shifted by ``off`` along ``axis``."""
     sl = []
@@ -262,16 +252,28 @@ def _shift(vp: np.ndarray, axis: int, off: int, d: int) -> np.ndarray:
 
 
 class _LayerOps:
-    """Finite differences of one known layer, shared across adverse points."""
+    """Finite differences of one known layer, shared across adverse points.
 
-    def __init__(self, v: np.ndarray, dx: tuple):
+    ``vp`` is the solve's padded buffer: v with one ghost node per side and
+    axis, extrapolated linearly one axis after the other, so a ghost row of
+    axis 1 also extrapolates the ghost nodes of axis 0.
+    """
+
+    def __init__(self, v: np.ndarray, dx: tuple, vp: np.ndarray):
         d = v.ndim
-        vp = _pad_linear(v)
+        vp[(slice(1, -1),) * d] = v
+        for ax in range(d):
+            lead, tail = (slice(None),) * ax, (slice(1, -1),) * (d - 1 - ax)
+            for ghost, near, far in ((0, 1, 2), (-1, -2, -3)):
+                vp[lead + (ghost,) + tail] = (2.0 * vp[lead + (near,) + tail]
+                                              - vp[lead + (far,) + tail])
+        up = [_shift(vp, i, +1, d) for i in range(d)]
+        dn = [_shift(vp, i, -1, d) for i in range(d)]
         self.center = v
-        self.fwd = [( _shift(vp, i, +1, d) - v) / dx[i] for i in range(d)]
-        self.bwd = [(v - _shift(vp, i, -1, d)) / dx[i] for i in range(d)]
-        self.cen = [(_shift(vp, i, +1, d) - _shift(vp, i, -1, d)) / (2.0 * dx[i]) for i in range(d)]
-        self.sec = [(_shift(vp, i, +1, d) - 2.0 * v + _shift(vp, i, -1, d)) / (dx[i] ** 2) for i in range(d)]
+        self.fwd = [(up[i] - v) / dx[i] for i in range(d)]
+        self.bwd = [(v - dn[i]) / dx[i] for i in range(d)]
+        self.cen = [(up[i] - dn[i]) / (2.0 * dx[i]) for i in range(d)]
+        self.sec = [(up[i] - 2.0 * v + dn[i]) / (dx[i] ** 2) for i in range(d)]
         self.cross = None
         if d == 2:
             pp = vp[2:, 2:]
@@ -287,21 +289,31 @@ def _same_read(read, other) -> bool:
     return all(r.tobytes() == o.tobytes() for r, o in zip(read, other))
 
 
-def _adverse_terms(coeffs, ops: _LayerOps):
-    """Discrete-generator pieces of one pair's frozen read ``coeffs`` =
-    (mu, sig, drift), taken on its shifted mesh.
+class _PairTerms:
+    """What one pair's read gives the generator before any layer value
+    enters: mu and sigma on the mesh, 0.5 Sig_ii, Sig_01 and the hedged
+    drift ``at(z)``, a function of y alone (``model.market_drift``)."""
 
-    Returns (z_c, const, f0, drift): the z rows; const = everything except
-    the hedged drift (the drift/diffusion terms with the p-dependence
-    linearised around the centered gradient and its linear part moved onto
-    upwind differences); f0 = the hedged drift at y = v_next (the first
-    round, read with the 2d probes); drift = the pair's frozen (y, z) drift.
+    def __init__(self, mu, sig, at, shape):
+        d = mu.shape[-1]
+        self.mu, self.sig = mu.reshape(shape + (d,)), sig.reshape(shape + (d, d))
+        Sig = np.einsum("...ik,...jk->...ij", self.sig, self.sig)
+        self.half_var = [0.5 * Sig[..., i, i] for i in range(d)]
+        self.cov = Sig[..., 0, 1] if d == 2 else None
+        self.at = at
+
+
+def _adverse_terms(pt: _PairTerms, ops: _LayerOps):
+    """Discrete-generator pieces of one pair's terms ``pt`` on one layer.
+
+    Returns (const, f0, fy): const = everything except the hedged drift
+    (the drift/diffusion terms with the p-dependence linearised around the
+    centered gradient and its linear part moved onto upwind differences);
+    f0 = the hedged drift at y = v_next (the first round, read with the 2d
+    probes); fy = the hedged drift at the centered z as a function of y.
     """
-    mu, sig, drift = coeffs
+    mu, sig = pt.mu, pt.sig
     d = mu.shape[-1]
-    shape = ops.center.shape
-    mu, sig = mu.reshape(shape + (d,)), sig.reshape(shape + (d, d))
-    Sig = np.einsum("...ik,...jk->...ij", sig, sig)
     z_c = np.einsum("...ji,...j->...i", sig, ops.p_cen)
     h = _PROBE_H * (1.0 + np.abs(z_c))
     n_z = 2 * d + 1  # z rows: +h and -h on each axis, then z_c
@@ -309,18 +321,18 @@ def _adverse_terms(coeffs, ops: _LayerOps):
     for j in range(d):
         zs[2 * j, ..., j] += h[..., j]
         zs[2 * j + 1, ..., j] -= h[..., j]
-    f = np.asarray(drift(ops.center.reshape(-1), zs.reshape(n_z, -1, d))).reshape(zs.shape[:-1])
+    f = np.asarray(pt.at(zs.reshape(n_z, -1, d))(ops.center.reshape(-1))).reshape(zs.shape[:-1])
     fz = np.stack([(f[2 * j] - f[2 * j + 1]) / (2.0 * h[..., j]) for j in range(d)], axis=-1)
     drift_eff = mu - np.einsum("...ij,...j->...i", sig, fz)
-    const = np.zeros(shape)
+    const = np.zeros(ops.center.shape)
     for i in range(d):
         p_up = np.where(drift_eff[..., i] > 0.0, ops.fwd[i], ops.bwd[i])
         const -= mu[..., i] * ops.cen[i]
         const -= drift_eff[..., i] * (p_up - ops.cen[i])
-        const -= 0.5 * Sig[..., i, i] * ops.sec[i]
+        const -= pt.half_var[i] * ops.sec[i]
     if d == 2:
-        const -= Sig[..., 0, 1] * ops.cross
-    return z_c.reshape(-1, d), const, f[-1], drift
+        const -= pt.cov * ops.cross
+    return const, f[-1], pt.at(z_c.reshape(-1, d))
 
 
 def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
@@ -334,12 +346,17 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     frozen at their t = 0 values.
 
     Each layer reads every pair once, on its own shifted mesh, for all
-    fixed-point rounds. A model with a ``finance`` spec is read through
-    ``market_read``; a pair whose read (mu, sigma and both rates) equals bit
-    for bit a kept read of its adverse point is left out of the minimum: its
-    generator row would be the same bits, and the policy keeps the lowest
-    pair index of a tie either way. The first pair of an adverse point has
-    nothing to compare against, so an unshaken solve never compares.
+    fixed-point rounds; a round at a pair's centered z redoes only the part
+    of the hedged drift that depends on y. A model with a ``finance`` spec
+    is read through ``market_read``. A pair whose read (mu, sigma and both
+    rates) equals bit for bit a kept read of its adverse point is left out
+    of the minimum: its generator row would be the same bits, and the
+    policy keeps the lowest pair index of a tie either way. A kept pair
+    whose read equals bit for bit its read of the last layer where it was
+    kept reuses the terms derived from that read (``_PairTerms``: sigma
+    sigma^T, the hedge map, mu + gamma/2 and the rates), which are functions
+    of the read alone. A model without one re-derives every pair on every
+    layer. A layer with one kept row takes it as its minimum.
 
     Refuses to run when the K-based stability number exceeds 1; the
     semilinear wealth term is resolved per node by damped fixed-point
@@ -366,44 +383,51 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     axes = grid.axes()
     X = grid.mesh()
     dx = grid.dx
+    shape = X.shape[:-1]
 
     g_term = terminal if terminal is not None else model.payoff_g
     pairs = adverse_pairs(model, shake_points)
 
-    values = np.empty((n_layers + 1,) + X.shape[:-1])
-    policy = np.zeros((n_layers + 1,) + X.shape[:-1], dtype=np.int32)
+    values = np.empty((n_layers + 1,) + shape)
+    policy = np.zeros((n_layers + 1,) + shape, dtype=np.int32)
     values[-1] = np.asarray(g_term(X), dtype=float)
 
     Xf = X.reshape(-1, grid.dim)
+    vp = np.empty(tuple(n + 2 for n in shape))
     n_b = len(pairs) // len(model.A_points)  # shifts per adverse point (pairs are A-major)
+    last = {}  # pair index -> (read, _PairTerms) of the last layer that kept the pair
     max_iters_seen = 0
     for k in range(n_layers - 1, -1, -1):
         t_k = float(t_vals[k])
         v_next = values[k + 1]
-        ops = _LayerOps(v_next, dx)
+        ops = _LayerOps(v_next, dx, vp)
         terms, kept, reads = [], [], {}  # reads: A index -> kept market reads
         for j, (a, b) in enumerate(pairs):
             t_eff, x_eff = base_point(t_k, Xf, b, T)
             if model.finance is None:
-                coeffs = coefficients_at(model, t_eff, x_eff, a)
+                mu, sig, drift = coefficients_at(model, t_eff, x_eff, a)
+                pt = _PairTerms(mu, sig, lambda z, drift=drift: lambda y: drift(y, z), shape)
             else:
                 read = market_read(model.finance, t_eff, x_eff, a)
                 kept_reads = reads.setdefault(j // n_b, [])
                 if any(_same_read(read, other) for other in kept_reads):
                     continue  # its stack row would be a kept pair's, bit for bit
                 kept_reads.append(read)
-                coeffs = market_coefficients(read, t_eff, x_eff, a)
-            terms.append(_adverse_terms(coeffs, ops))
+                if j not in last or not _same_read(read, last[j][0]):
+                    last[j] = read, _PairTerms(read[0], read[1],
+                                               market_drift(read, t_eff, x_eff, a), shape)
+                pt = last[j][1]
+            terms.append(_adverse_terms(pt, ops))
             kept.append(j)
 
         y = v_next.copy()
+        stack = np.empty((len(terms),) + shape)
         converged = False
         for it in range(_FP_MAX_ITERS):
-            stack = np.empty((len(terms),) + y.shape)
-            for row, (z_c, const, f0, drift) in enumerate(terms):
-                f = f0 if it == 0 else np.asarray(drift(y.reshape(-1), z_c))
-                stack[row] = f.reshape(const.shape) + const
-            s_min = stack.min(axis=0)
+            for row, (const, f0, fy) in enumerate(terms):
+                f = f0 if it == 0 else fy(y.reshape(-1))
+                np.add(np.reshape(f, shape), const, out=stack[row])
+            s_min = stack[0] if len(terms) == 1 else stack.min(axis=0)
             y_new = v_next - dt * s_min
             delta = float(np.max(np.abs(y_new - y)))
             omega = 1.0 if it < 8 else 0.5
@@ -419,7 +443,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
                 f"residual {delta:.3e}"
             )
         values[k] = y
-        policy[k] = np.asarray(kept)[np.argmin(stack, axis=0)]
+        policy[k] = kept[0] if len(kept) == 1 else np.asarray(kept)[np.argmin(stack, axis=0)]
 
     g_abs = float(np.max(np.abs(values[-1])))
     K = model.lipschitz_K

@@ -22,7 +22,9 @@ inputs, because a batch may stack probes or gather a subset of paths.
 The solvers read a model with a ``finance`` spec through that spec, once per
 (t, x, a) for all fixed-point rounds (``coefficients_at``; the sweep reads
 each pair's raw ``market_read``, compares it with the kept reads of its
-adverse point and derives the rest with ``market_coefficients``); its
+adverse point and with the pair's read of the last layer that kept it, and
+derives the hedged drift with ``market_drift`` only when that read changed,
+so the arrays the spec's closures return must not be written to later); its
 closures must compute the same, as ``make_finance_model`` builds them. ``dataclasses.replace``
 keeps ``finance``, so a copy that replaces a closure by other values must
 replace or clear ``finance`` too, or ``validate_assumptions`` fails the copy.
@@ -190,12 +192,13 @@ def market_read(finance: FinanceSpec, t, x, a):
 
 
 def _wealth(mu, sig, rl, rb):
-    """The wealth drift (y, u) -> u.(mu + gamma/2) + rho of one market read."""
+    """The wealth drift u -> (y -> u.(mu + gamma/2) + rho) of one market read;
+    the terms in u alone are computed once per u."""
     mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
 
-    def wealth(y, u):
-        cash = np.asarray(y, dtype=float) - u.sum(axis=-1)
-        return (u * mg).sum(axis=-1) + _financing(cash, rl, rb)
+    def wealth(u):
+        gain, held = (u * mg).sum(axis=-1), u.sum(axis=-1)
+        return lambda y: gain + _financing(np.asarray(y, dtype=float) - held, rl, rb)
 
     return wealth
 
@@ -249,7 +252,9 @@ def coefficients_at(model: ModelSpec, t, x, a):
     as one batch of k copies of x and y."""
     x = np.asarray(x, dtype=float)
     if model.finance is not None:
-        return market_coefficients(market_read(model.finance, t, x, a), t, x, a)
+        read = market_read(model.finance, t, x, a)
+        at = market_drift(read, t, x, a)
+        return read[0], read[1], lambda y, z: at(z)(y)
 
     def drift_at(s, y, z):
         if np.ndim(z) == np.ndim(x):
@@ -267,12 +272,12 @@ def coefficients_at(model: ModelSpec, t, x, a):
     return _per_time(model.mu_X, t, x, a), _per_time(model.sigma_X, t, x, a), drift
 
 
-def market_coefficients(read, t, x, a):
-    """``coefficients_at`` of a finance model, derived from its ``market_read``
-    at (t, x, a) without a further closure call."""
-    mu, sig = read[0], read[1]
-    wealth, hedge = _wealth(*read), _hedge_map(sig, t, x, a)
-    return mu, sig, lambda y, z: wealth(y, hedge(z))
+def market_drift(read, t, x, a):
+    """The hedged wealth drift z -> (y -> drift) of a finance model's
+    ``market_read`` at (t, x, a): the hedge and the terms in it alone are
+    computed once per z, so a round at a fixed z redoes only rho."""
+    wealth, hedge = _wealth(*read), _hedge_map(read[1], t, x, a)
+    return lambda z: wealth(hedge(z))
 
 
 def mu_Y_hat(t, x, y, z, a, model: ModelSpec):
@@ -411,7 +416,7 @@ def make_finance_model(
 
     def mu_Y(t, x, y, u, a):
         wealth = _wealth(*market_read(finance, t, np.atleast_2d(np.asarray(x, dtype=float)), a))
-        return wealth(y, np.atleast_2d(np.asarray(u, dtype=float)))
+        return wealth(np.atleast_2d(np.asarray(u, dtype=float)))(y)
 
     def sigma_Y(t, x, y, u, a):
         u2 = np.atleast_2d(np.asarray(u, dtype=float))

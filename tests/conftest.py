@@ -250,11 +250,23 @@ def _closure_mu_Y_hat(t, x, y, z, a, model):
     return model.mu_Y(t, x, y, model.u_hat(t, x, y, z, a), a)
 
 
+def _pad_linear(v):
+    """Add one ghost node per side and axis by linear extrapolation, one
+    concatenation per side and axis."""
+    out = v
+    for ax in range(v.ndim):
+        lo = 2.0 * np.take(out, [0], axis=ax) - np.take(out, [1], axis=ax)
+        hi = 2.0 * np.take(out, [-1], axis=ax) - np.take(out, [-2], axis=ax)
+        out = np.concatenate([lo, out, hi], axis=ax)
+    return out
+
+
 class _OracleLayerOps:
-    """Finite differences of one known layer, shared across adverse points."""
+    """Finite differences of one known layer, shared across adverse points,
+    on a freshly concatenated padding."""
 
     def __init__(self, v, dx):
-        from hedgegame.hjb import _pad_linear, _shift
+        from hedgegame.hjb import _shift
 
         d = v.ndim
         vp = _pad_linear(v)

@@ -14,8 +14,9 @@ from hedgegame.hjb import (
     solve,
 )
 from hedgegame import hjb
-from hedgegame.model import (FinanceSpec, HedgeGameError, ModelSpec, make_finance_model,
-                             make_payoff, make_single_rate_model, market_read, shake_lattice)
+from hedgegame.model import (FinanceSpec, HedgeGameError, ModelError, ModelSpec,
+                             make_finance_model, make_payoff, make_single_rate_model, market_read,
+                             shake_lattice)
 
 from conftest import (
     bs_call,
@@ -260,6 +261,25 @@ def time_dependent_vol_model():
                               [np.array([0.1]), np.array([0.3])], 1.0, 0.6)
 
 
+def switch_at_half_model():
+    """Uncertain vol {0.1, 0.3} and rates (0.01, 0.04) up to t = 0.5; from
+    then on the vol is doubled and the rates are (0.02, 0.05)."""
+
+    def late(t):
+        return 1.0 if t >= 0.5 else 0.0
+
+    def sigma(t, x, a):
+        s = float(np.asarray(a).reshape(-1)[0]) * (1.0 + late(t))
+        return np.broadcast_to(s * np.eye(1), np.asarray(x).shape[:-1] + (1, 1))
+
+    def rate(early):
+        return lambda t, x, a: np.full(np.asarray(x).shape[:-1], early + 0.01 * late(t))
+
+    fin = FinanceSpec(mu=constant_mu(1), sigma=sigma, r_lend=rate(0.01), r_borrow=rate(0.04))
+    return make_finance_model(fin, make_payoff("call", strike=1.0), 1,
+                              [np.array([0.1]), np.array([0.3])], 1.0, 0.6)
+
+
 def column_indexed_model(r_lend=0.02, r_borrow=0.05, drift=0.01):
     """d = 1 two-rate call built by hand, without a FinanceSpec; its closures
     index column 0, so they are only correct on (n, 1) rows."""
@@ -385,11 +405,11 @@ class TestStackedSweep:
         layers = []
         build = hjb._adverse_terms
 
-        def counted_build(coeffs, ops):
+        def counted_build(pair_terms, ops):
             if not layers or layers[-1][0] is not ops:
                 layers.append([ops, 0])
-            layers[-1][1] += coeffs[0].shape[0] // ops.center.size
-            return build(coeffs, ops)
+            layers[-1][1] += 1
+            return build(pair_terms, ops)
 
         monkeypatch.setattr(hjb, "_adverse_terms", counted_build)
         shakes = shake_lattice(eps, model.dim)
@@ -437,22 +457,39 @@ class TestStackedSweep:
 
     @pytest.mark.parametrize("shaken", [False, True])
     def test_reads_compared_only_within_a_shaken_adverse_point(self, monkeypatch, shaken):
-        # the first pair of an adverse point keeps its read without a comparison,
-        # so an unshaken solve never compares; constant coefficients keep one
-        # pair per adverse point and compare every other
-        compared = [0]
-        same_read = hjb._same_read
+        # a read is compared across pairs only with the kept reads of its
+        # adverse point on its own layer, so the first pair of an adverse point
+        # and an unshaken solve never compare across pairs. A kept read is
+        # compared across layers once, with its pair's read of the last layer
+        # that kept the pair. Constant coefficients keep the first pair of each
+        # adverse point on every layer.
+        layer, born, compared = [0], {}, {"pair": 0, "layer": 0}
+        layer_ops, read_fn, same_read = hjb._LayerOps, hjb.market_read, hjb._same_read
 
-        def counted(*args):
-            compared[0] += 1
-            return same_read(*args)
+        def next_layer(*args):
+            layer[0] += 1
+            return layer_ops(*args)
 
+        def tagged_read(*args):
+            read = read_fn(*args)
+            born[id(read)] = (layer[0], read)  # holds the read, so no later read reuses its id
+            return read
+
+        def counted(read, other):
+            assert born[id(read)][0] == layer[0]
+            compared["pair" if born[id(other)][0] == layer[0] else "layer"] += 1
+            return same_read(read, other)
+
+        monkeypatch.setattr(hjb, "_LayerOps", next_layer)
+        monkeypatch.setattr(hjb, "market_read", tagged_read)
         monkeypatch.setattr(hjb, "_same_read", counted)
         model = uncertain_vol_model(r_lend=0.02, r_borrow=0.05)
         shakes = shake_lattice(0.05, 1) if shaken else None
         surf = self.assert_matches_oracle(model, small_grid(nx=30, nt=80), shake_points=shakes)
-        n_b = len(shakes) if shaken else 1
-        assert compared[0] == (len(surf.t) - 1) * len(model.A_points) * (n_b - 1)
+        n_layers, n_a, n_b = len(surf.t) - 1, len(model.A_points), len(shakes) if shaken else 1
+        assert layer[0] == n_layers
+        assert compared["pair"] == n_layers * n_a * (n_b - 1)
+        assert compared["layer"] == (n_layers - 1) * n_a
 
     def test_closure_only_model_keeps_every_pair(self, monkeypatch):
         model = dataclasses.replace(uncertain_vol_model(r_lend=0.02, r_borrow=0.05), finance=None)
@@ -471,6 +508,48 @@ class TestStackedSweep:
         signs = [len({t < 0.5 for t in ts}) for ts in self.clamped_times(surf, shakes)]
         assert rows == [len(model.A_points) * n for n in signs]
         assert 2 in signs
+
+    @pytest.mark.parametrize("shaken", [False, True])
+    def test_coefficients_switching_at_half_match_the_oracle(self, shaken):
+        # a kept pair reuses its terms only while its read keeps its bits
+        kw = dict(pad_layers=10, shake_points=shake_lattice(0.05, 1)) if shaken else {}
+        self.assert_matches_oracle(switch_at_half_model(), small_grid(nx=30, nt=80), **kw)
+
+    @pytest.mark.parametrize("model, kw, per_pair", [
+        (uncertain_vol_model(r_lend=0.02, r_borrow=0.05),
+         dict(pad_layers=10, shake_points=shake_lattice(0.05, 1)), 1),
+        (switch_at_half_model(), {}, 2),
+        (time_dependent_vol_model(), {}, 80),  # every one of the 80 layers reads its own vol
+    ], ids=["constant-shaken", "switch", "time-dependent-vol"])
+    def test_terms_derived_once_per_changed_read(self, monkeypatch, model, kw, per_pair):
+        derived = [0]
+        derive = hjb.market_drift
+
+        def counted(*args):
+            derived[0] += 1
+            return derive(*args)
+
+        monkeypatch.setattr(hjb, "market_drift", counted)
+        self.assert_matches_oracle(model, small_grid(nx=30, nt=80), **kw)
+        assert derived[0] == per_pair * len(model.A_points)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_vol_singular_on_one_layer_raises_naming_it(self, dim):
+        # the layers on either side read the same regular vol; the one at
+        # t = 0.5 must derive its own hedge map and fail there (the config
+        # keeps the model hash from sampling the closures at t = 0.5)
+        def sigma(t, x, a):
+            s = 0.0 if t == 0.5 else float(a[0])
+            return np.broadcast_to(s * np.eye(dim), np.asarray(x).shape[:-1] + (dim, dim))
+
+        fin = dataclasses.replace(finance_spec(dim=dim, r_lend=0.02, r_borrow=0.05), sigma=sigma)
+        model = make_finance_model(fin, make_payoff("call", strike=1.0), dim,
+                                   [np.array([0.1]), np.array([0.3])], 1.0, 0.3,
+                                   config={"sigma": "zero at t = 0.5"})
+        grid = (small_grid(nx=30, nt=64) if dim == 1 else
+                GridSpec(t_steps=64, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10)))
+        with pytest.raises(ModelError, match=r"singular volatility at t=0\.5,"):
+            solve(model, grid, validate=False)
 
     @pytest.mark.parametrize("model, grid, pad_layers", [
         (bs_singleton_model(), small_grid(nx=30, nt=600), 0),
