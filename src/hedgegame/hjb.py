@@ -29,7 +29,7 @@ _PROBE_H = 1e-6
 _FP_TOL = 1e-10
 _FP_MAX_ITERS = 50
 # layers per residual() block; bounds its difference and coefficient stacks
-# (128 layers raised the `price` benchmark's peak RSS from 194 to 205 MB)
+# (the `price` benchmark's peak RSS is 128 MB at 64 layers, 132 MB at 128)
 _RESIDUAL_BLOCK = 64
 
 BINARY_MAGIC = b"HJBSURF1"
@@ -113,7 +113,8 @@ class ValueSurface:
         self.meta = dict(meta)
         for arr in (self.t, self.values, self.policy, *self.axes):
             arr.flags.writeable = False
-        self._fields = None
+        self._p = None
+        self._q_M = None
 
     @property
     def dim(self) -> int:
@@ -129,16 +130,25 @@ class ValueSurface:
 
     # -- derivative fields -------------------------------------------------
 
-    def _derivative_fields(self):
-        """Per-node q/p/M from finite differences of the stored values."""
-        if self._fields is not None:
-            return self._fields
+    def _gradient_field(self):
+        """Per-node p from finite differences of the stored values, built on
+        first use; ``gradient`` reads only this field."""
+        if self._p is None:
+            hx = [float(ax[1] - ax[0]) for ax in self.axes]
+            self._p = [np.gradient(self.values, hx[i], axis=1 + i, edge_order=2)
+                       for i in range(self.dim)]
+        return self._p
+
+    def _time_hessian_fields(self):
+        """Per-node q and M from finite differences of the stored values,
+        built on the first ``eval``."""
+        if self._q_M is not None:
+            return self._q_M
         v = self.values
         dt = float(self.t[1] - self.t[0])
         d = self.dim
         hx = [float(ax[1] - ax[0]) for ax in self.axes]
         q = np.gradient(v, dt, axis=0, edge_order=2)
-        p = [np.gradient(v, hx[i], axis=1 + i, edge_order=2) for i in range(d)]
         M = {}
         for i in range(d):
             h = self.axes[i][1] - self.axes[i][0]
@@ -162,8 +172,8 @@ class ValueSurface:
         if d == 2:
             M[(0, 1)] = np.gradient(np.gradient(v, hx[0], axis=1, edge_order=2),
                                     hx[1], axis=2, edge_order=2)
-        self._fields = (q, p, M)
-        return self._fields
+        self._q_M = (q, M)
+        return self._q_M
 
     def _locate(self, axis, query):
         lo, hi = axis[0], axis[-1]
@@ -207,7 +217,7 @@ class ValueSurface:
 
     def gradient(self, t, x) -> np.ndarray:
         """Interpolated gradient alone: the ``p`` of ``eval`` bit for bit."""
-        _, p, _ = self._derivative_fields()
+        p = self._gradient_field()
         corners = self._corners(t, x)
         return np.stack([self._interp(p[i], corners) for i in range(self.dim)], axis=-1)
 
@@ -218,7 +228,8 @@ class ValueSurface:
         stored layers, multilinearly interpolated between nodes.
         """
         scalar = np.asarray(x).ndim == 1 and np.isscalar(t)
-        q, p, M = self._derivative_fields()
+        p = self._gradient_field()
+        q, M = self._time_hessian_fields()
         corners = self._corners(t, x)
         n = corners[0][1].shape[0]
         d = self.dim
@@ -356,7 +367,9 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     kept reuses the terms derived from that read (``_PairTerms``: sigma
     sigma^T, the hedge map, mu + gamma/2 and the rates), which are functions
     of the read alone. A model without one re-derives every pair on every
-    layer. A layer with one kept row takes it as its minimum.
+    layer. The minimum over the kept rows is an ``np.minimum`` chain, and
+    the policy an ``np.less``/``np.where`` chain that keeps the lowest pair
+    of a tie. The model is hashed before the first layer.
 
     Refuses to run when the K-based stability number exceeds 1; the
     semilinear wealth term is resolved per node by damped fixed-point
@@ -385,6 +398,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     dx = grid.dx
     shape = X.shape[:-1]
 
+    model_hash = model.hash  # a model without a config samples its closures here, before any layer
     g_term = terminal if terminal is not None else model.payoff_g
     pairs = adverse_pairs(model, shake_points)
 
@@ -427,7 +441,9 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
             for row, (const, f0, fy) in enumerate(terms):
                 f = f0 if it == 0 else fy(y.reshape(-1))
                 np.add(np.reshape(f, shape), const, out=stack[row])
-            s_min = stack[0] if len(terms) == 1 else stack.min(axis=0)
+            s_min = stack[0]
+            for row in stack[1:]:
+                s_min = np.minimum(s_min, row)
             y_new = v_next - dt * s_min
             delta = float(np.max(np.abs(y_new - y)))
             omega = 1.0 if it < 8 else 0.5
@@ -443,7 +459,13 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
                 f"residual {delta:.3e}"
             )
         values[k] = y
-        policy[k] = kept[0] if len(kept) == 1 else np.asarray(kept)[np.argmin(stack, axis=0)]
+        # the kept pair of the first row that attains the minimum (argmin's tie
+        # rule); a NaN row never gets here, it fails the fixed point above
+        best, pol = stack[0], kept[0]
+        for row, j in zip(stack[1:], kept[1:]):
+            take = np.less(row, best)
+            best, pol = np.where(take, row, best), np.where(take, j, pol)
+        policy[k] = pol
 
     g_abs = float(np.max(np.abs(values[-1])))
     K = model.lipschitz_K
@@ -452,11 +474,11 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
         "dt": dt,
         "pad_layers": pad_layers,
         "bound": g_abs * float(np.exp(K * T)) + K * T,
-        "max_abs_value": float(np.max(np.abs(values))),
+        "max_abs_value": abs(float(np.maximum(values.max(), -values.min()))),
         "fixed_point_max_iters": max_iters_seen,
         "n_pairs": len(pairs),
     }
-    return ValueSurface(grid, model.hash, t_vals, axes, values, policy,
+    return ValueSurface(grid, model_hash, t_vals, axes, values, policy,
                         a_count=len(pairs), meta=meta)
 
 
@@ -477,9 +499,10 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
 
     A numerical certificate that the discrete solution drives the worst-case
     generator to ~0 away from kinks; boundary and terminal nodes are NaN.
-    The generator is evaluated once per block of layers. A surface without a
-    finite interior value (one time step has no interior layer) raises
-    HedgeGameError.
+    The generator is evaluated once per block of layers, and max_abs,
+    min_value and argmin are reduced block by block, so the report grid is
+    the only full-surface array. A surface without a finite interior value
+    (one time step has no interior layer) raises HedgeGameError.
     """
     v = surface.values
     t = surface.t
@@ -489,6 +512,7 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
     X = np.stack(np.meshgrid(*surface.axes, indexing="ij"), axis=-1)
     out = np.full(v.shape, np.nan)
     interior = tuple(slice(1, -1) for _ in range(d))
+    max_abs, min_val, loc = 0.0, np.inf, None
     for k0 in range(1, v.shape[0] - 1, _RESIDUAL_BLOCK):
         k1 = min(k0 + _RESIDUAL_BLOCK, v.shape[0] - 1)
         blk = v[k0:k1]
@@ -502,15 +526,21 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
             M[..., 0, 1] = cr
             M[..., 1, 0] = cr
         best, _ = min_generator_field(model, t[k0:k1], X, blk, q, p, M)
-        out[(slice(k0, k1),) + interior] = best[(slice(None),) + interior]
-    finite = out[np.isfinite(out)]
-    if finite.size == 0:
+        res = best[(slice(None),) + interior]
+        out[(slice(k0, k1),) + interior] = res
+        # the blocks run in C order, so a block's minimum replaces the running
+        # one only when strictly smaller: the first occurrence, as nanargmin
+        finite = np.isfinite(res)
+        if not finite.any():
+            continue
+        max_abs = max(max_abs, float(np.max(np.abs(res[finite]))))
+        arg = np.unravel_index(int(np.argmin(np.where(finite, res, np.inf))), res.shape)
+        if res[arg] < min_val:
+            min_val = float(res[arg])
+            loc = (k0 + arg[0],) + tuple(1 + i for i in arg[1:])
+    if loc is None:
         raise HedgeGameError(f"residual has no finite interior value on {len(t)} layers "
                              f"(interior layers need t_steps >= 2)")
-    max_abs = float(np.max(np.abs(finite)))
-    min_val = float(np.min(finite))
-    flat_arg = int(np.nanargmin(np.where(np.isfinite(out), out, np.inf)))
-    loc = np.unravel_index(flat_arg, out.shape)
     coords = (float(t[loc[0]]),) + tuple(float(surface.axes[i][loc[1 + i]]) for i in range(d))
     return ResidualReport(out, max_abs, min_val, coords)
 

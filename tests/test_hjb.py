@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,74 @@ class TestResidual:
             sub = rep.grid[1:-cut][:, xmask]
             maxima.append(np.max(np.abs(sub[np.isfinite(sub)])))
         assert maxima[0] / maxima[1] >= 1.5
+
+
+def assert_reductions_of(rep, grid, surf):
+    """The report's max_abs, min_value and argmin are, bit for bit, those
+    taken over the whole of ``grid`` at once: finite values only, and the
+    first minimum in C order."""
+    finite = grid[np.isfinite(grid)]
+    loc = np.unravel_index(int(np.nanargmin(np.where(np.isfinite(grid), grid, np.inf))), grid.shape)
+    coords = (float(surf.t[loc[0]]),) + tuple(float(ax[i]) for ax, i in zip(surf.axes, loc[1:]))
+    assert np.float64(rep.max_abs).tobytes() == np.max(np.abs(finite)).tobytes()
+    assert np.float64(rep.min_value).tobytes() == np.min(finite).tobytes()
+    assert rep.argmin == coords
+
+
+class TestResidualReductions:
+    """``residual`` reduces each block of layers as it goes; the reductions
+    equal those over the report grid taken at once."""
+
+    @staticmethod
+    def patched_report(monkeypatch, field):
+        """Residual report of a 200-layer surface whose generator reads
+        ``field`` (indexed by layer and node) in place of the model."""
+        surf = solve(bs_singleton_model(), small_grid(nx=20, nt=200), validate=False)
+
+        def generator(model, t, X, y, q, p, M):
+            return field[np.searchsorted(surf.t, t)], None
+
+        monkeypatch.setattr(hjb, "min_generator_field", generator)
+        return surf, residual(surf, bs_singleton_model())
+
+    def test_tie_across_blocks_keeps_the_first(self, monkeypatch):
+        field = np.ones((201, 21))
+        field[10, 15] = field[100, 3] = -2.0  # blocks [1, 65) and [65, 129)
+        field[5, 2] = -np.inf  # not finite, so never the minimum
+        surf, rep = self.patched_report(monkeypatch, field)
+        assert (rep.min_value, rep.argmin) == (-2.0, (float(surf.t[10]), float(surf.axes[0][15])))
+        assert_reductions_of(rep, rep.grid, surf)
+
+    def test_minimum_in_the_last_partial_block(self, monkeypatch):
+        field = np.linspace(-1.0, 1.0, 201 * 21)[::-1].reshape(201, 21)
+        field[198, 7] = -3.0  # the last block holds layers 193..199 only
+        surf, rep = self.patched_report(monkeypatch, field)
+        assert rep.argmin == (float(surf.t[198]), float(surf.axes[0][7]))
+        assert rep.max_abs == 3.0
+        assert_reductions_of(rep, rep.grid, surf)
+
+    def test_no_full_surface_temporary(self):
+        # 3001 layers x 101 nodes: each full-surface float array is 2.4 MB.
+        # The solve may add only per-layer temporaries to its values and
+        # policy (measured: about 130 layers' bytes), and the residual only
+        # one block's temporaries to its report grid (measured: about 21
+        # blocks' bytes). A full-surface copy alone exceeds either bound.
+        model = uncertain_vol_model(r_lend=0.02, r_borrow=0.05)
+        grid = small_grid(nx=100, nt=3000)
+        model.hash
+        tracemalloc.start()
+        try:
+            surf = solve(model, grid, validate=False)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rep = residual(surf, model)
+            residual_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        layer = surf.values[0].nbytes
+        assert solve_peak - surf.values.nbytes - surf.policy.nbytes <= 256 * layer
+        assert residual_peak - rep.grid.nbytes <= 40 * hjb._RESIDUAL_BLOCK * layer
 
 
 def time_dependent_vol_model():
@@ -551,6 +620,28 @@ class TestStackedSweep:
         with pytest.raises(ModelError, match=r"singular volatility at t=0\.5,"):
             solve(model, grid, validate=False)
 
+    def test_model_hashed_before_the_first_layer(self, monkeypatch):
+        # without a config the hash samples the closures at t = 0 and T/2;
+        # 63 steps put no layer at t = 0.5, so only the hash meets the
+        # singular vol, and it must do so before any layer is read
+        def sigma(t, x, a):
+            s = 0.0 if t == 0.5 else float(a[0])
+            return np.broadcast_to(s * np.eye(1), np.asarray(x).shape[:-1] + (1, 1))
+
+        reads = [0]
+
+        def counted_read(*args):
+            reads[0] += 1
+            return market_read(*args)
+
+        monkeypatch.setattr(hjb, "market_read", counted_read)
+        fin = dataclasses.replace(finance_spec(r_lend=0.02, r_borrow=0.05), sigma=sigma)
+        model = make_finance_model(fin, make_payoff("call", strike=1.0), 1,
+                                   [np.array([0.1]), np.array([0.3])], 1.0, 0.3)
+        with pytest.raises(ModelError, match=r"singular volatility at t=0\.5,"):
+            solve(model, small_grid(nx=30, nt=63), validate=False)
+        assert reads[0] == 0
+
     @pytest.mark.parametrize("model, grid, pad_layers", [
         (bs_singleton_model(), small_grid(nx=30, nt=600), 0),
         (uncertain_vol_model(r_lend=0.02, r_borrow=0.05), small_grid(nx=30, nt=60), 0),
@@ -564,8 +655,9 @@ class TestStackedSweep:
     def test_residual_blocks_match_per_layer(self, model, grid, pad_layers):
         # interior layer counts 599, 59, 299, 169 and 129: none a multiple of the block
         surf = solve(model, grid, validate=False, pad_layers=pad_layers)
-        assert np.array_equal(residual(surf, model).grid, residual_oracle(surf, model),
-                              equal_nan=True)
+        rep, oracle = residual(surf, model), residual_oracle(surf, model)
+        assert np.array_equal(rep.grid, oracle, equal_nan=True)
+        assert_reductions_of(rep, oracle, surf)
 
 
 class TestEval:
@@ -585,6 +677,24 @@ class TestEval:
         surf = tabulated_surface(lambda t, x: 1.3 * x * x)
         pack = surf.eval(0.5, np.array([0.2]))
         assert pack.M[0, 0] == pytest.approx(2.6, abs=1e-8)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("first", ["gradient", "eval"])
+    def test_gradient_is_eval_p_and_builds_p_alone(self, dim, first):
+        model = uncertain_vol_model(dim=dim)
+        grid = (small_grid(nx=40, nt=80) if dim == 1 else
+                GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10)))
+        surf = solve(model, grid, validate=False)
+        ts = np.linspace(0.0, 1.0, 7)
+        xs = np.linspace(-0.9, 0.9, 7 * dim).reshape(7, dim)
+        if first == "gradient":
+            grad = surf.gradient(ts, xs)
+            assert surf._q_M is None  # q and M stay unbuilt
+            p = surf.eval(ts, xs).p
+        else:
+            p = surf.eval(ts, xs).p
+            grad = surf.gradient(ts, xs)
+        assert np.array_equal(grad, p)
 
     def test_out_of_bounds_raises(self):
         surf = tabulated_surface(lambda t, x: x)
