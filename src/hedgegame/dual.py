@@ -151,8 +151,9 @@ def _euler_segment(model, gamma, t_from, t_to, X0, substeps, rng):
         s = t_from + m * dt
         t_eff, x_eff = base_point(s, X, b, model.horizon_T)
         dW = rng.standard_normal((n, d)) * sq
-        mu = np.asarray(model.mu_X(t_eff, x_eff, a), dtype=float)
-        sig = np.asarray(model.sigma_X(t_eff, x_eff, a), dtype=float)
+        # mu and sigma alone: a full market_read would add two path-sized rate arrays
+        mu = np.asarray(model.finance.mu(t_eff, x_eff, a), dtype=float)
+        sig = np.asarray(model.finance.sigma(t_eff, x_eff, a), dtype=float)
         X = X + mu * dt + np.einsum("...ij,...j->...i", sig, dW)
         dW_sum += dW
     return X, dW_sum

@@ -253,7 +253,8 @@ def _play(model, strategy, adversary, t0, x0, y0, dW, seed) -> SimReport:
             xm, ym, wm = X[rows], Y[rows], dW[n][rows]
             mu, sig, drift = coefficients_at(model, t_n, xm, model.A_points[j])
             z = np.einsum("...ji,...j->...i", sig, grad[rows])
-            # Y first: xm may be a view of X that a closure drift reads lazily
+            # Y first: xm is a view of X when one point holds every path, and a
+            # closure may return views of its x, which the drift's read keeps
             Y[rows] = ym + drift(ym, z) * dt + np.einsum("...i,...i->...", z, wm)
             X[rows] = xm + mu * dt + np.einsum("...ij,...j->...i", sig, wm)
 

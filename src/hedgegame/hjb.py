@@ -22,14 +22,14 @@ from itertools import product
 
 import numpy as np
 
-from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, coefficients_at,
-                    market_drift, market_read, min_generator_field, validate_assumptions)
+from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, market_drift,
+                    market_read, min_generator_field, validate_assumptions)
 
 _PROBE_H = 1e-6
 _FP_TOL = 1e-10
 _FP_MAX_ITERS = 50
 # layers per residual() block; bounds its difference and coefficient stacks
-# (the `price` benchmark's peak RSS is 128 MB at 64 layers, 132 MB at 128)
+# (the `price` benchmark's peak RSS is 106 MB at 64 layers and at 128)
 _RESIDUAL_BLOCK = 64
 
 BINARY_MAGIC = b"HJBSURF1"
@@ -358,18 +358,17 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
 
     Each layer reads every pair once, on its own shifted mesh, for all
     fixed-point rounds; a round at a pair's centered z redoes only the part
-    of the hedged drift that depends on y. A model with a ``finance`` spec
-    is read through ``market_read``. A pair whose read (mu, sigma and both
+    of the hedged drift that depends on y. The model is read through its
+    ``finance`` spec (``market_read``). A pair whose read (mu, sigma and both
     rates) equals bit for bit a kept read of its adverse point is left out
     of the minimum: its generator row would be the same bits, and the
     policy keeps the lowest pair index of a tie either way. A kept pair
     whose read equals bit for bit its read of the last layer where it was
     kept reuses the terms derived from that read (``_PairTerms``: sigma
     sigma^T, the hedge map, mu + gamma/2 and the rates), which are functions
-    of the read alone. A model without one re-derives every pair on every
-    layer. The minimum over the kept rows is an ``np.minimum`` chain, and
-    the policy an ``np.less``/``np.where`` chain that keeps the lowest pair
-    of a tie. The model is hashed before the first layer.
+    of the read alone. The minimum over the kept rows is an ``np.minimum``
+    chain, and the policy an ``np.less``/``np.where`` chain that keeps the
+    lowest pair of a tie. The model is hashed before the first layer.
 
     Refuses to run when the K-based stability number exceeds 1; the
     semilinear wealth term is resolved per node by damped fixed-point
@@ -418,20 +417,14 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
         terms, kept, reads = [], [], {}  # reads: A index -> kept market reads
         for j, (a, b) in enumerate(pairs):
             t_eff, x_eff = base_point(t_k, Xf, b, T)
-            if model.finance is None:
-                mu, sig, drift = coefficients_at(model, t_eff, x_eff, a)
-                pt = _PairTerms(mu, sig, lambda z, drift=drift: lambda y: drift(y, z), shape)
-            else:
-                read = market_read(model.finance, t_eff, x_eff, a)
-                kept_reads = reads.setdefault(j // n_b, [])
-                if any(_same_read(read, other) for other in kept_reads):
-                    continue  # its stack row would be a kept pair's, bit for bit
-                kept_reads.append(read)
-                if j not in last or not _same_read(read, last[j][0]):
-                    last[j] = read, _PairTerms(read[0], read[1],
-                                               market_drift(read, t_eff, x_eff, a), shape)
-                pt = last[j][1]
-            terms.append(_adverse_terms(pt, ops))
+            read = market_read(model.finance, t_eff, x_eff, a)
+            kept_reads = reads.setdefault(j // n_b, [])
+            if any(_same_read(read, other) for other in kept_reads):
+                continue  # its stack row would be a kept pair's, bit for bit
+            kept_reads.append(read)
+            if j not in last or not _same_read(read, last[j][0]):
+                last[j] = read, _PairTerms(read[0], read[1], market_drift(read, t_eff, x_eff, a), shape)
+            terms.append(_adverse_terms(last[j][1], ops))
             kept.append(j)
 
         y = v_next.copy()
@@ -484,7 +477,6 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
 
 @dataclass
 class ResidualReport:
-    grid: np.ndarray
     max_abs: float
     min_value: float
     argmin: tuple
@@ -498,11 +490,11 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
     """Centered-difference residual of the solved surface at interior nodes.
 
     A numerical certificate that the discrete solution drives the worst-case
-    generator to ~0 away from kinks; boundary and terminal nodes are NaN.
-    The generator is evaluated once per block of layers, and max_abs,
-    min_value and argmin are reduced block by block, so the report grid is
-    the only full-surface array. A surface without a finite interior value
-    (one time step has no interior layer) raises HedgeGameError.
+    generator to ~0 away from kinks; boundary and terminal nodes are left
+    out. The generator is evaluated once per block of layers, and max_abs,
+    min_value and argmin are reduced block by block, so the residual makes
+    no full-surface array. A surface without a finite interior value (one
+    time step has no interior layer) raises HedgeGameError.
     """
     v = surface.values
     t = surface.t
@@ -510,7 +502,6 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
     d = surface.dim
     dx = [ax[1] - ax[0] for ax in surface.axes]
     X = np.stack(np.meshgrid(*surface.axes, indexing="ij"), axis=-1)
-    out = np.full(v.shape, np.nan)
     interior = tuple(slice(1, -1) for _ in range(d))
     max_abs, min_val, loc = 0.0, np.inf, None
     for k0 in range(1, v.shape[0] - 1, _RESIDUAL_BLOCK):
@@ -527,7 +518,6 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
             M[..., 1, 0] = cr
         best, _ = min_generator_field(model, t[k0:k1], X, blk, q, p, M)
         res = best[(slice(None),) + interior]
-        out[(slice(k0, k1),) + interior] = res
         # the blocks run in C order, so a block's minimum replaces the running
         # one only when strictly smaller: the first occurrence, as nanargmin
         finite = np.isfinite(res)
@@ -542,7 +532,7 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
         raise HedgeGameError(f"residual has no finite interior value on {len(t)} layers "
                              f"(interior layers need t_steps >= 2)")
     coords = (float(t[loc[0]]),) + tuple(float(surface.axes[i][loc[1 + i]]) for i in range(d))
-    return ResidualReport(out, max_abs, min_val, coords)
+    return ResidualReport(max_abs, min_val, coords)
 
 
 # ---------------------------------------------------------------------------

@@ -1,36 +1,39 @@
 """Coefficient model of the worst-case hedging game.
 
-The controlled state is (X, Y): X in R^d drives the market and reacts only
-to the adverse control a, the scalar wealth Y reacts to both the hedge u
-(in R^d) and a. The adverse control ranges over a finite list ``A_points``;
-the hedge control is never enumerated because ``u_hat`` returns the unique
-u whose wealth-diffusion row matches a prescribed vector z.
+The controlled state is (X, Y): X in R^d holds the log-prices and reacts
+only to the adverse control a, the scalar wealth Y reacts to both the hedge
+u (in R^d) and a. The adverse control ranges over a finite list
+``A_points``; the hedge control is never enumerated, because the hedge
+(sigma^-1)^T z is the unique u whose wealth-diffusion row is z.
 
-All coefficient callables are vectorised over one leading batch axis:
+A model is its ``FinanceSpec``: the drift, volatility and two cash rates of
+a two-rate market, each a function of (t, x, a) vectorised over the leading
+axes of x (x: (n, d) -> mu (n, d), sigma (n, d, d), rates (n,)). ``t`` is a
+python float and ``a`` one entry of ``A_points``. Closures must be row-wise
+pure: row i of the output depends only on row i of the inputs, because a
+batch may stack probes or gather a subset of paths. Every solver reads a
+model through ``market_read`` once per (t, x, a) for all fixed-point rounds
+(``coefficients_at``; the sweep compares each pair's raw read with the kept
+reads of its adverse point and with the pair's read of the last layer that
+kept it, and derives the hedged drift with ``market_drift`` only when that
+read changed, so the arrays the spec's closures return must not be written
+to later). ``coefficients_at`` and ``min_generator_field`` also take a 1-d
+numpy array of times; they still call every closure once per time, with
+that time as a python float.
+
+``make_finance_model`` also builds the closure form of the game,
 
     mu_X(t, x, a)           x: (n, d)            -> (n, d)
     sigma_X(t, x, a)        x: (n, d)            -> (n, d, d)
     mu_Y(t, x, y, u, a)     y: (n,), u: (n, d)   -> (n,)
     sigma_Y(t, x, y, u, a)                       -> (n, d)
     u_hat(t, x, y, z, a)    z: (n, d)            -> (n, d)
-    payoff_g(x)             x: (n, d)            -> (n,)
 
-``t`` is a python float and ``a`` is one entry of ``A_points``. Closures
-must be row-wise pure: row i of the output depends only on row i of the
-inputs, because a batch may stack probes or gather a subset of paths.
-
-The solvers read a model with a ``finance`` spec through that spec, once per
-(t, x, a) for all fixed-point rounds (``coefficients_at``; the sweep reads
-each pair's raw ``market_read``, compares it with the kept reads of its
-adverse point and with the pair's read of the last layer that kept it, and
-derives the hedged drift with ``market_drift`` only when that read changed,
-so the arrays the spec's closures return must not be written to later); its
-closures must compute the same, as ``make_finance_model`` builds them. ``dataclasses.replace``
-keeps ``finance``, so a copy that replaces a closure by other values must
-replace or clear ``finance`` too, or ``validate_assumptions`` fails the copy.
-``coefficients_at`` and ``min_generator_field`` also take a 1-d numpy array
-of times; they still call every closure once per time, with that time as a
-python float.
+and no solver reads it. Its readers are ``ModelSpec.hash`` (for a model
+without a config), the standing-assumption checks (``frozen_read_matches``
+checks the closures against the read, so a ``dataclasses.replace`` copy that
+changes a closure but keeps ``finance`` fails ``validate_assumptions``),
+``StrategyMap.rule``, test oracles and call tracers.
 """
 
 from __future__ import annotations
@@ -84,10 +87,12 @@ class ModelSpec:
     A_points: tuple
     horizon_T: float
     lipschitz_K: float
-    finance: FinanceSpec | None = None
+    finance: FinanceSpec
     config: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.finance, FinanceSpec):
+            raise ModelError(f"a model needs a FinanceSpec, got {type(self.finance).__name__}")
         if self.dim < 1:
             raise ModelError("dim must be a positive integer")
         if len(self.A_points) == 0:
@@ -243,33 +248,15 @@ def u_hat_finance(t, x, y, z, a, finance: FinanceSpec):
 
 
 def coefficients_at(model: ModelSpec, t, x, a):
-    """(mu_X, sigma_X, drift) at (t, x, a), drift(y, z) the hedged wealth
-    drift mu_Y(., u_hat(., z, .), .) on z rows or on a stack (k,) + x.shape
-    of them. A 1-d array ``t`` adds a leading time axis to the coefficients,
-    and y and z carry it in front of x's rows. A finance model is read once per
-    time through ``finance`` and its drift is one expression for all times;
-    any other through its closures, its drift one call per time, a z stack
-    as one batch of k copies of x and y."""
+    """(mu, sigma, drift) of the market read at (t, x, a), drift(y, z) the
+    hedged wealth drift on z rows or on a stack (k,) + x.shape of them. A
+    1-d array ``t`` adds a leading time axis to the coefficients, and y and
+    z carry it in front of x's rows: the read is once per time, the drift
+    one expression for all times."""
     x = np.asarray(x, dtype=float)
-    if model.finance is not None:
-        read = market_read(model.finance, t, x, a)
-        at = market_drift(read, t, x, a)
-        return read[0], read[1], lambda y, z: at(z)(y)
-
-    def drift_at(s, y, z):
-        if np.ndim(z) == np.ndim(x):
-            return mu_Y_hat(s, x, y, z, a, model)
-        xs, ys = np.concatenate([x] * len(z)), np.concatenate([y] * len(z))
-        return np.asarray(mu_Y_hat(s, xs, ys, np.reshape(z, xs.shape), a, model)).reshape(np.shape(z)[:-1])
-
-    def drift(y, z):
-        if not isinstance(t, np.ndarray):
-            return drift_at(t, y, z)
-        ax = np.ndim(z) - np.ndim(x) - 1  # the time axis of z
-        return np.stack([drift_at(float(s), y[i], np.take(z, i, axis=ax)) for i, s in enumerate(t)],
-                        axis=ax)
-
-    return _per_time(model.mu_X, t, x, a), _per_time(model.sigma_X, t, x, a), drift
+    read = market_read(model.finance, t, x, a)
+    at = market_drift(read, t, x, a)
+    return read[0], read[1], lambda y, z: at(z)(y)
 
 
 def market_drift(read, t, x, a):
@@ -282,9 +269,7 @@ def market_drift(read, t, x, a):
 
 def mu_Y_hat(t, x, y, z, a, model: ModelSpec):
     """Wealth drift at the z-matching hedge: mu_Y(., u_hat(., z, .), .)."""
-    if model.finance is not None:
-        return coefficients_at(model, t, x, a)[2](y, z)
-    return model.mu_Y(t, x, y, model.u_hat(t, x, y, z, a), a)
+    return coefficients_at(model, t, x, a)[2](y, z)
 
 
 def base_point(t, x, b, T):
@@ -631,7 +616,7 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
     and boundedness of (mu_X, sigma_X), y-Lipschitz and growth of
     (mu_Y, sigma_Y), the drift-to-diffusion ratio, linear growth of the
     hedged drift, midpoint concavity of (y,p) -> La(t,x,y,0,p,0), the z
-    inversion identity and, for the finance preset, rate ordering and the
+    inversion identity, the closures against the read, rate ordering and the
     market-price-of-risk bounds. Violations are reported, not raised.
     """
     if sample_count < 1:
@@ -729,16 +714,15 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
     checks.append(AssumptionCheck("inversion_u_hat", worst_inv <= 1e-10, worst_inv, 1e-10, wit_inv))
 
     # the read through finance equals the closures (a copy that replaced a closure but kept finance)
-    if model.finance is not None:
-        worst_fr, wit_fr = 0.0, None
-        for t, a in ((t, a) for t in ts for a in model.A_points):
-            mu, sig, drift = coefficients_at(model, t, x1, a)
-            for got, ref in ((mu, model.mu_X(t, x1, a)), (sig, model.sigma_X(t, x1, a)),
-                             (drift(y1, z), model.mu_Y(t, x1, y1, model.u_hat(t, x1, y1, z, a), a))):
-                err = float(np.max(np.nan_to_num(np.abs(got - ref) / (1.0 + np.abs(ref)), nan=np.inf)))
-                if err > worst_fr:
-                    worst_fr, wit_fr = err, (t, a)
-        checks.append(AssumptionCheck("frozen_read_matches", worst_fr <= 1e-12, worst_fr, 1e-12, wit_fr))
+    worst_fr, wit_fr = 0.0, None
+    for t, a in ((t, a) for t in ts for a in model.A_points):
+        mu, sig, drift = coefficients_at(model, t, x1, a)
+        for got, ref in ((mu, model.mu_X(t, x1, a)), (sig, model.sigma_X(t, x1, a)),
+                         (drift(y1, z), model.mu_Y(t, x1, y1, model.u_hat(t, x1, y1, z, a), a))):
+            err = float(np.max(np.nan_to_num(np.abs(got - ref) / (1.0 + np.abs(ref)), nan=np.inf)))
+            if err > worst_fr:
+                worst_fr, wit_fr = err, (t, a)
+    checks.append(AssumptionCheck("frozen_read_matches", worst_fr <= 1e-12, worst_fr, 1e-12, wit_fr))
 
     # midpoint concavity of (y, p) -> La(t, x, y, 0, p, 0)
     p1 = rng.normal(0.0, 2.0, (n, d))
@@ -758,37 +742,36 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
                 worst_conc, wit_conc = float(defect[i]), (t, x1[i], y1[i], y2[i], p1[i], p2[i], a)
     checks.append(AssumptionCheck("concavity_La", worst_conc >= -1e-9, worst_conc, -1e-9, wit_conc))
 
-    if model.finance is not None:
-        fin = model.finance
-        worst_gap, wit_gap = 0.0, None
-        worst_lam, worst_dep = 0.0, 0.0
-        wit_lam, wit_dep = None, None
-        ones = np.ones(d)
-        for t in ts:
-            for a in model.A_points:
-                rl = np.asarray(fin.r_lend(t, x1, a), dtype=float)
-                rb = np.asarray(fin.r_borrow(t, x1, a), dtype=float)
-                gap = rl - rb
-                i = int(np.argmax(gap))
-                if gap[i] > worst_gap:
-                    worst_gap, wit_gap = float(gap[i]), (t, x1[i], a)
-                sig = np.asarray(fin.sigma(t, x1, a), dtype=float)
-                if sig.ndim == 2:
-                    sig = np.broadcast_to(sig, (n, d, d))
-                mu = np.asarray(fin.mu(t, x1, a), dtype=float)
-                gam = np.einsum("...ij,...ij->...i", sig, sig)
-                for r in (rb, rl):
-                    lam = np.linalg.solve(sig, (mu + 0.5 * gam - r[..., None] * ones)[..., None])[..., 0]
-                    mag = _norm_rows(lam)
-                    j = int(np.argmax(mag))
-                    if mag[j] > worst_lam:
-                        worst_lam, wit_lam = float(mag[j]), (t, x1[j], a)
-                    dep = float(np.max(_norm_rows(lam - lam[0])))
-                    if dep > worst_dep:
-                        worst_dep, wit_dep = dep, (t, a)
-        checks.append(AssumptionCheck("rates_order_rb_ge_rl", worst_gap <= 1e-12, worst_gap, 0.0, wit_gap))
-        thr_lam = 100.0 * (1.0 + K)
-        checks.append(AssumptionCheck("lambda_bounded", worst_lam <= thr_lam, worst_lam, thr_lam, wit_lam))
-        checks.append(AssumptionCheck("lambda_x_independent", worst_dep <= 1e-9, worst_dep, 1e-9, wit_dep))
+    fin = model.finance
+    worst_gap, wit_gap = 0.0, None
+    worst_lam, worst_dep = 0.0, 0.0
+    wit_lam, wit_dep = None, None
+    ones = np.ones(d)
+    for t in ts:
+        for a in model.A_points:
+            rl = np.asarray(fin.r_lend(t, x1, a), dtype=float)
+            rb = np.asarray(fin.r_borrow(t, x1, a), dtype=float)
+            gap = rl - rb
+            i = int(np.argmax(gap))
+            if gap[i] > worst_gap:
+                worst_gap, wit_gap = float(gap[i]), (t, x1[i], a)
+            sig = np.asarray(fin.sigma(t, x1, a), dtype=float)
+            if sig.ndim == 2:
+                sig = np.broadcast_to(sig, (n, d, d))
+            mu = np.asarray(fin.mu(t, x1, a), dtype=float)
+            gam = np.einsum("...ij,...ij->...i", sig, sig)
+            for r in (rb, rl):
+                lam = np.linalg.solve(sig, (mu + 0.5 * gam - r[..., None] * ones)[..., None])[..., 0]
+                mag = _norm_rows(lam)
+                j = int(np.argmax(mag))
+                if mag[j] > worst_lam:
+                    worst_lam, wit_lam = float(mag[j]), (t, x1[j], a)
+                dep = float(np.max(_norm_rows(lam - lam[0])))
+                if dep > worst_dep:
+                    worst_dep, wit_dep = dep, (t, a)
+    checks.append(AssumptionCheck("rates_order_rb_ge_rl", worst_gap <= 1e-12, worst_gap, 0.0, wit_gap))
+    thr_lam = 100.0 * (1.0 + K)
+    checks.append(AssumptionCheck("lambda_bounded", worst_lam <= thr_lam, worst_lam, thr_lam, wit_lam))
+    checks.append(AssumptionCheck("lambda_x_independent", worst_dep <= 1e-9, worst_dep, 1e-9, wit_dep))
 
     return ValidationReport(checks)

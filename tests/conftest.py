@@ -388,8 +388,9 @@ def _oracle_min_generator(model, t, X, y, q, p, M):
 
 
 def residual_oracle(surface, model):
-    """``hjb.residual(...).grid`` with the differences taken layer by layer
-    and the generator read pair by pair from the closures."""
+    """The residual grid that ``hjb.residual`` reduces, NaN at boundary and
+    terminal nodes, with the differences taken layer by layer and the
+    generator read pair by pair from the closures."""
     v = surface.values
     t = surface.t
     dt = float(t[1] - t[0])

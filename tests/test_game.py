@@ -14,8 +14,7 @@ from hedgegame.game import (
     superhedge_check,
 )
 from hedgegame.hjb import GridSpec, ValueSurface, solve
-from hedgegame.model import (HedgeGameError, ModelSpec, coefficients_at, make_finance_model,
-                             make_payoff)
+from hedgegame.model import HedgeGameError, coefficients_at, make_finance_model, make_payoff
 from hedgegame.regularize import SmoothSurface
 
 from conftest import (
@@ -37,19 +36,11 @@ def constant_surface(level=1.0, x_lo=-1.0, x_hi=1.0, nx=20, nt=10, T=1.0):
 
 
 def frozen_model(level=1.0):
-    """Zero dynamics: X and Y never move; the wealth target is exact."""
-    return ModelSpec(
-        dim=1,
-        mu_X=lambda t, x, a: np.zeros(np.asarray(x).shape),
-        sigma_X=lambda t, x, a: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
-        mu_Y=lambda t, x, y, u, a: np.zeros(np.asarray(x).shape[:-1]),
-        sigma_Y=lambda t, x, y, u, a: np.zeros(np.asarray(x).shape[:-1] + (1,)),
-        u_hat=lambda t, x, y, z, a: np.zeros(np.asarray(z).shape),
-        payoff_g=lambda x: np.full(np.asarray(x).shape[:-1], level),
-        A_points=[np.array([0.0])],
-        horizon_T=1.0,
-        lipschitz_K=1.0,
-    )
+    """Frozen wealth: a constant payoff at zero rates. Hedged from a
+    constant surface, z = 0, so Y never moves while X diffuses, and the
+    wealth target is exact."""
+    return make_finance_model(finance_spec(), make_payoff("constant", level=level), 1,
+                              [np.array([0.2])], 1.0, 0.2)
 
 
 @pytest.fixture(scope="module")
@@ -212,9 +203,7 @@ class TestFrozenGameStep:
     def cases(uv_surface):
         model, surf = uv_surface
         smooth = SmoothSurface(surf.t, surf.axes, surf.values, 0.05)
-        closure_only = dataclasses.replace(model, finance=None)
         xvol = x_varying_vol_model()
-        xvol_closure_only = dataclasses.replace(xvol, finance=None)  # drift reads x
         model2 = uncertain_vol_model(dim=2)
         surf2 = analytic_surface_2d(model2)
         random = PiecewiseRandomAdversary(4.0)
@@ -225,11 +214,8 @@ class TestFrozenGameStep:
             ("smooth-constant", model, smooth, ConstantAdversary(0), 0.1, (0.0,)),
             ("smooth-random", model, smooth, random, 0.1, (0.3,)),
             ("smooth-worst", model, smooth, MarkovWorstAdversary(surf), 0.1, (0.0,)),
-            ("closure-only-random", closure_only, surf, random, 0.0, (0.0,)),
-            ("closure-only-worst", closure_only, smooth, MarkovWorstAdversary(surf), 0.1, (0.0,)),
             ("xvol-constant", xvol, surf, ConstantAdversary(1), 0.0, (0.0,)),
-            ("xvol-closure-only-constant", xvol_closure_only, surf, ConstantAdversary(1), 0.0, (0.0,)),
-            ("xvol-closure-only-random", xvol_closure_only, smooth, random, 0.1, (0.3,)),
+            ("xvol-smooth-random", xvol, smooth, random, 0.1, (0.3,)),
             ("d2-random", model2, surf2, random, 0.0, (0.0, 0.2)),
             ("d2-constant", model2, surf2, ConstantAdversary(0), 0.0, (1.3, -1.3)),
         ]

@@ -15,7 +15,7 @@ from hedgegame.hjb import (
     solve,
 )
 from hedgegame import hjb
-from hedgegame.model import (FinanceSpec, HedgeGameError, ModelError, ModelSpec,
+from hedgegame.model import (FinanceSpec, HedgeGameError, ModelError,
                              make_finance_model, make_payoff, make_single_rate_model, market_read,
                              shake_lattice)
 
@@ -224,8 +224,7 @@ class TestResidual:
         model = bs_singleton_model()
         grid = GridSpec(t_steps=400, x_min=(-1.2,), x_max=(1.2,), x_steps=(200,))
         surf = solve(model, grid)
-        rep = residual(surf, model)
-        r = rep.grid
+        r = residual_oracle(surf, model)
         ax = surf.axes[0]
         # mask out strike neighbourhoods and the terminal-adjacent layers
         xmask = (np.abs(np.exp(ax) - 1.0) > 0.15) & (np.abs(np.exp(ax) - 1.4) > 0.2)
@@ -239,11 +238,11 @@ class TestResidual:
         for nx, nt in ((60, 80), (120, 300)):
             grid = GridSpec(t_steps=nt, x_min=(-1.2,), x_max=(1.2,), x_steps=(nx,))
             surf = solve(model, grid)
-            rep = residual(surf, model)
+            r = residual_oracle(surf, model)
             ax = surf.axes[0]
             xmask = (np.abs(np.exp(ax) - 1.0) > 0.15) & (np.abs(np.exp(ax) - 1.4) > 0.2)
             cut = max(2, nt // 20)
-            sub = rep.grid[1:-cut][:, xmask]
+            sub = r[1:-cut][:, xmask]
             maxima.append(np.max(np.abs(sub[np.isfinite(sub)])))
         assert maxima[0] / maxima[1] >= 1.5
 
@@ -260,9 +259,18 @@ def assert_reductions_of(rep, grid, surf):
     assert rep.argmin == coords
 
 
+def interior_of(field):
+    """``field`` at the interior nodes of its interior layers, NaN elsewhere:
+    the residual grid of a generator that returns ``field``."""
+    out = np.full(field.shape, np.nan)
+    core = (slice(1, -1),) * field.ndim
+    out[core] = field[core]
+    return out
+
+
 class TestResidualReductions:
     """``residual`` reduces each block of layers as it goes; the reductions
-    equal those over the report grid taken at once."""
+    equal those over the whole residual grid taken at once."""
 
     @staticmethod
     def patched_report(monkeypatch, field):
@@ -282,7 +290,7 @@ class TestResidualReductions:
         field[5, 2] = -np.inf  # not finite, so never the minimum
         surf, rep = self.patched_report(monkeypatch, field)
         assert (rep.min_value, rep.argmin) == (-2.0, (float(surf.t[10]), float(surf.axes[0][15])))
-        assert_reductions_of(rep, rep.grid, surf)
+        assert_reductions_of(rep, interior_of(field), surf)
 
     def test_minimum_in_the_last_partial_block(self, monkeypatch):
         field = np.linspace(-1.0, 1.0, 201 * 21)[::-1].reshape(201, 21)
@@ -290,14 +298,14 @@ class TestResidualReductions:
         surf, rep = self.patched_report(monkeypatch, field)
         assert rep.argmin == (float(surf.t[198]), float(surf.axes[0][7]))
         assert rep.max_abs == 3.0
-        assert_reductions_of(rep, rep.grid, surf)
+        assert_reductions_of(rep, interior_of(field), surf)
 
     def test_no_full_surface_temporary(self):
         # 3001 layers x 101 nodes: each full-surface float array is 2.4 MB.
         # The solve may add only per-layer temporaries to its values and
         # policy (measured: about 130 layers' bytes), and the residual only
-        # one block's temporaries to its report grid (measured: about 21
-        # blocks' bytes). A full-surface copy alone exceeds either bound.
+        # one block's temporaries (measured: about 21 blocks' bytes). A
+        # full-surface copy alone exceeds either bound.
         model = uncertain_vol_model(r_lend=0.02, r_borrow=0.05)
         grid = small_grid(nx=100, nt=3000)
         model.hash
@@ -313,7 +321,7 @@ class TestResidualReductions:
             tracemalloc.stop()
         layer = surf.values[0].nbytes
         assert solve_peak - surf.values.nbytes - surf.policy.nbytes <= 256 * layer
-        assert residual_peak - rep.grid.nbytes <= 40 * hjb._RESIDUAL_BLOCK * layer
+        assert residual_peak <= 40 * hjb._RESIDUAL_BLOCK * layer
 
 
 def time_dependent_vol_model():
@@ -347,32 +355,6 @@ def switch_at_half_model():
     fin = FinanceSpec(mu=constant_mu(1), sigma=sigma, r_lend=rate(0.01), r_borrow=rate(0.04))
     return make_finance_model(fin, make_payoff("call", strike=1.0), 1,
                               [np.array([0.1]), np.array([0.3])], 1.0, 0.6)
-
-
-def column_indexed_model(r_lend=0.02, r_borrow=0.05, drift=0.01):
-    """d = 1 two-rate call built by hand, without a FinanceSpec; its closures
-    index column 0, so they are only correct on (n, 1) rows."""
-    def vol(x, a):
-        return float(a[0]) * (1.0 + 0.1 * np.sin(x[:, 0]))
-
-    def mu_Y(t, x, y, u, a):
-        s = vol(x, a)
-        cash = y - u[:, 0]
-        return (u[:, 0] * (drift + 0.5 * s * s) + np.maximum(cash, 0.0) * r_lend
-                - np.maximum(-cash, 0.0) * r_borrow)
-
-    return ModelSpec(
-        dim=1,
-        mu_X=lambda t, x, a: np.full((x.shape[0], 1), drift),
-        sigma_X=lambda t, x, a: vol(x, a)[:, None, None],
-        mu_Y=mu_Y,
-        sigma_Y=lambda t, x, y, u, a: (vol(x, a) * u[:, 0])[:, None],
-        u_hat=lambda t, x, y, z, a: (z[:, 0] / vol(x, a))[:, None],
-        payoff_g=make_payoff("call", strike=1.0),
-        A_points=(np.array([0.1]), np.array([0.3])),
-        horizon_T=1.0,
-        lipschitz_K=0.6,
-    )
 
 
 def counted(model, names):
@@ -418,20 +400,6 @@ class TestStackedSweep:
         model = uncertain_vol_model(dim=2, r_lend=0.02, r_borrow=0.05)
         grid = GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10))
         self.assert_matches_oracle(model, grid, pad_layers=5, shake_points=shake_lattice(0.05, 2))
-
-    def test_closures_without_finance(self):
-        # a model without a FinanceSpec reads the stacked z through its closures
-        model = uncertain_vol_model(dim=2, r_lend=0.02, r_borrow=0.05)
-        grid = GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10))
-        kw = dict(pad_layers=5, shake_points=shake_lattice(0.05, 2))
-        plain = self.assert_matches_oracle(dataclasses.replace(model, finance=None), grid, **kw)
-        assert np.array_equal(plain.values, solve(model, grid, validate=False, **kw).values)
-
-    def test_closures_indexing_columns(self):
-        # hand-written closures that take x[:, 0] and u[:, 0] see (n, 1) rows only
-        grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
-        self.assert_matches_oracle(column_indexed_model(), grid, pad_layers=10,
-                                   shake_points=shake_lattice(0.05, 1))
 
     def test_time_dependent_vol_keeps_clamped_times_apart(self):
         grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
@@ -560,11 +528,6 @@ class TestStackedSweep:
         assert compared["pair"] == n_layers * n_a * (n_b - 1)
         assert compared["layer"] == (n_layers - 1) * n_a
 
-    def test_closure_only_model_keeps_every_pair(self, monkeypatch):
-        model = dataclasses.replace(uncertain_vol_model(r_lend=0.02, r_borrow=0.05), finance=None)
-        surf, shakes, rows = self.kept_rows(monkeypatch, model, small_grid(nx=30, nt=80), 0.05)
-        assert rows == [len(shakes) * len(model.A_points)] * (len(surf.t) - 1)
-
     def test_reads_apart_only_in_the_sign_of_zero_keep_both_pairs(self, monkeypatch):
         # mu is -0.0 before t = 0.5 and 0.0 from then on: equal values, different bits
         def mu(t, x, a):
@@ -649,14 +612,28 @@ class TestStackedSweep:
                                               x_max=(1.0, 1.0), x_steps=(10, 8)), 0),
         # every layer reads its own coefficients; the pad layers clamp to t = 0
         (time_dependent_vol_model(), small_grid(nx=30, nt=150), 20),
-        (column_indexed_model(), small_grid(nx=30, nt=130), 0),
-    ], ids=["d1-600-layers", "d1-one-block", "d2-300-layers", "d1-time-dependent-vol-padded",
-            "d1-closures-without-finance"])
-    def test_residual_blocks_match_per_layer(self, model, grid, pad_layers):
-        # interior layer counts 599, 59, 299, 169 and 129: none a multiple of the block
+    ], ids=["d1-600-layers", "d1-one-block", "d2-300-layers", "d1-time-dependent-vol-padded"])
+    def test_residual_blocks_match_per_layer(self, monkeypatch, model, grid, pad_layers):
+        # interior layer counts 599, 59, 299 and 169: none a multiple of the block.
+        # Each block's generator field equals the oracle's layers at every
+        # interior node, and the blocks cover every interior layer once.
         surf = solve(model, grid, validate=False, pad_layers=pad_layers)
-        rep, oracle = residual(surf, model), residual_oracle(surf, model)
-        assert np.array_equal(rep.grid, oracle, equal_nan=True)
+        oracle = residual_oracle(surf, model)
+        blocks, generator = [], hjb.min_generator_field
+
+        def recorded(*args):
+            best, idx = generator(*args)
+            blocks.append((int(np.searchsorted(surf.t, args[1][0])), best))
+            return best, idx
+
+        monkeypatch.setattr(hjb, "min_generator_field", recorded)
+        rep = residual(surf, model)
+        core = (slice(1, -1),) * surf.dim
+        assert [k0 for k0, _ in blocks] == list(range(1, len(surf.t) - 1, hjb._RESIDUAL_BLOCK))
+        assert sum(len(best) for _, best in blocks) == len(surf.t) - 2
+        for k0, best in blocks:
+            got = best[(slice(None),) + core]
+            assert np.array_equal(got, oracle[k0:k0 + len(best)][(slice(None),) + core])
         assert_reductions_of(rep, oracle, surf)
 
 

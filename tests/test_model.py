@@ -10,6 +10,7 @@ from hedgegame.model import (
     FinanceSpec,
     HedgeGameError,
     ModelError,
+    ModelSpec,
     adverse_pairs,
     base_point,
     coefficients_at,
@@ -216,9 +217,6 @@ class TestFrozenRead:
         rows = np.array([[closure_drift(model, 0.6, x[r:r + 1], y[r:r + 1], zs[i, r:r + 1], a)[0]
                           for r in range(20)] for i in range(3)])
         assert np.array_equal(coefficients_at(model, 0.6, x, a)[2](y, zs), rows)
-        # without finance the stack is read as one batch of the closures
-        plain = dataclasses.replace(model, finance=None)
-        assert np.array_equal(coefficients_at(plain, 0.6, x, a)[2](y, zs), rows)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_zero_vol_raises(self, dim):
@@ -256,23 +254,10 @@ class TestFrozenRead:
 
 class TestOperatorLa:
     def test_trace_arithmetic(self):
-        # mu_X = 0, sigma_X = I (d=2), hedged drift == 0, q = 1, M = I -> -2
-        def mu_Y(t, x, y, u, a):
-            return np.zeros(np.asarray(x).shape[:-1])
-
-        from hedgegame.model import ModelSpec
-        model = ModelSpec(
-            dim=2,
-            mu_X=constant_mu(2),
-            sigma_X=lambda t, x, a: np.broadcast_to(np.eye(2), np.asarray(x).shape[:-1] + (2, 2)),
-            mu_Y=mu_Y,
-            sigma_Y=lambda t, x, y, u, a: np.asarray(u, float),
-            u_hat=lambda t, x, y, z, a: np.asarray(z, float),
-            payoff_g=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-            A_points=[np.array([0.0])],
-            horizon_T=1.0,
-            lipschitz_K=2.0,
-        )
+        # sigma = I (d=2) and mu = -gamma/2 with zero rates: the hedged drift
+        # u.(mu + gamma/2) + rho is 0, so with p = 0, q = 1 and M = I, La = -2
+        model = make_finance_model(finance_spec(dim=2, mu=-0.5), make_payoff("constant", level=0.0),
+                                   2, [np.array([1.0])], 1.0, 2.0)
         out = operator_La(0.0, np.zeros(2), pack(q=1.0, M=1.0, d=2), model.A_points[0], model)
         assert out == pytest.approx(-2.0, abs=1e-14)
 
@@ -393,14 +378,11 @@ class TestMinGeneratorField:
                             for a, b in pairs]
                 assert idx[i] == int(np.argmin(per_pair))
 
-    @pytest.mark.parametrize("finance", [True, False], ids=["finance", "closures"])
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_times_stacked_equals_per_time(self, dim, finance, rng):
+    @pytest.mark.parametrize("dim", [1, 2], ids=["1-finance", "2-finance"])
+    def test_times_stacked_equals_per_time(self, dim, rng):
         # a 1-d t with a leading layer axis on (y, q, p, M) over one mesh, as
         # hjb.residual reads a block of layers; -0.1 is clamped to t = 0
         model = drifting_vol_model(dim)
-        if not finance:
-            model = dataclasses.replace(model, finance=None)
         ts = np.array([-0.1, 0.0, 0.35, 0.8, 1.0])
         X = np.stack(np.meshgrid(*[np.linspace(-1.5, 1.5, 9 - dim)] * dim, indexing="ij"), axis=-1)
         lead = (len(ts),) + X.shape[:-1]
@@ -481,8 +463,8 @@ class TestValidateAssumptions:
         assert not validate_assumptions(stale)["frozen_read_matches"].passed
         with pytest.raises(HedgeGameError, match="FAIL frozen_read_matches"):
             solve(stale, grid)
-        cleared = dataclasses.replace(stale, finance=None)
-        assert "frozen_read_matches" not in {c.id for c in validate_assumptions(cleared).checks}
+        with pytest.raises(ModelError, match="FinanceSpec"):
+            dataclasses.replace(stale, finance=None)
 
     def test_wrapped_closures_keep_the_read_valid(self):
         # closures wrapped as a call tracer wraps them still return the same values
@@ -513,6 +495,20 @@ class TestValidateAssumptions:
         avg = 0.5 * (rho(0.0, x, 1.0, np.array([[0.0]]), fin, a)[0]
                      + rho(0.0, x, -1.0, np.array([[0.0]]), fin, a)[0])
         assert mid < avg - 1e-3  # convex kink: midpoint strictly below average
+
+
+class TestModelSpec:
+    def test_model_without_finance_spec_raises(self):
+        # every solver reads a model through its FinanceSpec, so a model
+        # without one is refused when it is built, directly or as a copy
+        model = bs_singleton_model()
+        closures = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+        with pytest.raises(ModelError, match="FinanceSpec"):
+            ModelSpec(**{**closures, "finance": None})
+        with pytest.raises(ModelError, match="FinanceSpec"):
+            dataclasses.replace(model, finance=None)
+        with pytest.raises(ModelError, match="FinanceSpec"):
+            dataclasses.replace(model, finance=model.sigma_X)
 
 
 class TestModelHash:
