@@ -282,8 +282,8 @@ def _prepare(args):
             tol_sim=float(s["tol_sim"]), p_sim=float(s["p_sim"]),
             switch_rate=float(s["switch_rate"]),
         )
-        if len(sim.x0) != model.dim:
-            raise ConfigError(f"sim.x0 needs {model.dim} entries, got {len(sim.x0)}")
+        if len(sim.x0) != model.dim or not np.all(np.isfinite(sim.x0)):
+            raise ConfigError(f"sim.x0 needs {model.dim} finite entries, got {list(sim.x0)}")
         if not sim.t0 < model.horizon_T:
             raise ConfigError(f"sim.t0 {sim.t0} must be below horizon_T {model.horizon_T}")
         if r["B"] is None:  # central half of the grid in every axis, full time range

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .model import HedgeGameError, ModelSpec, adverse_pairs, base_point, mu_Y_hat, shake_lattice
+from .model import HedgeGameError, ModelSpec, adverse_pairs, base_point, mu_Y_hat, shake_lattice, shaken_payoff
 
 _BOOTSTRAP = 200
 
@@ -206,13 +206,6 @@ def _training_cloud(model, lattice, X, rng_mix, rng_path):
     return clouds
 
 
-def _terminal_payoff(model, eps):
-    def terminal_fn(xs):
-        return np.asarray(model.payoff_g(xs), dtype=float) + 2.0 * eps
-
-    return terminal_fn
-
-
 def _fit_tables(model, lattice, clouds, degree, rng_branch, terminal_fn):
     """Backward regression sweep over knots.
 
@@ -295,10 +288,10 @@ def dual_value_lsmc(model: ModelSpec, eps: float, t0: float, x0, lattice: Contro
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     T = model.horizon_T
     if T - t0 <= 1e-12:
-        g = float(np.asarray(model.payoff_g(x0.reshape(1, -1)))[0]) + 2.0 * eps
+        g = float(shaken_payoff(model, eps)(x0.reshape(1, -1))[0])
         return DualEstimate(g, 0.0, n_paths, basis_degree, 1, eps, int(seed))
     if terminal_fn is None:
-        terminal_fn = _terminal_payoff(model, eps)
+        terminal_fn = shaken_payoff(model, eps)
     rng_mix, rng_path, rng_branch, rng_roll, rng_boot = _rngs(seed, 5)
     start = np.tile(x0.reshape(1, model.dim), (n_paths, 1))
     clouds = _training_cloud(model, lattice, start, rng_mix, rng_path)
@@ -363,7 +356,7 @@ def dpp_check(model: ModelSpec, eps: float, t0: float, x0, mid_time: float,
                                 rng_mix, rng_path)[-1]
     inner_clouds = _training_cloud(model, inner_lat, mid_cloud, rng_cloud, rng_path)
     _, v_mid = _fit_tables(model, inner_lat, inner_clouds, basis_degree, rng_branch,
-                           _terminal_payoff(model, eps))
+                           shaken_payoff(model, eps))
     composed = dual_value_lsmc(model, eps, t0, x0, outer_lat, basis_degree, n_paths,
                                seed + 2, terminal_fn=v_mid)
     diff = abs(direct.value - composed.value)

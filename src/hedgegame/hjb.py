@@ -64,8 +64,8 @@ class GridSpec:
             raise HedgeGameError("t_steps >= 1 and x_steps >= 2 required")
         if len(self.x_min) != len(self.x_max) or len(self.x_min) != len(self.x_steps):
             raise HedgeGameError("x_min/x_max/x_steps must have equal length")
-        if any(lo >= hi for lo, hi in zip(self.x_min, self.x_max)):
-            raise HedgeGameError("x_min < x_max required componentwise")
+        if not all(-np.inf < lo < hi < np.inf for lo, hi in zip(self.x_min, self.x_max)):
+            raise HedgeGameError("finite x_min < x_max required componentwise")
         if len(self.x_steps) > 2:
             raise HedgeGameError("grids with d > 2 are not supported")
 
@@ -178,7 +178,7 @@ class ValueSurface:
     def _locate(self, axis, query):
         lo, hi = axis[0], axis[-1]
         q = np.asarray(query, dtype=float)
-        if np.any(q < lo - 1e-12) or np.any(q > hi + 1e-12):
+        if not np.all((q >= lo - 1e-12) & (q <= hi + 1e-12)):
             raise HedgeGameError(f"query outside grid range [{lo}, {hi}]")
         h = axis[1] - axis[0]
         idx = np.clip(((q - lo) / h).astype(int), 0, len(axis) - 2)
@@ -377,8 +377,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     if grid.dim != model.dim:
         raise HedgeGameError(f"grid dim {grid.dim} != model dim {model.dim}")
     if validate:
-        rep = validate_assumptions(model, sample_count=256, rng_seed=0,
-                                   x_box=(min(grid.x_min), max(grid.x_max)))
+        rep = validate_assumptions(model, x_box=(min(grid.x_min), max(grid.x_max)))
         if not rep.ok:
             raise HedgeGameError("model violates standing assumptions:\n" + rep.summary())
     T = model.horizon_T

@@ -30,10 +30,10 @@ that time as a python float.
     u_hat(t, x, y, z, a)    z: (n, d)            -> (n, d)
 
 and no solver reads it. Its readers are ``ModelSpec.hash`` (for a model
-without a config), the standing-assumption checks (``frozen_read_matches``
-checks the closures against the read, so a ``dataclasses.replace`` copy that
-changes a closure but keeps ``finance`` fails ``validate_assumptions``),
-``StrategyMap.rule``, test oracles and call tracers.
+without a config), ``StrategyMap.rule``, test oracles, call tracers, and of
+the standing-assumption checks only the two that compare it with the spec:
+``inversion_u_hat`` and ``frozen_read_matches`` (a ``dataclasses.replace``
+copy that changes a closure but keeps ``finance`` fails the latter).
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class ModelSpec:
             raise ModelError("dim must be a positive integer")
         if len(self.A_points) == 0:
             raise ModelError("A_points must be nonempty")
-        if not self.horizon_T > 0:
-            raise ModelError("horizon_T must be positive")
+        if not 0 < self.horizon_T < np.inf:
+            raise ModelError(f"horizon_T must be positive and finite, got {self.horizon_T}")
         if not self.lipschitz_K > 0:
             raise ModelError("lipschitz_K must be positive")
         pts = tuple(np.asarray(a, dtype=float).reshape(-1) for a in self.A_points)
@@ -288,8 +288,8 @@ def shake_lattice(eps: float, dim: int) -> np.ndarray:
 
     Always contains the origin; for eps = 0 it is exactly {0}.
     """
-    if eps < 0:
-        raise ModelError("eps must be nonnegative")
+    if not 0 <= eps < np.inf:
+        raise ModelError(f"eps must be nonnegative and finite, got {eps}")
     if eps == 0.0:
         return np.zeros((1, dim + 1))
     axes = [np.array([-eps, 0.0, eps])] * (dim + 1)
@@ -298,6 +298,11 @@ def shake_lattice(eps: float, dim: int) -> np.ndarray:
     pts = mesh[keep]
     order = np.lexsort(pts.T[::-1])
     return pts[order]
+
+
+def shaken_payoff(model: ModelSpec, eps: float):
+    """Terminal data g + 2 eps of the shaken solve and of the dual."""
+    return lambda x: np.asarray(model.payoff_g(x), dtype=float) + 2.0 * eps
 
 
 def adverse_pairs(model: ModelSpec, shake_points=None) -> list:
@@ -608,8 +613,44 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+_Y_RANGE = (-5.0, 5.0)  # the wealth levels y that validate_assumptions samples
+
+
+class _Worst:
+    """Running worst of one check over the (t, a) samples: the largest value
+    (the smallest with ``lower``) and the witness of its first occurrence. A
+    NaN counts as the worst value there is, so a sample that cannot be
+    evaluated fails its check and is its witness."""
+
+    def __init__(self, cid, threshold, slack=0.0, lower=False):
+        self.cid, self.threshold, self.slack = cid, threshold, slack
+        self.sign = -1.0 if lower else 1.0
+        self.top, self.witness = (-np.inf if lower else 0.0), None  # top = sign * worst
+
+    def add(self, t, a, vals, *cols):
+        """Take (t, a)'s values; sample i's witness is (t, col[i] per col, a)."""
+        v = self.sign * np.atleast_1d(np.asarray(vals, dtype=float))
+        v[np.isnan(v)] = np.inf
+        i = int(np.argmax(v))
+        if v[i] > self.top:
+            self.top, self.witness = float(v[i]), (t, *(c[i] for c in cols), a)
+
+    def check(self) -> AssumptionCheck:
+        worst = self.sign * self.top
+        passed = worst >= self.threshold if self.sign < 0 else worst <= self.threshold + self.slack
+        return AssumptionCheck(self.cid, passed, worst, self.threshold, self.witness)
+
+
+def _norm_rows(v):
+    return np.sqrt((np.asarray(v, dtype=float) ** 2).sum(axis=-1))
+
+
+def _opnorm(mats):
+    return np.linalg.norm(np.asarray(mats, dtype=float), ord=2, axis=(-2, -1))
+
+
 def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: int = 0,
-                         x_box: tuple = (-3.0, 3.0), y_range: tuple = (-5.0, 5.0)) -> ValidationReport:
+                         x_box: tuple = (-3.0, 3.0)) -> ValidationReport:
     """Empirical spot-checks of the standing coefficient conditions.
 
     Samples random points/pairs and reports worst-case constants: Lipschitz
@@ -617,161 +658,68 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
     (mu_Y, sigma_Y), the drift-to-diffusion ratio, linear growth of the
     hedged drift, midpoint concavity of (y,p) -> La(t,x,y,0,p,0), the z
     inversion identity, the closures against the read, rate ordering and the
-    market-price-of-risk bounds. Violations are reported, not raised.
+    market-price-of-risk bounds. Each (t, a) reads the spec once on each
+    sample set (``market_read``) and derives every check from those reads;
+    only ``inversion_u_hat`` and ``frozen_read_matches`` call the closure
+    copy, and the concavity check evaluates La through
+    ``min_generator_field``. A NaN value fails its check. Violations are
+    reported, not raised.
     """
     if sample_count < 1:
         raise ModelError("sample_count must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    n = int(sample_count)
-    d = model.dim
-    K = model.lipschitz_K
-    T = model.horizon_T
-    lo, hi = x_box
-    ts = rng.uniform(0.0, T, 3)
-    x1 = rng.uniform(lo, hi, (n, d))
-    x2 = rng.uniform(lo, hi, (n, d))
-    y1 = rng.uniform(*y_range, n)
-    y2 = rng.uniform(*y_range, n)
-    u = rng.normal(0.0, 2.0, (n, d))
-    z = rng.normal(0.0, 2.0, (n, d))
-    checks = []
-
-    def _norm_rows(v):
-        return np.sqrt((np.asarray(v, dtype=float) ** 2).sum(axis=-1))
-
-    def _opnorm(mats):
-        return np.linalg.norm(np.asarray(mats, dtype=float), ord=2, axis=(-2, -1))
-
-    # Lipschitz in x and boundedness of the X coefficients
-    worst_lip, worst_bound, wit_lip, wit_bound = 0.0, 0.0, None, None
-    for t in ts:
-        for a in model.A_points:
-            m1, m2 = model.mu_X(t, x1, a), model.mu_X(t, x2, a)
-            s1, s2 = model.sigma_X(t, x1, a), model.sigma_X(t, x2, a)
-            dx = _norm_rows(x1 - x2)
-            num = _norm_rows(m1 - m2) + _opnorm(s1 - s2)
-            ratio = num / np.maximum(dx, 1e-12)
-            i = int(np.argmax(ratio))
-            if ratio[i] > worst_lip:
-                worst_lip, wit_lip = float(ratio[i]), (t, x1[i], x2[i], a)
-            bound = _norm_rows(m1) + _opnorm(s1)
-            j = int(np.argmax(bound))
-            if bound[j] > worst_bound:
-                worst_bound, wit_bound = float(bound[j]), (t, x1[j], a)
-    checks.append(AssumptionCheck("x_lipschitz_muX_sigmaX", worst_lip <= K + 1e-9, worst_lip, K, wit_lip))
-    checks.append(AssumptionCheck("bound_muX_sigmaX", worst_bound <= K + 1e-9, worst_bound, K, wit_bound))
-
-    # y-Lipschitz and (1 + |u| + |y|) growth of the Y coefficients
-    worst_ylip, worst_gro, wit_ylip, wit_gro = 0.0, 0.0, None, None
-    worst_ratio, wit_ratio = 0.0, None
-    for t in ts:
-        for a in model.A_points:
-            mu1 = np.asarray(model.mu_Y(t, x1, y1, u, a), dtype=float)
-            mu2 = np.asarray(model.mu_Y(t, x1, y2, u, a), dtype=float)
-            sg1 = model.sigma_Y(t, x1, y1, u, a)
-            sg2 = model.sigma_Y(t, x1, y2, u, a)
-            dy = np.maximum(np.abs(y1 - y2), 1e-12)
-            ratio = (np.abs(mu1 - mu2) + _norm_rows(np.asarray(sg1) - np.asarray(sg2))) / dy
-            i = int(np.argmax(ratio))
-            if ratio[i] > worst_ylip:
-                worst_ylip, wit_ylip = float(ratio[i]), (t, x1[i], y1[i], y2[i], a)
-            gro = (np.abs(mu1) + _norm_rows(sg1)) / (1.0 + _norm_rows(u) + np.abs(y1))
-            j = int(np.argmax(gro))
-            if gro[j] > worst_gro:
-                worst_gro, wit_gro = float(gro[j]), (t, x1[j], y1[j], u[j], a)
-            dratio = np.abs(mu1) / (1.0 + _norm_rows(sg1))
-            k_ = int(np.argmax(dratio))
-            if dratio[k_] > worst_ratio:
-                worst_ratio, wit_ratio = float(dratio[k_]), (t, x1[k_], y1[k_], u[k_], a)
-    checks.append(AssumptionCheck("y_lipschitz_muY_sigmaY", worst_ylip <= K + 1e-9, worst_ylip, K, wit_ylip))
-    checks.append(AssumptionCheck("growth_muY_sigmaY", worst_gro <= K + 1e-9, worst_gro, K, wit_gro))
-    # only locally bounded is required; flag clearly degenerate blow-ups
-    thr_ratio = 10.0 * K * (1.0 + max(map(abs, y_range)))
-    checks.append(AssumptionCheck("mu_over_sigma_bounded", worst_ratio <= thr_ratio, worst_ratio, thr_ratio, wit_ratio))
-
-    # linear growth of the hedged drift in (y, z)
-    worst_hat, wit_hat = 0.0, None
-    for t in ts:
-        for a in model.A_points:
-            f = np.asarray(mu_Y_hat(t, x1, y1, z, a, model), dtype=float)
-            gro = np.abs(f) / (1.0 + np.abs(y1) + _norm_rows(z))
-            i = int(np.argmax(gro))
-            if gro[i] > worst_hat:
-                worst_hat, wit_hat = float(gro[i]), (t, x1[i], y1[i], z[i], a)
-    thr_hat = 10.0 * K
-    checks.append(AssumptionCheck("growth_muY_hat", worst_hat <= thr_hat, worst_hat, thr_hat, wit_hat))
-
-    # inversion identity sigma_Y(., u_hat(., z, .), .) == z
-    worst_inv, wit_inv = 0.0, None
-    for t in ts:
-        for a in model.A_points:
-            uh = model.u_hat(t, x1, y1, z, a)
-            zz = np.asarray(model.sigma_Y(t, x1, y1, uh, a), dtype=float)
-            err = _norm_rows(zz - z)
-            i = int(np.argmax(err))
-            if err[i] > worst_inv:
-                worst_inv, wit_inv = float(err[i]), (t, x1[i], y1[i], z[i], a)
-    checks.append(AssumptionCheck("inversion_u_hat", worst_inv <= 1e-10, worst_inv, 1e-10, wit_inv))
-
-    # the read through finance equals the closures (a copy that replaced a closure but kept finance)
-    worst_fr, wit_fr = 0.0, None
-    for t, a in ((t, a) for t in ts for a in model.A_points):
-        mu, sig, drift = coefficients_at(model, t, x1, a)
-        for got, ref in ((mu, model.mu_X(t, x1, a)), (sig, model.sigma_X(t, x1, a)),
-                         (drift(y1, z), model.mu_Y(t, x1, y1, model.u_hat(t, x1, y1, z, a), a))):
-            err = float(np.max(np.nan_to_num(np.abs(got - ref) / (1.0 + np.abs(ref)), nan=np.inf)))
-            if err > worst_fr:
-                worst_fr, wit_fr = err, (t, a)
-    checks.append(AssumptionCheck("frozen_read_matches", worst_fr <= 1e-12, worst_fr, 1e-12, wit_fr))
-
-    # midpoint concavity of (y, p) -> La(t, x, y, 0, p, 0)
-    p1 = rng.normal(0.0, 2.0, (n, d))
-    p2 = rng.normal(0.0, 2.0, (n, d))
+    n, d, K = int(sample_count), model.dim, model.lipschitz_K
+    ts = rng.uniform(0.0, model.horizon_T, 3)
+    x1, x2 = rng.uniform(*x_box, (n, d)), rng.uniform(*x_box, (n, d))
+    y1, y2 = rng.uniform(*_Y_RANGE, n), rng.uniform(*_Y_RANGE, n)
+    u, z, p1, p2 = (rng.normal(0.0, 2.0, (n, d)) for _ in range(4))
+    checks = lip, bound, ylip, gro, ratio, hat, inv, frozen, conc, gap, lam, dep = (
+        _Worst("x_lipschitz_muX_sigmaX", K, 1e-9), _Worst("bound_muX_sigmaX", K, 1e-9),
+        _Worst("y_lipschitz_muY_sigmaY", K, 1e-9), _Worst("growth_muY_sigmaY", K, 1e-9),
+        # only locally bounded is required; flag clearly degenerate blow-ups
+        _Worst("mu_over_sigma_bounded", 10.0 * K * (1.0 + max(map(abs, _Y_RANGE)))),
+        _Worst("growth_muY_hat", 10.0 * K), _Worst("inversion_u_hat", 1e-10),
+        _Worst("frozen_read_matches", 1e-12), _Worst("concavity_La", -1e-9, lower=True),
+        _Worst("rates_order_rb_ge_rl", 0.0, 1e-12), _Worst("lambda_bounded", 100.0 * (1.0 + K)),
+        _Worst("lambda_x_independent", 1e-9))
+    dx = np.maximum(_norm_rows(x1 - x2), 1e-12)
+    dy = np.maximum(np.abs(y1 - y2), 1e-12)
     zero_M = np.zeros((n, d, d))
-    worst_conc, wit_conc = np.inf, None
     for t in ts:
         for a in model.A_points:
+            mu, sig, rl, rb = read = market_read(model.finance, t, x1, a)
+            mu2, sig2 = market_read(model.finance, t, x2, a)[:2]
+            lip.add(t, a, (_norm_rows(mu - mu2) + _opnorm(sig - sig2)) / dx, x1, x2)
+            bound.add(t, a, _norm_rows(mu) + _opnorm(sig), x1)
+
+            # Y coefficients at the hedge u: mu_Y from the wealth drift, sigma_Y = sigma^T u (no y in it)
+            wealth = _wealth(*read)(u)
+            mu_y, sig_y = wealth(y1), _norm_rows(np.einsum("...ji,...j->...i", sig, u))
+            ylip.add(t, a, np.abs(mu_y - wealth(y2)) / dy, x1, y1, y2)
+            gro.add(t, a, (np.abs(mu_y) + sig_y) / (1.0 + _norm_rows(u) + np.abs(y1)), x1, y1, u)
+            ratio.add(t, a, np.abs(mu_y) / (1.0 + sig_y), x1, y1, u)
+            drift = market_drift(read, t, x1, a)(z)(y1)
+            hat.add(t, a, np.abs(drift) / (1.0 + np.abs(y1) + _norm_rows(z)), x1, y1, z)
+
+            # the closure copy against the spec: sigma_Y(., u_hat(., z, .), .) == z, and the read itself
+            uh = model.u_hat(t, x1, y1, z, a)
+            inv.add(t, a, _norm_rows(np.asarray(model.sigma_Y(t, x1, y1, uh, a), dtype=float) - z), x1, y1, z)
+            for got, ref in ((mu, model.mu_X(t, x1, a)), (sig, model.sigma_X(t, x1, a)),
+                             (drift, model.mu_Y(t, x1, y1, uh, a))):
+                frozen.add(t, a, np.max(np.nan_to_num(np.abs(got - ref) / (1.0 + np.abs(ref)), nan=np.inf)))
+
+            # midpoint concavity of (y, p) -> La(t, x, y, 0, p, 0)
             def la(yb, pb):
                 return min_generator_field(model, t, x1, yb, 0.0, pb, zero_M, [(a, None)])[0]
 
             mid = la(0.5 * (y1 + y2), 0.5 * (p1 + p2))
-            avg = 0.5 * (la(y1, p1) + la(y2, p2))
-            defect = mid - avg
-            i = int(np.argmin(defect))
-            if defect[i] < worst_conc:
-                worst_conc, wit_conc = float(defect[i]), (t, x1[i], y1[i], y2[i], p1[i], p2[i], a)
-    checks.append(AssumptionCheck("concavity_La", worst_conc >= -1e-9, worst_conc, -1e-9, wit_conc))
+            conc.add(t, a, mid - 0.5 * (la(y1, p1) + la(y2, p2)), x1, y1, y2, p1, p2)
 
-    fin = model.finance
-    worst_gap, wit_gap = 0.0, None
-    worst_lam, worst_dep = 0.0, 0.0
-    wit_lam, wit_dep = None, None
-    ones = np.ones(d)
-    for t in ts:
-        for a in model.A_points:
-            rl = np.asarray(fin.r_lend(t, x1, a), dtype=float)
-            rb = np.asarray(fin.r_borrow(t, x1, a), dtype=float)
-            gap = rl - rb
-            i = int(np.argmax(gap))
-            if gap[i] > worst_gap:
-                worst_gap, wit_gap = float(gap[i]), (t, x1[i], a)
-            sig = np.asarray(fin.sigma(t, x1, a), dtype=float)
-            if sig.ndim == 2:
-                sig = np.broadcast_to(sig, (n, d, d))
-            mu = np.asarray(fin.mu(t, x1, a), dtype=float)
-            gam = np.einsum("...ij,...ij->...i", sig, sig)
+            # rate order and the market prices of risk sigma^-1 (mu + gamma/2 - r) at either rate
+            gap.add(t, a, rl - rb, x1)
+            excess = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
             for r in (rb, rl):
-                lam = np.linalg.solve(sig, (mu + 0.5 * gam - r[..., None] * ones)[..., None])[..., 0]
-                mag = _norm_rows(lam)
-                j = int(np.argmax(mag))
-                if mag[j] > worst_lam:
-                    worst_lam, wit_lam = float(mag[j]), (t, x1[j], a)
-                dep = float(np.max(_norm_rows(lam - lam[0])))
-                if dep > worst_dep:
-                    worst_dep, wit_dep = dep, (t, a)
-    checks.append(AssumptionCheck("rates_order_rb_ge_rl", worst_gap <= 1e-12, worst_gap, 0.0, wit_gap))
-    thr_lam = 100.0 * (1.0 + K)
-    checks.append(AssumptionCheck("lambda_bounded", worst_lam <= thr_lam, worst_lam, thr_lam, wit_lam))
-    checks.append(AssumptionCheck("lambda_x_independent", worst_dep <= 1e-9, worst_dep, 1e-9, wit_dep))
-
-    return ValidationReport(checks)
+                lam_r = np.linalg.solve(sig, (excess - r[..., None])[..., None])[..., 0]
+                lam.add(t, a, _norm_rows(lam_r), x1)
+                dep.add(t, a, np.max(_norm_rows(lam_r - lam_r[0])))
+    return ValidationReport([c.check() for c in checks])

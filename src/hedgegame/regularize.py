@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import hjb
-from .model import HedgeGameError, ModelSpec, shake_lattice
+from .model import HedgeGameError, ModelSpec, shake_lattice, shaken_payoff
 
 # normalised bump constant: int (1-s^2)^4 over [-1,1] is 256/315
 _C_SPACE = 315.0 / 256.0
@@ -69,15 +69,6 @@ class ShakenSurface:
         return self.surface.values
 
 
-def _terminal(model: ModelSpec, eps: float):
-    """Terminal data g + 2 eps of the shaken solve."""
-
-    def terminal(x, _g=model.payoff_g, _e=eps):
-        return _g(x) + 2.0 * _e
-
-    return terminal
-
-
 def solve_shaken(model: ModelSpec, grid: hjb.GridSpec, eps: float,
                  shake_points=None, *, pad_layers: int = 0,
                  validate: bool = False) -> ShakenSurface:
@@ -95,7 +86,7 @@ def solve_shaken(model: ModelSpec, grid: hjb.GridSpec, eps: float,
     if shake_points is None:
         shake_points = shake_lattice(eps, model.dim)
     shake_points = np.atleast_2d(np.asarray(shake_points, dtype=float))
-    surface = hjb.solve(model, grid, pad_layers=pad_layers, terminal=_terminal(model, eps),
+    surface = hjb.solve(model, grid, pad_layers=pad_layers, terminal=shaken_payoff(model, eps),
                         shake_points=shake_points, validate=validate)
     T = surface.horizon_T
     g_eps = surface.values[-1]
@@ -618,8 +609,8 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
     before any solve. When every rung fails, CertificationError carries the
     best report and names the pruned rungs.
     """
-    if eta <= 0:
-        raise HedgeGameError("eta must be positive")
+    if not eta > 0:
+        raise HedgeGameError(f"eta must be positive, got {eta}")
     T = model.horizon_T
     dt = T / grid.t_steps
     pad_layers = ladder_pad_layers(model, grid, eps_ladder)
@@ -646,7 +637,7 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
     best_report = None
     for eps in eps_ladder:
         if g_0 is not None:
-            g_eps = np.asarray(_terminal(model, float(eps))(X), dtype=float)[b_mask]
+            g_eps = shaken_payoff(model, float(eps))(X)[b_mask]
             terminal_gap = float(np.max(g_eps - g_0))
             if terminal_gap > reject:
                 c_curve.append((float(eps), terminal_gap))

@@ -276,6 +276,14 @@ class TestExitCodeContract:
         ("dual", "dual.paths=0"),
         ("regularize", "regularize.eps_ladder=[]"),
         ("regularize", "regularize.eps_ladder=[0.0]"),
+        # non-finite values
+        ("price", "grid.x_min=[NaN]"),
+        ("price", "grid.x_max=[Infinity]"),
+        ("price", "model.horizon_T=Infinity"),
+        ("price", "sim.x0=[NaN]"),
+        ("regularize", "regularize.eta=NaN"),
+        ("dual", "dual.eps=NaN"),
+        ("dual", "dual.eps=Infinity"),
     ])
     def test_bad_section_value_exit_2(self, tmp_path, capsys, command, override):
         path = write_config(tmp_path, base_config())

@@ -482,6 +482,37 @@ class TestValidateAssumptions:
         grid = GridSpec(t_steps=50, x_min=(-1.0,), x_max=(1.0,), x_steps=(20,))
         assert np.array_equal(solve(traced, grid).values, solve(model, grid).values)
 
+    def test_two_rate_worst_values(self):
+        # constant coefficients: the analytic worst value of each check
+        rep = validate_assumptions(uncertain_vol_model(r_lend=0.02, r_borrow=0.05))
+        assert rep.ok, rep.summary()
+        assert rep["bound_muX_sigmaX"].worst == pytest.approx(0.3, rel=1e-12)  # the largest vol
+        assert rep["y_lipschitz_muY_sigmaY"].worst == pytest.approx(0.05, rel=1e-9)  # r_borrow
+        # |mu + gamma/2 - r_borrow| / sigma at vol 0.1
+        assert rep["lambda_bounded"].worst == pytest.approx(abs(0.005 - 0.05) / 0.1, rel=1e-9)
+        for cid in ("x_lipschitz_muX_sigmaX", "frozen_read_matches", "lambda_x_independent"):
+            assert rep[cid].worst == 0.0, cid
+
+    def test_nan_sample_fails_its_check(self):
+        # the drift breaks the Lipschitz bound for x < 0 and is NaN for x > 2: a NaN
+        # sample must fail its check, not hide the other samples of its (t, a)
+        def mu(t, x, a):
+            x0 = np.asarray(x, dtype=float)[..., :1]
+            return np.where(x0 > 2.0, np.nan, np.where(x0 < 0.0, 5.0 * x0, 0.0))
+
+        fin = dataclasses.replace(finance_spec(), mu=mu)
+        model = make_finance_model(fin, make_payoff("call", strike=1.0), 1, [np.array([0.2])], 1.0, 0.2)
+        rep = validate_assumptions(model)
+        for cid, sign in (("x_lipschitz_muX_sigmaX", 1.0), ("bound_muX_sigmaX", 1.0), ("concavity_La", -1.0)):
+            check = rep[cid]
+            assert not check.passed and check.worst == sign * np.inf, cid
+            assert check.witness is not None
+        # the witness is a sample in the NaN region
+        assert rep["bound_muX_sigmaX"].witness[1][0] > 2.0
+        assert rep["concavity_La"].witness[1][0] > 2.0
+        lip = rep["x_lipschitz_muX_sigmaX"].witness
+        assert max(lip[1][0], lip[2][0]) > 2.0
+
     def test_sample_count_guard(self):
         with pytest.raises(ModelError):
             validate_assumptions(bs_singleton_model(), sample_count=0)
