@@ -8,7 +8,6 @@ regression Monte Carlo dual.
 """
 
 from .model import (
-    DerivativePack,
     FinanceSpec,
     HedgeGameError,
     ModelError,
@@ -18,20 +17,13 @@ from .model import (
     make_payoff,
     make_single_rate_model,
     model_from_config,
-    mu_Y_hat,
-    operator_H_eps,
-    operator_L,
-    operator_La,
-    rho,
     shake_lattice,
-    u_hat_finance,
     validate_assumptions,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DerivativePack",
     "FinanceSpec",
     "HedgeGameError",
     "ModelError",
@@ -41,13 +33,7 @@ __all__ = [
     "make_payoff",
     "make_single_rate_model",
     "model_from_config",
-    "mu_Y_hat",
-    "operator_H_eps",
-    "operator_L",
-    "operator_La",
-    "rho",
     "shake_lattice",
-    "u_hat_finance",
     "validate_assumptions",
     "__version__",
 ]

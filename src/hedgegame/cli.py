@@ -284,6 +284,10 @@ def _prepare(args):
         )
         if len(sim.x0) != model.dim or not np.all(np.isfinite(sim.x0)):
             raise ConfigError(f"sim.x0 needs {model.dim} finite entries, got {list(sim.x0)}")
+        margin = float(s["margin"])
+        if not np.all(np.isfinite([sim.p_sim, sim.tol_sim, sim.switch_rate, margin])):
+            raise ConfigError("sim.p_sim, sim.tol_sim, sim.switch_rate and sim.margin must be finite, got "
+                              f"{[sim.p_sim, sim.tol_sim, sim.switch_rate, margin]}")
         if not sim.t0 < model.horizon_T:
             raise ConfigError(f"sim.t0 {sim.t0} must be below horizon_T {model.horizon_T}")
         if r["B"] is None:  # central half of the grid in every axis, full time range
@@ -305,7 +309,7 @@ def _prepare(args):
             raise ConfigError(f"regularize.check_shape needs two entries >= 1, got {list(check_shape)}")
         run = SimpleNamespace(
             cfg=cfg, out_dir=args.out or cfg["output"]["directory"], model=model, grid=grid,
-            sim=sim, margin=float(s["margin"]),
+            sim=sim, margin=margin,
             # an explicit start level is taken verbatim, margin applies to auto only
             y0=None if s["y0"] == "auto" else float(s["y0"]),
             box=box, eta=float(r["eta"]), tol=float(r["tol"]),

@@ -18,7 +18,8 @@ from itertools import product
 
 import numpy as np
 
-from .model import HedgeGameError, ModelSpec, adverse_pairs, base_point, mu_Y_hat, shake_lattice, shaken_payoff
+from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, coefficients_at, shake_lattice,
+                    shaken_payoff)
 
 _BOOTSTRAP = 200
 
@@ -163,7 +164,7 @@ def _driver(model, gamma, t, xs, ys, zs):
     """Hedged wealth drift at the shifted base point (the BSDE driver)."""
     a, b = gamma
     t_eff, x_eff = base_point(t, xs, b, model.horizon_T)
-    return np.asarray(mu_Y_hat(t_eff, x_eff, ys, zs, a, model), dtype=float)
+    return np.asarray(coefficients_at(model, t_eff, x_eff, a)[2](ys, zs), dtype=float)
 
 
 def _advance(model, lattice, j, X, pick, rng):

@@ -158,7 +158,7 @@ class SimReport:
     def shortfall_prob(self, tol: float) -> float:
         if self.shortfall.size == 0:
             return 0.0
-        return float(np.mean(self.shortfall > tol))
+        return float(np.mean(~(self.shortfall <= tol)))  # a NaN tol counts every path
 
     def to_dict(self, tol: float | None = None):
         d = {
@@ -361,7 +361,8 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
     plays it, so the check plays once and reports that run per adversary.
     PASS iff every run keeps shortfall_prob(tol_sim) <= p_sim over at least
     one path, with no excluded paths; a run without a finite path (zero
-    paths included) is no evidence and fails.
+    paths included) is no evidence and fails, and so does a NaN p_sim or
+    tol_sim.
     """
     strategy = make_strategy(source, model)
     y0 = strategy.value(sim.t0, np.asarray(sim.x0, dtype=float).reshape(1, -1)) + margin
@@ -384,5 +385,5 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
     else:
         reports = [_play(model, strategy, adv, sim.t0, x0, y0, dW, sim.seed) for adv in adversaries]
     ok = not any(rep.excluded_paths > 0 or rep.shortfall.size == 0
-                 or rep.shortfall_prob(sim.tol_sim) > sim.p_sim for rep in reports)
+                 or not rep.shortfall_prob(sim.tol_sim) <= sim.p_sim for rep in reports)
     return CheckReport(ok, float(y0), float(margin), sim.tol_sim, sim.p_sim, reports)

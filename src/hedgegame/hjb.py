@@ -480,10 +480,6 @@ class ResidualReport:
     min_value: float
     argmin: tuple
 
-    def to_dict(self):
-        return {"max_abs": self.max_abs, "min_value": self.min_value,
-                "argmin": [float(v) for v in self.argmin]}
-
 
 def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
     """Centered-difference residual of the solved surface at interior nodes.

@@ -21,6 +21,10 @@ to later). ``coefficients_at`` and ``min_generator_field`` also take a 1-d
 numpy array of times; they still call every closure once per time, with
 that time as a python float.
 
+The generators of the game, La, L = min_a La and the shaken H_eps, exist
+once, as the field kernel ``min_generator_field``; a single node is a
+one-row field.
+
 ``make_finance_model`` also builds the closure form of the game,
 
     mu_X(t, x, a)           x: (n, d)            -> (n, d)
@@ -133,48 +137,9 @@ class ModelSpec:
         return h.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class DerivativePack:
-    """Value/derivative bundle (y, q, p, M) fed to the generators.
-
-    y is the candidate value, q its time derivative, p the spatial gradient
-    and M the (symmetric) spatial Hessian.
-    """
-
-    y: float
-    q: float
-    p: np.ndarray
-    M: np.ndarray
-
-    def __post_init__(self):
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        M = np.atleast_2d(np.asarray(self.M, dtype=float))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "M", M)
-        if M.shape[0] != M.shape[1] or M.shape[0] != p.shape[0]:
-            raise ModelError(f"inconsistent pack shapes p={p.shape} M={M.shape}")
-        if np.max(np.abs(M - M.T)) > 1e-12:
-            raise ModelError("Hessian M must be symmetric to 1e-12")
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
-
-
-def rho(t, x, y, u, finance: FinanceSpec, a=None):
-    """Cash financing term: lend the positive balance, borrow the negative.
-
-    Returns [y - u.1]+ r_lend - [y - u.1]- r_borrow with the rates taken at
-    (t, x, a); the adverse point may also be baked into the rate closures by
-    the caller, in which case ``a`` stays None.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    cash = np.asarray(y, dtype=float) - u.sum(axis=-1)
-    rl = np.asarray(finance.r_lend(t, x, a), dtype=float)
-    rb = np.asarray(finance.r_borrow(t, x, a), dtype=float)
-    return _financing(cash, rl, rb)
 
 
 def _financing(cash, rl, rb):
@@ -240,13 +205,6 @@ def _hedge_map(sig, t, x, a):
     return solve
 
 
-def u_hat_finance(t, x, y, z, a, finance: FinanceSpec):
-    """Hedge recovering diffusion row z: u = (sigma^-1)^T z."""
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    sig = np.asarray(finance.sigma(t, x2, a), dtype=float)
-    return _hedge_map(sig, t, x2, a)(np.atleast_2d(np.asarray(z, dtype=float)))
-
-
 def coefficients_at(model: ModelSpec, t, x, a):
     """(mu, sigma, drift) of the market read at (t, x, a), drift(y, z) the
     hedged wealth drift on z rows or on a stack (k,) + x.shape of them. A
@@ -265,11 +223,6 @@ def market_drift(read, t, x, a):
     computed once per z, so a round at a fixed z redoes only rho."""
     wealth, hedge = _wealth(*read), _hedge_map(read[1], t, x, a)
     return lambda z: wealth(hedge(z))
-
-
-def mu_Y_hat(t, x, y, z, a, model: ModelSpec):
-    """Wealth drift at the z-matching hedge: mu_Y(., u_hat(., z, .), .)."""
-    return coefficients_at(model, t, x, a)[2](y, z)
 
 
 def base_point(t, x, b, T):
@@ -323,8 +276,11 @@ def min_generator_field(model: ModelSpec, t, X, y, q, p, M, pairs=None):
     mu_Y_hat(., y, sigma_X^T p, a) - q - mu_X.p - 1/2 sigma_X sigma_X^T : M.
     The transposed volatility in the z-slot is what makes the finance preset
     collapse to the delta rule u = p. ``pairs`` defaults to the unshaken
-    adverse set, giving L = min_a La; the pairs of a shake lattice give
-    H_eps. Ties break to the lowest pair index.
+    adverse set, giving L = min_a La; ``[(a, None)]`` gives La alone and the
+    pairs of a shake lattice give H_eps. Ties break to the lowest pair
+    index. A single node x is the one-row field X = x[None], y and q of
+    shape (1,), p of shape (1, d) and M of shape (1, d, d); M enters only
+    through its symmetric part.
 
     ``t`` may be a 1-d numpy array of layer times, with a leading layer axis
     on y, q, p and M over the one field X: each pair then reads its
@@ -347,41 +303,6 @@ def min_generator_field(model: ModelSpec, t, X, y, q, p, M, pairs=None):
             best = np.where(take, val, best)
             idx = np.where(take, j, idx)
     return best, idx
-
-
-def _one_node(t, x, pack: DerivativePack, model: ModelSpec, pairs):
-    """min_generator_field at the single node x, as (float, int)."""
-    best, idx = min_generator_field(model, t, np.asarray(x, dtype=float).reshape(1, -1),
-                                    np.asarray([pack.y]), pack.q, pack.p[None], pack.M[None], pairs)
-    return float(best[0]), int(idx[0])
-
-
-def operator_La(t, x, pack: DerivativePack, a, model: ModelSpec) -> float:
-    """One-adversary generator La applied to a derivative pack."""
-    return _one_node(t, x, pack, model, [(a, None)])[0]
-
-
-def operator_L(t, x, pack: DerivativePack, model: ModelSpec):
-    """Worst case over the adverse set: (min_a La, argmin index).
-
-    Ties break to the lowest index in ``A_points`` so policy surfaces are
-    deterministic.
-    """
-    return _one_node(t, x, pack, model, None)
-
-
-def operator_H_eps(t, x, pack: DerivativePack, eps, shake_points, model: ModelSpec) -> float:
-    """Shaken generator: min of La over adverse points and shifted base points.
-
-    Shifted times are clamped to [0, horizon_T] (see ``base_point``).
-    """
-    if shake_points is None:
-        shake_points = shake_lattice(eps, model.dim)
-    shake_points = np.atleast_2d(np.asarray(shake_points, dtype=float))
-    norms = np.sqrt((shake_points**2).sum(axis=1))
-    if np.any(norms > eps + 1e-12):
-        raise ModelError("shake_points must lie in the closed ball of radius eps")
-    return _one_node(t, x, pack, model, adverse_pairs(model, shake_points))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +336,18 @@ def make_finance_model(
         out = np.einsum("...ji,...j->...i", sig, u2)
         return out if np.asarray(u).ndim > 1 else out[0]
 
+    def u_hat(t, x, y, z, a):
+        x2 = np.atleast_2d(np.asarray(x, dtype=float))
+        sig = np.asarray(finance.sigma(t, x2, a), dtype=float)
+        return _hedge_map(sig, t, x2, a)(np.atleast_2d(np.asarray(z, dtype=float)))
+
     return ModelSpec(
         dim=dim,
         mu_X=lambda t, x, a: np.asarray(finance.mu(t, np.asarray(x, dtype=float), a), dtype=float),
         sigma_X=lambda t, x, a: np.asarray(finance.sigma(t, np.asarray(x, dtype=float), a), dtype=float),
         mu_Y=mu_Y,
         sigma_Y=sigma_Y,
-        u_hat=lambda t, x, y, z, a: u_hat_finance(t, x, y, z, a, finance),
+        u_hat=u_hat,
         payoff_g=payoff_g,
         A_points=tuple(A_points),
         horizon_T=horizon_T,
@@ -661,9 +587,9 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
     market-price-of-risk bounds. Each (t, a) reads the spec once on each
     sample set (``market_read``) and derives every check from those reads;
     only ``inversion_u_hat`` and ``frozen_read_matches`` call the closure
-    copy, and the concavity check evaluates La through
-    ``min_generator_field``. A NaN value fails its check. Violations are
-    reported, not raised.
+    copy, and the concavity check evaluates La(t, x, y, 0, p, 0) =
+    drift(y, sigma^T p) - mu.p from the same read. A NaN value fails its
+    check. Violations are reported, not raised.
     """
     if sample_count < 1:
         raise ModelError("sample_count must be >= 1")
@@ -684,7 +610,6 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
         _Worst("lambda_x_independent", 1e-9))
     dx = np.maximum(_norm_rows(x1 - x2), 1e-12)
     dy = np.maximum(np.abs(y1 - y2), 1e-12)
-    zero_M = np.zeros((n, d, d))
     for t in ts:
         for a in model.A_points:
             mu, sig, rl, rb = read = market_read(model.finance, t, x1, a)
@@ -698,7 +623,8 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
             ylip.add(t, a, np.abs(mu_y - wealth(y2)) / dy, x1, y1, y2)
             gro.add(t, a, (np.abs(mu_y) + sig_y) / (1.0 + _norm_rows(u) + np.abs(y1)), x1, y1, u)
             ratio.add(t, a, np.abs(mu_y) / (1.0 + sig_y), x1, y1, u)
-            drift = market_drift(read, t, x1, a)(z)(y1)
+            at = market_drift(read, t, x1, a)
+            drift = at(z)(y1)
             hat.add(t, a, np.abs(drift) / (1.0 + np.abs(y1) + _norm_rows(z)), x1, y1, z)
 
             # the closure copy against the spec: sigma_Y(., u_hat(., z, .), .) == z, and the read itself
@@ -710,7 +636,7 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
 
             # midpoint concavity of (y, p) -> La(t, x, y, 0, p, 0)
             def la(yb, pb):
-                return min_generator_field(model, t, x1, yb, 0.0, pb, zero_M, [(a, None)])[0]
+                return at(np.einsum("...ji,...j->...i", sig, pb))(yb) - np.einsum("...i,...i->...", mu, pb)
 
             mid = la(0.5 * (y1 + y2), 0.5 * (p1 + p2))
             conc.add(t, a, mid - 0.5 * (la(y1, p1) + la(y2, p2)), x1, y1, y2, p1, p2)

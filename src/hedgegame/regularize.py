@@ -60,19 +60,14 @@ class ShakenSurface:
 
     eps: float
     surface: hjb.ValueSurface
-    shake_points: np.ndarray
     c_reg: float
     c_eps: float
 
-    @property
-    def values(self):
-        return self.surface.values
 
-
-def solve_shaken(model: ModelSpec, grid: hjb.GridSpec, eps: float,
-                 shake_points=None, *, pad_layers: int = 0,
+def solve_shaken(model: ModelSpec, grid: hjb.GridSpec, eps: float, *, pad_layers: int = 0,
                  validate: bool = False) -> ShakenSurface:
-    """Solve with base points shaken over the eps-ball and payoff g + 2 eps.
+    """Solve with base points shaken over ``shake_lattice(eps, dim)`` and
+    payoff g + 2 eps.
 
     With eps = 0 this reproduces the plain solver bit for bit. The empirical
     regularity constant c_reg = max |w - g_eps| / sqrt(T - t) over the
@@ -83,11 +78,8 @@ def solve_shaken(model: ModelSpec, grid: hjb.GridSpec, eps: float,
     """
     if not 0.0 <= eps <= 1.0:
         raise HedgeGameError("eps must lie in [0, 1]")
-    if shake_points is None:
-        shake_points = shake_lattice(eps, model.dim)
-    shake_points = np.atleast_2d(np.asarray(shake_points, dtype=float))
     surface = hjb.solve(model, grid, pad_layers=pad_layers, terminal=shaken_payoff(model, eps),
-                        shake_points=shake_points, validate=validate)
+                        shake_points=shake_lattice(eps, model.dim), validate=validate)
     T = surface.horizon_T
     g_eps = surface.values[-1]
     n_adj = min(10, len(surface.t) - 1)
@@ -101,7 +93,7 @@ def solve_shaken(model: ModelSpec, grid: hjb.GridSpec, eps: float,
     else:
         c_eps = T - max(surface.t_start, 0.0)
     c_eps = min(c_eps, T - max(surface.t_start, 0.0))
-    return ShakenSurface(eps, surface, shake_points, c_reg, c_eps)
+    return ShakenSurface(eps, surface, c_reg, c_eps)
 
 
 # ---------------------------------------------------------------------------

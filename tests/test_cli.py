@@ -284,6 +284,10 @@ class TestExitCodeContract:
         ("regularize", "regularize.eta=NaN"),
         ("dual", "dual.eps=NaN"),
         ("dual", "dual.eps=Infinity"),
+        ("simulate", "sim.p_sim=NaN"),
+        ("simulate", "sim.tol_sim=NaN"),
+        ("simulate", "sim.switch_rate=Infinity"),
+        ("simulate", "sim.margin=NaN"),
     ])
     def test_bad_section_value_exit_2(self, tmp_path, capsys, command, override):
         path = write_config(tmp_path, base_config())

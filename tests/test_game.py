@@ -388,6 +388,16 @@ class TestSuperhedgeCheck:
         assert check.passed
         assert all(r.shortfall_mean == 0.0 for r in check.reports)
 
+    @pytest.mark.parametrize("threshold", ["p_sim", "tol_sim"])
+    def test_nan_threshold_fails_closed(self, threshold):
+        # the same passing check with no threshold to compare against is no evidence
+        model = frozen_model()
+        grid = GridSpec(t_steps=100, x_min=(-1.0,), x_max=(1.0,), x_steps=(50,))
+        sim = SimParams(x0=(0.0,), paths=400, steps=50, seed=5, **{threshold: float("nan")})
+        check = superhedge_check(model, solve(model, grid), 0.0, sim)
+        assert all(r.shortfall_mean == 0.0 for r in check.reports)
+        assert not check.passed
+
     def test_undercapitalized_fails_against_worst(self, uv_surface):
         model, surf = uv_surface
         sim = SimParams(x0=(0.0,), paths=2000, steps=200, seed=9)

@@ -4,27 +4,22 @@ import functools
 import numpy as np
 import pytest
 
+import hedgegame
+from hedgegame import model as model_module
+from hedgegame.dual import _driver
 from hedgegame.hjb import GridSpec, solve
 from hedgegame.model import (
-    DerivativePack,
     FinanceSpec,
     HedgeGameError,
     ModelError,
     ModelSpec,
     adverse_pairs,
-    base_point,
     coefficients_at,
     make_finance_model,
     make_payoff,
     min_generator_field,
     model_from_config,
-    mu_Y_hat,
-    operator_H_eps,
-    operator_L,
-    operator_La,
-    rho,
     shake_lattice,
-    u_hat_finance,
     validate_assumptions,
 )
 
@@ -52,40 +47,68 @@ def wavy_vol_model(dim=1):
 
 
 def pack(y=0.0, q=0.0, p=0.0, M=0.0, d=1):
+    """One derivative pack (y, q, p, M) as the one-row field (y, q, p, M) of
+    ``min_generator_field``."""
     p = np.full(d, float(p)) if np.isscalar(p) else np.asarray(p, float)
     M = float(M) * np.eye(d) if np.isscalar(M) else np.asarray(M, float)
-    return DerivativePack(y=y, q=q, p=p, M=M)
+    return np.array([float(y)]), np.array([float(q)]), p[None], M[None]
+
+
+def at_node(model, t, x, pk, pairs=None):
+    """``min_generator_field`` at the single node x: (min, argmin) as (float, int)."""
+    best, idx = min_generator_field(model, t, np.asarray(x, float).reshape(1, -1), *pk, pairs=pairs)
+    return float(best[0]), int(idx[0])
+
+
+def la(model, t, x, pk, a):
+    return at_node(model, t, x, pk, [(a, None)])[0]
+
+
+def h_eps(model, t, x, pk, shake_points):
+    return at_node(model, t, x, pk, adverse_pairs(model, shake_points))[0]
+
+
+def spec_model(fin, dim=1, A_points=(np.array([0.2]),)):
+    return make_finance_model(fin, make_payoff("constant", level=0.0), dim, list(A_points), 1.0, 0.5)
+
+
+def cash_term_model(r_lend, r_borrow):
+    """Vol 0.5 and mu = -gamma/2 = -0.125, both exact in binary: the hedge
+    gain u.(mu + gamma/2) is 0, so mu_Y(t, x, y, u, a) is the cash term
+    rho = [y - u.1]+ r_lend - [y - u.1]- r_borrow alone."""
+    return spec_model(finance_spec(mu=-0.125, r_lend=r_lend, r_borrow=r_borrow), A_points=[np.array([0.5])])
 
 
 class TestRho:
     def setup_method(self):
-        self.fin = finance_spec(r_lend=0.02, r_borrow=0.05)
+        self.model = cash_term_model(r_lend=0.02, r_borrow=0.05)
+        self.a = self.model.A_points[0]
 
     def test_positive_cash_lends(self):
         x = np.zeros((1, 1))
-        out = rho(0.0, x, 1.0, np.array([[0.4]]), self.fin, np.array([0.2]))
+        out = self.model.mu_Y(0.0, x, 1.0, np.array([[0.4]]), self.a)
         assert out[0] == pytest.approx(0.6 * 0.02, abs=1e-15)
 
     def test_negative_cash_borrows(self):
         x = np.zeros((1, 1))
-        out = rho(0.0, x, 0.4, np.array([[1.0]]), self.fin, np.array([0.2]))
+        out = self.model.mu_Y(0.0, x, 0.4, np.array([[1.0]]), self.a)
         assert out[0] == pytest.approx(-0.6 * 0.05, abs=1e-15)
 
     def test_kink_point_is_zero(self):
         x = np.zeros((1, 1))
-        out = rho(0.0, x, 0.7, np.array([[0.7]]), self.fin, np.array([0.2]))
+        out = self.model.mu_Y(0.0, x, 0.7, np.array([[0.7]]), self.a)
         assert out[0] == 0.0
 
 
 class TestUHatFinance:
     def test_scalar_inversion(self):
-        fin = finance_spec()
-        u = u_hat_finance(0.0, np.zeros(1), 0.0, np.array([0.1]), np.array([0.2]), fin)
+        model = spec_model(finance_spec())
+        u = model.u_hat(0.0, np.zeros(1), 0.0, np.array([0.1]), np.array([0.2]))
         assert u == pytest.approx(0.5, abs=1e-14)
 
     def test_zero_z(self):
-        fin = finance_spec()
-        u = u_hat_finance(0.0, np.zeros(1), 0.0, np.array([0.0]), np.array([0.2]), fin)
+        model = spec_model(finance_spec())
+        u = model.u_hat(0.0, np.zeros(1), 0.0, np.array([0.0]), np.array([0.2]))
         assert u == pytest.approx(0.0, abs=1e-15)
 
     def test_diagonal_inversion_2d(self):
@@ -97,7 +120,7 @@ class TestUHatFinance:
             r_lend=constant_rate(0.0),
             r_borrow=constant_rate(0.0),
         )
-        u = u_hat_finance(0.0, np.zeros(2), 0.0, np.array([0.1, 0.2]), np.array([0.0]), fin)
+        u = spec_model(fin, dim=2).u_hat(0.0, np.zeros(2), 0.0, np.array([0.1, 0.2]), np.array([0.0]))
         assert np.allclose(u, [1.0, 1.0], atol=1e-14)
 
     def test_singular_sigma_reports_point(self):
@@ -108,7 +131,7 @@ class TestUHatFinance:
             r_borrow=constant_rate(0.0),
         )
         with pytest.raises(ModelError, match="singular"):
-            u_hat_finance(0.5, np.ones(1), 0.0, np.array([0.1]), np.array([0.3]), fin)
+            spec_model(fin).u_hat(0.5, np.ones(1), 0.0, np.array([0.1]), np.array([0.3]))
 
     def test_inversion_identity_randomized(self, rng):
         model = uncertain_vol_model(r_lend=0.01, r_borrow=0.03)
@@ -125,29 +148,32 @@ class TestUHatFinance:
 
 
 class TestMuYHat:
+    """The wealth drift at the z-matching hedge, mu_Y(., u_hat(., z, .), .),
+    as the solvers read it: the drift of ``coefficients_at``."""
+
     def test_zero_control_zero_rates(self):
         model = bs_singleton_model()
-        out = mu_Y_hat(0.0, np.zeros((1, 1)), np.array([1.0]), np.zeros((1, 1)),
-                       model.A_points[0], model)
+        drift = coefficients_at(model, 0.0, np.zeros((1, 1)), model.A_points[0])[2]
+        out = drift(np.array([1.0]), np.zeros((1, 1)))
         assert out[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_unit_control(self):
         model = bs_singleton_model()
-        out = mu_Y_hat(0.0, np.zeros((1, 1)), np.array([1.0]), np.array([[0.2]]),
-                       model.A_points[0], model)
+        drift = coefficients_at(model, 0.0, np.zeros((1, 1)), model.A_points[0])[2]
+        out = drift(np.array([1.0]), np.array([[0.2]]))
         assert out[0] == pytest.approx(0.02, abs=1e-15)
 
     def test_composes_rho_and_u_hat(self):
-        # independent recomputation: u = z / sigma, drift = rho + u*(mu + gamma/2)
+        # independent recomputation: u = z / sigma, drift = rho + u*(mu + gamma/2),
+        # rho = 0.02 (y - u) at the one rate 0.02
         fin = finance_spec(mu=0.01, r_lend=0.02, r_borrow=0.02)
-        from hedgegame.model import make_finance_model, make_payoff
         model = make_finance_model(fin, make_payoff("constant", level=0.0), 1,
                                    [np.array([0.2])], 1.0, 0.25)
         a = model.A_points[0]
-        out = mu_Y_hat(0.0, np.zeros((1, 1)), np.array([2.0]), np.array([[0.2]]), a, model)
-        u = u_hat_finance(0.0, np.zeros((1, 1)), 2.0, np.array([[0.2]]), a, fin)
-        expect = rho(0.0, np.zeros((1, 1)), 2.0, u, fin, a) + u[0, 0] * (0.01 + 0.02)
-        assert out[0] == pytest.approx(float(expect[0]), abs=1e-14)
+        out = coefficients_at(model, 0.0, np.zeros((1, 1)), a)[2](np.array([2.0]), np.array([[0.2]]))
+        u = model.u_hat(0.0, np.zeros((1, 1)), 2.0, np.array([[0.2]]), a)
+        expect = 0.02 * (2.0 - u[0, 0]) + u[0, 0] * (0.01 + 0.02)
+        assert out[0] == pytest.approx(float(expect), abs=1e-14)
         assert out[0] == pytest.approx(0.05, abs=1e-14)
 
 
@@ -205,7 +231,7 @@ class TestFrozenRead:
         got = coefficients_at(model, 0.1, x, a)[2](y, z)
         assert got.shape == (1,)
         assert np.array_equal(got, closure_drift(model, 0.1, x, y, z, a))
-        assert np.array_equal(got, mu_Y_hat(0.1, x, y, z, a, model))
+        assert np.array_equal(got, _driver(model, (a, None), 0.1, x, y, z))  # the dual reads the same drift
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_z_equals_row_by_row(self, dim, rng):
@@ -258,18 +284,17 @@ class TestOperatorLa:
         # u.(mu + gamma/2) + rho is 0, so with p = 0, q = 1 and M = I, La = -2
         model = make_finance_model(finance_spec(dim=2, mu=-0.5), make_payoff("constant", level=0.0),
                                    2, [np.array([1.0])], 1.0, 2.0)
-        out = operator_La(0.0, np.zeros(2), pack(q=1.0, M=1.0, d=2), model.A_points[0], model)
+        out = la(model, 0.0, np.zeros(2), pack(q=1.0, M=1.0, d=2), model.A_points[0])
         assert out == pytest.approx(-2.0, abs=1e-14)
 
     def test_zero_pack(self):
         model = bs_singleton_model()
-        out = operator_La(0.0, np.zeros(1), pack(), model.A_points[0], model)
+        out = la(model, 0.0, np.zeros(1), pack(), model.A_points[0])
         assert out == pytest.approx(0.0, abs=1e-15)
 
     def test_finance_drift_cancellation(self, rng):
         # La must equal rho(.,y,p,a) + gamma.p/2 - q - tr(sigma sigma^T M)/2
         fin = finance_spec(mu=0.07, r_lend=0.01, r_borrow=0.04)
-        from hedgegame.model import make_finance_model, make_payoff
         model = make_finance_model(fin, make_payoff("constant", level=0.0), 1,
                                    [np.array([0.2])], 1.0, 0.3)
         a = model.A_points[0]
@@ -277,28 +302,24 @@ class TestOperatorLa:
             y, q = rng.normal(), rng.normal()
             p, M = rng.normal(), rng.normal()
             x = rng.normal(0.0, 1.0, 1)
-            got = operator_La(0.1, x, pack(y=y, q=q, p=p, M=M), a, model)
+            got = la(model, 0.1, x, pack(y=y, q=q, p=p, M=M), a)
             gam = 0.04
-            r = rho(0.1, x.reshape(1, 1), y, np.array([[p]]), fin, a)[0]
+            r = max(y - p, 0.0) * 0.01 - max(p - y, 0.0) * 0.04  # the delta hedge u = p
             want = r + 0.5 * gam * p - q - 0.5 * gam * M
             assert got == pytest.approx(want, abs=1e-12)
-
-    def test_asymmetric_hessian_rejected(self):
-        with pytest.raises(ModelError, match="symmetric"):
-            DerivativePack(y=0.0, q=0.0, p=np.zeros(2), M=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestOperatorL:
     def test_singleton_equals_la(self):
         model = bs_singleton_model()
         pk = pack(y=0.3, q=0.1, p=0.5, M=0.2)
-        v, idx = operator_L(0.2, np.zeros(1), pk, model)
+        v, idx = at_node(model, 0.2, np.zeros(1), pk)
         assert idx == 0
-        assert v == operator_La(0.2, np.zeros(1), pk, model.A_points[0], model)
+        assert v == la(model, 0.2, np.zeros(1), pk, model.A_points[0])
 
     def test_two_point_minimum(self):
         model = uncertain_vol_model()
-        v, idx = operator_L(0.0, np.zeros(1), pack(M=1.0), model)
+        v, idx = at_node(model, 0.0, np.zeros(1), pack(M=1.0))
         assert v == pytest.approx(-0.045, abs=1e-14)
         assert idx == 1  # a = 0.3
 
@@ -306,8 +327,8 @@ class TestOperatorL:
         model = uncertain_vol_model(vols=(0.05, 0.1, 0.2, 0.25, 0.3))
         for _ in range(20):
             pk = pack(y=rng.normal(), q=rng.normal(), p=rng.normal(), M=rng.normal())
-            v, idx = operator_L(0.4, np.zeros(1), pk, model)
-            vals = [operator_La(0.4, np.zeros(1), pk, a, model) for a in model.A_points]
+            v, idx = at_node(model, 0.4, np.zeros(1), pk)
+            vals = [la(model, 0.4, np.zeros(1), pk, a) for a in model.A_points]
             assert v == min(vals)
             assert idx == int(np.argmin(vals))
             assert all(v <= w for w in vals)
@@ -317,15 +338,15 @@ class TestOperatorHEps:
     def test_zero_shake_equals_L(self):
         model = uncertain_vol_model()
         pk = pack(y=0.1, q=0.2, p=0.3, M=0.4)
-        got = operator_H_eps(0.5, np.zeros(1), pk, 0.0, None, model)
-        want, _ = operator_L(0.5, np.zeros(1), pk, model)
+        got = h_eps(model, 0.5, np.zeros(1), pk, shake_lattice(0.0, 1))
+        want, _ = at_node(model, 0.5, np.zeros(1), pk)
         assert got == want
 
     def test_translation_invariance_constant_coeffs(self):
         model = uncertain_vol_model()
         pk = pack(y=0.1, q=0.2, p=0.3, M=0.4)
-        got = operator_H_eps(0.5, np.zeros(1), pk, 0.25, None, model)
-        want, _ = operator_L(0.5, np.zeros(1), pk, model)
+        got = h_eps(model, 0.5, np.zeros(1), pk, shake_lattice(0.25, 1))
+        want, _ = at_node(model, 0.5, np.zeros(1), pk)
         assert got == pytest.approx(want, abs=1e-14)
 
     def test_brute_force_over_shifts(self):
@@ -335,9 +356,9 @@ class TestOperatorHEps:
         shakes = np.array([[dt, dx] for dt in (-eps, 0.0, eps) for dx in (-eps, 0.0, eps)
                            if dt * dt + dx * dx <= eps * eps + 1e-15])
         pk = pack(y=0.2, q=0.05, p=1.1, M=0.7)
-        got = operator_H_eps(0.5, np.array([0.4]), pk, eps, shakes, model)
+        got = h_eps(model, 0.5, np.array([0.4]), pk, shakes)
         brute = min(
-            operator_L(min(max(0.5 + b[0], 0.0), 1.0), np.array([0.4 + b[1]]), pk, model)[0]
+            at_node(model, min(max(0.5 + b[0], 0.0), 1.0), np.array([0.4 + b[1]]), pk)[0]
             for b in shakes
         )
         assert got == brute
@@ -346,19 +367,15 @@ class TestOperatorHEps:
         model = uncertain_vol_model()
         for _ in range(10):
             pk = pack(y=rng.normal(), q=rng.normal(), p=rng.normal(), M=rng.normal())
-            h = operator_H_eps(0.3, np.zeros(1), pk, 0.1, None, model)
-            l, _ = operator_L(0.3, np.zeros(1), pk, model)
+            h = h_eps(model, 0.3, np.zeros(1), pk, shake_lattice(0.1, 1))
+            l, _ = at_node(model, 0.3, np.zeros(1), pk)
             assert h <= l + 1e-15
-
-    def test_points_outside_ball_rejected(self):
-        model = bs_singleton_model()
-        with pytest.raises(ModelError, match="ball"):
-            operator_H_eps(0.5, np.zeros(1), pack(), 0.1, np.array([[0.2, 0.0]]), model)
 
 
 class TestMinGeneratorField:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_shaken_field_matches_operator_H_eps(self, dim, rng):
+        # H_eps at one node is the field's one-row slice: the field is row-wise
         model = wavy_vol_model(dim)
         eps = 0.05
         shakes = shake_lattice(eps, dim)
@@ -372,10 +389,9 @@ class TestMinGeneratorField:
         for t in (0.4, 0.98):  # at 0.98 the +eps time shifts are clamped to T
             best, idx = min_generator_field(model, t, X, y, q, p, M, pairs=pairs)
             for i in range(n):
-                pk = DerivativePack(y=y[i], q=q[i], p=p[i], M=M[i])
-                assert best[i] == operator_H_eps(t, X[i], pk, eps, shakes, model)
-                per_pair = [operator_La(*base_point(t, X[i], b, model.horizon_T), pk, a, model)
-                            for a, b in pairs]
+                row = (X[i:i + 1], y[i:i + 1], q[i:i + 1], p[i:i + 1], M[i:i + 1])
+                assert best[i] == min_generator_field(model, t, *row, pairs=pairs)[0][0]
+                per_pair = [min_generator_field(model, t, *row, pairs=[pair])[0][0] for pair in pairs]
                 assert idx[i] == int(np.argmin(per_pair))
 
     @pytest.mark.parametrize("dim", [1, 2], ids=["1-finance", "2-finance"])
@@ -519,13 +535,33 @@ class TestValidateAssumptions:
 
     def test_concavity_midpoint_violation_at_kink(self):
         # reversed rates make the cash term convex at the kink y = u.1
-        fin = finance_spec(r_lend=0.05, r_borrow=0.02)
-        a = np.array([0.2])
+        model = cash_term_model(r_lend=0.05, r_borrow=0.02)
+        a = model.A_points[0]
         x = np.zeros((1, 1))
-        mid = rho(0.0, x, 0.0, np.array([[0.0]]), fin, a)[0]
-        avg = 0.5 * (rho(0.0, x, 1.0, np.array([[0.0]]), fin, a)[0]
-                     + rho(0.0, x, -1.0, np.array([[0.0]]), fin, a)[0])
+        mid = model.mu_Y(0.0, x, 0.0, np.array([[0.0]]), a)[0]
+        avg = 0.5 * (model.mu_Y(0.0, x, 1.0, np.array([[0.0]]), a)[0]
+                     + model.mu_Y(0.0, x, -1.0, np.array([[0.0]]), a)[0])
         assert mid < avg - 1e-3  # convex kink: midpoint strictly below average
+
+    def test_one_read_per_sample_set(self, monkeypatch):
+        # each (t, a) reads the spec once on each of its two sample sets, and the
+        # mu_Y closure that frozen_read_matches compares with reads it once more;
+        # the concavity check evaluates La from the first read
+        calls = []
+        read = model_module.market_read
+        monkeypatch.setattr(model_module, "market_read", lambda *args: calls.append(1) or read(*args))
+        model = uncertain_vol_model(r_lend=0.02, r_borrow=0.05)
+        assert validate_assumptions(model, sample_count=50).ok
+        assert len(calls) == 3 * 3 * len(model.A_points)
+
+
+class TestPackageExports:
+    def test_all_resolves_and_star_binds_exactly_it(self):
+        for name in hedgegame.__all__:
+            assert hasattr(hedgegame, name), name
+        namespace = {}
+        exec("from hedgegame import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(hedgegame.__all__)
 
 
 class TestModelSpec:

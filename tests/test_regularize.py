@@ -496,7 +496,7 @@ class TestLadderPruning:
         pad = ladder_pad_layers(model, grid, ladder)
         t_sel, b_mask = box_nodes(model, grid, B, pad)
         base, shaken = (solve_shaken(model, grid, e, pad_layers=pad) for e in (0.0, 0.1))
-        diff = shaken.values[t_sel][:, b_mask] - base.values[t_sel][:, b_mask]
+        diff = shaken.surface.values[t_sel][:, b_mask] - base.surface.values[t_sel][:, b_mask]
         assert cert.c_curve[0] == (0.1, float(np.max(diff[-1])))
         assert cert.c_curve[0][1] < float(np.max(diff))
 
