@@ -280,14 +280,14 @@ def _prepare(args):
             x0=tuple(float(v) for v in s["x0"]), t0=float(s["t0"]),
             paths=int(s["paths"]), steps=int(s["steps"]), seed=int(s["seed"]),
             tol_sim=float(s["tol_sim"]), p_sim=float(s["p_sim"]),
-            switch_rate=float(s["switch_rate"]),
+            switch_rate=_switch_rate(s["switch_rate"], "sim.switch_rate"),
         )
         if len(sim.x0) != model.dim or not np.all(np.isfinite(sim.x0)):
             raise ConfigError(f"sim.x0 needs {model.dim} finite entries, got {list(sim.x0)}")
         margin = float(s["margin"])
-        if not np.all(np.isfinite([sim.p_sim, sim.tol_sim, sim.switch_rate, margin])):
-            raise ConfigError("sim.p_sim, sim.tol_sim, sim.switch_rate and sim.margin must be finite, got "
-                              f"{[sim.p_sim, sim.tol_sim, sim.switch_rate, margin]}")
+        if not np.all(np.isfinite([sim.p_sim, sim.tol_sim, margin])):
+            raise ConfigError("sim.p_sim, sim.tol_sim and sim.margin must be finite, got "
+                              f"{[sim.p_sim, sim.tol_sim, margin]}")
         if not sim.t0 < model.horizon_T:
             raise ConfigError(f"sim.t0 {sim.t0} must be below horizon_T {model.horizon_T}")
         if r["B"] is None:  # central half of the grid in every axis, full time range
@@ -395,11 +395,25 @@ def cmd_regularize(args):
     return EXIT_OK
 
 
-def _parse_adversary(spec: str, model, policy_surface):
-    if spec.startswith("constant:"):
-        return game.ConstantAdversary(int(spec.split(":", 1)[1]))
-    if spec.startswith("random:"):
-        return game.PiecewiseRandomAdversary(float(spec.split(":", 1)[1]))
+def _switch_rate(value, name):
+    """A switch rate of the random adversary: finite and >= 0, as a float."""
+    rate = float(value)
+    if not 0.0 <= rate < np.inf:
+        raise ConfigError(f"{name} must be finite and >= 0, got {rate}")
+    return rate
+
+
+def _parse_adversary(spec: str, policy_surface):
+    """The adversary of ``--adversary constant:<index>``, ``random:<rate>``
+    or ``worst``; a malformed spec is a ConfigError."""
+    kind, _, arg = spec.partition(":")
+    try:
+        if kind == "constant":
+            return game.ConstantAdversary(int(arg))
+        if kind == "random":
+            return game.PiecewiseRandomAdversary(_switch_rate(arg, f"--adversary {spec}: the rate"))
+    except ValueError as exc:
+        raise ConfigError(f"malformed --adversary {spec!r}: {exc}") from None
     if spec == "worst":
         if not isinstance(policy_surface, hjb.ValueSurface):
             raise ConfigError("worst adversary needs a surface with a policy grid")
@@ -430,7 +444,7 @@ def cmd_simulate(args):
         strategy = game.make_strategy(source, model)
         if y0 is None:
             y0 = strategy.value(sim.t0, np.asarray(sim.x0)) + margin
-        adv = _parse_adversary(args.adversary, model, source)
+        adv = _parse_adversary(args.adversary, source)
         rep = game.simulate(model, strategy, adv, sim.t0, np.asarray(sim.x0),
                             y0, sim.paths, sim.steps, sim.seed)
         payload = rep.to_dict(sim.tol_sim)

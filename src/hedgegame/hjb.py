@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 
 from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, market_drift,
-                    market_read, min_generator_field, validate_assumptions)
+                    market_read, min_generator_field, read_site, validate_assumptions)
 
 _PROBE_H = 1e-6
 _FP_TOL = 1e-10
@@ -301,30 +301,38 @@ def _same_read(read, other) -> bool:
 
 
 class _PairTerms:
-    """What one pair's read gives the generator before any layer value
-    enters: mu and sigma on the mesh, 0.5 Sig_ii, Sig_01 and the hedged
-    drift ``at(z)``, a function of y alone (``model.market_drift``)."""
+    """What the kept pairs' reads give the generator before any layer value
+    enters, stacked on a leading pair axis in kept-pair order: mu and sigma
+    on the mesh, 0.5 Sig_ii, Sig_01 and the hedged drift ``at(z)`` of the
+    stack, a function of y alone (``model.market_drift``). ``sites`` holds
+    each pair's (t, x, a), so a singular sigma names its own pair."""
 
-    def __init__(self, mu, sig, at, shape):
-        d = mu.shape[-1]
-        self.mu, self.sig = mu.reshape(shape + (d,)), sig.reshape(shape + (d, d))
+    def __init__(self, reads, sites, shape):
+        n, d = math.prod(shape), reads[0][0].shape[-1]
+        read = tuple(np.stack([np.broadcast_to(r[c], tail) for r in reads])
+                     for c, tail in enumerate([(n, d), (n, d, d), (n,), (n,)]))
+        self.mu, self.sig = (read[0].reshape((len(reads),) + shape + (d,)),
+                             read[1].reshape((len(reads),) + shape + (d, d)))
         Sig = np.einsum("...ik,...jk->...ij", self.sig, self.sig)
         self.half_var = [0.5 * Sig[..., i, i] for i in range(d)]
         self.cov = Sig[..., 0, 1] if d == 2 else None
-        self.at = at
+        named = [read_site(*site)[1] for site in sites]
+        self.at = market_drift(read, ((len(reads), n), lambda i: named[i[0]](i[1:])))
 
 
 def _adverse_terms(pt: _PairTerms, ops: _LayerOps):
-    """Discrete-generator pieces of one pair's terms ``pt`` on one layer.
+    """Discrete-generator pieces of the stacked terms ``pt`` on one layer,
+    each of shape (kept pairs,) + mesh.
 
     Returns (const, f0, fy): const = everything except the hedged drift
     (the drift/diffusion terms with the p-dependence linearised around the
     centered gradient and its linear part moved onto upwind differences);
     f0 = the hedged drift at y = v_next (the first round, read with the 2d
-    probes); fy = the hedged drift at the centered z as a function of y.
+    probes); fy = the hedged drift at the centered z as a function of y,
+    the centered row of the probes' drift, so its z-terms are not redone.
     """
     mu, sig = pt.mu, pt.sig
-    d = mu.shape[-1]
+    n_p, d = mu.shape[0], mu.shape[-1]
     z_c = np.einsum("...ji,...j->...i", sig, ops.p_cen)
     h = _PROBE_H * (1.0 + np.abs(z_c))
     n_z = 2 * d + 1  # z rows: +h and -h on each axis, then z_c
@@ -332,10 +340,13 @@ def _adverse_terms(pt: _PairTerms, ops: _LayerOps):
     for j in range(d):
         zs[2 * j, ..., j] += h[..., j]
         zs[2 * j + 1, ..., j] -= h[..., j]
-    f = np.asarray(pt.at(zs.reshape(n_z, -1, d))(ops.center.reshape(-1))).reshape(zs.shape[:-1])
-    fz = np.stack([(f[2 * j] - f[2 * j + 1]) / (2.0 * h[..., j]) for j in range(d)], axis=-1)
+    drift = pt.at(zs.reshape(n_z, n_p, -1, d))
+    f = np.asarray(drift(ops.center.reshape(-1))).reshape(zs.shape[:-1])
+    fz = np.empty(z_c.shape)
+    for j in range(d):
+        np.divide(f[2 * j] - f[2 * j + 1], 2.0 * h[..., j], out=fz[..., j])
     drift_eff = mu - np.einsum("...ij,...j->...i", sig, fz)
-    const = np.zeros(ops.center.shape)
+    const = np.zeros(mu.shape[:-1])
     for i in range(d):
         p_up = np.where(drift_eff[..., i] > 0.0, ops.fwd[i], ops.bwd[i])
         const -= mu[..., i] * ops.cen[i]
@@ -343,7 +354,7 @@ def _adverse_terms(pt: _PairTerms, ops: _LayerOps):
         const -= pt.half_var[i] * ops.sec[i]
     if d == 2:
         const -= pt.cov * ops.cross
-    return const, f[-1], pt.at(z_c.reshape(-1, d))
+    return const, f[-1], lambda y: drift(y, -1)
 
 
 def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
@@ -357,16 +368,19 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     frozen at their t = 0 values.
 
     Each layer reads every pair once, on its own shifted mesh, for all
-    fixed-point rounds; a round at a pair's centered z redoes only the part
-    of the hedged drift that depends on y. The model is read through its
-    ``finance`` spec (``market_read``). A pair whose read (mu, sigma and both
-    rates) equals bit for bit a kept read of its adverse point is left out
-    of the minimum: its generator row would be the same bits, and the
-    policy keeps the lowest pair index of a tie either way. A kept pair
-    whose read equals bit for bit its read of the last layer where it was
-    kept reuses the terms derived from that read (``_PairTerms``: sigma
-    sigma^T, the hedge map, mu + gamma/2 and the rates), which are functions
-    of the read alone. The minimum over the kept rows is an ``np.minimum``
+    fixed-point rounds. The model is read through its ``finance`` spec
+    (``market_read``). A pair whose read (mu, sigma and both rates) equals
+    bit for bit a kept read of its adverse point is left out of the
+    minimum: its generator row would be the same bits, and the policy keeps
+    the lowest pair index of a tie either way. The kept pairs run as one
+    stack on a leading pair axis, in pair order: the generator pieces
+    (``_adverse_terms``) and each fixed-point round are one set of array
+    operations per layer, and a round at the centered z redoes only the
+    part of the hedged drift that depends on y. The terms derived from the
+    kept reads alone (``_PairTerms``: sigma sigma^T, the hedge map,
+    mu + gamma/2 and the rates) are reused while the layer keeps the same
+    pairs and each of their reads equals bit for bit the read they were
+    derived from. The minimum over the kept rows is an ``np.minimum``
     chain, and the policy an ``np.less``/``np.where`` chain that keeps the
     lowest pair of a tie. The model is hashed before the first layer.
 
@@ -407,45 +421,44 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     Xf = X.reshape(-1, grid.dim)
     vp = np.empty(tuple(n + 2 for n in shape))
     n_b = len(pairs) // len(model.A_points)  # shifts per adverse point (pairs are A-major)
-    last = {}  # pair index -> (read, _PairTerms) of the last layer that kept the pair
+    last = None  # (kept pairs, their reads, _PairTerms) of the last derivation
     max_iters_seen = 0
     for k in range(n_layers - 1, -1, -1):
         t_k = float(t_vals[k])
         v_next = values[k + 1]
         ops = _LayerOps(v_next, dx, vp)
-        terms, kept, reads = [], [], {}  # reads: A index -> kept market reads
+        kept, reads, sites, by_a = [], [], [], {}  # by_a: A index -> kept market reads
         for j, (a, b) in enumerate(pairs):
             t_eff, x_eff = base_point(t_k, Xf, b, T)
             read = market_read(model.finance, t_eff, x_eff, a)
-            kept_reads = reads.setdefault(j // n_b, [])
+            kept_reads = by_a.setdefault(j // n_b, [])
             if any(_same_read(read, other) for other in kept_reads):
                 continue  # its stack row would be a kept pair's, bit for bit
             kept_reads.append(read)
-            if j not in last or not _same_read(read, last[j][0]):
-                last[j] = read, _PairTerms(read[0], read[1], market_drift(read, t_eff, x_eff, a), shape)
-            terms.append(_adverse_terms(last[j][1], ops))
             kept.append(j)
+            reads.append(read)
+            sites.append((t_eff, x_eff, a))
+        if last is None or kept != last[0] or not all(map(_same_read, reads, last[1])):
+            last = kept, reads, _PairTerms(reads, sites, shape)
+        const, f0, fy = _adverse_terms(last[2], ops)
 
-        y = v_next.copy()
-        stack = np.empty((len(terms),) + shape)
+        y = v_next  # rounds rebind y, never write into it
+        stack = np.empty(const.shape)
         converged = False
         for it in range(_FP_MAX_ITERS):
-            for row, (const, f0, fy) in enumerate(terms):
-                f = f0 if it == 0 else fy(y.reshape(-1))
-                np.add(np.reshape(f, shape), const, out=stack[row])
+            np.add(np.reshape(f0 if it == 0 else fy(y.reshape(-1)), stack.shape), const, out=stack)
             s_min = stack[0]
             for row in stack[1:]:
                 s_min = np.minimum(s_min, row)
-            y_new = v_next - dt * s_min
-            delta = float(np.max(np.abs(y_new - y)))
-            omega = 1.0 if it < 8 else 0.5
-            y = y + omega * (y_new - y)
+            step = v_next - dt * s_min - y
+            delta = float(np.max(np.abs(step)))
+            y = y + step if it < 8 else y + 0.5 * step
             max_iters_seen = max(max_iters_seen, it + 1)
             if delta < _FP_TOL:
                 converged = True
                 break
         if not converged:
-            worst = np.unravel_index(int(np.argmax(np.abs(y_new - y))), y.shape)
+            worst = np.unravel_index(int(np.argmax(np.abs(step))), y.shape)
             raise NumericsError(
                 f"fixed point did not converge at layer t={t_k:.6g}, node {worst}, "
                 f"residual {delta:.3e}"
@@ -608,12 +621,14 @@ def save_binary(surface: ValueSurface, path):
 
 
 def _surface_from_cache(header, take) -> ValueSurface:
+    """The saved surface with the solve's time axis, ``GridSpec.layer_times``
+    of its horizon and pad layers, so ``t`` round-trips bit for bit."""
     grid = GridSpec(header["t_steps"], header["x_min"], header["x_max"], header["x_steps"])
     shape = (header["n_layers"],) + tuple(s + 1 for s in grid.x_steps)
-    n_layers = header["n_layers"] - 1
-    dt = (header["horizon_T"] - header["t_start"]) / n_layers
-    t = header["t_start"] + dt * np.arange(n_layers + 1)
-    t[-1] = header["horizon_T"]
+    pad_layers = header["n_layers"] - 1 - grid.t_steps
+    if pad_layers < 0:
+        raise ValueError(f"{header['n_layers']} layers < t_steps + 1 = {grid.t_steps + 1}")
+    t = grid.layer_times(header["horizon_T"], pad_layers)
     return ValueSurface(grid, header["model_hash"], t, grid.axes(), take("<f8", shape),
                         take("<i4", shape), header["a_count"], header.get("meta", {}))
 

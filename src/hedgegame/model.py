@@ -14,10 +14,10 @@ pure: row i of the output depends only on row i of the inputs, because a
 batch may stack probes or gather a subset of paths. Every solver reads a
 model through ``market_read`` once per (t, x, a) for all fixed-point rounds
 (``coefficients_at``; the sweep compares each pair's raw read with the kept
-reads of its adverse point and with the pair's read of the last layer that
-kept it, and derives the hedged drift with ``market_drift`` only when that
-read changed, so the arrays the spec's closures return must not be written
-to later). ``coefficients_at`` and ``min_generator_field`` also take a 1-d
+reads of its adverse point, and derives the hedged drift of the kept reads,
+stacked on a pair axis, with ``market_drift`` only when the kept pairs or
+their reads changed, so the arrays the spec's closures return must not be
+written to later). ``coefficients_at`` and ``min_generator_field`` also take a 1-d
 numpy array of times; they still call every closure once per time, with
 that time as a python float.
 
@@ -163,31 +163,42 @@ def market_read(finance: FinanceSpec, t, x, a):
 
 def _wealth(mu, sig, rl, rb):
     """The wealth drift u -> (y -> u.(mu + gamma/2) + rho) of one market read;
-    the terms in u alone are computed once per u."""
+    the terms in u alone are computed once per u. For a stack of u rows,
+    ``row`` selects the rows the drift is evaluated on."""
     mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
 
     def wealth(u):
         gain, held = (u * mg).sum(axis=-1), u.sum(axis=-1)
-        return lambda y: gain + _financing(np.asarray(y, dtype=float) - held, rl, rb)
+        return lambda y, row=...: (gain[row]
+                                   + _financing(np.asarray(y, dtype=float) - held[row], rl, rb))
 
     return wealth
 
 
-def _hedge_map(sig, t, x, a):
-    """z -> (sigma^-1)^T z on the batch axes x.shape[:-1], led by a time axis
-    for a 1-d array t, z rows or a stack of them: a division in d = 1, else
-    a LAPACK solve. A singular sigma raises ModelError naming its time and
-    node."""
+def read_site(t, x, a):
+    """(batch axes, namer) of a read at (t, x, a): the axes x.shape[:-1],
+    led by a time axis for a 1-d array t, and the namer i -> "t=.., x=..,
+    a=.." of a batch index i."""
     x2 = np.atleast_2d(np.asarray(x, dtype=float))
     lead = (len(t),) if isinstance(t, np.ndarray) else ()
-    batch = lead + x2.shape[:-1]
+
+    def where(i):
+        at = float(t[i[0]]) if lead else t
+        return f"t={at}, x={x2[i[len(lead):]]}, a={np.asarray(a)}"
+
+    return lead + x2.shape[:-1], where
+
+
+def _hedge_map(sig, batch, where):
+    """z -> (sigma^-1)^T z on the batch axes ``batch``, for z rows or a
+    stack of them: a division in d = 1, else a LAPACK solve. A singular
+    sigma raises ModelError naming the site ``where(i)`` of its batch index
+    i (``read_site``)."""
     if sig.shape[:-2] != batch:
         sig = np.broadcast_to(sig, batch + sig.shape[-2:])
 
     def singular(flat):
-        i = np.unravel_index(flat, batch)
-        at = float(t[i[0]]) if lead else t
-        return ModelError(f"singular volatility at t={at}, x={x2[i[len(lead):]]}, a={np.asarray(a)}")
+        return ModelError(f"singular volatility at {where(np.unravel_index(flat, batch))}")
 
     if sig.shape[-1] == 1:
         s = sig[..., 0, 0][..., None]
@@ -213,15 +224,18 @@ def coefficients_at(model: ModelSpec, t, x, a):
     one expression for all times."""
     x = np.asarray(x, dtype=float)
     read = market_read(model.finance, t, x, a)
-    at = market_drift(read, t, x, a)
+    at = market_drift(read, read_site(t, x, a))
     return read[0], read[1], lambda y, z: at(z)(y)
 
 
-def market_drift(read, t, x, a):
+def market_drift(read, site):
     """The hedged wealth drift z -> (y -> drift) of a finance model's
-    ``market_read`` at (t, x, a): the hedge and the terms in it alone are
-    computed once per z, so a round at a fixed z redoes only rho."""
-    wealth, hedge = _wealth(*read), _hedge_map(read[1], t, x, a)
+    ``market_read`` on the batch axes of ``site`` = (batch, namer), the
+    ``read_site`` of the read's (t, x, a): the hedge and the terms in it
+    alone are computed once per z, so a round at a fixed z redoes only rho.
+    The sweep passes its kept reads stacked on a leading pair axis, with a
+    namer that names each pair's own site."""
+    wealth, hedge = _wealth(*read), _hedge_map(read[1], *site)
     return lambda z: wealth(hedge(z))
 
 
@@ -339,7 +353,7 @@ def make_finance_model(
     def u_hat(t, x, y, z, a):
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         sig = np.asarray(finance.sigma(t, x2, a), dtype=float)
-        return _hedge_map(sig, t, x2, a)(np.atleast_2d(np.asarray(z, dtype=float)))
+        return _hedge_map(sig, *read_site(t, x2, a))(np.atleast_2d(np.asarray(z, dtype=float)))
 
     return ModelSpec(
         dim=dim,
@@ -623,7 +637,7 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
             ylip.add(t, a, np.abs(mu_y - wealth(y2)) / dy, x1, y1, y2)
             gro.add(t, a, (np.abs(mu_y) + sig_y) / (1.0 + _norm_rows(u) + np.abs(y1)), x1, y1, u)
             ratio.add(t, a, np.abs(mu_y) / (1.0 + sig_y), x1, y1, u)
-            at = market_drift(read, t, x1, a)
+            at = market_drift(read, read_site(t, x1, a))
             drift = at(z)(y1)
             hat.add(t, a, np.abs(drift) / (1.0 + np.abs(y1) + _norm_rows(z)), x1, y1, z)
 

@@ -287,6 +287,8 @@ class TestExitCodeContract:
         ("simulate", "sim.p_sim=NaN"),
         ("simulate", "sim.tol_sim=NaN"),
         ("simulate", "sim.switch_rate=Infinity"),
+        # a negative switch rate never switches
+        ("simulate", "sim.switch_rate=-3"),
         ("simulate", "sim.margin=NaN"),
     ])
     def test_bad_section_value_exit_2(self, tmp_path, capsys, command, override):
@@ -296,6 +298,19 @@ class TestExitCodeContract:
         err = error_payload(capsys)
         assert err["kind"] == "config" and err["code"] == 2
         assert not (tmp_path / "out" / "dual.json").exists()
+
+    @pytest.mark.parametrize("adversary", [
+        "random:abc", "random:-3", "random:nan", "random:inf", "constant:x", "constant:1.5",
+    ])
+    def test_malformed_adversary_exit_2(self, tmp_path, capsys, adversary):
+        path = write_config(tmp_path, base_config())
+        rc = main(["simulate", "-c", path, "--out", str(tmp_path / "out"),
+                   "--adversary", adversary])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().split("\n")
+        err = json.loads(lines[0])["error"]
+        assert len(lines) == 1 and err["kind"] == "config" and err["code"] == 2
+        assert not (tmp_path / "out" / "simreport.json").exists()
 
     def test_single_adversary_zero_paths_exit_2(self, tmp_path, capsys):
         # one game run on no path measures nothing; the full check still fails closed (exit 4)
@@ -500,6 +515,26 @@ class TestReproducibility:
             a = (outs[0] / rel).read_bytes()
             b = (outs[1] / rel).read_bytes()
             assert a == b, f"artifact {rel} differs between runs"
+
+    def test_simulate_on_surface_file_matches_fresh_solve(self, tmp_path):
+        # the CI tiny config: the loaded surface keeps the solve's time axis,
+        # so the game reads the same gradients either way (20 steps on 200
+        # paths fail the hedge check, exit 4, on both routes)
+        cfg = base_config(A_points=[[0.1], [0.3]], lipschitz_K=0.3,
+                          payoff={"type": "call_spread", "strike": 1.0, "cap": 1.4})
+        cfg["model"]["finance"]["r_lend"]["value"] = 0.02
+        cfg["model"]["finance"]["r_borrow"]["value"] = 0.05
+        cfg["grid"] = {"t_steps": 100, "x_min": [-1.8], "x_max": [1.8], "x_steps": [40]}
+        cfg["sim"] = {"paths": 200, "steps": 20}
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "-c", path, "--out", str(tmp_path / "solve")]) == 0
+        reports = []
+        cached = ["--surface", str(tmp_path / "solve" / "surface.bin")]
+        for name, surface in (("fresh", []), ("file", cached)):
+            out = tmp_path / name
+            rc = main(["simulate", "-c", path, "--out", str(out)] + surface)
+            reports.append((rc, (out / "simreport.json").read_bytes()))
+        assert reports[0] == reports[1]
 
     def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
         cfg = base_config()

@@ -438,14 +438,14 @@ class TestStackedSweep:
     @staticmethod
     def kept_rows(monkeypatch, model, grid, eps, pad_layers=10):
         """(surface, shakes, stack rows built per layer in the order of
-        ``surface.t``) of a shaken solve, counted where the terms are built."""
+        ``surface.t``) of a shaken solve: the leading axis of the stacked
+        terms each layer builds its generator pieces from."""
         layers = []
         build = hjb._adverse_terms
 
         def counted_build(pair_terms, ops):
-            if not layers or layers[-1][0] is not ops:
-                layers.append([ops, 0])
-            layers[-1][1] += 1
+            assert not layers or layers[-1][0] is not ops  # one build per layer
+            layers.append([ops, len(pair_terms.mu)])
             return build(pair_terms, ops)
 
         monkeypatch.setattr(hjb, "_adverse_terms", counted_build)
@@ -547,23 +547,25 @@ class TestStackedSweep:
         kw = dict(pad_layers=10, shake_points=shake_lattice(0.05, 1)) if shaken else {}
         self.assert_matches_oracle(switch_at_half_model(), small_grid(nx=30, nt=80), **kw)
 
-    @pytest.mark.parametrize("model, kw, per_pair", [
+    @pytest.mark.parametrize("model, kw, changes", [
         (uncertain_vol_model(r_lend=0.02, r_borrow=0.05),
          dict(pad_layers=10, shake_points=shake_lattice(0.05, 1)), 1),
         (switch_at_half_model(), {}, 2),
         (time_dependent_vol_model(), {}, 80),  # every one of the 80 layers reads its own vol
     ], ids=["constant-shaken", "switch", "time-dependent-vol"])
-    def test_terms_derived_once_per_changed_read(self, monkeypatch, model, kw, per_pair):
-        derived = [0]
+    def test_terms_derived_once_per_changed_read(self, monkeypatch, model, kw, changes):
+        # one derivation per change of the kept reads, each for the whole
+        # stack: one row per adverse point (each keeps one pair here)
+        derived = []
         derive = hjb.market_drift
 
-        def counted(*args):
-            derived[0] += 1
-            return derive(*args)
+        def counted(read, site):
+            derived.append(len(read[0]))
+            return derive(read, site)
 
         monkeypatch.setattr(hjb, "market_drift", counted)
         self.assert_matches_oracle(model, small_grid(nx=30, nt=80), **kw)
-        assert derived[0] == per_pair * len(model.A_points)
+        assert derived == [len(model.A_points)] * changes
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_vol_singular_on_one_layer_raises_naming_it(self, dim):
@@ -581,6 +583,23 @@ class TestStackedSweep:
         grid = (small_grid(nx=30, nt=64) if dim == 1 else
                 GridSpec(t_steps=64, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10)))
         with pytest.raises(ModelError, match=r"singular volatility at t=0\.5,"):
+            solve(model, grid, validate=False)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_vol_singular_at_one_adverse_point_names_it(self, dim):
+        # only a = 0.3 is singular, on the layer at t = 0.5; the stacked hedge
+        # map holds a = 0.1 in its first row and must name the second
+        def sigma(t, x, a):
+            s = 0.0 if t == 0.5 and a[0] == 0.3 else float(a[0])
+            return np.broadcast_to(s * np.eye(dim), np.asarray(x).shape[:-1] + (dim, dim))
+
+        fin = dataclasses.replace(finance_spec(dim=dim, r_lend=0.02, r_borrow=0.05), sigma=sigma)
+        model = make_finance_model(fin, make_payoff("call", strike=1.0), dim,
+                                   [np.array([0.1]), np.array([0.3])], 1.0, 0.3,
+                                   config={"sigma": "zero at t = 0.5 for a = 0.3"})
+        grid = (small_grid(nx=30, nt=64) if dim == 1 else
+                GridSpec(t_steps=64, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10)))
+        with pytest.raises(ModelError, match=r"singular volatility at t=0\.5, x=.*, a=\[0\.3\]$"):
             solve(model, grid, validate=False)
 
     def test_model_hashed_before_the_first_layer(self, monkeypatch):
@@ -689,6 +708,23 @@ class TestSurfaceIO:
         assert np.array_equal(back.policy, surf.policy)
         assert np.allclose(back.t, surf.t)
         assert back.model_hash == surf.model_hash
+
+    @pytest.mark.parametrize("pad_layers", [0, 10])
+    def test_binary_roundtrips_the_time_axis_bitwise(self, tmp_path, pad_layers):
+        # t is T - dt n, not t_start + dt k: the two differ in the last bit on some layers
+        surf = solve(bs_singleton_model(), small_grid(nx=30, nt=60), pad_layers=pad_layers)
+        path = tmp_path / "s.bin"
+        save_binary(surf, path)
+        assert load_binary(path).t.tobytes() == surf.t.tobytes()
+
+    def test_binary_with_fewer_layers_than_its_steps_is_corrupt(self, tmp_path):
+        surf = solve(bs_singleton_model(), small_grid(nx=30, nt=60))
+        path = tmp_path / "s.bin"
+        short = ValueSurface(dataclasses.replace(surf.grid, t_steps=61), surf.model_hash, surf.t,
+                             surf.axes, surf.values, surf.policy, surf.a_count, surf.meta)
+        save_binary(short, path)
+        with pytest.raises(HedgeGameError, match="corrupt cache file.*61 layers < t_steps"):
+            load_binary(path)
 
     def test_binary_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.bin"
