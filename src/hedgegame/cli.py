@@ -315,6 +315,7 @@ def _prepare(args):
             box=box, eta=float(r["eta"]), tol=float(r["tol"]),
             eps_ladder=tuple(float(e) for e in r["eps_ladder"]),
             check_shape=check_shape,
+            adversary=_parse_adversary(getattr(args, "adversary", "all"), len(model.A_points)),
             # phi = v + margin, v the solved surface (path None) or a surface.bin file
             phi=((None, float(r["phi"].split(":", 1)[1]))
                  if r["phi"].startswith("v-plus-margin:") else (r["phi"], 0.0)),
@@ -403,21 +404,22 @@ def _switch_rate(value, name):
     return rate
 
 
-def _parse_adversary(spec: str, policy_surface):
-    """The adversary of ``--adversary constant:<index>``, ``random:<rate>``
-    or ``worst``; a malformed spec is a ConfigError."""
+def _parse_adversary(spec: str, n_A: int):
+    """The adversary of ``--adversary constant:<index>`` or ``random:<rate>``,
+    else ``all`` or ``worst`` as given; a malformed spec or an index outside
+    the n_A adverse points is a ConfigError."""
+    if spec in ("all", "worst"):
+        return spec
     kind, _, arg = spec.partition(":")
     try:
         if kind == "constant":
+            if not 0 <= int(arg) < n_A:
+                raise ConfigError(f"--adversary {spec}: index outside the {n_A} A_points")
             return game.ConstantAdversary(int(arg))
         if kind == "random":
             return game.PiecewiseRandomAdversary(_switch_rate(arg, f"--adversary {spec}: the rate"))
     except ValueError as exc:
         raise ConfigError(f"malformed --adversary {spec!r}: {exc}") from None
-    if spec == "worst":
-        if not isinstance(policy_surface, hjb.ValueSurface):
-            raise ConfigError("worst adversary needs a surface with a policy grid")
-        return game.MarkovWorstAdversary(policy_surface)
     raise ConfigError(f"unknown adversary {spec!r}")
 
 
@@ -434,7 +436,7 @@ def cmd_simulate(args):
         source = hjb.solve(model, run.grid, validate=not args.override_assumptions)
     artifacts = ["simreport.json"]
     status = EXIT_OK
-    if args.adversary == "all":
+    if run.adversary == "all":
         check = game.superhedge_check(model, source, margin, sim)
         payload = check.to_dict()
         reports = check.reports
@@ -444,7 +446,7 @@ def cmd_simulate(args):
         strategy = game.make_strategy(source, model)
         if y0 is None:
             y0 = strategy.value(sim.t0, np.asarray(sim.x0)) + margin
-        adv = _parse_adversary(args.adversary, source)
+        adv = game.MarkovWorstAdversary(source) if run.adversary == "worst" else run.adversary
         rep = game.simulate(model, strategy, adv, sim.t0, np.asarray(sim.x0),
                             y0, sim.paths, sim.steps, sim.seed)
         payload = rep.to_dict(sim.tol_sim)

@@ -285,8 +285,8 @@ def _check_adversary(adversary, n_A):
     """Raise HedgeGameError for an adversary that cannot play n_A adverse points."""
     if isinstance(adversary, ConstantAdversary) and not 0 <= adversary.a_index < n_A:
         raise HedgeGameError(f"adversary index {adversary.a_index} out of range")
-    if isinstance(adversary, MarkovWorstAdversary) and adversary.surface.a_count != n_A:
-        raise HedgeGameError("worst-case adversary needs an unshaken policy surface")
+    if isinstance(adversary, MarkovWorstAdversary) and getattr(adversary.surface, "a_count", 0) != n_A:
+        raise HedgeGameError("worst-case adversary needs the policy grid of an unshaken solve")
 
 
 def _split(a_idx, n_A):

@@ -1,10 +1,10 @@
 """Backward finite-difference solver for the worst-case pricing equation.
 
 The terminal-value problem  min_a La(., v, dv/dt, Dv, D^2v) = 0, v(T) = g
-is integrated backward with an explicit monotone scheme: central second
-differences, first differences upwinded against the effective drift, and the
-adverse minimum taken pointwise inside a damped fixed-point loop that
-resolves the semilinear dependence of the wealth drift on the value itself.
+is integrated backward with an explicit scheme: central differences, checked
+to be monotone node by node, and the adverse minimum taken pointwise inside a
+damped fixed-point loop that resolves the semilinear dependence of the
+wealth drift on the value itself.
 
 Grids are rectangular in (t, x) with d <= 2 spatial axes. Surfaces are
 immutable once solved.
@@ -25,7 +25,6 @@ import numpy as np
 from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, market_drift,
                     market_read, min_generator_field, read_site, validate_assumptions)
 
-_PROBE_H = 1e-6
 _FP_TOL = 1e-10
 _FP_MAX_ITERS = 50
 # layers per residual() block; bounds its difference and coefficient stacks
@@ -263,7 +262,7 @@ def _shift(vp: np.ndarray, axis: int, off: int, d: int) -> np.ndarray:
 
 
 class _LayerOps:
-    """Finite differences of one known layer, shared across adverse points.
+    """Central differences of one known layer, shared across adverse points.
 
     ``vp`` is the solve's padded buffer: v with one ghost node per side and
     axis, extrapolated linearly one axis after the other, so a ghost row of
@@ -280,10 +279,7 @@ class _LayerOps:
                                               - vp[lead + (far,) + tail])
         up = [_shift(vp, i, +1, d) for i in range(d)]
         dn = [_shift(vp, i, -1, d) for i in range(d)]
-        self.center = v
-        self.fwd = [(up[i] - v) / dx[i] for i in range(d)]
-        self.bwd = [(v - dn[i]) / dx[i] for i in range(d)]
-        self.cen = [(up[i] - dn[i]) / (2.0 * dx[i]) for i in range(d)]
+        self.p_cen = np.stack([(up[i] - dn[i]) / (2.0 * dx[i]) for i in range(d)], axis=-1)
         self.sec = [(up[i] - 2.0 * v + dn[i]) / (dx[i] ** 2) for i in range(d)]
         self.cross = None
         if d == 2:
@@ -292,7 +288,6 @@ class _LayerOps:
             pm = vp[2:, :-2]
             mp = vp[:-2, 2:]
             self.cross = (pp + mm - pm - mp) / (4.0 * dx[0] * dx[1])
-        self.p_cen = np.stack(self.cen, axis=-1)
 
 
 def _same_read(read, other) -> bool:
@@ -302,17 +297,18 @@ def _same_read(read, other) -> bool:
 
 class _PairTerms:
     """What the kept pairs' reads give the generator before any layer value
-    enters, stacked on a leading pair axis in kept-pair order: mu and sigma
-    on the mesh, 0.5 Sig_ii, Sig_01 and the hedged drift ``at(z)`` of the
-    stack, a function of y alone (``model.market_drift``). ``sites`` holds
-    each pair's (t, x, a), so a singular sigma names its own pair."""
+    enters, stacked on a leading pair axis in kept-pair order: mu, sigma and
+    both rates on the mesh, 0.5 Sig_ii, Sig_01 and the hedged drift ``at(z)``
+    of the stack, a function of y alone (``model.market_drift``). ``sites``
+    holds each pair's (t, x, a), so a singular sigma names its own pair."""
 
     def __init__(self, reads, sites, shape):
         n, d = math.prod(shape), reads[0][0].shape[-1]
         read = tuple(np.stack([np.broadcast_to(r[c], tail) for r in reads])
                      for c, tail in enumerate([(n, d), (n, d, d), (n,), (n,)]))
-        self.mu, self.sig = (read[0].reshape((len(reads),) + shape + (d,)),
-                             read[1].reshape((len(reads),) + shape + (d, d)))
+        lead = (len(reads),) + shape
+        self.mu, self.sig = read[0].reshape(lead + (d,)), read[1].reshape(lead + (d, d))
+        self.rates = (read[2].reshape(lead), read[3].reshape(lead))
         Sig = np.einsum("...ik,...jk->...ij", self.sig, self.sig)
         self.half_var = [0.5 * Sig[..., i, i] for i in range(d)]
         self.cov = Sig[..., 0, 1] if d == 2 else None
@@ -320,41 +316,50 @@ class _PairTerms:
         self.at = market_drift(read, ((len(reads), n), lambda i: named[i[0]](i[1:])))
 
 
-def _adverse_terms(pt: _PairTerms, ops: _LayerOps):
-    """Discrete-generator pieces of the stacked terms ``pt`` on one layer,
-    each of shape (kept pairs,) + mesh.
+def _check_weights(pt: _PairTerms, dt, dx, t, X, a_points):
+    """Raise NumericsError at the worst node (NaN first) where the scheme
+    weighs a node negatively. With u = p the first differences carry the
+    drift r - Sig_ii/2 at either rate, so neighbour weights need the cell
+    Peclet number |r - Sig_ii/2| h_i / Sig_ii <= 1 and the centre weight
+    1 - dt sum_i Sig_ii/h_i^2 >= 0; the d = 2 cross term is not checked.
+    The error names the layer t, the node of mesh X and the row's a_points."""
+    def worst(score):
+        at = np.unravel_index(int(np.argmax(np.where(np.isnan(score), np.inf, score))), score.shape)
+        return at, f"scheme not monotone at layer t={t:.6g}, node x={X[at[1:]]}, a={a_points[at[0]]}"
 
-    Returns (const, f0, fy): const = everything except the hedged drift
-    (the drift/diffusion terms with the p-dependence linearised around the
-    centered gradient and its linear part moved onto upwind differences);
-    f0 = the hedged drift at y = v_next (the first round, read with the 2d
-    probes); fy = the hedged drift at the centered z as a function of y,
-    the centered row of the probes' drift, so its z-terms are not redone.
+    centre = 1.0
+    for i, h in enumerate(dx):
+        var = 2.0 * pt.half_var[i]
+        peclet = np.maximum(*(np.abs(r - pt.half_var[i]) for r in pt.rates)) * h / var
+        if not np.all(peclet <= 1.0):
+            at, where = worst(peclet)
+            raise NumericsError(f"{where}: cell Peclet number {peclet[at]:.4g} > 1 on axis {i} "
+                                f"(h={h:.4g}; h <= {h / peclet[at]:.4g} would pass)")
+        centre = centre - dt * var / (h * h)
+    if not np.all(centre >= 0.0):
+        at, where = worst(-centre)
+        raise NumericsError(f"{where}: centre weight {centre[at]:.4g} < 0 "
+                            f"(dt={dt:.4g}; dt <= {dt / (1.0 - centre[at]):.4g} would pass)")
+
+
+def _adverse_terms(pt: _PairTerms, ops: _LayerOps):
+    """Discrete-generator pieces of the stacked terms ``pt`` on one layer.
+
+    Returns (const, drift): const = -mu.p - 1/2 Sig_ii D2_i v - Sig_01 D01 v
+    with central differences, of shape (kept pairs,) + mesh, and drift = the
+    hedged drift at z = sigma^T p as a function of y alone (its z-terms are
+    computed here, once per layer), with p the central gradient.
     """
-    mu, sig = pt.mu, pt.sig
+    mu = pt.mu
     n_p, d = mu.shape[0], mu.shape[-1]
-    z_c = np.einsum("...ji,...j->...i", sig, ops.p_cen)
-    h = _PROBE_H * (1.0 + np.abs(z_c))
-    n_z = 2 * d + 1  # z rows: +h and -h on each axis, then z_c
-    zs = np.repeat(z_c[None], n_z, axis=0)
-    for j in range(d):
-        zs[2 * j, ..., j] += h[..., j]
-        zs[2 * j + 1, ..., j] -= h[..., j]
-    drift = pt.at(zs.reshape(n_z, n_p, -1, d))
-    f = np.asarray(drift(ops.center.reshape(-1))).reshape(zs.shape[:-1])
-    fz = np.empty(z_c.shape)
-    for j in range(d):
-        np.divide(f[2 * j] - f[2 * j + 1], 2.0 * h[..., j], out=fz[..., j])
-    drift_eff = mu - np.einsum("...ij,...j->...i", sig, fz)
+    z = np.einsum("...ji,...j->...i", pt.sig, ops.p_cen)
     const = np.zeros(mu.shape[:-1])
     for i in range(d):
-        p_up = np.where(drift_eff[..., i] > 0.0, ops.fwd[i], ops.bwd[i])
-        const -= mu[..., i] * ops.cen[i]
-        const -= drift_eff[..., i] * (p_up - ops.cen[i])
+        const -= mu[..., i] * ops.p_cen[..., i]
         const -= pt.half_var[i] * ops.sec[i]
     if d == 2:
         const -= pt.cov * ops.cross
-    return const, f[-1], lambda y: drift(y, -1)
+    return const, pt.at(z.reshape(n_p, -1, d))
 
 
 def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
@@ -375,18 +380,19 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     the lowest pair index of a tie either way. The kept pairs run as one
     stack on a leading pair axis, in pair order: the generator pieces
     (``_adverse_terms``) and each fixed-point round are one set of array
-    operations per layer, and a round at the centered z redoes only the
-    part of the hedged drift that depends on y. The terms derived from the
-    kept reads alone (``_PairTerms``: sigma sigma^T, the hedge map,
+    operations per layer, and a round at the central z = sigma^T p redoes
+    only the part of the hedged drift that depends on y. The terms derived
+    from the kept reads alone (``_PairTerms``: sigma sigma^T, the hedge map,
     mu + gamma/2 and the rates) are reused while the layer keeps the same
     pairs and each of their reads equals bit for bit the read they were
     derived from. The minimum over the kept rows is an ``np.minimum``
     chain, and the policy an ``np.less``/``np.where`` chain that keeps the
     lowest pair of a tie. The model is hashed before the first layer.
 
-    Refuses to run when the K-based stability number exceeds 1; the
-    semilinear wealth term is resolved per node by damped fixed-point
-    iteration to 1e-10 (at most 50 rounds).
+    Refuses to run when the K-based stability number exceeds 1, and raises
+    NumericsError where a derivation of terms puts a negative or NaN weight
+    on a node (``_check_weights``); the semilinear wealth term is resolved
+    per node by damped fixed-point iteration to 1e-10 (at most 50 rounds).
     """
     if grid.dim != model.dim:
         raise HedgeGameError(f"grid dim {grid.dim} != model dim {model.dim}")
@@ -438,15 +444,17 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
             kept.append(j)
             reads.append(read)
             sites.append((t_eff, x_eff, a))
-        if last is None or kept != last[0] or not all(map(_same_read, reads, last[1])):
+        derive = last is None or kept != last[0] or not all(map(_same_read, reads, last[1]))
+        if derive:
             last = kept, reads, _PairTerms(reads, sites, shape)
-        const, f0, fy = _adverse_terms(last[2], ops)
+        const, drift = _adverse_terms(last[2], ops)
+        if derive:  # after the hedge map has met every sigma: a singular one is a ModelError
+            _check_weights(last[2], dt, dx, t_k, X, [np.asarray(pairs[j][0]) for j in kept])
 
         y = v_next  # rounds rebind y, never write into it
         stack = np.empty(const.shape)
-        converged = False
         for it in range(_FP_MAX_ITERS):
-            np.add(np.reshape(f0 if it == 0 else fy(y.reshape(-1)), stack.shape), const, out=stack)
+            np.add(np.reshape(drift(y.reshape(-1)), stack.shape), const, out=stack)
             s_min = stack[0]
             for row in stack[1:]:
                 s_min = np.minimum(s_min, row)
@@ -455,9 +463,8 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
             y = y + step if it < 8 else y + 0.5 * step
             max_iters_seen = max(max_iters_seen, it + 1)
             if delta < _FP_TOL:
-                converged = True
                 break
-        if not converged:
+        else:
             worst = np.unravel_index(int(np.argmax(np.abs(step))), y.shape)
             raise NumericsError(
                 f"fixed point did not converge at layer t={t_k:.6g}, node {worst}, "

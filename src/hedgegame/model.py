@@ -11,7 +11,7 @@ a two-rate market, each a function of (t, x, a) vectorised over the leading
 axes of x (x: (n, d) -> mu (n, d), sigma (n, d, d), rates (n,)). ``t`` is a
 python float and ``a`` one entry of ``A_points``. Closures must be row-wise
 pure: row i of the output depends only on row i of the inputs, because a
-batch may stack probes or gather a subset of paths. Every solver reads a
+batch may gather a subset of paths. Every solver reads a
 model through ``market_read`` once per (t, x, a) for all fixed-point rounds
 (``coefficients_at``; the sweep compares each pair's raw read with the kept
 reads of its adverse point, and derives the hedged drift of the kept reads,
@@ -163,14 +163,12 @@ def market_read(finance: FinanceSpec, t, x, a):
 
 def _wealth(mu, sig, rl, rb):
     """The wealth drift u -> (y -> u.(mu + gamma/2) + rho) of one market read;
-    the terms in u alone are computed once per u. For a stack of u rows,
-    ``row`` selects the rows the drift is evaluated on."""
+    the terms in u alone are computed once per u."""
     mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
 
     def wealth(u):
         gain, held = (u * mg).sum(axis=-1), u.sum(axis=-1)
-        return lambda y, row=...: (gain[row]
-                                   + _financing(np.asarray(y, dtype=float) - held[row], rl, rb))
+        return lambda y: gain + _financing(np.asarray(y, dtype=float) - held, rl, rb)
 
     return wealth
 

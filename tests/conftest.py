@@ -240,8 +240,8 @@ def inf_convolution_oracle(values, k, coords):
 
 # ---------------------------------------------------------------------------
 # per-pair sweep oracle: the backward sweep with one hedged-drift read per
-# (adverse point, shake) pair, per probe and per fixed-point round, each read
-# through the mu_Y and u_hat closures (never a frozen coefficient read)
+# (adverse point, shake) pair and per fixed-point round, each read through
+# the mu_Y and u_hat closures (never a frozen coefficient read)
 # ---------------------------------------------------------------------------
 
 
@@ -262,7 +262,7 @@ def _pad_linear(v):
 
 
 class _OracleLayerOps:
-    """Finite differences of one known layer, shared across adverse points,
+    """Central differences of one known layer, shared across adverse points,
     on a freshly concatenated padding."""
 
     def __init__(self, v, dx):
@@ -271,9 +271,7 @@ class _OracleLayerOps:
         d = v.ndim
         vp = _pad_linear(v)
         self.center = v
-        self.fwd = [( _shift(vp, i, +1, d) - v) / dx[i] for i in range(d)]
-        self.bwd = [(v - _shift(vp, i, -1, d)) / dx[i] for i in range(d)]
-        self.cen = [(_shift(vp, i, +1, d) - _shift(vp, i, -1, d)) / (2.0 * dx[i]) for i in range(d)]
+        cen = [(_shift(vp, i, +1, d) - _shift(vp, i, -1, d)) / (2.0 * dx[i]) for i in range(d)]
         self.sec = [(_shift(vp, i, +1, d) - 2.0 * v + _shift(vp, i, -1, d)) / (dx[i] ** 2) for i in range(d)]
         self.cross = None
         if d == 2:
@@ -282,39 +280,24 @@ class _OracleLayerOps:
             pm = vp[2:, :-2]
             mp = vp[:-2, 2:]
             self.cross = (pp + mm - pm - mp) / (4.0 * dx[0] * dx[1])
-        self.p_cen = np.stack(self.cen, axis=-1)
+        self.p_cen = np.stack(cen, axis=-1)
 
 
-def _oracle_adverse_terms(model, t_eff, x_eff, y_ref, ops, a):
+def _oracle_adverse_terms(model, t_eff, x_eff, ops, a):
     """Per-adverse-point pieces of the discrete generator.
 
-    Returns (z_c, const) with const = everything except the hedged drift:
-    the drift/diffusion terms with the p-dependence linearised around the
-    centered gradient and its linear part moved onto upwind differences.
+    Returns (z_c, const): the central z = sigma^T p and const = everything
+    except the hedged drift, -mu.p - 1/2 Sig_ii D2_i v - Sig_01 D01 v, all
+    differences central.
     """
-    from hedgegame.hjb import _PROBE_H
-
     d = x_eff.shape[-1]
     mu = np.asarray(model.mu_X(t_eff, x_eff, a), dtype=float)
     sig = np.asarray(model.sigma_X(t_eff, x_eff, a), dtype=float)
     Sig = np.einsum("...ik,...jk->...ij", sig, sig)
     z_c = np.einsum("...ji,...j->...i", sig, ops.p_cen)
-    fz = np.empty_like(z_c)
-    for j in range(d):
-        h = _PROBE_H * (1.0 + np.abs(z_c[..., j]))
-        zp = z_c.copy()
-        zp[..., j] += h
-        zm = z_c.copy()
-        zm[..., j] -= h
-        fp = np.asarray(_closure_mu_Y_hat(t_eff, x_eff, y_ref, zp, a, model))
-        fm = np.asarray(_closure_mu_Y_hat(t_eff, x_eff, y_ref, zm, a, model))
-        fz[..., j] = (fp - fm) / (2.0 * h)
-    drift_eff = mu - np.einsum("...ij,...j->...i", sig, fz)
     const = np.zeros(ops.center.shape)
     for i in range(d):
-        p_up = np.where(drift_eff[..., i] > 0.0, ops.fwd[i], ops.bwd[i])
-        const -= mu[..., i] * ops.cen[i]
-        const -= drift_eff[..., i] * (p_up - ops.cen[i])
+        const -= mu[..., i] * ops.p_cen[..., i]
         const -= 0.5 * Sig[..., i, i] * ops.sec[i]
     if d == 2:
         const -= Sig[..., 0, 1] * ops.cross
@@ -344,7 +327,7 @@ def sweep_oracle(model, grid, *, pad_layers=0, shake_points=None):
         terms = []
         for a, b in pairs:
             t_eff, x_eff = base_point(t_k, X, b, T)
-            z_c, const = _oracle_adverse_terms(model, t_eff, x_eff, v_next, ops, a)
+            z_c, const = _oracle_adverse_terms(model, t_eff, x_eff, ops, a)
             terms.append((a, t_eff, x_eff, z_c, const))
 
         y = v_next.copy()

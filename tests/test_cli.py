@@ -312,6 +312,17 @@ class TestExitCodeContract:
         assert len(lines) == 1 and err["kind"] == "config" and err["code"] == 2
         assert not (tmp_path / "out" / "simreport.json").exists()
 
+    @pytest.mark.parametrize("adversary", ["random:abc", "constant:7"])
+    def test_adversary_checked_before_the_solve(self, tmp_path, capsys, monkeypatch, adversary):
+        # a malformed spec, or an index outside the one adverse point, exits 2 before any solve
+        solves, solve = [], cli.hjb.solve
+        monkeypatch.setattr(cli.hjb, "solve", lambda *a, **kw: solves.append(a) or solve(*a, **kw))
+        path = write_config(tmp_path, base_config())
+        rc = main(["simulate", "-c", path, "--out", str(tmp_path / "out"), "--adversary", adversary])
+        assert rc == 2 and solves == []
+        err = error_payload(capsys)
+        assert err["kind"] == "config" and err["code"] == 2
+
     def test_single_adversary_zero_paths_exit_2(self, tmp_path, capsys):
         # one game run on no path measures nothing; the full check still fails closed (exit 4)
         path = write_config(tmp_path, base_config())

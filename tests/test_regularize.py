@@ -403,7 +403,7 @@ class TestBuildAndVerify:
         # eps 0.2 is pruned on its terminal gap 0.4 > eta/2: the base and eps 0.1 are solved
         assert solved == [0.0, 0.1] and cert.pruned == [0.2] and cert.c_curve[0] == (0.2, 0.4)
         assert (cert.eps, cert.k, cert.delta) == (0.1, 480.0, 0.05)
-        assert cert.min_residual == pytest.approx(-7.846753056991312e-04, rel=1e-12, abs=0.0)
+        assert cert.min_residual == pytest.approx(-1.9673274179614342e-04, rel=1e-12, abs=0.0)
 
     def test_corrupted_surface_fails_by_half(self):
         model = bs_singleton_model()
