@@ -2,9 +2,8 @@
 
 The terminal-value problem  min_a La(., v, dv/dt, Dv, D^2v) = 0, v(T) = g
 is integrated backward with an explicit scheme: central differences, checked
-to be monotone node by node, and the adverse minimum taken pointwise inside a
-damped fixed-point loop that resolves the semilinear dependence of the
-wealth drift on the value itself.
+to be monotone node by node, the adverse minimum taken pointwise, and the
+semilinear wealth drift evaluated explicitly on the known layer.
 
 Grids are rectangular in (t, x) with d <= 2 spatial axes. Surfaces are
 immutable once solved.
@@ -25,8 +24,6 @@ import numpy as np
 from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, market_drift,
                     market_read, min_generator_field, read_site, validate_assumptions)
 
-_FP_TOL = 1e-10
-_FP_MAX_ITERS = 50
 # layers per residual() block; bounds its difference and coefficient stacks
 # (the `price` benchmark's peak RSS is 106 MB at 64 layers and at 128)
 _RESIDUAL_BLOCK = 64
@@ -35,7 +32,7 @@ BINARY_MAGIC = b"HJBSURF1"
 
 
 class NumericsError(HedgeGameError):
-    """Numerical failure of the scheme (instability, non-convergence)."""
+    """Numerical failure of the scheme (instability, a non-finite layer)."""
 
 
 class CFLError(NumericsError):
@@ -298,9 +295,9 @@ def _same_read(read, other) -> bool:
 class _PairTerms:
     """What the kept pairs' reads give the generator before any layer value
     enters, stacked on a leading pair axis in kept-pair order: mu, sigma and
-    both rates on the mesh, 0.5 Sig_ii, Sig_01 and the hedged drift ``at(z)``
-    of the stack, a function of y alone (``model.market_drift``). ``sites``
-    holds each pair's (t, x, a), so a singular sigma names its own pair."""
+    both rates on the mesh, 0.5 Sig_ii, Sig_01 and the hedged drift
+    ``at(y, z)`` of the stack (``model.market_drift``). ``sites`` holds each
+    pair's (t, x, a), so a singular sigma names its own pair."""
 
     def __init__(self, reads, sites, shape):
         n, d = math.prod(shape), reads[0][0].shape[-1]
@@ -320,9 +317,11 @@ def _check_weights(pt: _PairTerms, dt, dx, t, X, a_points):
     """Raise NumericsError at the worst node (NaN first) where the scheme
     weighs a node negatively. With u = p the first differences carry the
     drift r - Sig_ii/2 at either rate, so neighbour weights need the cell
-    Peclet number |r - Sig_ii/2| h_i / Sig_ii <= 1 and the centre weight
-    1 - dt sum_i Sig_ii/h_i^2 >= 0; the d = 2 cross term is not checked.
-    The error names the layer t, the node of mesh X and the row's a_points."""
+    Peclet number |r - Sig_ii/2| h_i / Sig_ii <= 1; the explicit wealth term
+    puts -dt r on the centre node, so the centre weight needs
+    1 - dt sum_i Sig_ii/h_i^2 - dt max(r_lend, r_borrow) >= 0. The d = 2
+    cross term is not checked. The error names the layer t, the node of
+    mesh X and the row's a_points."""
     def worst(score):
         at = np.unravel_index(int(np.argmax(np.where(np.isnan(score), np.inf, score))), score.shape)
         return at, f"scheme not monotone at layer t={t:.6g}, node x={X[at[1:]]}, a={a_points[at[0]]}"
@@ -336,19 +335,18 @@ def _check_weights(pt: _PairTerms, dt, dx, t, X, a_points):
             raise NumericsError(f"{where}: cell Peclet number {peclet[at]:.4g} > 1 on axis {i} "
                                 f"(h={h:.4g}; h <= {h / peclet[at]:.4g} would pass)")
         centre = centre - dt * var / (h * h)
+    centre = centre - dt * np.maximum(*pt.rates)
     if not np.all(centre >= 0.0):
         at, where = worst(-centre)
         raise NumericsError(f"{where}: centre weight {centre[at]:.4g} < 0 "
                             f"(dt={dt:.4g}; dt <= {dt / (1.0 - centre[at]):.4g} would pass)")
 
 
-def _adverse_terms(pt: _PairTerms, ops: _LayerOps):
-    """Discrete-generator pieces of the stacked terms ``pt`` on one layer.
-
-    Returns (const, drift): const = -mu.p - 1/2 Sig_ii D2_i v - Sig_01 D01 v
-    with central differences, of shape (kept pairs,) + mesh, and drift = the
-    hedged drift at z = sigma^T p as a function of y alone (its z-terms are
-    computed here, once per layer), with p the central gradient.
+def _adverse_terms(pt: _PairTerms, ops: _LayerOps, v: np.ndarray):
+    """Discrete generator of the stacked terms ``pt`` on the known layer v,
+    of shape (kept pairs,) + mesh: the hedged drift at (v, z = sigma^T p)
+    plus -mu.p - 1/2 Sig_ii D2_i v - Sig_01 D01 v, with p the central
+    gradient and every difference central.
     """
     mu = pt.mu
     n_p, d = mu.shape[0], mu.shape[-1]
@@ -359,7 +357,7 @@ def _adverse_terms(pt: _PairTerms, ops: _LayerOps):
         const -= pt.half_var[i] * ops.sec[i]
     if d == 2:
         const -= pt.cov * ops.cross
-    return const, pt.at(z.reshape(n_p, -1, d))
+    return const + np.reshape(pt.at(v.reshape(-1), z.reshape(n_p, -1, d)), const.shape)
 
 
 def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
@@ -372,27 +370,28 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     [0, T]. ``pad_layers`` extends the sweep below t = 0 with coefficients
     frozen at their t = 0 values.
 
-    Each layer reads every pair once, on its own shifted mesh, for all
-    fixed-point rounds. The model is read through its ``finance`` spec
-    (``market_read``). A pair whose read (mu, sigma and both rates) equals
-    bit for bit a kept read of its adverse point is left out of the
-    minimum: its generator row would be the same bits, and the policy keeps
-    the lowest pair index of a tie either way. The kept pairs run as one
-    stack on a leading pair axis, in pair order: the generator pieces
-    (``_adverse_terms``) and each fixed-point round are one set of array
-    operations per layer, and a round at the central z = sigma^T p redoes
-    only the part of the hedged drift that depends on y. The terms derived
-    from the kept reads alone (``_PairTerms``: sigma sigma^T, the hedge map,
-    mu + gamma/2 and the rates) are reused while the layer keeps the same
-    pairs and each of their reads equals bit for bit the read they were
-    derived from. The minimum over the kept rows is an ``np.minimum``
-    chain, and the policy an ``np.less``/``np.where`` chain that keeps the
-    lowest pair of a tie. The model is hashed before the first layer.
+    Each layer reads every pair once, on its own shifted mesh. The model is
+    read through its ``finance`` spec (``market_read``). A pair whose read
+    (mu, sigma and both rates) equals bit for bit a kept read of its adverse
+    point is left out of the minimum: its generator row would be the same
+    bits, and the policy keeps the lowest pair index of a tie either way.
+    The kept pairs run as one stack on a leading pair axis, in pair order:
+    the generator (``_adverse_terms``) is one set of array operations per
+    layer, with the wealth term explicit: the hedged drift is evaluated once,
+    at the known layer and the central z = sigma^T p, so layer k is
+    v_{k+1} - dt min_rows(generator). The terms derived from the kept reads
+    alone (``_PairTerms``: sigma sigma^T, the hedge map, mu + gamma/2 and
+    the rates) are reused while the layer keeps the same pairs and each of
+    their reads equals bit for bit the read they were derived from. The
+    minimum over the kept rows is an ``np.minimum`` chain, and the policy an
+    ``np.less``/``np.where`` chain that keeps the lowest pair of a tie. The
+    model is hashed before the first layer.
 
     Refuses to run when the K-based stability number exceeds 1, and raises
     NumericsError where a derivation of terms puts a negative or NaN weight
-    on a node (``_check_weights``); the semilinear wealth term is resolved
-    per node by damped fixed-point iteration to 1e-10 (at most 50 rounds).
+    on a node (``_check_weights``) and where a layer holds a non-finite
+    value, naming the layer, the node and the first kept pair whose row is
+    non-finite there.
     """
     if grid.dim != model.dim:
         raise HedgeGameError(f"grid dim {grid.dim} != model dim {model.dim}")
@@ -428,7 +427,6 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     vp = np.empty(tuple(n + 2 for n in shape))
     n_b = len(pairs) // len(model.A_points)  # shifts per adverse point (pairs are A-major)
     last = None  # (kept pairs, their reads, _PairTerms) of the last derivation
-    max_iters_seen = 0
     for k in range(n_layers - 1, -1, -1):
         t_k = float(t_vals[k])
         v_next = values[k + 1]
@@ -447,47 +445,32 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
         derive = last is None or kept != last[0] or not all(map(_same_read, reads, last[1]))
         if derive:
             last = kept, reads, _PairTerms(reads, sites, shape)
-        const, drift = _adverse_terms(last[2], ops)
+        stack = _adverse_terms(last[2], ops, v_next)
         if derive:  # after the hedge map has met every sigma: a singular one is a ModelError
             _check_weights(last[2], dt, dx, t_k, X, [np.asarray(pairs[j][0]) for j in kept])
-
-        y = v_next  # rounds rebind y, never write into it
-        stack = np.empty(const.shape)
-        for it in range(_FP_MAX_ITERS):
-            np.add(np.reshape(drift(y.reshape(-1)), stack.shape), const, out=stack)
-            s_min = stack[0]
-            for row in stack[1:]:
-                s_min = np.minimum(s_min, row)
-            step = v_next - dt * s_min - y
-            delta = float(np.max(np.abs(step)))
-            y = y + step if it < 8 else y + 0.5 * step
-            max_iters_seen = max(max_iters_seen, it + 1)
-            if delta < _FP_TOL:
-                break
-        else:
-            worst = np.unravel_index(int(np.argmax(np.abs(step))), y.shape)
-            raise NumericsError(
-                f"fixed point did not converge at layer t={t_k:.6g}, node {worst}, "
-                f"residual {delta:.3e}"
-            )
-        values[k] = y
+        s_min = stack[0]
+        for row in stack[1:]:
+            s_min = np.minimum(s_min, row)
+        values[k] = v_next - dt * s_min
+        bad = ~np.isfinite(values[k])
+        if bad.any():
+            at = np.unravel_index(int(np.argmax(bad)), shape)
+            i = int(np.argmax(~np.isfinite(stack[(slice(None),) + at])))
+            raise NumericsError(f"non-finite value at layer t={t_k:.6g}, node x={X[at]}, "
+                                f"a={np.asarray(pairs[kept[i]][0])}: generator row {stack[(i,) + at]}")
         # the kept pair of the first row that attains the minimum (argmin's tie
-        # rule); a NaN row never gets here, it fails the fixed point above
+        # rule); a NaN row never gets here, it fails the finiteness check above
         best, pol = stack[0], kept[0]
         for row, j in zip(stack[1:], kept[1:]):
             take = np.less(row, best)
             best, pol = np.where(take, row, best), np.where(take, j, pol)
         policy[k] = pol
 
-    g_abs = float(np.max(np.abs(values[-1])))
-    K = model.lipschitz_K
     meta = {
         "cfl": cfl,
         "dt": dt,
         "pad_layers": pad_layers,
-        "bound": g_abs * float(np.exp(K * T)) + K * T,
-        "max_abs_value": abs(float(np.maximum(values.max(), -values.min()))),
-        "fixed_point_max_iters": max_iters_seen,
+        "fixed_point_max_iters": 1,  # one explicit evaluation per layer; the benchmark tracer reads this key
         "n_pairs": len(pairs),
     }
     return ValueSurface(grid, model_hash, t_vals, axes, values, policy,

@@ -11,15 +11,15 @@ a two-rate market, each a function of (t, x, a) vectorised over the leading
 axes of x (x: (n, d) -> mu (n, d), sigma (n, d, d), rates (n,)). ``t`` is a
 python float and ``a`` one entry of ``A_points``. Closures must be row-wise
 pure: row i of the output depends only on row i of the inputs, because a
-batch may gather a subset of paths. Every solver reads a
-model through ``market_read`` once per (t, x, a) for all fixed-point rounds
-(``coefficients_at``; the sweep compares each pair's raw read with the kept
-reads of its adverse point, and derives the hedged drift of the kept reads,
-stacked on a pair axis, with ``market_drift`` only when the kept pairs or
-their reads changed, so the arrays the spec's closures return must not be
-written to later). ``coefficients_at`` and ``min_generator_field`` also take a 1-d
-numpy array of times; they still call every closure once per time, with
-that time as a python float.
+batch may gather a subset of paths. Every solver reads a model through
+``market_read`` once per (t, x, a) (``coefficients_at``; the sweep compares
+each pair's raw read with the kept reads of its adverse point, and derives
+the hedged drift of the kept reads, stacked on a pair axis, with
+``market_drift`` only when the kept pairs or their reads changed, so the
+arrays the spec's closures return must not be written to later).
+``coefficients_at`` and ``min_generator_field`` also take a 1-d numpy array
+of times; they still call every closure once per time, with that time as a
+python float.
 
 The generators of the game, La, L = min_a La and the shaken H_eps, exist
 once, as the field kernel ``min_generator_field``; a single node is a
@@ -162,15 +162,11 @@ def market_read(finance: FinanceSpec, t, x, a):
 
 
 def _wealth(mu, sig, rl, rb):
-    """The wealth drift u -> (y -> u.(mu + gamma/2) + rho) of one market read;
-    the terms in u alone are computed once per u."""
+    """The wealth drift (y, u) -> u.(mu + gamma/2) + rho(y - u.1) of one
+    market read."""
     mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
-
-    def wealth(u):
-        gain, held = (u * mg).sum(axis=-1), u.sum(axis=-1)
-        return lambda y: gain + _financing(np.asarray(y, dtype=float) - held, rl, rb)
-
-    return wealth
+    return lambda y, u: ((u * mg).sum(axis=-1)
+                         + _financing(np.asarray(y, dtype=float) - u.sum(axis=-1), rl, rb))
 
 
 def read_site(t, x, a):
@@ -222,19 +218,17 @@ def coefficients_at(model: ModelSpec, t, x, a):
     one expression for all times."""
     x = np.asarray(x, dtype=float)
     read = market_read(model.finance, t, x, a)
-    at = market_drift(read, read_site(t, x, a))
-    return read[0], read[1], lambda y, z: at(z)(y)
+    return read[0], read[1], market_drift(read, read_site(t, x, a))
 
 
 def market_drift(read, site):
-    """The hedged wealth drift z -> (y -> drift) of a finance model's
-    ``market_read`` on the batch axes of ``site`` = (batch, namer), the
-    ``read_site`` of the read's (t, x, a): the hedge and the terms in it
-    alone are computed once per z, so a round at a fixed z redoes only rho.
-    The sweep passes its kept reads stacked on a leading pair axis, with a
-    namer that names each pair's own site."""
+    """The hedged wealth drift (y, z) -> u.(mu + gamma/2) + rho(y - u.1) at
+    the hedge u = (sigma^-1)^T z of a finance model's ``market_read``, on
+    the batch axes of ``site`` = (batch, namer), the ``read_site`` of the
+    read's (t, x, a). The sweep passes its kept reads stacked on a leading
+    pair axis, with a namer that names each pair's own site."""
     wealth, hedge = _wealth(*read), _hedge_map(read[1], *site)
-    return lambda z: wealth(hedge(z))
+    return lambda y, z: wealth(y, hedge(z))
 
 
 def base_point(t, x, b, T):
@@ -339,7 +333,7 @@ def make_finance_model(
 
     def mu_Y(t, x, y, u, a):
         wealth = _wealth(*market_read(finance, t, np.atleast_2d(np.asarray(x, dtype=float)), a))
-        return wealth(np.atleast_2d(np.asarray(u, dtype=float)))(y)
+        return wealth(y, np.atleast_2d(np.asarray(u, dtype=float)))
 
     def sigma_Y(t, x, y, u, a):
         u2 = np.atleast_2d(np.asarray(u, dtype=float))
@@ -630,13 +624,13 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
             bound.add(t, a, _norm_rows(mu) + _opnorm(sig), x1)
 
             # Y coefficients at the hedge u: mu_Y from the wealth drift, sigma_Y = sigma^T u (no y in it)
-            wealth = _wealth(*read)(u)
-            mu_y, sig_y = wealth(y1), _norm_rows(np.einsum("...ji,...j->...i", sig, u))
-            ylip.add(t, a, np.abs(mu_y - wealth(y2)) / dy, x1, y1, y2)
+            wealth = _wealth(*read)
+            mu_y, sig_y = wealth(y1, u), _norm_rows(np.einsum("...ji,...j->...i", sig, u))
+            ylip.add(t, a, np.abs(mu_y - wealth(y2, u)) / dy, x1, y1, y2)
             gro.add(t, a, (np.abs(mu_y) + sig_y) / (1.0 + _norm_rows(u) + np.abs(y1)), x1, y1, u)
             ratio.add(t, a, np.abs(mu_y) / (1.0 + sig_y), x1, y1, u)
             at = market_drift(read, read_site(t, x1, a))
-            drift = at(z)(y1)
+            drift = at(y1, z)
             hat.add(t, a, np.abs(drift) / (1.0 + np.abs(y1) + _norm_rows(z)), x1, y1, z)
 
             # the closure copy against the spec: sigma_Y(., u_hat(., z, .), .) == z, and the read itself
@@ -648,7 +642,7 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
 
             # midpoint concavity of (y, p) -> La(t, x, y, 0, p, 0)
             def la(yb, pb):
-                return at(np.einsum("...ji,...j->...i", sig, pb))(yb) - np.einsum("...i,...i->...", mu, pb)
+                return at(yb, np.einsum("...ji,...j->...i", sig, pb)) - np.einsum("...i,...i->...", mu, pb)
 
             mid = la(0.5 * (y1 + y2), 0.5 * (p1 + p2))
             conc.add(t, a, mid - 0.5 * (la(y1, p1) + la(y2, p2)), x1, y1, y2, p1, p2)

@@ -240,8 +240,8 @@ def inf_convolution_oracle(values, k, coords):
 
 # ---------------------------------------------------------------------------
 # per-pair sweep oracle: the backward sweep with one hedged-drift read per
-# (adverse point, shake) pair and per fixed-point round, each read through
-# the mu_Y and u_hat closures (never a frozen coefficient read)
+# (adverse point, shake) pair and layer, each read through the mu_Y and
+# u_hat closures (never a frozen coefficient read)
 # ---------------------------------------------------------------------------
 
 
@@ -307,8 +307,9 @@ def _oracle_adverse_terms(model, t_eff, x_eff, ops, a):
 def sweep_oracle(model, grid, *, pad_layers=0, shake_points=None):
     """(values, policy) of ``hjb.solve`` evaluated pair by pair: every
     (adverse point, shake) pair reads its coefficients and hedged drift on
-    its own, on mesh-shaped batches. No validation or CFL check."""
-    from hedgegame.hjb import _FP_MAX_ITERS, _FP_TOL
+    its own, on mesh-shaped batches, with the wealth term explicit: layer k
+    is v_{k+1} - dt min_j (mu_Y_hat(v_{k+1}, z_j) + const_j). No validation
+    or CFL check."""
     from hedgegame.model import adverse_pairs, base_point
 
     T = model.horizon_T
@@ -324,25 +325,12 @@ def sweep_oracle(model, grid, *, pad_layers=0, shake_points=None):
         t_k = float(t_vals[k])
         v_next = values[k + 1]
         ops = _OracleLayerOps(v_next, grid.dx)
-        terms = []
-        for a, b in pairs:
+        stack = np.empty((len(pairs),) + v_next.shape)
+        for j, (a, b) in enumerate(pairs):
             t_eff, x_eff = base_point(t_k, X, b, T)
             z_c, const = _oracle_adverse_terms(model, t_eff, x_eff, ops, a)
-            terms.append((a, t_eff, x_eff, z_c, const))
-
-        y = v_next.copy()
-        for it in range(_FP_MAX_ITERS):
-            stack = np.empty((len(terms),) + y.shape)
-            for j, (a, t_eff, x_eff, z_c, const) in enumerate(terms):
-                stack[j] = np.asarray(_closure_mu_Y_hat(t_eff, x_eff, y, z_c, a, model)) + const
-            s_min = stack.min(axis=0)
-            y_new = v_next - dt * s_min
-            delta = float(np.max(np.abs(y_new - y)))
-            omega = 1.0 if it < 8 else 0.5
-            y = y + omega * (y_new - y)
-            if delta < _FP_TOL:
-                break
-        values[k] = y
+            stack[j] = np.asarray(_closure_mu_Y_hat(t_eff, x_eff, v_next, z_c, a, model)) + const
+        values[k] = v_next - dt * stack.min(axis=0)
         policy[k] = np.argmin(stack, axis=0).astype(np.int32)
     return values, policy
 

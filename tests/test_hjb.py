@@ -178,7 +178,7 @@ class TestCentralScheme:
 
 class TestFailClosed:
     """A node weight of the central scheme that is negative or NaN, and a
-    fixed point that cannot converge, raise NumericsError naming the layer.
+    layer with a non-finite value, raise NumericsError naming the layer.
     Each model below reads one bad coefficient on the layer at t = 0.5 only
     (64 steps over T = 1); its config keeps the hash from sampling it."""
 
@@ -198,11 +198,41 @@ class TestFailClosed:
                 GridSpec(t_steps=64, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10)))
         return solve(model, grid, validate=False)
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_nan_mu_fails_the_fixed_point_on_its_layer(self, dim):
-        # mu cancels from the weights, so the NaN reaches the fixed point
-        with pytest.raises(hjb.NumericsError, match=r"fixed point did not converge at layer t=0\.5,"):
+    @pytest.mark.parametrize("dim, node", [(1, "[-1.2]"), (2, "[-1. -1.]")], ids=["1", "2"])
+    def test_nan_mu_fails_closed_on_its_layer(self, dim, node):
+        # mu cancels from the weights, so the NaN reaches the layer's values;
+        # every row is NaN there, so the first node and the first pair are named
+        with pytest.raises(hjb.NumericsError) as err:
             self.solve_bad(dim, mu=lambda m: np.full(m.shape, np.nan))
+        assert str(err.value) == f"non-finite value at layer t=0.5, node x={node}, a=[0.1]: generator row nan"
+
+    def test_nan_mu_at_one_adverse_point_names_its_pair(self):
+        # only a = 0.3 reads a NaN drift, at t = 0.5 and x >= 0: its row alone
+        # is NaN, and the minimum carries the NaN into the layer
+        def mu(t, x, a):
+            bad = (t == 0.5) & (a[0] == 0.3) & (np.asarray(x)[..., 0] >= 0.0)
+            return np.where(bad, np.nan, 0.0)[..., None]
+
+        fin = dataclasses.replace(finance_spec(r_lend=0.02, r_borrow=0.05), mu=mu)
+        model = make_finance_model(fin, make_payoff("call", strike=1.0), 1,
+                                   [np.array([0.1]), np.array([0.3])], 1.0, 0.3,
+                                   config={"mu": "NaN at t = 0.5, x >= 0 for a = 0.3"})
+        with pytest.raises(hjb.NumericsError) as err:
+            solve(model, small_grid(nx=30, nt=64), validate=False)
+        assert str(err.value) == "non-finite value at layer t=0.5, node x=[0.], a=[0.3]: generator row nan"
+
+    def test_rate_in_the_centre_weight_names_the_dt_that_passes(self):
+        # sigma 1 on h = 0.5 with dt = 0.225: the diffusion alone leaves the
+        # centre weight 1 - 0.9 = 0.1, the explicit wealth term takes
+        # dt max(r) = 0.225 more; dt <= 1 / (4 + 1) = 0.2 passes. K = 0.3
+        # passes the K-based refusal, and the Peclet number is 0.25
+        model = make_finance_model(finance_spec(r_lend=0.5, r_borrow=1.0), make_payoff("call", strike=1.0),
+                                   1, [np.array([1.0])], 0.9, 0.3)
+        grid = GridSpec(t_steps=4, x_min=(-2.0,), x_max=(2.0,), x_steps=(8,))
+        with pytest.raises(hjb.NumericsError) as err:
+            solve(model, grid, validate=False)
+        assert str(err.value) == ("scheme not monotone at layer t=0.675, node x=[-2.], a=[1.]: "
+                                  "centre weight -0.125 < 0 (dt=0.225; dt <= 0.2 would pass)")
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("name", ["sigma", "r_lend", "r_borrow"])
@@ -461,8 +491,7 @@ class TestStackedSweep:
 
     def test_two_rate_call(self):
         model = uncertain_vol_model(vols=(0.2,), r_lend=0.02, r_borrow=0.05)
-        surf = self.assert_matches_oracle(model, small_grid(nx=40, nt=100))
-        assert surf.meta["fixed_point_max_iters"] >= 3
+        self.assert_matches_oracle(model, small_grid(nx=40, nt=100))
 
     def test_uncertain_vol_shaken_with_pad_layers(self):
         grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
@@ -516,10 +545,10 @@ class TestStackedSweep:
         layers = []
         build = hjb._adverse_terms
 
-        def counted_build(pair_terms, ops):
+        def counted_build(pair_terms, ops, v):
             assert not layers or layers[-1][0] is not ops  # one build per layer
             layers.append([ops, len(pair_terms.mu)])
-            return build(pair_terms, ops)
+            return build(pair_terms, ops, v)
 
         monkeypatch.setattr(hjb, "_adverse_terms", counted_build)
         shakes = shake_lattice(eps, model.dim)
