@@ -96,22 +96,16 @@ class PiecewiseRandomAdversary:
         return f"random:{self.switch_rate:g}"
 
     @staticmethod
-    def controls_from_draws(switch_u, choice_u, n_points, p_switch):
-        """Pure mapping draws -> control indices; step n uses draws[:n+1].
+    def step(current, switch_u, choice_u, n_points, p_switch):
+        """One step of the switching rule on one row of draws per path:
+        a path whose switch draw falls below p_switch (every path at the
+        first step, ``current`` None) takes the point its choice draw picks.
 
-        Non-anticipativity holds by construction: permuting draws after
-        step n cannot change the controls up to n.
+        Non-anticipativity holds by construction: step n reads only the
+        draws of steps up to n.
         """
-        n_steps, n_paths = switch_u.shape
-        out = np.empty((n_steps, n_paths), dtype=np.int64)
-        current = np.minimum((choice_u[0] * n_points).astype(np.int64), n_points - 1)
-        out[0] = current
-        for n in range(1, n_steps):
-            flip = switch_u[n] < p_switch
-            fresh = np.minimum((choice_u[n] * n_points).astype(np.int64), n_points - 1)
-            current = np.where(flip, fresh, current)
-            out[n] = current
-        return out
+        fresh = np.minimum((choice_u * n_points).astype(np.int64), n_points - 1)
+        return fresh if current is None else np.where(switch_u < p_switch, fresh, current)
 
 
 @dataclass(frozen=True)
@@ -187,13 +181,14 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
              n_paths: int, n_steps: int, seed: int) -> SimReport:
     """Euler-Maruyama game run with shared Brownian increments per path.
 
-    The increments are drawn from ``seed`` before play, so every adversary
-    run with one seed meets the same draws. Each step the adversary emits
-    its control from (t_n, X_n) and its own random stream, the strategy
-    reads the surface gradient once for all paths, then each adverse
-    point's paths make one frozen coefficient read (``coefficients_at``)
-    and X and Y advance on the same increments. Paths are split per adverse
-    point by integer indices, and not at all when one point holds them all.
+    The increments are drawn step by step as play goes, from one stream of
+    ``seed`` (``_increments``), so every adversary run with one seed meets
+    the same draws. Each step the adversary emits its control from
+    (t_n, X_n) and its own random stream, the strategy reads the surface
+    gradient once for all paths, then each adverse point's paths make one
+    frozen coefficient read (``coefficients_at``) and X and Y advance on
+    the same increments. Paths are split per adverse point by integer
+    indices, and not at all when one point holds them all.
     Y diffuses with z = sigma_X^T Dw, the row the hedge u_hat(z) matches
     (``validate_assumptions``: ``inversion_u_hat``), and drifts with the
     hedged drift at z. Non-finite paths are excluded and counted. A run
@@ -201,63 +196,104 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
     """
     if n_paths < 1:
         raise HedgeGameError(f"a game run needs n_paths >= 1, got {n_paths}")
-    dW = _increments(model, t0, n_paths, n_steps, seed)
-    return _play(model, strategy, adversary, t0, x0, y0, dW, seed)
+    return _play(model, strategy, [adversary], t0, x0, y0, n_paths, n_steps, seed)[0]
 
 
 def _increments(model: ModelSpec, t0, n_paths, n_steps, seed):
-    """The (n_steps, n_paths, d) Brownian increments of a game run on
-    [t0, T]: the first stream spawned from ``seed``."""
+    """The Brownian increments of a game run on [t0, T]: a generator of one
+    (n_paths, d) array per step, each drawn when it is read, from the first
+    stream spawned from ``seed``. They are the rows of the
+    (n_steps, n_paths, d) block that stream gives in one draw, bit for bit.
+    The arguments are checked on the call, before any step is read."""
     if n_steps < 1 or n_paths < 0:
         raise HedgeGameError(f"n_steps >= 1 and n_paths >= 0 required, got {n_steps} and {n_paths}")
     T = model.horizon_T
     if not t0 < T:
         raise HedgeGameError(f"start time t0 = {t0} must be below the horizon T = {T}")
     brown_ss, _ = np.random.SeedSequence(int(seed)).spawn(2)
-    dW = np.random.Generator(np.random.Philox(brown_ss)).standard_normal((n_steps, n_paths, model.dim))
-    dW *= np.sqrt((T - t0) / n_steps)
-    return dW
+    rng = np.random.Generator(np.random.Philox(brown_ss))
+    scale = np.sqrt((T - t0) / n_steps)
+
+    def steps():
+        for _ in range(n_steps):
+            w = rng.standard_normal((n_paths, model.dim))
+            w *= scale
+            yield w
+
+    return steps()
 
 
-def _play(model, strategy, adversary, t0, x0, y0, dW, seed) -> SimReport:
-    """``simulate`` on the increments ``dW``; the adversary draws from the
-    second stream spawned from ``seed``."""
-    n_steps, n_paths, d = dW.shape
+def _controls(adversary, n_A, t0, dt, n_paths, n_steps, seed):
+    """The adversary's rule (n, X_n) -> adverse indices, read once per step
+    in step order. The random adversary draws from the second stream
+    spawned from ``seed``: its switch rows for every step, then its choice
+    rows. Two Philox generators read that stream step by step, the second
+    skipped past the switch rows (``advance`` counts blocks of four 64-bit
+    outputs, one per uniform), so the rows are those of the two
+    (n_steps, n_paths) blocks the stream gives in one draw, bit for bit."""
+    if isinstance(adversary, ConstantAdversary):
+        return lambda n, X: adversary.a_index
+    if isinstance(adversary, MarkovWorstAdversary):
+        return lambda n, X: _worst_lookup(adversary.surface, t0 + n * dt, X)
+    if not isinstance(adversary, PiecewiseRandomAdversary):
+        raise HedgeGameError(f"unknown adversary {adversary!r}")
+    _, adv_ss = np.random.SeedSequence(int(seed)).spawn(2)
+    switch = np.random.Generator(np.random.Philox(adv_ss))
+    choice = np.random.Generator(np.random.Philox(adv_ss).advance(n_steps * n_paths // 4))
+    choice.random(n_steps * n_paths % 4)
+    p_switch = 1.0 - np.exp(-adversary.switch_rate * dt)
+    current = None
+
+    def controls(n, X):
+        nonlocal current
+        current = PiecewiseRandomAdversary.step(current, switch.random(n_paths),
+                                                choice.random(n_paths), n_A, p_switch)
+        return current
+
+    return controls
+
+
+def _play(model, strategy, adversaries, t0, x0, y0, n_paths, n_steps, seed) -> list:
+    """One ``simulate`` report per adversary, every run advanced in one loop
+    over steps: each step's increments are drawn once and every run meets
+    them. With one adverse point every adversary plays it, so one run plays
+    and its report goes out under each adversary's label. A clamped query
+    counts in the run that made it."""
+    steps = _increments(model, t0, n_paths, n_steps, seed)
     n_A = len(model.A_points)
     dt = (model.horizon_T - t0) / n_steps
-
-    _check_adversary(adversary, n_A)
-    if isinstance(adversary, ConstantAdversary):
-        controls = lambda n, X: adversary.a_index
-    elif isinstance(adversary, PiecewiseRandomAdversary):
-        _, adv_ss = np.random.SeedSequence(int(seed)).spawn(2)
-        rng_a = np.random.Generator(np.random.Philox(adv_ss))
-        switch_u = rng_a.random((n_steps, n_paths))
-        choice_u = rng_a.random((n_steps, n_paths))
-        p_switch = 1.0 - np.exp(-adversary.switch_rate * dt)
-        plan = PiecewiseRandomAdversary.controls_from_draws(switch_u, choice_u, n_A, p_switch)
-        controls = lambda n, X: plan[n]
-    elif isinstance(adversary, MarkovWorstAdversary):
-        controls = lambda n, X: _worst_lookup(adversary.surface, t0 + n * dt, X)
-    else:
-        raise HedgeGameError(f"unknown adversary {adversary!r}")
-
-    X = np.tile(np.asarray(x0, dtype=float).reshape(1, d), (n_paths, 1))
-    Y = np.full(n_paths, float(y0))
-    clamp_before = strategy.clamped
-    for n in range(n_steps):
+    for adv in adversaries:
+        _check_adversary(adv, n_A)
+    runs = adversaries[:1] if n_A == 1 else adversaries
+    controls = [_controls(adv, n_A, t0, dt, n_paths, n_steps, seed) for adv in runs]
+    start = np.asarray(x0, dtype=float).reshape(1, model.dim)
+    Xs = [np.tile(start, (n_paths, 1)) for _ in runs]
+    Ys = [np.full(n_paths, float(y0)) for _ in runs]
+    clamped = [0] * len(runs)
+    for n, w in enumerate(steps):
         t_n = t0 + n * dt
-        a_idx = controls(n, X)
-        grad = strategy.gradient(t_n, X)
-        for j, rows in _split(a_idx, n_A):
-            xm, ym, wm = X[rows], Y[rows], dW[n][rows]
-            mu, sig, drift = coefficients_at(model, t_n, xm, model.A_points[j])
-            z = np.einsum("...ji,...j->...i", sig, grad[rows])
-            # Y first: xm is a view of X when one point holds every path, and a
-            # closure may return views of its x, which the drift's read keeps
-            Y[rows] = ym + drift(ym, z) * dt + np.einsum("...i,...i->...", z, wm)
-            X[rows] = xm + mu * dt + np.einsum("...ij,...j->...i", sig, wm)
+        for r, (X, Y) in enumerate(zip(Xs, Ys)):
+            a_idx = controls[r](n, X)
+            before = strategy.clamped
+            grad = strategy.gradient(t_n, X)
+            clamped[r] += strategy.clamped - before
+            for j, rows in _split(a_idx, n_A):
+                xm, ym, wm = X[rows], Y[rows], w[rows]
+                mu, sig, drift = coefficients_at(model, t_n, xm, model.A_points[j])
+                z = np.einsum("...ji,...j->...i", sig, grad[rows])
+                # Y first: xm is a view of X when one point holds every path, and a
+                # closure may return views of its x, which the drift's read keeps
+                Y[rows] = ym + drift(ym, z) * dt + np.einsum("...i,...i->...", z, wm)
+                X[rows] = xm + mu * dt + np.einsum("...ij,...j->...i", sig, wm)
+    reports = [_report(model, adv, t0, x0, y0, X, Y, n_steps, seed, c)
+               for adv, X, Y, c in zip(runs, Xs, Ys, clamped)]
+    if n_A == 1:
+        reports = [replace(reports[0], adversary=adv.label()) for adv in adversaries]
+    return reports
 
+
+def _report(model, adversary, t0, x0, y0, X, Y, n_steps, seed, clamped) -> SimReport:
+    n_paths = len(Y)
     finite = np.isfinite(Y) & np.all(np.isfinite(X), axis=1)
     excluded = int(n_paths - finite.sum())
     g = np.asarray(model.payoff_g(X[finite]), dtype=float)
@@ -275,7 +311,7 @@ def _play(model, strategy, adversary, t0, x0, y0, dW, seed) -> SimReport:
         shortfall_mean=float(shortfall.mean()) if shortfall.size else 0.0,
         quantiles=quants,
         excluded_paths=excluded,
-        clamped_queries=strategy.clamped - clamp_before,
+        clamped_queries=clamped,
         shortfall=shortfall,
         terminal_gap=gap,
     )
@@ -355,10 +391,12 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
     """Start from the surface value plus margin and face every adversary.
 
     Runs the feedback hedge against each constant adverse point, a randomly
-    switching adversary and the worst-case policy feedback, all on the same
-    Brownian increments, drawn once: each run is the ``simulate`` run with
-    the same arguments, bit for bit. With one adverse point every adversary
-    plays it, so the check plays once and reports that run per adversary.
+    switching adversary and the worst-case policy feedback. All runs advance
+    in one loop over steps, and each step's Brownian increments are drawn
+    once, from the one stream of the seed, and shared by every run: each
+    run is the ``simulate`` run with the same arguments, bit for bit. With
+    one adverse point every adversary plays it, so the check plays once and
+    reports that run per adversary.
     PASS iff every run keeps shortfall_prob(tol_sim) <= p_sim over at least
     one path, with no excluded paths; a run without a finite path (zero
     paths included) is no evidence and fails, and so does a NaN p_sim or
@@ -374,16 +412,8 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
         pol_src = source
     if pol_src is not None:
         adversaries.append(MarkovWorstAdversary(pol_src))
-    dW = _increments(model, sim.t0, sim.paths, sim.steps, sim.seed)
-    x0 = np.asarray(sim.x0, dtype=float)
-    if len(model.A_points) == 1:
-        # every adversary plays the one adverse point on the same increments
-        for adv in adversaries:
-            _check_adversary(adv, 1)
-        rep = _play(model, strategy, adversaries[0], sim.t0, x0, y0, dW, sim.seed)
-        reports = [replace(rep, adversary=adv.label()) for adv in adversaries]
-    else:
-        reports = [_play(model, strategy, adv, sim.t0, x0, y0, dW, sim.seed) for adv in adversaries]
+    reports = _play(model, strategy, adversaries, sim.t0, np.asarray(sim.x0, dtype=float), y0,
+                    sim.paths, sim.steps, sim.seed)
     ok = not any(rep.excluded_paths > 0 or rep.shortfall.size == 0
                  or not rep.shortfall_prob(sim.tol_sim) <= sim.p_sim for rep in reports)
     return CheckReport(ok, float(y0), float(margin), sim.tol_sim, sim.p_sim, reports)

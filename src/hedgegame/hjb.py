@@ -11,7 +11,6 @@ immutable once solved.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -25,7 +24,7 @@ from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, market
                     market_read, min_generator_field, read_site, validate_assumptions)
 
 # layers per residual() block; bounds its difference and coefficient stacks
-# (the `price` benchmark's peak RSS is 106 MB at 64 layers and at 128)
+# (the `price` benchmark's peak RSS is 90 MB at 64 layers and at 128)
 _RESIDUAL_BLOCK = 64
 
 BINARY_MAGIC = b"HJBSURF1"
@@ -95,8 +94,17 @@ class GridSpec:
 EvalPack = namedtuple("EvalPack", ["value", "p", "M", "q"])
 
 
+def _policy_dtype(a_count: int) -> np.dtype:
+    """The narrowest unsigned type that holds the pair indices 0..a_count-1."""
+    return np.min_scalar_type(max(int(a_count) - 1, 0))
+
+
 class ValueSurface:
-    """Solved value/policy fields on a grid; read-only after construction."""
+    """Solved value/policy fields on a grid; read-only after construction.
+
+    The policy holds pair indices in ``_policy_dtype(a_count)``; an entry
+    outside [0, a_count) raises HedgeGameError.
+    """
 
     def __init__(self, grid, model_hash, t, axes, values, policy, a_count, meta):
         self.grid = grid
@@ -104,8 +112,12 @@ class ValueSurface:
         self.t = np.asarray(t, dtype=float)
         self.axes = [np.asarray(ax, dtype=float) for ax in axes]
         self.values = np.asarray(values, dtype=float)
-        self.policy = np.asarray(policy, dtype=np.int32)
         self.a_count = int(a_count)
+        policy = np.asarray(policy)
+        if policy.size and not (policy.min() >= 0 and policy.max() < self.a_count):
+            raise HedgeGameError(f"policy entries {policy.min()}..{policy.max()} "
+                                 f"outside [0, a_count = {self.a_count})")
+        self.policy = policy.astype(_policy_dtype(self.a_count), copy=False)
         self.meta = dict(meta)
         for arr in (self.t, self.values, self.policy, *self.axes):
             arr.flags.writeable = False
@@ -420,7 +432,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     pairs = adverse_pairs(model, shake_points)
 
     values = np.empty((n_layers + 1,) + shape)
-    policy = np.zeros((n_layers + 1,) + shape, dtype=np.int32)
+    policy = np.zeros((n_layers + 1,) + shape, dtype=_policy_dtype(len(pairs)))
     values[-1] = np.asarray(g_term(X), dtype=float)
 
     Xf = X.reshape(-1, grid.dim)
@@ -539,18 +551,17 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
 
 
 def save_csv(surface: ValueSurface, path):
+    """One row per (layer, node), written to the file one layer at a time."""
     d = surface.dim
     cols = ["t_index", "t"] + [f"x{i}" for i in range(d)] + ["value", "policy_index"]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
     mesh = np.stack(np.meshgrid(*surface.axes, indexing="ij"), axis=-1).reshape(-1, d)
     coords = [",".join(f"{c:.17g}" for c in row) for row in mesh.tolist()]
-    for k in range(surface.values.shape[0]):
-        head = f"{k},{surface.t[k]:.17g},"
-        vals, pol = surface.values[k].reshape(-1).tolist(), surface.policy[k].reshape(-1).tolist()
-        buf.writelines(f"{head}{xs},{v:.17g},{p}\n" for xs, v, p in zip(coords, vals, pol))
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write(",".join(cols) + "\n")
+        for k in range(surface.values.shape[0]):
+            head = f"{k},{surface.t[k]:.17g},"
+            vals, pol = surface.values[k].reshape(-1).tolist(), surface.policy[k].reshape(-1).tolist()
+            fh.write("".join([f"{head}{xs},{v:.17g},{p}\n" for xs, v, p in zip(coords, vals, pol)]))
 
 
 def write_cache(path, magic, header: dict, arrays):
@@ -567,7 +578,7 @@ def write_cache(path, magic, header: dict, arrays):
 def read_cache(path, magic, parse):
     """Read a ``write_cache`` file as ``parse(header, take)``; ``take(dtype,
     shape)`` returns the next array. Wrong magic, short, garbled or overlong
-    files raise HedgeGameError."""
+    files, and arrays that ``parse`` rejects, raise HedgeGameError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != magic:
@@ -589,11 +600,13 @@ def read_cache(path, magic, parse):
             raise ValueError("file size does not match its header")
         return out
     except (struct.error, ValueError, KeyError, TypeError, IndexError, OverflowError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, HedgeGameError) as exc:
         raise HedgeGameError(f"corrupt cache file {path}: {exc}") from None
 
 
 def save_binary(surface: ValueSurface, path):
+    """The surface as a ``HJBSURF1`` cache: values as ``<f8``, and the policy
+    as ``<i4`` whatever its type in memory, so the bytes do not depend on it."""
     header = {
         "t_steps": surface.grid.t_steps,
         "x_min": list(surface.grid.x_min),

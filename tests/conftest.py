@@ -396,12 +396,24 @@ def residual_oracle(surface, model):
 # ---------------------------------------------------------------------------
 
 
+def controls_from_draws(switch_u, choice_u, n_points, p_switch):
+    """The random adversary's whole (n_steps, n_paths) plan from its two
+    blocks of draws, one ``PiecewiseRandomAdversary.step`` per row."""
+    from hedgegame.game import PiecewiseRandomAdversary
+
+    out = np.empty(switch_u.shape, dtype=np.int64)
+    current = None
+    for n in range(len(out)):
+        current = PiecewiseRandomAdversary.step(current, switch_u[n], choice_u[n], n_points, p_switch)
+        out[n] = current
+    return out
+
+
 def simulate_oracle(model, strategy, adversary, t0, x0, y0, n_paths, n_steps, seed):
     """(terminal gap, excluded paths, clamped queries) of ``game.simulate``
     stepped group by group through the closures. A clamped time counts once
     per group here, once per step in ``game.simulate``."""
-    from hedgegame.game import (ConstantAdversary, PiecewiseRandomAdversary,
-                                _worst_lookup)
+    from hedgegame.game import ConstantAdversary, PiecewiseRandomAdversary, _worst_lookup
 
     T = model.horizon_T
     d = model.dim
@@ -417,7 +429,7 @@ def simulate_oracle(model, strategy, adversary, t0, x0, y0, n_paths, n_steps, se
         switch_u = rng_a.random((n_steps, n_paths))
         choice_u = rng_a.random((n_steps, n_paths))
         p_switch = 1.0 - np.exp(-adversary.switch_rate * dt)
-        plan = PiecewiseRandomAdversary.controls_from_draws(switch_u, choice_u, n_A, p_switch)
+        plan = controls_from_draws(switch_u, choice_u, n_A, p_switch)
     else:
         plan = None
 

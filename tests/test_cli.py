@@ -248,6 +248,29 @@ class TestExitCodeContract:
         assert rc == 2
         assert error_payload(capsys)["kind"] == "config"
 
+    @pytest.mark.parametrize("entry", [2, -1])
+    def test_policy_entry_outside_its_pairs_exit_2(self, tmp_path, capsys, entry):
+        # two adverse points: a policy entry of 2 or -1 names no pair, so the worst-case
+        # adversary would advance no path at it; the cache is corrupt
+        cfg = base_config(A_points=[[0.1], [0.3]], lipschitz_K=0.3)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "-c", path, "--out", str(out)]) == 0
+        blob = bytearray((out / "surface.bin").read_bytes())
+        policy_bytes = 61 * 41 * 4  # the <i4 policy section ends the file
+        at = len(blob) - policy_bytes + 4 * (30 * 41 + 20)
+        blob[at:at + 4] = np.array([entry], dtype="<i4").tobytes()
+        bad = tmp_path / "bad-policy.bin"
+        bad.write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main(["simulate", "-c", path, "--out", str(tmp_path / "sim"), "--surface", str(bad),
+                   "--adversary", "worst"])
+        assert rc == 2
+        lines = capsys.readouterr().err.strip().split("\n")
+        err = json.loads(lines[0])["error"]
+        assert len(lines) == 1 and err["code"] == 2 and "corrupt cache file" in err["message"]
+        assert not (tmp_path / "sim" / "simreport.json").exists()
+
     @pytest.mark.parametrize("command, override", [
         ("simulate", 'sim.paths="x"'),
         ("dual", 'dual.knots="x"'),

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hedgegame.regularize import SmoothSurface
 from conftest import (
     bs_call_delta_logspace,
     bs_singleton_model,
+    controls_from_draws,
     finance_spec,
     simulate_oracle,
     uncertain_vol_model,
@@ -284,19 +286,19 @@ class TestAdversaries:
         n_steps, n_paths = 40, 64
         su = rng.random((n_steps, n_paths))
         cu = rng.random((n_steps, n_paths))
-        base = PiecewiseRandomAdversary.controls_from_draws(su, cu, 3, 0.3)
+        base = controls_from_draws(su, cu, 3, 0.3)
         n = 17
         su2, cu2 = su.copy(), cu.copy()
         perm = rng.permutation(n_steps - n)
         su2[n:] = su[n:][perm]
         cu2[n:] = cu[n:][perm]
-        spliced = PiecewiseRandomAdversary.controls_from_draws(su2, cu2, 3, 0.3)
+        spliced = controls_from_draws(su2, cu2, 3, 0.3)
         assert np.array_equal(base[:n], spliced[:n])
 
     def test_piecewise_random_in_range(self, rng):
         su = rng.random((30, 50))
         cu = rng.random((30, 50))
-        ctl = PiecewiseRandomAdversary.controls_from_draws(su, cu, 4, 0.5)
+        ctl = controls_from_draws(su, cu, 4, 0.5)
         assert ctl.min() >= 0 and ctl.max() <= 3
 
     def test_constant_out_of_range_rejected(self, bs_surface):
@@ -351,19 +353,20 @@ class TestSharedIncrements:
 
     @pytest.mark.parametrize("case", ["uncertain-vol", "bs-singleton"])
     def test_one_adverse_point_plays_once(self, uv_surface, bs_surface, monkeypatch, case):
-        # with one adverse point every adversary plays it on the same increments
+        # with one adverse point every adversary plays it on the same increments;
+        # a run reads the gradient once per step, so the reads count the runs
         model, surf = uv_surface if case == "uncertain-vol" else bs_surface
-        plays = []
-        play = game._play
-
-        def counted(*args):
-            plays.append(args[2].label())
-            return play(*args)
-
-        monkeypatch.setattr(game, "_play", counted)
-        check = superhedge_check(model, surf, 0.0, SimParams(x0=(0.1,), paths=300, steps=20, seed=4))
+        reads = []
+        read_gradient = game.StrategyMap.gradient
+        monkeypatch.setattr(game.StrategyMap, "gradient",
+                            lambda strat, t, xs: reads.append(t) or read_gradient(strat, t, xs))
+        n_steps = 20
+        check = superhedge_check(model, surf, 0.0, SimParams(x0=(0.1,), paths=300, steps=n_steps, seed=4))
         n_A = len(model.A_points)
-        assert len(plays) == (1 if n_A == 1 else n_A + 2)
+        runs = 1 if n_A == 1 else n_A + 2
+        assert len(reads) == runs * n_steps
+        # one loop over steps: every run reads step n before any run reads step n + 1
+        assert reads == sorted(reads)
         assert len(check.reports) == n_A + 2
 
     def test_one_adverse_point_still_checks_the_policy_surface(self, bs_surface):
@@ -373,6 +376,43 @@ class TestSharedIncrements:
         with pytest.raises(HedgeGameError, match="unshaken"):
             superhedge_check(model, surf, 0.0, SimParams(x0=(0.0,), paths=50, steps=10),
                              policy_surface=shaken)
+
+
+class TestStreamedDraws:
+    """The game draws its increments and the random adversary's uniforms one
+    step at a time; each step's rows are those of the whole-run blocks that
+    the same streams give in one draw, bit for bit."""
+
+    @pytest.mark.parametrize("n_steps, n_paths", [(7, 10), (5, 3), (9, 13), (4, 1), (3, 0)])
+    def test_step_rows_are_the_block_rows(self, n_steps, n_paths):
+        model = uncertain_vol_model(dim=2)
+        brown_ss, adv_ss = np.random.SeedSequence(29).spawn(2)
+        dt = model.horizon_T / n_steps
+        block = np.random.Generator(np.random.Philox(brown_ss)).standard_normal((n_steps, n_paths, 2))
+        block *= np.sqrt(dt)
+        steps = list(game._increments(model, 0.0, n_paths, n_steps, 29))
+        assert len(steps) == n_steps
+        assert all(w.tobytes() == row.tobytes() for w, row in zip(steps, block))
+        rng_a = np.random.Generator(np.random.Philox(adv_ss))
+        switch_u, choice_u = rng_a.random((n_steps, n_paths)), rng_a.random((n_steps, n_paths))
+        plan = controls_from_draws(switch_u, choice_u, 3, 1.0 - np.exp(-4.0 * dt))
+        controls = game._controls(PiecewiseRandomAdversary(4.0), 3, 0.0, dt, n_paths, n_steps, 29)
+        assert all(np.array_equal(controls(n, None), plan[n]) for n in range(n_steps))
+
+    @pytest.mark.parametrize("case", ["uncertain-vol", "bs-singleton"])
+    def test_check_never_holds_a_steps_by_paths_block(self, uv_surface, bs_surface, case):
+        # 200 steps x 2000 paths: one float64 block of that shape is 3.2 MB
+        model, surf = uv_surface if case == "uncertain-vol" else bs_surface
+        surf.gradient(0.0, np.zeros((1, 1)))  # the surface's own gradient field, built once
+        sim = SimParams(x0=(0.0,), paths=2000, steps=200, seed=9)
+        tracemalloc.start()
+        try:
+            check = superhedge_check(model, surf, 0.0, sim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(check.reports) == len(model.A_points) + 2
+        assert peak < sim.steps * sim.paths * 8
 
 
 class TestSuperhedgeCheck:

@@ -828,6 +828,35 @@ class TestSurfaceIO:
         with pytest.raises(HedgeGameError, match="corrupt cache file.*61 layers < t_steps"):
             load_binary(path)
 
+    def test_policy_is_stored_in_its_narrowest_index_type(self):
+        model = uncertain_vol_model()
+        assert solve(model, small_grid(x_lo=-1.8, x_hi=1.8, nx=30, nt=60)).policy.dtype == np.uint8
+        # 300 pairs: 3 adverse points times 100 base-point shifts (all at the origin, so
+        # every shift's read equals its adverse point's and the sweep keeps three rows)
+        grid = GridSpec(t_steps=20, x_min=(-1.8,), x_max=(1.8,), x_steps=(8,))
+        surf = solve(uncertain_vol_model(vols=(0.1, 0.2, 0.3)), grid, shake_points=np.zeros((100, 2)))
+        assert surf.a_count == 300 and surf.policy.dtype == np.uint16
+
+    def test_binary_resave_is_byte_identical_with_an_i4_policy(self, tmp_path):
+        surf = solve(uncertain_vol_model(), small_grid(x_lo=-1.8, x_hi=1.8, nx=30, nt=60))
+        assert surf.policy.dtype == np.uint8 and surf.policy.max() == 1
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_binary(surf, first)
+        save_binary(load_binary(first), second)
+        blob = first.read_bytes()
+        assert second.read_bytes() == blob
+        section = np.frombuffer(blob[-surf.policy.size * 4:], dtype="<i4")
+        assert np.array_equal(section, surf.policy.reshape(-1))
+
+    @pytest.mark.parametrize("entry", [2, -1])
+    def test_policy_entry_outside_its_pairs_is_rejected(self, entry):
+        surf = solve(uncertain_vol_model(), small_grid(x_lo=-1.8, x_hi=1.8, nx=30, nt=60))
+        policy = surf.policy.astype(np.int32)
+        policy[10, 5] = entry
+        with pytest.raises(HedgeGameError, match=r"outside \[0, a_count = 2\)"):
+            ValueSurface(surf.grid, surf.model_hash, surf.t, surf.axes, surf.values, policy,
+                         surf.a_count, surf.meta)
+
     def test_binary_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"NOTASURF" + b"\x00" * 32)
