@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -20,11 +21,11 @@ from itertools import product
 
 import numpy as np
 
-from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, market_drift,
-                    market_read, min_generator_field, read_site, validate_assumptions)
+from .model import (Generator, HedgeGameError, ModelSpec, adverse_pairs, min_generator_field,
+                    validate_assumptions)
 
-# layers per residual() block; bounds its difference and coefficient stacks
-# (the `price` benchmark's peak RSS is 90 MB at 64 layers and at 128)
+# layer-pairs per residual() block: a block holds _RESIDUAL_BLOCK // (adverse
+# points) layers, since the generator stacks the pairs' terms of the whole block
 _RESIDUAL_BLOCK = 64
 
 BINARY_MAGIC = b"HJBSURF1"
@@ -271,7 +272,9 @@ def _shift(vp: np.ndarray, axis: int, off: int, d: int) -> np.ndarray:
 
 
 class _LayerOps:
-    """Central differences of one known layer, shared across adverse points.
+    """Central differences of one known layer: the gradient ``p_cen`` and
+    the second differences ``M`` (M_ii, and in d = 2 the cross difference
+    as M_01 = M_10), as the derivative pack of the generator.
 
     ``vp`` is the solve's padded buffer: v with one ghost node per side and
     axis, extrapolated linearly one axis after the other, so a ghost row of
@@ -289,87 +292,43 @@ class _LayerOps:
         up = [_shift(vp, i, +1, d) for i in range(d)]
         dn = [_shift(vp, i, -1, d) for i in range(d)]
         self.p_cen = np.stack([(up[i] - dn[i]) / (2.0 * dx[i]) for i in range(d)], axis=-1)
-        self.sec = [(up[i] - 2.0 * v + dn[i]) / (dx[i] ** 2) for i in range(d)]
-        self.cross = None
+        self.M = np.empty(v.shape + (d, d))
+        for i in range(d):
+            np.divide(up[i] - 2.0 * v + dn[i], dx[i] ** 2, out=self.M[..., i, i])
         if d == 2:
-            pp = vp[2:, 2:]
-            mm = vp[:-2, :-2]
-            pm = vp[2:, :-2]
-            mp = vp[:-2, 2:]
-            self.cross = (pp + mm - pm - mp) / (4.0 * dx[0] * dx[1])
+            cross = vp[2:, 2:] + vp[:-2, :-2] - vp[2:, :-2] - vp[:-2, 2:]
+            self.M[..., 0, 1] = self.M[..., 1, 0] = cross / (4.0 * dx[0] * dx[1])
 
 
-def _same_read(read, other) -> bool:
-    """Two market reads with the same bits (-0.0 and 0.0 stay apart)."""
-    return all(r.tobytes() == o.tobytes() for r, o in zip(read, other))
-
-
-class _PairTerms:
-    """What the kept pairs' reads give the generator before any layer value
-    enters, stacked on a leading pair axis in kept-pair order: mu, sigma and
-    both rates on the mesh, 0.5 Sig_ii, Sig_01 and the hedged drift
-    ``at(y, z)`` of the stack (``model.market_drift``). ``sites`` holds each
-    pair's (t, x, a), so a singular sigma names its own pair."""
-
-    def __init__(self, reads, sites, shape):
-        n, d = math.prod(shape), reads[0][0].shape[-1]
-        read = tuple(np.stack([np.broadcast_to(r[c], tail) for r in reads])
-                     for c, tail in enumerate([(n, d), (n, d, d), (n,), (n,)]))
-        lead = (len(reads),) + shape
-        self.mu, self.sig = read[0].reshape(lead + (d,)), read[1].reshape(lead + (d, d))
-        self.rates = (read[2].reshape(lead), read[3].reshape(lead))
-        Sig = np.einsum("...ik,...jk->...ij", self.sig, self.sig)
-        self.half_var = [0.5 * Sig[..., i, i] for i in range(d)]
-        self.cov = Sig[..., 0, 1] if d == 2 else None
-        named = [read_site(*site)[1] for site in sites]
-        self.at = market_drift(read, ((len(reads), n), lambda i: named[i[0]](i[1:])))
-
-
-def _check_weights(pt: _PairTerms, dt, dx, t, X, a_points):
+def _check_weights(terms, dt, dx, t, X, pairs):
     """Raise NumericsError at the worst node (NaN first) where the scheme
-    weighs a node negatively. With u = p the first differences carry the
-    drift r - Sig_ii/2 at either rate, so neighbour weights need the cell
-    Peclet number |r - Sig_ii/2| h_i / Sig_ii <= 1; the explicit wealth term
-    puts -dt r on the centre node, so the centre weight needs
+    weighs a node negatively, on a generator's stacked ``terms``. With u = p
+    the first differences carry the drift r - Sig_ii/2 at either rate, so
+    neighbour weights need the cell Peclet number |r - Sig_ii/2| h_i / Sig_ii
+    <= 1; the explicit wealth term puts -dt r on the centre node, so the
+    centre weight needs
     1 - dt sum_i Sig_ii/h_i^2 - dt max(r_lend, r_borrow) >= 0. The d = 2
     cross term is not checked. The error names the layer t, the node of
-    mesh X and the row's a_points."""
+    mesh X and the a of the row's kept pair."""
     def worst(score):
         at = np.unravel_index(int(np.argmax(np.where(np.isnan(score), np.inf, score))), score.shape)
-        return at, f"scheme not monotone at layer t={t:.6g}, node x={X[at[1:]]}, a={a_points[at[0]]}"
+        a = pairs[terms.kept[at[0]]][0]
+        return at, f"scheme not monotone at layer t={t:.6g}, node x={X[at[1:]]}, a={a}"
 
     centre = 1.0
     for i, h in enumerate(dx):
-        var = 2.0 * pt.half_var[i]
-        peclet = np.maximum(*(np.abs(r - pt.half_var[i]) for r in pt.rates)) * h / var
+        var = 2.0 * terms.half_var[i]
+        peclet = np.maximum(*(np.abs(r - terms.half_var[i]) for r in terms.rates)) * h / var
         if not np.all(peclet <= 1.0):
             at, where = worst(peclet)
             raise NumericsError(f"{where}: cell Peclet number {peclet[at]:.4g} > 1 on axis {i} "
                                 f"(h={h:.4g}; h <= {h / peclet[at]:.4g} would pass)")
         centre = centre - dt * var / (h * h)
-    centre = centre - dt * np.maximum(*pt.rates)
+    centre = centre - dt * np.maximum(*terms.rates)
     if not np.all(centre >= 0.0):
         at, where = worst(-centre)
         raise NumericsError(f"{where}: centre weight {centre[at]:.4g} < 0 "
                             f"(dt={dt:.4g}; dt <= {dt / (1.0 - centre[at]):.4g} would pass)")
-
-
-def _adverse_terms(pt: _PairTerms, ops: _LayerOps, v: np.ndarray):
-    """Discrete generator of the stacked terms ``pt`` on the known layer v,
-    of shape (kept pairs,) + mesh: the hedged drift at (v, z = sigma^T p)
-    plus -mu.p - 1/2 Sig_ii D2_i v - Sig_01 D01 v, with p the central
-    gradient and every difference central.
-    """
-    mu = pt.mu
-    n_p, d = mu.shape[0], mu.shape[-1]
-    z = np.einsum("...ji,...j->...i", pt.sig, ops.p_cen)
-    const = np.zeros(mu.shape[:-1])
-    for i in range(d):
-        const -= mu[..., i] * ops.p_cen[..., i]
-        const -= pt.half_var[i] * ops.sec[i]
-    if d == 2:
-        const -= pt.cov * ops.cross
-    return const + np.reshape(pt.at(v.reshape(-1), z.reshape(n_p, -1, d)), const.shape)
 
 
 def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
@@ -382,28 +341,17 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     [0, T]. ``pad_layers`` extends the sweep below t = 0 with coefficients
     frozen at their t = 0 values.
 
-    Each layer reads every pair once, on its own shifted mesh. The model is
-    read through its ``finance`` spec (``market_read``). A pair whose read
-    (mu, sigma and both rates) equals bit for bit a kept read of its adverse
-    point is left out of the minimum: its generator row would be the same
-    bits, and the policy keeps the lowest pair index of a tie either way.
-    The kept pairs run as one stack on a leading pair axis, in pair order:
-    the generator (``_adverse_terms``) is one set of array operations per
-    layer, with the wealth term explicit: the hedged drift is evaluated once,
-    at the known layer and the central z = sigma^T p, so layer k is
-    v_{k+1} - dt min_rows(generator). The terms derived from the kept reads
-    alone (``_PairTerms``: sigma sigma^T, the hedge map, mu + gamma/2 and
-    the rates) are reused while the layer keeps the same pairs and each of
-    their reads equals bit for bit the read they were derived from. The
-    minimum over the kept rows is an ``np.minimum`` chain, and the policy an
-    ``np.less``/``np.where`` chain that keeps the lowest pair of a tie. The
-    model is hashed before the first layer.
+    The solve holds one ``model.Generator`` over the pairs, and layer k is
+    v_{k+1} - dt min_pairs La(t_k, x, v_{k+1}, 0, p, M), with p and M the
+    central differences of v_{k+1} (``_LayerOps``): the wealth term is
+    explicit. The policy is the generator's argmin. The model is hashed
+    before the first layer.
 
     Refuses to run when the K-based stability number exceeds 1, and raises
-    NumericsError where a derivation of terms puts a negative or NaN weight
-    on a node (``_check_weights``) and where a layer holds a non-finite
-    value, naming the layer, the node and the first kept pair whose row is
-    non-finite there.
+    NumericsError where a derivation of the generator's terms puts a
+    negative or NaN weight on a node (``_check_weights``) and where a layer
+    holds a non-finite value, naming the layer, the node and the pair of
+    the generator's argmin there (the first NaN row).
     """
     if grid.dim != model.dim:
         raise HedgeGameError(f"grid dim {grid.dim} != model dim {model.dim}")
@@ -435,48 +383,22 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     policy = np.zeros((n_layers + 1,) + shape, dtype=_policy_dtype(len(pairs)))
     values[-1] = np.asarray(g_term(X), dtype=float)
 
-    Xf = X.reshape(-1, grid.dim)
     vp = np.empty(tuple(n + 2 for n in shape))
-    n_b = len(pairs) // len(model.A_points)  # shifts per adverse point (pairs are A-major)
-    last = None  # (kept pairs, their reads, _PairTerms) of the last derivation
+    generator = Generator(model, pairs)
     for k in range(n_layers - 1, -1, -1):
         t_k = float(t_vals[k])
         v_next = values[k + 1]
         ops = _LayerOps(v_next, dx, vp)
-        kept, reads, sites, by_a = [], [], [], {}  # by_a: A index -> kept market reads
-        for j, (a, b) in enumerate(pairs):
-            t_eff, x_eff = base_point(t_k, Xf, b, T)
-            read = market_read(model.finance, t_eff, x_eff, a)
-            kept_reads = by_a.setdefault(j // n_b, [])
-            if any(_same_read(read, other) for other in kept_reads):
-                continue  # its stack row would be a kept pair's, bit for bit
-            kept_reads.append(read)
-            kept.append(j)
-            reads.append(read)
-            sites.append((t_eff, x_eff, a))
-        derive = last is None or kept != last[0] or not all(map(_same_read, reads, last[1]))
-        if derive:
-            last = kept, reads, _PairTerms(reads, sites, shape)
-        stack = _adverse_terms(last[2], ops, v_next)
-        if derive:  # after the hedge map has met every sigma: a singular one is a ModelError
-            _check_weights(last[2], dt, dx, t_k, X, [np.asarray(pairs[j][0]) for j in kept])
-        s_min = stack[0]
-        for row in stack[1:]:
-            s_min = np.minimum(s_min, row)
-        values[k] = v_next - dt * s_min
+        terms = generator.terms
+        best, policy[k] = generator(t_k, X, v_next, 0.0, ops.p_cen, ops.M)
+        if generator.terms is not terms:  # after the hedge map has met every sigma
+            _check_weights(generator.terms, dt, dx, t_k, X, pairs)
+        values[k] = v_next - dt * best
         bad = ~np.isfinite(values[k])
         if bad.any():
             at = np.unravel_index(int(np.argmax(bad)), shape)
-            i = int(np.argmax(~np.isfinite(stack[(slice(None),) + at])))
             raise NumericsError(f"non-finite value at layer t={t_k:.6g}, node x={X[at]}, "
-                                f"a={np.asarray(pairs[kept[i]][0])}: generator row {stack[(i,) + at]}")
-        # the kept pair of the first row that attains the minimum (argmin's tie
-        # rule); a NaN row never gets here, it fails the finiteness check above
-        best, pol = stack[0], kept[0]
-        for row, j in zip(stack[1:], kept[1:]):
-            take = np.less(row, best)
-            best, pol = np.where(take, row, best), np.where(take, j, pol)
-        policy[k] = pol
+                                f"a={pairs[policy[k][at]][0]}: generator row {best[at]}")
 
     meta = {
         "cfl": cfl,
@@ -501,7 +423,8 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
 
     A numerical certificate that the discrete solution drives the worst-case
     generator to ~0 away from kinks; boundary and terminal nodes are left
-    out. The generator is evaluated once per block of layers, and max_abs,
+    out. The generator is evaluated once per block of layers (fewer layers
+    the more adverse points it stacks), and max_abs,
     min_value and argmin are reduced block by block, so the residual makes
     no full-surface array. A surface without a finite interior value (one
     time step has no interior layer) raises HedgeGameError.
@@ -514,8 +437,9 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
     X = np.stack(np.meshgrid(*surface.axes, indexing="ij"), axis=-1)
     interior = tuple(slice(1, -1) for _ in range(d))
     max_abs, min_val, loc = 0.0, np.inf, None
-    for k0 in range(1, v.shape[0] - 1, _RESIDUAL_BLOCK):
-        k1 = min(k0 + _RESIDUAL_BLOCK, v.shape[0] - 1)
+    block = max(1, _RESIDUAL_BLOCK // len(model.A_points))
+    for k0 in range(1, v.shape[0] - 1, block):
+        k1 = min(k0 + block, v.shape[0] - 1)
         blk = v[k0:k1]
         q = (v[k0 + 1:k1 + 1] - v[k0 - 1:k1 - 1]) / (2.0 * dt)
         p = np.stack([np.gradient(blk, dx[i], axis=1 + i) for i in range(d)], axis=-1)
@@ -523,9 +447,7 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
         for i in range(d):
             M[..., i, i] = np.gradient(np.gradient(blk, dx[i], axis=1 + i), dx[i], axis=1 + i)
         if d == 2:
-            cr = np.gradient(np.gradient(blk, dx[0], axis=1), dx[1], axis=2)
-            M[..., 0, 1] = cr
-            M[..., 1, 0] = cr
+            M[..., 0, 1] = M[..., 1, 0] = np.gradient(np.gradient(blk, dx[0], axis=1), dx[1], axis=2)
         best, _ = min_generator_field(model, t[k0:k1], X, blk, q, p, M)
         res = best[(slice(None),) + interior]
         # the blocks run in C order, so a block's minimum replaces the running
@@ -565,43 +487,45 @@ def save_csv(surface: ValueSurface, path):
 
 
 def write_cache(path, magic, header: dict, arrays):
-    """Cache layout: 8-byte magic, <Q header length, JSON header, raw arrays."""
+    """Cache layout: 8-byte magic, <Q header length, JSON header, raw arrays.
+    Each C-contiguous array is written from its own buffer, without a copy."""
     hb = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<Q", len(hb)))
         fh.write(hb)
         for arr in arrays:
-            fh.write(arr.tobytes())
+            fh.write(arr.data)
 
 
 def read_cache(path, magic, parse):
     """Read a ``write_cache`` file as ``parse(header, take)``; ``take(dtype,
-    shape)`` returns the next array. Wrong magic, short, garbled or overlong
-    files, and arrays that ``parse`` rejects, raise HedgeGameError."""
+    shape)`` reads the next array straight into a new read-only array.
+    Wrong magic, short, garbled or overlong files, and arrays that
+    ``parse`` rejects, raise HedgeGameError."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != magic:
-        raise HedgeGameError(f"not a {magic!r} cache file: bad magic {data[:8]!r}")
-    pos = 16
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if head[:8] != magic:
+            raise HedgeGameError(f"not a {magic!r} cache file: bad magic {head[:8]!r}")
 
-    def take(dtype, shape):
-        nonlocal pos
-        if min(shape) < 0:
-            raise ValueError(f"negative array shape {shape}")
-        arr = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=pos)
-        pos += arr.nbytes
-        return arr.reshape(shape).copy()
+        def take(dtype, shape):
+            if min(shape) < 0 or math.prod(shape) * np.dtype(dtype).itemsize > size - fh.tell():
+                raise ValueError(f"array shape {shape} does not fit the rest of the file")
+            arr = np.empty(shape, dtype=dtype)
+            fh.readinto(memoryview(arr).cast("B"))
+            arr.flags.writeable = False
+            return arr
 
-    try:
-        pos += struct.unpack_from("<Q", data, 8)[0]
-        out = parse(json.loads(data[16:pos].decode()), take)
-        if pos != len(data):
-            raise ValueError("file size does not match its header")
-        return out
-    except (struct.error, ValueError, KeyError, TypeError, IndexError, OverflowError,
-            ZeroDivisionError, HedgeGameError) as exc:
-        raise HedgeGameError(f"corrupt cache file {path}: {exc}") from None
+        try:
+            out = parse(json.loads(fh.read(min(struct.unpack_from("<Q", head, 8)[0], size)).decode()),
+                        take)
+            if fh.tell() != size:
+                raise ValueError("file size does not match its header")
+            return out
+        except (struct.error, ValueError, KeyError, TypeError, IndexError, OverflowError,
+                ZeroDivisionError, HedgeGameError) as exc:
+            raise HedgeGameError(f"corrupt cache file {path}: {exc}") from None
 
 
 def save_binary(surface: ValueSurface, path):

@@ -12,18 +12,15 @@ axes of x (x: (n, d) -> mu (n, d), sigma (n, d, d), rates (n,)). ``t`` is a
 python float and ``a`` one entry of ``A_points``. Closures must be row-wise
 pure: row i of the output depends only on row i of the inputs, because a
 batch may gather a subset of paths. Every solver reads a model through
-``market_read`` once per (t, x, a) (``coefficients_at``; the sweep compares
-each pair's raw read with the kept reads of its adverse point, and derives
-the hedged drift of the kept reads, stacked on a pair axis, with
-``market_drift`` only when the kept pairs or their reads changed, so the
-arrays the spec's closures return must not be written to later).
-``coefficients_at`` and ``min_generator_field`` also take a 1-d numpy array
-of times; they still call every closure once per time, with that time as a
-python float.
+``market_read`` once per (t, x, a). ``coefficients_at`` and ``Generator``
+also take a 1-d numpy array of times; they still call every closure once
+per time, with that time as a python float.
 
 The generators of the game, La, L = min_a La and the shaken H_eps, exist
-once, as the field kernel ``min_generator_field``; a single node is a
-one-row field.
+once, as ``Generator``: the sweep, the residual, certification and the
+concavity check call it, and ``min_generator_field`` is its one-shot form.
+A ``Generator`` keeps the arrays of its kept reads, so the arrays the
+spec's closures return must not be written to later.
 
 ``make_finance_model`` also builds the closure form of the game,
 
@@ -225,8 +222,8 @@ def market_drift(read, site):
     """The hedged wealth drift (y, z) -> u.(mu + gamma/2) + rho(y - u.1) at
     the hedge u = (sigma^-1)^T z of a finance model's ``market_read``, on
     the batch axes of ``site`` = (batch, namer), the ``read_site`` of the
-    read's (t, x, a). The sweep passes its kept reads stacked on a leading
-    pair axis, with a namer that names each pair's own site."""
+    read's (t, x, a). ``Generator`` passes its kept reads stacked on a
+    leading pair axis, with a namer that names each pair's own site."""
     wealth, hedge = _wealth(*read), _hedge_map(read[1], *site)
     return lambda y, z: wealth(y, hedge(z))
 
@@ -275,40 +272,105 @@ def adverse_pairs(model: ModelSpec, shake_points=None) -> list:
     return [(a, b) for a in model.A_points for b in shakes]
 
 
-def min_generator_field(model: ModelSpec, t, X, y, q, p, M, pairs=None):
-    """Worst-case generator over a field of derivative packs: (min, argmin).
+def _same_read(read, other) -> bool:
+    """Two market reads with the same shapes and bits (-0.0 and 0.0 stay apart)."""
+    return all(r.shape == o.shape and r.tobytes() == o.tobytes() for r, o in zip(read, other))
 
-    Each pair (a, b) contributes La at the shifted base point (t, X) + b:
-    mu_Y_hat(., y, sigma_X^T p, a) - q - mu_X.p - 1/2 sigma_X sigma_X^T : M.
-    The transposed volatility in the z-slot is what makes the finance preset
-    collapse to the delta rule u = p. ``pairs`` defaults to the unshaken
-    adverse set, giving L = min_a La; ``[(a, None)]`` gives La alone and the
-    pairs of a shake lattice give H_eps. Ties break to the lowest pair
-    index. A single node x is the one-row field X = x[None], y and q of
-    shape (1,), p of shape (1, d) and M of shape (1, d, d); M enters only
-    through its symmetric part.
 
-    ``t`` may be a 1-d numpy array of layer times, with a leading layer axis
-    on y, q, p and M over the one field X: each pair then reads its
-    coefficients once per time and evaluates La once for all of them.
+class _Terms:
+    """The kept reads' terms, stacked on a leading pair axis in kept order:
+    the reads themselves (``read``: mu, sigma, both rates), 0.5 Sig_ii,
+    Sig_01 and the hedged drift ``at``, whose singular-sigma error names the
+    pair's own site in ``sites``."""
+
+    def __init__(self, kept, reads, sites):
+        batch, d = read_site(*sites[0])[0], reads[0][0].shape[-1]
+        self.kept = kept
+        self.read = read = tuple(np.stack(rows) if len(rows) > 1 else rows[0][None]  # one: a view
+                                 for rows in ([np.broadcast_to(r[c], batch + tail) for r in reads]
+                                              for c, tail in enumerate([(d,), (d, d), (), ()])))
+        self.mu, self.sig, self.rates = read[0], read[1], read[2:]
+        Sig = np.einsum("...ik,...jk->...ij", self.sig, self.sig)
+        self.half_var = [0.5 * Sig[..., i, i] for i in range(d)]
+        self.cov = Sig[..., 0, 1] if d == 2 else None
+        named = [read_site(*site)[1] for site in sites]
+        self.at = market_drift(read, ((len(reads),) + batch, lambda i: named[i[0]](i[1:])))
+
+    def rows(self, y, q, p, M):
+        """La of each kept pair, shape (kept pairs,) + batch: the hedged
+        drift at z = sigma^T p, less q, mu.p, 1/2 Sig_ii M_ii and the cross
+        term Sig_01 (M_01 + M_10)/2, subtracted in that order."""
+        val = self.mu[..., 0] * p[..., 0]
+        np.subtract(np.subtract(0.0, q), val, out=val)
+        for i, half_var in enumerate(self.half_var):
+            if i:
+                val -= self.mu[..., i] * p[..., i]
+            val -= half_var * M[..., i, i]
+        if self.cov is not None:
+            val -= self.cov * (0.5 * (M[..., 0, 1] + M[..., 1, 0]))
+        val += self.at(y, np.einsum("...ji,...j->...i", self.sig, p))
+        return val
+
+
+class Generator:
+    """The worst-case generator: a call ``(t, X, y, q, p, M) -> (min,
+    argmin)`` over ``pairs`` of La, on a field of derivative packs.
+
+    Pair (a, b) gives La at the shifted base point (t, X) + b:
+    mu_Y_hat(., y, sigma_X^T p, a) - q - mu_X.p - 1/2 sigma_X sigma_X^T : M;
+    the transposed volatility in the z-slot makes the hedge the delta rule
+    u = p. ``pairs`` defaults to the unshaken adverse set (L = min_a La);
+    ``[(a, None)]`` gives La and a shake lattice's pairs H_eps. y and q take
+    X's batch shape X.shape[:-1], p and M add axes of length d (q and M may
+    broadcast; M enters through its symmetric part). A 1-d array ``t`` adds
+    a leading layer axis to y, q, p and M over the one field X.
+
+    A call reads every pair once. A pair whose read equals, bit for bit, a
+    kept read of its adverse point is dropped: its La would be that pair's.
+    ``terms`` (``_Terms``) is derived again only when the kept pairs or the
+    bits of a kept read change. The minimum propagates NaN; the argmin keeps
+    the lowest pair of a tie, and the first NaN pair at a NaN.
     """
-    if pairs is None:
-        pairs = adverse_pairs(model)
-    best = idx = None
-    for j, (a, b) in enumerate(pairs):
-        t_b, X_b = base_point(t, X, b, model.horizon_T)
-        mu, sig, drift = coefficients_at(model, t_b, X_b, a)
-        Sig = np.einsum("...ik,...jk->...ij", sig, sig)
-        z = np.einsum("...ji,...j->...i", sig, p)
-        f = np.asarray(drift(y, z), dtype=float)
-        val = f - q - np.einsum("...i,...i->...", mu, p) - 0.5 * np.einsum("...ij,...ij->...", Sig, M)
-        if best is None:
-            best, idx = val, np.zeros(val.shape, dtype=np.int32)
-        else:
-            take = val < best
-            best = np.where(take, val, best)
-            idx = np.where(take, j, idx)
-    return best, idx
+
+    def __init__(self, model: ModelSpec, pairs=None):
+        self.model = model
+        self.pairs = adverse_pairs(model) if pairs is None else list(pairs)
+        self._point = [np.asarray(a, dtype=float).tobytes() for a, _ in self.pairs]
+        self.terms = None
+
+    def __call__(self, t, X, y, q, p, M):
+        kept, reads, sites, by_a = [], [], [], {}  # by_a: adverse point -> its kept reads
+        for j, (a, b) in enumerate(self.pairs):
+            t_b, X_b = base_point(t, X, b, self.model.horizon_T)
+            read = market_read(self.model.finance, t_b, X_b, a)
+            same_a = by_a.setdefault(self._point[j], [])
+            if any(_same_read(read, other) for other in same_a):
+                continue
+            same_a.append(read)
+            kept.append(j)
+            reads.append(read)
+            sites.append((t_b, X_b, a))
+        last = self.terms
+        if last is None or kept != last.kept or not all(
+                _same_read(r, [c[i] for c in last.read]) for i, r in enumerate(reads)):
+            self.terms = _Terms(kept, reads, sites)
+        del read, reads, by_a, same_a  # the raw reads go: the terms hold their copy
+        rows = self.terms.rows(y, q, p, M)
+        best, idx = rows[0], np.full(rows.shape[1:], kept[-1])
+        for row in rows[1:]:
+            best = np.minimum(best, row)  # carries a NaN
+        for row, j in zip(rows[-2::-1], kept[-2::-1]):  # down to the lowest pair of a tie
+            np.copyto(idx, j, where=row == best)
+        if len(kept) > 1 and np.isnan(best.min()):  # no row equals a NaN: take the first NaN row
+            nan = np.isnan(best)
+            idx[nan] = np.asarray(kept)[np.isnan(rows[:, nan]).argmax(axis=0)]
+        return best, idx
+
+
+def min_generator_field(model: ModelSpec, t, X, y, q, p, M, pairs=None):
+    """One call of a fresh ``Generator(model, pairs)``; a single node x is
+    the one-row field X = x[None]."""
+    return Generator(model, pairs)(t, X, y, q, p, M)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +655,9 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
     market-price-of-risk bounds. Each (t, a) reads the spec once on each
     sample set (``market_read``) and derives every check from those reads;
     only ``inversion_u_hat`` and ``frozen_read_matches`` call the closure
-    copy, and the concavity check evaluates La(t, x, y, 0, p, 0) =
-    drift(y, sigma^T p) - mu.p from the same read. A NaN value fails its
-    check. Violations are reported, not raised.
+    copy, and the concavity check calls a's ``Generator`` once, with q = 0
+    and M = 0, on the three packs of the first sample set. A NaN value
+    fails its check. Violations are reported, not raised.
     """
     if sample_count < 1:
         raise ModelError("sample_count must be >= 1")
@@ -616,8 +678,10 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
         _Worst("lambda_x_independent", 1e-9))
     dx = np.maximum(_norm_rows(x1 - x2), 1e-12)
     dy = np.maximum(np.abs(y1 - y2), 1e-12)
+    x3 = np.broadcast_to(x1, (3, n, d))
+    la = [Generator(model, [(a, None)]) for a in model.A_points]
     for t in ts:
-        for a in model.A_points:
+        for j, a in enumerate(model.A_points):
             mu, sig, rl, rb = read = market_read(model.finance, t, x1, a)
             mu2, sig2 = market_read(model.finance, t, x2, a)[:2]
             lip.add(t, a, (_norm_rows(mu - mu2) + _opnorm(sig - sig2)) / dx, x1, x2)
@@ -640,12 +704,10 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
                              (drift, model.mu_Y(t, x1, y1, uh, a))):
                 frozen.add(t, a, np.max(np.nan_to_num(np.abs(got - ref) / (1.0 + np.abs(ref)), nan=np.inf)))
 
-            # midpoint concavity of (y, p) -> La(t, x, y, 0, p, 0)
-            def la(yb, pb):
-                return at(yb, np.einsum("...ji,...j->...i", sig, pb)) - np.einsum("...i,...i->...", mu, pb)
-
-            mid = la(0.5 * (y1 + y2), 0.5 * (p1 + p2))
-            conc.add(t, a, mid - 0.5 * (la(y1, p1) + la(y2, p2)), x1, y1, y2, p1, p2)
+            # midpoint concavity of (y, p) -> La(t, x, y, 0, p, 0), the three packs on one field
+            mid, la1, la2 = la[j](t, x3, np.stack([0.5 * (y1 + y2), y1, y2]), 0.0,
+                                  np.stack([0.5 * (p1 + p2), p1, p2]), np.zeros((d, d)))[0]
+            conc.add(t, a, mid - 0.5 * (la1 + la2), x1, y1, y2, p1, p2)
 
             # rate order and the market prices of risk sigma^-1 (mu + gamma/2 - r) at either rate
             gap.add(t, a, rl - rb, x1)

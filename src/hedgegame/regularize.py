@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import hjb
-from .model import HedgeGameError, ModelSpec, shake_lattice, shaken_payoff
+from .model import Generator, HedgeGameError, ModelSpec, shake_lattice, shaken_payoff
 
 # normalised bump constant: int (1-s^2)^4 over [-1,1] is 256/315
 _C_SPACE = 315.0 / 256.0
@@ -495,10 +495,13 @@ def verify_supersolution(smooth: SmoothSurface, model: ModelSpec, check_grid,
                          tol: float = 1e-3, phi=None, B_set: Box | None = None) -> CertReport:
     """Evaluate the worst-case generator on the smooth surface.
 
-    PASS iff the minimum residual over the check nodes is >= -tol and the
-    terminal layer dominates the payoff to within tol. When a target phi and
-    a box are supplied, domination w <= phi on the box is checked as well.
-    A lattice without a node fails.
+    PASS iff the minimum residual over the check nodes is finite and
+    >= -tol and the terminal layer dominates the payoff to within tol. When
+    a target phi and a box are supplied, domination w <= phi on the box is
+    checked as well. One ``Generator`` serves every time node. A non-finite
+    generator value ranks below every finite one, so it fails the check as
+    ``min_residual``, at the first such node in ``argmin``; a NaN in either
+    margin fails it too. A lattice without a node fails.
     """
     t_nodes, axes = check_grid
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dim)
@@ -510,28 +513,29 @@ def verify_supersolution(smooth: SmoothSurface, model: ModelSpec, check_grid,
         sel = np.ones(mesh.shape[0], dtype=bool)
         for i in range(model.dim):
             sel &= (mesh[:, i] >= B_set.x_lo[i] - 1e-12) & (mesh[:, i] <= B_set.x_hi[i] + 1e-12)
-    min_res = np.inf
-    argmin = (np.nan,) * (1 + model.dim)
+    min_res = argmin = None
+    rank = np.inf  # the running minimum, a non-finite value ranking lowest
     n_total = 0
     phi_margin = np.inf
+    generator = Generator(model)
     for tv in t_nodes:
         pk = smooth.eval_batch(float(tv), mesh)
-        best, _ = hjb.min_generator_field(model, float(tv), mesh, pk.value, pk.q, pk.p, pk.M)
+        best, _ = generator(float(tv), mesh, pk.value, pk.q, pk.p, pk.M)
         n_total += best.size
-        i = int(np.argmin(best))
-        if best[i] < min_res:
-            min_res = float(best[i])
-            argmin = (float(tv),) + tuple(mesh[i])
+        score = np.where(np.isfinite(best), best, -np.inf)
+        i = int(np.argmin(score))
+        if score[i] < rank:
+            rank, min_res, argmin = score[i], float(best[i]), (float(tv),) + tuple(mesh[i])
         if check_phi and B_set.t_lo - 1e-12 <= tv <= B_set.t_hi + 1e-12:
             target = np.asarray(phi(float(tv), mesh[sel]), dtype=float)
-            phi_margin = min(phi_margin, float(np.min(target - pk.value[sel])))
+            phi_margin = np.minimum(phi_margin, np.min(target - pk.value[sel]))
     T = model.horizon_T
     term = smooth.eval_batch(T, mesh, need_second=False).value
     g = np.asarray(model.payoff_g(mesh), dtype=float)
     terminal_margin = float(np.min(term - g))
-    passed = (min_res >= -tol) and (terminal_margin >= -tol)
+    passed = bool(np.isfinite(min_res) and min_res >= -tol and terminal_margin >= -tol)
     if check_phi:
-        passed = passed and (phi_margin >= -1e-9)
+        passed = passed and bool(phi_margin >= -1e-9)
     return CertReport(passed, min_res, argmin, terminal_margin, phi_margin,
                       tol, smooth.eps, smooth.k, smooth.delta, n_total)
 
@@ -665,7 +669,8 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
                                  B_set.x_lo, B_set.x_hi, check_shape)
             report = verify_supersolution(smooth, model, cg, tol=tol, phi=phi, B_set=B_set)
             report.c_curve, report.pruned = list(c_curve), list(pruned)
-            if best_report is None or report.min_residual > best_report.min_residual:
+            if (best_report is None or report.min_residual > best_report.min_residual
+                    or not np.isfinite(best_report.min_residual)):
                 best_report = report
             if report.passed:
                 smooth.certificate = report

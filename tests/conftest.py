@@ -337,25 +337,28 @@ def sweep_oracle(model, grid, *, pad_layers=0, shake_points=None):
 
 def _oracle_min_generator(model, t, X, y, q, p, M):
     """Worst-case generator over the unshaken adverse set, pair by pair, with
-    separate mu_X, sigma_X and hedged-drift closure reads: (min, argmin)."""
+    separate mu_X, sigma_X and hedged-drift closure reads, subtracted in the
+    sweep's order (q, then mu_i p_i and 1/2 Sig_ii M_ii axis by axis, then
+    the cross term) before the drift is added: (min, argmin)."""
     from hedgegame.model import adverse_pairs, base_point
 
-    best = idx = None
-    for j, (a, b) in enumerate(adverse_pairs(model)):
+    d = X.shape[-1]
+    rows = []
+    for a, b in adverse_pairs(model):
         t_b, X_b = base_point(t, X, b, model.horizon_T)
         mu = np.asarray(model.mu_X(t_b, X_b, a), dtype=float)
         sig = np.asarray(model.sigma_X(t_b, X_b, a), dtype=float)
         Sig = np.einsum("...ik,...jk->...ij", sig, sig)
         z = np.einsum("...ji,...j->...i", sig, p)
         f = np.asarray(_closure_mu_Y_hat(t_b, X_b, y, z, a, model), dtype=float)
-        val = f - q - np.einsum("...i,...i->...", mu, p) - 0.5 * np.einsum("...ij,...ij->...", Sig, M)
-        if best is None:
-            best, idx = val, np.zeros(val.shape, dtype=np.int32)
-        else:
-            take = val < best
-            best = np.where(take, val, best)
-            idx = np.where(take, j, idx)
-    return best, idx
+        const = np.zeros(np.shape(q)) - q
+        for i in range(d):
+            const -= mu[..., i] * p[..., i]
+            const -= 0.5 * Sig[..., i, i] * M[..., i, i]
+        if d == 2:
+            const -= Sig[..., 0, 1] * (0.5 * (M[..., 0, 1] + M[..., 1, 0]))
+        rows.append(const + f)
+    return np.min(rows, axis=0), np.argmin(rows, axis=0)
 
 
 def residual_oracle(surface, model):

@@ -611,6 +611,7 @@ class TestSmoothCache:
         save_smooth(s, path)
         back = load_smooth(path)
         assert np.array_equal(back.node_values, s.node_values)
+        assert not any(a.flags.writeable for a in [back.t_nodes, back.node_values, *back.axes])
         assert back.delta == s.delta and back.eps == s.eps and back.k == s.k
         assert back.model_hash == "abc"
 

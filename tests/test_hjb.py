@@ -15,6 +15,7 @@ from hedgegame.hjb import (
     solve,
 )
 from hedgegame import hjb
+from hedgegame import model as model_module
 from hedgegame.model import (FinanceSpec, HedgeGameError, ModelError,
                              make_finance_model, make_payoff, make_single_rate_model, market_read,
                              shake_lattice)
@@ -517,7 +518,7 @@ class TestStackedSweep:
             reads[0] += 1
             return market_read(*args)
 
-        monkeypatch.setattr(hjb, "market_read", counted_read)
+        monkeypatch.setattr(model_module, "market_read", counted_read)
         fin = finance_spec()
         sigma_reads = [0]
 
@@ -529,7 +530,7 @@ class TestStackedSweep:
                                    make_payoff("call", strike=1.0), 1,
                                    [np.array([0.1]), np.array([0.3])], 1.0, 0.3)
         model, counts = counted(model, ("mu_Y", "u_hat"))
-        sigma_reads[0] = 0
+        sigma_reads[0] = reads[0] = 0  # the hash's closure calls read the spec too
         shakes = shake_lattice(0.05, 1)
         grid = GridSpec(t_steps=100, x_min=(-1.8,), x_max=(1.8,), x_steps=(40,))
         surf = solve(model, grid, pad_layers=10, shake_points=shakes, validate=False)
@@ -539,24 +540,24 @@ class TestStackedSweep:
 
     @staticmethod
     def kept_rows(monkeypatch, model, grid, eps, pad_layers=10):
-        """(surface, shakes, stack rows built per layer in the order of
+        """(surface, shakes, kept pairs per layer in the order of
         ``surface.t``) of a shaken solve: the leading axis of the stacked
-        terms each layer builds its generator pieces from."""
+        terms each generator call takes its minimum over."""
         layers = []
-        build = hjb._adverse_terms
 
-        def counted_build(pair_terms, ops, v):
-            assert not layers or layers[-1][0] is not ops  # one build per layer
-            layers.append([ops, len(pair_terms.mu)])
-            return build(pair_terms, ops, v)
+        class Recorded(hjb.Generator):
+            def __call__(self, *args):
+                out = super().__call__(*args)
+                layers.append(len(self.terms.kept))
+                return out
 
-        monkeypatch.setattr(hjb, "_adverse_terms", counted_build)
+        monkeypatch.setattr(hjb, "Generator", Recorded)
         shakes = shake_lattice(eps, model.dim)
         surf = solve(model, grid, validate=False, pad_layers=pad_layers, shake_points=shakes)
-        assert len(layers) == len(surf.t) - 1
+        assert len(layers) == len(surf.t) - 1  # one generator call per layer
         values, policy = sweep_oracle(model, grid, pad_layers=pad_layers, shake_points=shakes)
         assert np.array_equal(surf.values, values) and np.array_equal(surf.policy, policy)
-        return surf, shakes, [n for _, n in reversed(layers)]  # the sweep runs backward
+        return surf, shakes, layers[::-1]  # the sweep runs backward
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_constant_coefficients_keep_one_pair_per_adverse_point(self, monkeypatch, dim):
@@ -599,11 +600,11 @@ class TestStackedSweep:
         # a read is compared across pairs only with the kept reads of its
         # adverse point on its own layer, so the first pair of an adverse point
         # and an unshaken solve never compare across pairs. A kept read is
-        # compared across layers once, with its pair's read of the last layer
-        # that kept the pair. Constant coefficients keep the first pair of each
-        # adverse point on every layer.
+        # compared across layers once, with its pair's row of the stacked
+        # terms derived last (not a read of this layer). Constant coefficients
+        # keep the first pair of each adverse point on every layer.
         layer, born, compared = [0], {}, {"pair": 0, "layer": 0}
-        layer_ops, read_fn, same_read = hjb._LayerOps, hjb.market_read, hjb._same_read
+        layer_ops, read_fn, same_read = hjb._LayerOps, model_module.market_read, model_module._same_read
 
         def next_layer(*args):
             layer[0] += 1
@@ -616,12 +617,12 @@ class TestStackedSweep:
 
         def counted(read, other):
             assert born[id(read)][0] == layer[0]
-            compared["pair" if born[id(other)][0] == layer[0] else "layer"] += 1
+            compared["pair" if born.get(id(other), (None,))[0] == layer[0] else "layer"] += 1
             return same_read(read, other)
 
         monkeypatch.setattr(hjb, "_LayerOps", next_layer)
-        monkeypatch.setattr(hjb, "market_read", tagged_read)
-        monkeypatch.setattr(hjb, "_same_read", counted)
+        monkeypatch.setattr(model_module, "market_read", tagged_read)
+        monkeypatch.setattr(model_module, "_same_read", counted)
         model = uncertain_vol_model(r_lend=0.02, r_borrow=0.05)
         shakes = shake_lattice(0.05, 1) if shaken else None
         surf = self.assert_matches_oracle(model, small_grid(nx=30, nt=80), shake_points=shakes)
@@ -659,15 +660,39 @@ class TestStackedSweep:
         # one derivation per change of the kept reads, each for the whole
         # stack: one row per adverse point (each keeps one pair here)
         derived = []
-        derive = hjb.market_drift
+        derive = model_module._Terms
 
-        def counted(read, site):
-            derived.append(len(read[0]))
-            return derive(read, site)
+        def counted(kept, reads, sites):
+            derived.append(len(kept))
+            return derive(kept, reads, sites)
 
-        monkeypatch.setattr(hjb, "market_drift", counted)
+        monkeypatch.setattr(model_module, "_Terms", counted)
         self.assert_matches_oracle(model, small_grid(nx=30, nt=80), **kw)
         assert derived == [len(model.A_points)] * changes
+
+    @pytest.mark.parametrize("shaken", [False, True], ids=["plain", "shaken"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_layer_is_one_generator_call(self, dim, shaken):
+        # layer k is v_{k+1} - dt min_generator_field(t_k, X, v_{k+1}, 0, p, M),
+        # p and M the central differences of v_{k+1}, and the policy is its
+        # argmin, bit for bit; in d = 1 every time shift reads its own vol
+        if dim == 1:
+            model, grid = time_dependent_vol_model(), small_grid(nx=30, nt=80)
+        else:
+            model = uncertain_vol_model(dim=2, r_lend=0.02, r_borrow=0.05)
+            grid = GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10))
+        shakes = shake_lattice(0.05, dim) if shaken else None
+        surf = solve(model, grid, validate=False, pad_layers=5, shake_points=shakes)
+        pairs = model_module.adverse_pairs(model, shakes)
+        X, dt = grid.mesh(), surf.meta["dt"]
+        vp = np.empty(tuple(n + 2 for n in X.shape[:-1]))
+        for k in range(len(surf.t) - 1):
+            v_next = surf.values[k + 1]
+            ops = hjb._LayerOps(v_next, grid.dx, vp)
+            best, idx = hjb.min_generator_field(model, float(surf.t[k]), X, v_next, 0.0,
+                                                ops.p_cen, ops.M, pairs=pairs)
+            assert np.array_equal(surf.values[k], v_next - dt * best)
+            assert np.array_equal(surf.policy[k], idx)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_vol_singular_on_one_layer_raises_naming_it(self, dim):
@@ -712,19 +737,20 @@ class TestStackedSweep:
             s = 0.0 if t == 0.5 else float(a[0])
             return np.broadcast_to(s * np.eye(1), np.asarray(x).shape[:-1] + (1, 1))
 
-        reads = [0]
+        calls = [0]
 
-        def counted_read(*args):
-            reads[0] += 1
-            return market_read(*args)
+        class Counted(hjb.Generator):
+            def __call__(self, *args):
+                calls[0] += 1
+                return super().__call__(*args)
 
-        monkeypatch.setattr(hjb, "market_read", counted_read)
+        monkeypatch.setattr(hjb, "Generator", Counted)
         fin = dataclasses.replace(finance_spec(r_lend=0.02, r_borrow=0.05), sigma=sigma)
         model = make_finance_model(fin, make_payoff("call", strike=1.0), 1,
                                    [np.array([0.1]), np.array([0.3])], 1.0, 0.3)
         with pytest.raises(ModelError, match=r"singular volatility at t=0\.5,"):
             solve(model, small_grid(nx=30, nt=63), validate=False)
-        assert reads[0] == 0
+        assert calls[0] == 0
 
     @pytest.mark.parametrize("model, grid, pad_layers", [
         (bs_singleton_model(), small_grid(nx=30, nt=600), 0),
@@ -750,7 +776,8 @@ class TestStackedSweep:
         monkeypatch.setattr(hjb, "min_generator_field", recorded)
         rep = residual(surf, model)
         core = (slice(1, -1),) * surf.dim
-        assert [k0 for k0, _ in blocks] == list(range(1, len(surf.t) - 1, hjb._RESIDUAL_BLOCK))
+        block = hjb._RESIDUAL_BLOCK // len(model.A_points)
+        assert [k0 for k0, _ in blocks] == list(range(1, len(surf.t) - 1, block))
         assert sum(len(best) for _, best in blocks) == len(surf.t) - 2
         for k0, best in blocks:
             got = best[(slice(None),) + core]
@@ -810,6 +837,30 @@ class TestSurfaceIO:
         assert np.array_equal(back.policy, surf.policy)
         assert np.allclose(back.t, surf.t)
         assert back.model_hash == surf.model_hash
+
+    def test_binary_io_copies_no_whole_file(self, tmp_path):
+        # 400 x 200 (UV): values 0.64 MB, the file 0.97 MB with the <i4 policy.
+        # A save may add only the <i4 policy to the surface, and a load holds
+        # the arrays it reads plus the narrowed policy: a copy of the file's
+        # bytes next to the arrays exceeds either bound
+        surf = solve(uncertain_vol_model(r_lend=0.02, r_borrow=0.05),
+                     small_grid(x_lo=-1.8, x_hi=1.8, nx=200, nt=400), validate=False)
+        path = tmp_path / "s.bin"
+        tracemalloc.start()
+        try:
+            save_binary(surf, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = load_binary(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        largest = max(surf.values.nbytes, 4 * surf.policy.size)
+        assert save_peak <= largest
+        assert load_peak <= path.stat().st_size + largest
+        assert np.array_equal(back.values, surf.values) and np.array_equal(back.policy, surf.policy)
+        assert not (back.values.flags.writeable or back.policy.flags.writeable)
 
     @pytest.mark.parametrize("pad_layers", [0, 10])
     def test_binary_roundtrips_the_time_axis_bitwise(self, tmp_path, pad_layers):

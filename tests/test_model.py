@@ -414,6 +414,24 @@ class TestMinGeneratorField:
             assert np.array_equal(idx[i], j_i)
         assert set(np.unique(idx)) == {0, 1}
 
+    @pytest.mark.parametrize("vols", [(0.1, 0.3), (0.3, 0.1)], ids=["nan-second", "nan-first"])
+    def test_a_nan_row_makes_the_minimum_nan_in_any_order(self, vols):
+        # the drift of a = 0.3 is NaN at x >= 0: the minimum is NaN there
+        # whichever pair comes first, and the argmin names that pair
+        def mu(t, x, a):
+            return np.where((a[0] == 0.3) & (np.asarray(x)[..., 0] >= 0.0), np.nan, 0.0)[..., None]
+
+        fin = dataclasses.replace(finance_spec(r_lend=0.02, r_borrow=0.05), mu=mu)
+        model = make_finance_model(fin, make_payoff("call", strike=1.0), 1,
+                                   [np.array([v]) for v in vols], 1.0, 0.3)
+        X = np.linspace(-1.0, 1.0, 9)[:, None]
+        n = len(X)
+        best, idx = min_generator_field(model, 0.5, X, np.ones(n), np.zeros(n), np.full((n, 1), 0.4),
+                                        np.full((n, 1, 1), 2.0))
+        bad = X[:, 0] >= 0.0
+        assert np.all(np.isnan(best[bad])) and np.all(np.isfinite(best[~bad]))
+        assert np.all(idx[bad] == vols.index(0.3))
+
     def test_pairs_are_A_major_like_the_policy(self):
         model = wavy_vol_model()
         shakes = shake_lattice(0.05, 1)
@@ -544,15 +562,15 @@ class TestValidateAssumptions:
         assert mid < avg - 1e-3  # convex kink: midpoint strictly below average
 
     def test_one_read_per_sample_set(self, monkeypatch):
-        # each (t, a) reads the spec once on each of its two sample sets, and the
-        # mu_Y closure that frozen_read_matches compares with reads it once more;
-        # the concavity check evaluates La from the first read
+        # each (t, a) reads the spec once on each of its two sample sets, once in
+        # the concavity check's one Generator call on its three packs, and the
+        # mu_Y closure that frozen_read_matches compares with reads it once more
         calls = []
         read = model_module.market_read
         monkeypatch.setattr(model_module, "market_read", lambda *args: calls.append(1) or read(*args))
         model = uncertain_vol_model(r_lend=0.02, r_borrow=0.05)
         assert validate_assumptions(model, sample_count=50).ok
-        assert len(calls) == 3 * 3 * len(model.A_points)
+        assert len(calls) == 3 * 4 * len(model.A_points)
 
 
 class TestPackageExports:

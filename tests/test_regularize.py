@@ -5,7 +5,7 @@ import pytest
 
 from hedgegame import regularize
 from hedgegame.hjb import GridSpec, solve
-from hedgegame.model import HedgeGameError, make_finance_model, make_payoff
+from hedgegame.model import FinanceSpec, HedgeGameError, make_finance_model, make_payoff
 from hedgegame.regularize import (
     Box,
     CertificationError,
@@ -461,6 +461,30 @@ class TestBuildAndVerify:
         for shape in ((0, 20), (10, 0)):
             empty = verify_supersolution(s, model, make_check_grid(0.0, 0.9, (-0.5,), (0.5,), shape))
             assert not empty.passed and empty.n_checked == 0
+
+    @pytest.mark.parametrize("vols", [(0.3, 0.1), (0.1, 0.3)], ids=["nan-first", "nan-second"])
+    def test_nan_generator_value_fails_and_names_its_node(self, vols):
+        # the drift is NaN near x = 0.1 for a = 0.3 on every time node: the
+        # check fails at the first such node in either order of A (a minimum
+        # over the pairs that skipped the NaN, or a row minimum that skipped
+        # the NaN node, would pass the first order with min_residual inf)
+        def mu(t, x, a):
+            bad = (a[0] == 0.3) & (np.abs(np.asarray(x)[..., 0] - 0.1) < 0.03)
+            return np.where(bad, np.nan, 0.0)[..., None]
+
+        fin = FinanceSpec(mu=mu, sigma=finance_spec().sigma, r_lend=finance_spec().r_lend,
+                          r_borrow=finance_spec().r_borrow)
+        model = make_finance_model(fin, make_payoff("constant", level=-10.0), 1,
+                                   [np.array([v]) for v in vols], 1.0, 0.3)
+        t = np.linspace(-0.1, 1.0, 56)
+        ax = np.linspace(-1.0, 1.0, 81)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            s = SmoothSurface(t, [ax], np.broadcast_to(np.sin(3.0 * ax), (56, 81)), 0.05)
+        cg = make_check_grid(0.0, 0.9, (-0.5,), (0.5,), (10, 41))
+        rep = verify_supersolution(s, model, cg, tol=1e-3)
+        assert not rep.passed and np.isnan(rep.min_residual)
+        assert rep.argmin == (0.0, cg[1][0][23]) and rep.n_checked == 410  # x = 0.075
 
 
 def count_shaken_solves(monkeypatch):
