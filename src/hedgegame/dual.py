@@ -123,11 +123,12 @@ def _regress_yz(xj, y_next, dW, dtau, degree):
     """One regression BSDE step: conditional y and martingale-increment z.
 
     A collapsed cloud (every path at one point) is fitted with constants.
-    Returns the basis used, so the caller can regress its own target on it.
+    The z fits reuse the basis that the y fit settled on, since a fit's rank
+    depends on the cloud alone; it is returned, so the caller can regress
+    its own target on it without retrying a degree that already failed.
     """
     deg = 0 if bool(np.all(xj.std(axis=0) < 1e-12)) else degree
-    basis = _Basis(xj, deg)
-    yhat = _fit(basis, xj, y_next)[2]
+    basis, _, yhat = _fit(_Basis(xj, deg), xj, y_next)
     resid = y_next - yhat
     zhat = np.empty_like(dW)
     for kdim in range(dW.shape[1]):

@@ -122,8 +122,8 @@ class ValueSurface:
         self.meta = dict(meta)
         for arr in (self.t, self.values, self.policy, *self.axes):
             arr.flags.writeable = False
-        self._p = None
-        self._q_M = None
+        self._ops = None
+        self._q = None
 
     @property
     def dim(self) -> int:
@@ -139,69 +139,37 @@ class ValueSurface:
 
     # -- derivative fields -------------------------------------------------
 
-    def _gradient_field(self):
-        """Per-node p from finite differences of the stored values, built on
-        first use; ``gradient`` reads only this field."""
-        if self._p is None:
-            hx = [float(ax[1] - ax[0]) for ax in self.axes]
-            self._p = [np.gradient(self.values, hx[i], axis=1 + i, edge_order=2)
-                       for i in range(self.dim)]
-        return self._p
+    def _layer_ops(self):
+        """p and M of every layer from ``_LayerOps`` on the stored values,
+        built on first use; ``gradient`` reads its ``p_cen`` alone."""
+        if self._ops is None:
+            vp = np.empty(self.values.shape[:1] + tuple(n + 2 for n in self.values.shape[1:]))
+            self._ops = _LayerOps(self.values, self.grid.dx, vp)
+        return self._ops
 
-    def _time_hessian_fields(self):
-        """Per-node q and M from finite differences of the stored values,
-        built on the first ``eval``."""
-        if self._q_M is not None:
-            return self._q_M
-        v = self.values
-        dt = float(self.t[1] - self.t[0])
-        d = self.dim
-        hx = [float(ax[1] - ax[0]) for ax in self.axes]
-        q = np.gradient(v, dt, axis=0, edge_order=2)
-        M = {}
-        for i in range(d):
-            h = self.axes[i][1] - self.axes[i][0]
-            sec = np.empty_like(v)
-            core = [slice(None)] * v.ndim
-            core[1 + i] = slice(1, -1)
-            up = [slice(None)] * v.ndim
-            up[1 + i] = slice(2, None)
-            lo = [slice(None)] * v.ndim
-            lo[1 + i] = slice(None, -2)
-            sec[tuple(core)] = (v[tuple(up)] - 2.0 * v[tuple(core)] + v[tuple(lo)]) / (h * h)
-            first = [slice(None)] * v.ndim
-            first[1 + i] = slice(0, 1)
-            second = [slice(None)] * v.ndim
-            second[1 + i] = slice(1, 2)
-            sec[tuple(first)] = sec[tuple(second)]
-            first[1 + i] = slice(-1, None)
-            second[1 + i] = slice(-2, -1)
-            sec[tuple(first)] = sec[tuple(second)]
-            M[(i, i)] = sec
-        if d == 2:
-            M[(0, 1)] = np.gradient(np.gradient(v, hx[0], axis=1, edge_order=2),
-                                    hx[1], axis=2, edge_order=2)
-        self._q_M = (q, M)
-        return self._q_M
-
-    def _locate(self, axis, query):
-        lo, hi = axis[0], axis[-1]
-        q = np.asarray(query, dtype=float)
-        if not np.all((q >= lo - 1e-12) & (q <= hi + 1e-12)):
-            raise HedgeGameError(f"query outside grid range [{lo}, {hi}]")
-        h = axis[1] - axis[0]
-        idx = np.clip(((q - lo) / h).astype(int), 0, len(axis) - 2)
-        w = np.clip((q - axis[idx]) / h, 0.0, 1.0)
-        return idx, w
+    def _time_difference(self):
+        """Per-node q: the central time difference, one-sided on the first and
+        last layer, built on the first ``eval``."""
+        if self._q is None:
+            v, dt = self.values, float(self.t[1] - self.t[0])
+            self._q = np.empty_like(v)
+            self._q[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+            self._q[0], self._q[-1] = (v[1] - v[0]) / dt, (v[-1] - v[-2]) / dt
+        return self._q
 
     def _corners(self, tq, xq):
         """Node indices and multilinear weights of the 2^(1+d) cell corners
-        around each query (t, x), each axis located once."""
+        around each query (t, x), each axis located once on its own step."""
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
         tq = np.broadcast_to(np.asarray(tq, dtype=float), (xq.shape[0],))
         sides = []
-        for axis, q in zip([self.t] + self.axes, [tq] + list(xq.T)):
-            idx, w = self._locate(axis, q)
+        for axis, h, q in zip([self.t] + self.axes, [self.t[1] - self.t[0], *self.grid.dx],
+                              [tq] + list(xq.T)):
+            lo, hi = axis[0], axis[-1]
+            if not np.all((q >= lo - 1e-12) & (q <= hi + 1e-12)):
+                raise HedgeGameError(f"query outside grid range [{lo}, {hi}]")
+            idx = np.clip(((q - lo) / h).astype(int), 0, len(axis) - 2)
+            w = np.clip((q - axis[idx]) / h, 0.0, 1.0)
             sides.append(((idx, 1.0 - w), (idx + 1, w)))
         corners = []
         for corner in product(*sides):
@@ -213,10 +181,12 @@ class ValueSurface:
 
     @staticmethod
     def _interp(field, corners):
-        """Multilinear interpolation of a node field at located corners."""
-        out = np.zeros(corners[0][1].shape)
+        """Multilinear interpolation of a node field at located corners; the
+        axes of ``field`` after the node axes are carried along."""
+        nodes = len(corners[0][0])
+        out = np.zeros(corners[0][1].shape + field.shape[nodes:])
         for idx, wgt in corners:
-            out += wgt * field[idx]
+            out += wgt.reshape(wgt.shape + (1,) * (field.ndim - nodes)) * field[idx]
         return out
 
     def value(self, t, x):
@@ -226,35 +196,23 @@ class ValueSurface:
 
     def gradient(self, t, x) -> np.ndarray:
         """Interpolated gradient alone: the ``p`` of ``eval`` bit for bit."""
-        p = self._gradient_field()
-        corners = self._corners(t, x)
-        return np.stack([self._interp(p[i], corners) for i in range(self.dim)], axis=-1)
+        return self._interp(self._layer_ops().p_cen, self._corners(t, x))
 
     def eval(self, t, x) -> EvalPack:
         """Interpolated (value, gradient, hessian, time derivative) at (t, x).
 
-        Exact at grid nodes; derivatives come from finite differences of the
-        stored layers, multilinearly interpolated between nodes.
+        Exact at grid nodes; p and M are those of ``_LayerOps`` on each stored
+        layer (at a boundary node, the linear-extrapolation closure), q the
+        time difference of ``_time_difference``, each multilinearly
+        interpolated between nodes.
         """
         scalar = np.asarray(x).ndim == 1 and np.isscalar(t)
-        p = self._gradient_field()
-        q, M = self._time_hessian_fields()
-        corners = self._corners(t, x)
-        n = corners[0][1].shape[0]
-        d = self.dim
-        val = self._interp(self.values, corners)
-        qv = self._interp(q, corners)
-        pv = np.stack([self._interp(p[i], corners) for i in range(d)], axis=-1)
-        Mv = np.zeros((n, d, d))
-        for i in range(d):
-            Mv[:, i, i] = self._interp(M[(i, i)], corners)
-        if d == 2:
-            cross = self._interp(M[(0, 1)], corners)
-            Mv[:, 0, 1] = cross
-            Mv[:, 1, 0] = cross
+        ops, corners = self._layer_ops(), self._corners(t, x)
+        pack = EvalPack(*(self._interp(f, corners) for f in
+                          (self.values, ops.p_cen, ops.M, self._time_difference())))
         if scalar:
-            return EvalPack(float(val[0]), pv[0], Mv[0], float(qv[0]))
-        return EvalPack(val, pv, Mv, qv)
+            return EvalPack(float(pack.value[0]), pack.p[0], pack.M[0], float(pack.q[0]))
+        return pack
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +221,34 @@ class ValueSurface:
 
 
 def _shift(vp: np.ndarray, axis: int, off: int, d: int) -> np.ndarray:
-    """Core-shaped view of the padded array shifted by ``off`` along ``axis``."""
-    sl = []
-    for ax in range(d):
-        o = off if ax == axis else 0
-        sl.append(slice(1 + o, vp.shape[ax] - 1 + o))
+    """Core-shaped view of the padded array shifted by ``off`` along spatial
+    ``axis``, one of the last ``d`` axes of ``vp``."""
+    sl = [slice(None)] * (vp.ndim - d) + [slice(1, -1)] * d
+    sl[axis - d] = slice(1 + off, vp.shape[axis - d] - 1 + off)
     return vp[tuple(sl)]
 
 
 class _LayerOps:
-    """Central differences of one known layer: the gradient ``p_cen`` and
-    the second differences ``M`` (M_ii, and in d = 2 the cross difference
-    as M_01 = M_10), as the derivative pack of the generator.
+    """Central differences of known layers: the gradient ``p_cen`` and the
+    second differences ``M`` (M_ii, and in d = 2 the cross difference as
+    M_01 = M_10), as the derivative pack of the generator. This is the one
+    place where node values become p and M: the sweep, the residual and
+    the surface's ``gradient`` and ``eval`` read them here.
 
-    ``vp`` is the solve's padded buffer: v with one ghost node per side and
-    axis, extrapolated linearly one axis after the other, so a ghost row of
-    axis 1 also extrapolates the ghost nodes of axis 0.
+    ``v`` holds one layer, or a stack of layers along its leading axes, on
+    the ``len(dx)`` spatial axes that end its shape. ``vp`` is the caller's
+    padded buffer: v with one ghost node per side and spatial axis,
+    extrapolated linearly one axis after the other, so a ghost row of axis
+    1 also extrapolates the ghost nodes of axis 0. At a boundary node p is
+    then the one-sided difference and M_ii the vanishing second difference.
     """
 
     def __init__(self, v: np.ndarray, dx: tuple, vp: np.ndarray):
-        d = v.ndim
-        vp[(slice(1, -1),) * d] = v
+        d = len(dx)
+        stack = (slice(None),) * (v.ndim - d)  # not an Ellipsis: one layer's ghosts stay scalars
+        vp[stack + (slice(1, -1),) * d] = v
         for ax in range(d):
-            lead, tail = (slice(None),) * ax, (slice(1, -1),) * (d - 1 - ax)
+            lead, tail = stack + (slice(None),) * ax, (slice(1, -1),) * (d - 1 - ax)
             for ghost, near, far in ((0, 1, 2), (-1, -2, -3)):
                 vp[lead + (ghost,) + tail] = (2.0 * vp[lead + (near,) + tail]
                                               - vp[lead + (far,) + tail])
@@ -296,7 +259,7 @@ class _LayerOps:
         for i in range(d):
             np.divide(up[i] - 2.0 * v + dn[i], dx[i] ** 2, out=self.M[..., i, i])
         if d == 2:
-            cross = vp[2:, 2:] + vp[:-2, :-2] - vp[2:, :-2] - vp[:-2, 2:]
+            cross = vp[..., 2:, 2:] + vp[..., :-2, :-2] - vp[..., 2:, :-2] - vp[..., :-2, 2:]
             self.M[..., 0, 1] = self.M[..., 1, 0] = cross / (4.0 * dx[0] * dx[1])
 
 
@@ -423,8 +386,9 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
 
     A numerical certificate that the discrete solution drives the worst-case
     generator to ~0 away from kinks; boundary and terminal nodes are left
-    out. The generator is evaluated once per block of layers (fewer layers
-    the more adverse points it stacks), and max_abs,
+    out. q is the central time difference, p and M those of ``_LayerOps``
+    on each layer. The generator is evaluated once per block of layers
+    (fewer layers the more adverse points it stacks), and max_abs,
     min_value and argmin are reduced block by block, so the residual makes
     no full-surface array. A surface without a finite interior value (one
     time step has no interior layer) raises HedgeGameError.
@@ -433,22 +397,17 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
     t = surface.t
     dt = float(t[1] - t[0])
     d = surface.dim
-    dx = [ax[1] - ax[0] for ax in surface.axes]
-    X = np.stack(np.meshgrid(*surface.axes, indexing="ij"), axis=-1)
+    X = surface.grid.mesh()
     interior = tuple(slice(1, -1) for _ in range(d))
     max_abs, min_val, loc = 0.0, np.inf, None
     block = max(1, _RESIDUAL_BLOCK // len(model.A_points))
+    vp = np.empty((block,) + tuple(n + 2 for n in v.shape[1:]))
     for k0 in range(1, v.shape[0] - 1, block):
         k1 = min(k0 + block, v.shape[0] - 1)
         blk = v[k0:k1]
         q = (v[k0 + 1:k1 + 1] - v[k0 - 1:k1 - 1]) / (2.0 * dt)
-        p = np.stack([np.gradient(blk, dx[i], axis=1 + i) for i in range(d)], axis=-1)
-        M = np.zeros(blk.shape + (d, d))
-        for i in range(d):
-            M[..., i, i] = np.gradient(np.gradient(blk, dx[i], axis=1 + i), dx[i], axis=1 + i)
-        if d == 2:
-            M[..., 0, 1] = M[..., 1, 0] = np.gradient(np.gradient(blk, dx[0], axis=1), dx[1], axis=2)
-        best, _ = min_generator_field(model, t[k0:k1], X, blk, q, p, M)
+        ops = _LayerOps(blk, surface.grid.dx, vp[:k1 - k0])
+        best, _ = min_generator_field(model, t[k0:k1], X, blk, q, ops.p_cen, ops.M)
         res = best[(slice(None),) + interior]
         # the blocks run in C order, so a block's minimum replaces the running
         # one only when strictly smaller: the first occurrence, as nanargmin

@@ -48,6 +48,15 @@ class Box:
         if self.t_lo > self.t_hi or any(a > b for a, b in zip(self.x_lo, self.x_hi)):
             raise HedgeGameError("empty box")
 
+    def holds(self, t, xs):
+        """Which times ``t`` and which points ``xs`` (coordinates on the last
+        axis) lie in the box, each bound widened by 1e-12: two masks."""
+        in_t = (t >= self.t_lo - 1e-12) & (t <= self.t_hi + 1e-12)
+        in_x = np.ones(np.shape(xs)[:-1], dtype=bool)
+        for i, (lo, hi) in enumerate(zip(self.x_lo, self.x_hi)):
+            in_x &= (xs[..., i] >= lo - 1e-12) & (xs[..., i] <= hi + 1e-12)
+        return in_t, in_x
+
 
 # ---------------------------------------------------------------------------
 # shaken solve
@@ -319,8 +328,8 @@ class SmoothSurface:
         steps = [self.t_nodes[1] - self.t_nodes[0]] + [a[1] - a[0] for a in self.axes]
         if self.delta < max(steps):
             warnings.warn(
-                f"mollifier width {self.delta:.3g} below one grid cell "
-                f"{max(steps):.3g}: quadrature degenerates to interpolation noise",
+                f"mollifier width {self.delta:.3g}: the kernel is narrower than a grid "
+                f"cell ({max(steps):.3g})",
                 RuntimeWarning,
             )
 
@@ -510,15 +519,13 @@ def verify_supersolution(smooth: SmoothSurface, model: ModelSpec, check_grid,
                           tol, smooth.eps, smooth.k, smooth.delta, 0)
     check_phi = phi is not None and B_set is not None
     if check_phi:
-        sel = np.ones(mesh.shape[0], dtype=bool)
-        for i in range(model.dim):
-            sel &= (mesh[:, i] >= B_set.x_lo[i] - 1e-12) & (mesh[:, i] <= B_set.x_hi[i] + 1e-12)
+        t_in, sel = B_set.holds(np.asarray(t_nodes, dtype=float), mesh)
     min_res = argmin = None
     rank = np.inf  # the running minimum, a non-finite value ranking lowest
     n_total = 0
     phi_margin = np.inf
     generator = Generator(model)
-    for tv in t_nodes:
+    for n, tv in enumerate(t_nodes):
         pk = smooth.eval_batch(float(tv), mesh)
         best, _ = generator(float(tv), mesh, pk.value, pk.q, pk.p, pk.M)
         n_total += best.size
@@ -526,7 +533,7 @@ def verify_supersolution(smooth: SmoothSurface, model: ModelSpec, check_grid,
         i = int(np.argmin(score))
         if score[i] < rank:
             rank, min_res, argmin = score[i], float(best[i]), (float(tv),) + tuple(mesh[i])
-        if check_phi and B_set.t_lo - 1e-12 <= tv <= B_set.t_hi + 1e-12:
+        if check_phi and t_in[n]:
             target = np.asarray(phi(float(tv), mesh[sel]), dtype=float)
             phi_margin = np.minimum(phi_margin, np.min(target - pk.value[sel]))
     T = model.horizon_T
@@ -572,11 +579,8 @@ def box_nodes(model: ModelSpec, grid: hjb.GridSpec, B_set: Box, pad_layers: int 
         raise HedgeGameError(f"box B has {len(B_set.x_lo)} space axes, grid {grid.dim}, "
                              f"model {model.dim}")
     t = grid.layer_times(model.horizon_T, pad_layers)
-    t_sel = np.flatnonzero((t >= B_set.t_lo - 1e-12) & (t <= B_set.t_hi + 1e-12))
-    mesh = grid.mesh()
-    b_mask = np.ones(mesh.shape[:-1], dtype=bool)
-    for i in range(grid.dim):
-        b_mask &= (mesh[..., i] >= B_set.x_lo[i] - 1e-12) & (mesh[..., i] <= B_set.x_hi[i] + 1e-12)
+    t_in, b_mask = B_set.holds(t, grid.mesh())
+    t_sel = np.flatnonzero(t_in)
     if not t_sel.size or not b_mask.any():
         raise HedgeGameError(
             f"box B (t in [{B_set.t_lo:g}, {B_set.t_hi:g}], x from {B_set.x_lo} to {B_set.x_hi}) "

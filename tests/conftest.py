@@ -363,27 +363,38 @@ def _oracle_min_generator(model, t, X, y, q, p, M):
 
 def residual_oracle(surface, model):
     """The residual grid that ``hjb.residual`` reduces, NaN at boundary and
-    terminal nodes, with the differences taken layer by layer and the
-    generator read pair by pair from the closures."""
+    terminal nodes, with the differences taken layer by layer on the
+    interior nodes, each from explicit slices: the central first
+    difference, the compact second difference (v[i+1] - 2 v[i] + v[i-1]) / h^2
+    and in d = 2 the 4-point cross difference, all on the grid's h. The
+    generator is read pair by pair from the closures."""
     v = surface.values
     t = surface.t
     dt = float(t[1] - t[0])
     d = surface.dim
-    dx = [ax[1] - ax[0] for ax in surface.axes]
+    dx = surface.grid.dx
     X = np.stack(np.meshgrid(*surface.axes, indexing="ij"), axis=-1)
     out = np.full(v.shape, np.nan)
     interior = tuple(slice(1, -1) for _ in range(d))
     for k in range(1, v.shape[0] - 1):
         q = (v[k + 1] - v[k - 1]) / (2.0 * dt)
         layer = v[k]
-        p = np.stack([np.gradient(layer, dx[i], axis=i) for i in range(d)], axis=-1)
+
+        def near(i, off):
+            sl = list(interior)
+            sl[i] = slice(1 + off, layer.shape[i] - 1 + off)
+            return layer[tuple(sl)]
+
+        p = np.zeros(layer.shape + (d,))
         M = np.zeros(layer.shape + (d, d))
         for i in range(d):
-            M[..., i, i] = np.gradient(np.gradient(layer, dx[i], axis=i), dx[i], axis=i)
+            p[interior + (i,)] = (near(i, 1) - near(i, -1)) / (2.0 * dx[i])
+            M[interior + (i, i)] = (near(i, 1) - 2.0 * layer[interior] + near(i, -1)) / dx[i] ** 2
         if d == 2:
-            cr = np.gradient(np.gradient(layer, dx[0], axis=0), dx[1], axis=1)
-            M[..., 0, 1] = cr
-            M[..., 1, 0] = cr
+            cr = layer[2:, 2:] + layer[:-2, :-2] - layer[2:, :-2] - layer[:-2, 2:]
+            cr = cr / (4.0 * dx[0] * dx[1])
+            M[interior + (0, 1)] = cr
+            M[interior + (1, 0)] = cr
         best, _ = _oracle_min_generator(model, float(t[k]), X, layer, q, p, M)
         res = np.full(layer.shape, np.nan)
         res[interior] = best[interior]

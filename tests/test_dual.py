@@ -5,6 +5,7 @@ from hedgegame.dual import (
     ControlLattice,
     _Basis,
     _fit,
+    _regress_yz,
     dpp_check,
     dual_value_lsmc,
     make_lattice,
@@ -142,6 +143,24 @@ class TestRegressionFallback:
         pred = basis.features(xs) @ coef
         assert np.array_equal(fitted, pred)
         assert np.allclose(pred, ys, atol=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_warning_per_deficient_cloud(self, dim):
+        # every node of {0, 1}^d: degree 2 is deficient, degree 1 is not. The
+        # y fit falls back once; the z fits and the caller's refit reuse the
+        # basis it settled on, with the bits of fits made at degree 1
+        rng = np.random.default_rng(3)
+        xs = np.array(list(np.ndindex(*(2,) * dim)) * 50, dtype=float)
+        ys, dW = rng.standard_normal(len(xs)), rng.standard_normal((len(xs), dim))
+        with pytest.warns(RuntimeWarning, match="rank-deficient") as caught:
+            basis, yhat, zhat = _regress_yz(xs, ys, dW, 0.25, 2)
+            refit = _fit(basis, xs, yhat - 0.25 * zhat[:, 0])[2]
+        assert len(caught) == 1 and basis.degree == 1
+        one = _Basis(xs, 1)
+        assert np.array_equal(yhat, _fit(one, xs, ys)[2])
+        for k in range(dim):
+            assert np.array_equal(zhat[:, k], _fit(one, xs, (ys - yhat) * dW[:, k] / 0.25)[2])
+        assert np.array_equal(refit, _fit(one, xs, yhat - 0.25 * zhat[:, 0])[2])
 
 
 class TestDppCheck:

@@ -814,7 +814,7 @@ class TestEval:
         xs = np.linspace(-0.9, 0.9, 7 * dim).reshape(7, dim)
         if first == "gradient":
             grad = surf.gradient(ts, xs)
-            assert surf._q_M is None  # q and M stay unbuilt
+            assert surf._q is None  # gradient builds the layer ops (p with M) alone, not q
             p = surf.eval(ts, xs).p
         else:
             p = surf.eval(ts, xs).p
@@ -825,6 +825,60 @@ class TestEval:
         surf = tabulated_surface(lambda t, x: x)
         with pytest.raises(HedgeGameError, match="outside"):
             surf.eval(0.5, np.array([3.0]))
+
+
+class TestOneOperator:
+    """``_LayerOps`` is the one place where node values become p and M: the
+    residual and the surface's ``eval`` read its fields bit for bit."""
+
+    @staticmethod
+    def layer_ops(surf, k):
+        v = surf.values[k]
+        return hjb._LayerOps(v, surf.grid.dx, np.empty(tuple(n + 2 for n in v.shape)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_residual_hands_the_generator_the_layer_ops(self, monkeypatch, dim):
+        model = uncertain_vol_model(dim=dim, r_lend=0.02, r_borrow=0.05)
+        grid = (small_grid(nx=30, nt=150) if dim == 1 else
+                GridSpec(t_steps=90, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10)))
+        surf = solve(model, grid, validate=False)
+        handed, generator = {}, hjb.min_generator_field
+
+        def recorded(model, t, X, y, q, p, M):
+            for j, tj in enumerate(t):
+                handed[int(np.searchsorted(surf.t, tj))] = (p[j], M[j])
+            return generator(model, t, X, y, q, p, M)
+
+        monkeypatch.setattr(hjb, "min_generator_field", recorded)
+        residual(surf, model)
+        assert sorted(handed) == list(range(1, len(surf.t) - 1))
+        core = (slice(1, -1),) * dim
+        for k, (p, M) in handed.items():
+            ops = self.layer_ops(surf, k)
+            assert np.array_equal(p[core], ops.p_cen[core])
+            assert np.array_equal(M[core], ops.M[core])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_eval_at_nodes_reads_the_layer_ops(self, dim):
+        # dyadic steps locate every node exactly (weight 1 on the node
+        # itself), so eval at a node returns the node's fields, boundary
+        # nodes included: there p is the one-sided difference and M_ii
+        # vanishes, both up to roundoff
+        model = uncertain_vol_model(dim=dim)
+        grid = GridSpec(t_steps=64, x_min=(-1.0,) * dim, x_max=(1.0,) * dim, x_steps=(16,) * dim)
+        surf = solve(model, grid, validate=False)
+        X = grid.mesh().reshape(-1, dim)
+        for k in (0, 1, 31, 63, 64):
+            pack = surf.eval(float(surf.t[k]), X)
+            ops = self.layer_ops(surf, k)
+            assert np.array_equal(pack.p, ops.p_cen.reshape(-1, dim))
+            assert np.array_equal(pack.M, ops.M.reshape(-1, dim, dim))
+            assert np.array_equal(surf.gradient(float(surf.t[k]), X), pack.p)
+        if dim == 1:
+            ops = surf._layer_ops()
+            edge = (surf.values[:, 1] - surf.values[:, 0]) / grid.dx[0]
+            assert np.allclose(ops.p_cen[:, 0, 0], edge, rtol=0.0, atol=1e-12)
+            assert np.allclose(ops.M[:, [0, -1]], 0.0, rtol=0.0, atol=1e-12)
 
 
 class TestSurfaceIO:

@@ -563,6 +563,15 @@ class TestLadderPruning:
                                        validate=False)
         assert solved == [0.0, 0.2, 0.1] and "pruned" not in str(err.value)
 
+    def test_box_holds_its_bounds_within_the_slack(self):
+        # one rule for box_nodes and verify_supersolution: each bound widened by 1e-12
+        B = Box(0.25, 0.5, (-0.5, 0.0), (0.5, 1.0))
+        in_t, in_x = B.holds(np.array([0.25 - 5e-13, 0.25 - 2e-12, 0.5 + 5e-13, 0.5 + 2e-12]),
+                             np.array([[[-0.5 - 5e-13, 0.5], [0.0, 1.0 + 2e-12]],
+                                       [[0.5 + 5e-13, 1e-13], [0.6, 0.5]]]))
+        assert in_t.tolist() == [True, False, True, False]
+        assert in_x.tolist() == [[True, False], [True, False]]
+
     @pytest.mark.parametrize("B, empty", [
         (Box(0.305, 0.306, (-0.5,), (0.5,)), "time"),
         (Box(0.0, 1.0, (0.01,), (0.02,)), "space"),
