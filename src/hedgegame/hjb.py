@@ -141,25 +141,30 @@ class ValueSurface:
 
     def _layer_ops(self):
         """p and M of every layer from ``_LayerOps`` on the stored values,
-        built on first use; ``gradient`` reads its ``p_cen`` alone."""
+        built on first use; ``gradient`` reads its ``p_cen`` alone, so M
+        waits for the first ``eval``."""
         if self._ops is None:
             vp = np.empty(self.values.shape[:1] + tuple(n + 2 for n in self.values.shape[1:]))
             self._ops = _LayerOps(self.values, self.grid.dx, vp)
         return self._ops
 
     def _time_difference(self):
-        """Per-node q: the central time difference, one-sided on the first and
-        last layer, built on the first ``eval``."""
+        """Per-node q: the central time difference, second-order one-sided
+        on the first and last layer, built on the first ``eval``."""
         if self._q is None:
             v, dt = self.values, float(self.t[1] - self.t[0])
+            if len(v) < 3:
+                raise HedgeGameError("eval needs at least 3 time layers for q")
             self._q = np.empty_like(v)
             self._q[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-            self._q[0], self._q[-1] = (v[1] - v[0]) / dt, (v[-1] - v[-2]) / dt
+            self._q[0] = -1.5 / dt * v[0] + 2.0 / dt * v[1] - 0.5 / dt * v[2]
+            self._q[-1] = 0.5 / dt * v[-3] - 2.0 / dt * v[-2] + 1.5 / dt * v[-1]
         return self._q
 
     def _corners(self, tq, xq):
         """Node indices and multilinear weights of the 2^(1+d) cell corners
-        around each query (t, x), each axis located once on its own step."""
+        around each query (t, x). A query on a node weighs that node 1 and
+        the next 0 on every axis; the weights use the axis step."""
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
         tq = np.broadcast_to(np.asarray(tq, dtype=float), (xq.shape[0],))
         sides = []
@@ -169,15 +174,12 @@ class ValueSurface:
             if not np.all((q >= lo - 1e-12) & (q <= hi + 1e-12)):
                 raise HedgeGameError(f"query outside grid range [{lo}, {hi}]")
             idx = np.clip(((q - lo) / h).astype(int), 0, len(axis) - 2)
+            idx += q >= axis[idx + 1]  # a node that truncation put in the cell to its left
             w = np.clip((q - axis[idx]) / h, 0.0, 1.0)
-            sides.append(((idx, 1.0 - w), (idx + 1, w)))
-        corners = []
-        for corner in product(*sides):
-            wgt = corner[0][1]
-            for _, w in corner[1:]:
-                wgt = wgt * w
-            corners.append((tuple(idx for idx, _ in corner), wgt))
-        return corners
+            sides.append(((idx, 1.0 - w), (np.minimum(idx + 1, len(axis) - 1), w)))
+        return [(tuple(idx for idx, _ in corner),
+                 math.prod((w for _, w in corner[1:]), start=corner[0][1]))
+                for corner in product(*sides)]
 
     @staticmethod
     def _interp(field, corners):
@@ -241,6 +243,8 @@ class _LayerOps:
     extrapolated linearly one axis after the other, so a ghost row of axis
     1 also extrapolates the ghost nodes of axis 0. At a boundary node p is
     then the one-sided difference and M_ii the vanishing second difference.
+    ``p_cen`` is built at once and ``M`` on first access, from ``vp``: a
+    caller reads ``M`` before it refills ``vp``.
     """
 
     def __init__(self, v: np.ndarray, dx: tuple, vp: np.ndarray):
@@ -252,15 +256,25 @@ class _LayerOps:
             for ghost, near, far in ((0, 1, 2), (-1, -2, -3)):
                 vp[lead + (ghost,) + tail] = (2.0 * vp[lead + (near,) + tail]
                                               - vp[lead + (far,) + tail])
-        up = [_shift(vp, i, +1, d) for i in range(d)]
-        dn = [_shift(vp, i, -1, d) for i in range(d)]
-        self.p_cen = np.stack([(up[i] - dn[i]) / (2.0 * dx[i]) for i in range(d)], axis=-1)
-        self.M = np.empty(v.shape + (d, d))
+        self.p_cen = np.empty(v.shape + (d,))
         for i in range(d):
-            np.divide(up[i] - 2.0 * v + dn[i], dx[i] ** 2, out=self.M[..., i, i])
-        if d == 2:
-            cross = vp[..., 2:, 2:] + vp[..., :-2, :-2] - vp[..., 2:, :-2] - vp[..., :-2, 2:]
-            self.M[..., 0, 1] = self.M[..., 1, 0] = cross / (4.0 * dx[0] * dx[1])
+            np.subtract(_shift(vp, i, +1, d), _shift(vp, i, -1, d), out=self.p_cen[..., i])
+            self.p_cen[..., i] /= 2.0 * dx[i]
+        self._v, self._dx, self._vp, self._M = v, dx, vp, None
+
+    @property
+    def M(self) -> np.ndarray:
+        if self._M is None:
+            v, dx, vp, d = self._v, self._dx, self._vp, len(self._dx)
+            self._M = np.empty(v.shape + (d, d))
+            for i in range(d):
+                np.divide(_shift(vp, i, +1, d) - 2.0 * v + _shift(vp, i, -1, d), dx[i] ** 2,
+                          out=self._M[..., i, i])
+            if d == 2:
+                cross = vp[..., 2:, 2:] + vp[..., :-2, :-2] - vp[..., 2:, :-2] - vp[..., :-2, 2:]
+                self._M[..., 0, 1] = self._M[..., 1, 0] = cross / (4.0 * dx[0] * dx[1])
+            self._v = self._vp = None  # the caller may refill vp now
+        return self._M
 
 
 def _check_weights(terms, dt, dx, t, X, pairs):
@@ -393,8 +407,7 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
     no full-surface array. A surface without a finite interior value (one
     time step has no interior layer) raises HedgeGameError.
     """
-    v = surface.values
-    t = surface.t
+    v, t = surface.values, surface.t
     dt = float(t[1] - t[0])
     d = surface.dim
     X = surface.grid.mesh()

@@ -51,11 +51,9 @@ class Box:
     def holds(self, t, xs):
         """Which times ``t`` and which points ``xs`` (coordinates on the last
         axis) lie in the box, each bound widened by 1e-12: two masks."""
-        in_t = (t >= self.t_lo - 1e-12) & (t <= self.t_hi + 1e-12)
-        in_x = np.ones(np.shape(xs)[:-1], dtype=bool)
-        for i, (lo, hi) in enumerate(zip(self.x_lo, self.x_hi)):
-            in_x &= (xs[..., i] >= lo - 1e-12) & (xs[..., i] <= hi + 1e-12)
-        return in_t, in_x
+        lo, hi = np.array(self.x_lo) - 1e-12, np.array(self.x_hi) + 1e-12
+        return ((t >= self.t_lo - 1e-12) & (t <= self.t_hi + 1e-12),
+                np.all((xs >= lo) & (xs <= hi), axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -803,6 +803,13 @@ class TestEval:
         pack = surf.eval(0.5, np.array([0.2]))
         assert pack.M[0, 0] == pytest.approx(2.6, abs=1e-8)
 
+    def test_time_difference_is_second_order_on_the_end_layers(self):
+        surf = tabulated_surface(lambda t, x: 0.7 * t * t + x, nt=7)
+        for tk in (0.0, 1.0):
+            assert surf.eval(tk, np.array([0.3])).q == pytest.approx(1.4 * tk, abs=1e-12)
+        with pytest.raises(HedgeGameError, match="3 time layers"):
+            tabulated_surface(lambda t, x: x, nt=1).eval(0.0, np.array([0.0]))
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("first", ["gradient", "eval"])
     def test_gradient_is_eval_p_and_builds_p_alone(self, dim, first):
@@ -814,7 +821,7 @@ class TestEval:
         xs = np.linspace(-0.9, 0.9, 7 * dim).reshape(7, dim)
         if first == "gradient":
             grad = surf.gradient(ts, xs)
-            assert surf._q is None  # gradient builds the layer ops (p with M) alone, not q
+            assert surf._q is None and surf._ops._M is None  # q and M stay unbuilt
             p = surf.eval(ts, xs).p
         else:
             p = surf.eval(ts, xs).p
@@ -860,15 +867,14 @@ class TestOneOperator:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_eval_at_nodes_reads_the_layer_ops(self, dim):
-        # dyadic steps locate every node exactly (weight 1 on the node
-        # itself), so eval at a node returns the node's fields, boundary
-        # nodes included: there p is the one-sided difference and M_ii
-        # vanishes, both up to roundoff
+        # eval at a node returns the node's fields, boundary nodes included:
+        # there p is the one-sided difference and M_ii vanishes, both up to
+        # roundoff
         model = uncertain_vol_model(dim=dim)
-        grid = GridSpec(t_steps=64, x_min=(-1.0,) * dim, x_max=(1.0,) * dim, x_steps=(16,) * dim)
+        grid = GridSpec(t_steps=60, x_min=(-1.0,) * dim, x_max=(1.0,) * dim, x_steps=(15,) * dim)
         surf = solve(model, grid, validate=False)
         X = grid.mesh().reshape(-1, dim)
-        for k in (0, 1, 31, 63, 64):
+        for k in (0, 1, 31, 59, 60):
             pack = surf.eval(float(surf.t[k]), X)
             ops = self.layer_ops(surf, k)
             assert np.array_equal(pack.p, ops.p_cen.reshape(-1, dim))
@@ -879,6 +885,22 @@ class TestOneOperator:
             edge = (surf.values[:, 1] - surf.values[:, 0]) / grid.dx[0]
             assert np.allclose(ops.p_cen[:, 0, 0], edge, rtol=0.0, atol=1e-12)
             assert np.allclose(ops.M[:, [0, -1]], 0.0, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("half, cells", [(1.2, 200), (1.8, 720)])
+    def test_every_node_is_located_exactly(self, half, cells):
+        # on these non-dyadic axes (q - lo)/h truncates some nodes into the
+        # cell to their left, with weight 1 - ulp on the node
+        surf = tabulated_surface(lambda t, x: np.sin(3.0 * x) * (1.0 + t * t),
+                                 x_lo=-half, x_hi=half, nx=cells, nt=7)
+        X = surf.axes[0][:, None]
+        for k, tk in enumerate(surf.t):
+            pack = surf.eval(float(tk), X)
+            ops = self.layer_ops(surf, k)
+            assert np.array_equal(surf.value(float(tk), X), surf.values[k])
+            assert np.array_equal(pack.value, surf.values[k])
+            assert np.array_equal(pack.p, ops.p_cen)
+            assert np.array_equal(pack.M, ops.M)
+            assert np.array_equal(pack.q, surf._time_difference()[k])
 
 
 class TestSurfaceIO:
