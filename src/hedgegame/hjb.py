@@ -21,8 +21,8 @@ from itertools import product
 
 import numpy as np
 
-from .model import (Generator, HedgeGameError, ModelSpec, adverse_pairs, min_generator_field,
-                    validate_assumptions)
+from .model import Generator, HedgeGameError, ModelSpec, adverse_pairs, validate_assumptions
+from .model import min_generator_field  # noqa: F401  patched here by the tracer; ROADMAP item 1A drops it
 
 # layer-pairs per residual() block: a block holds _RESIDUAL_BLOCK // (adverse
 # points) layers, since the generator stacks the pairs' terms of the whole block
@@ -145,7 +145,7 @@ class ValueSurface:
         waits for the first ``eval``."""
         if self._ops is None:
             vp = np.empty(self.values.shape[:1] + tuple(n + 2 for n in self.values.shape[1:]))
-            self._ops = _LayerOps(self.values, self.grid.dx, vp)
+            self._ops = _LayerOps(vp, self.grid.dx).load(self.values)
         return self._ops
 
     def _time_difference(self):
@@ -237,43 +237,50 @@ class _LayerOps:
     place where node values become p and M: the sweep, the residual and
     the surface's ``gradient`` and ``eval`` read them here.
 
-    ``v`` holds one layer, or a stack of layers along its leading axes, on
-    the ``len(dx)`` spatial axes that end its shape. ``vp`` is the caller's
-    padded buffer: v with one ghost node per side and spatial axis,
-    extrapolated linearly one axis after the other, so a ghost row of axis
-    1 also extrapolates the ghost nodes of axis 0. At a boundary node p is
-    then the one-sided difference and M_ii the vanishing second difference.
-    ``p_cen`` is built at once and ``M`` on first access, from ``vp``: a
-    caller reads ``M`` before it refills ``vp``.
+    It binds once to ``vp``, the caller's padded buffer for one layer, or a
+    stack of layers along its leading axes, on the ``len(dx)`` spatial axes
+    that end its shape. ``load(v)`` writes v inside one ghost node per side
+    and axis, extrapolated linearly one axis after the other (a ghost row
+    of axis 1 also extrapolates the ghost nodes of axis 0), so at a boundary
+    node p is the one-sided difference and M_ii vanishes. It builds
+    ``p_cen`` in place and ``M`` on first access after it, also in place, so
+    a caller reads both before its next ``load``.
     """
 
-    def __init__(self, v: np.ndarray, dx: tuple, vp: np.ndarray):
-        d = len(dx)
-        stack = (slice(None),) * (v.ndim - d)  # not an Ellipsis: one layer's ghosts stay scalars
-        vp[stack + (slice(1, -1),) * d] = v
-        for ax in range(d):
-            lead, tail = stack + (slice(None),) * ax, (slice(1, -1),) * (d - 1 - ax)
-            for ghost, near, far in ((0, 1, 2), (-1, -2, -3)):
-                vp[lead + (ghost,) + tail] = (2.0 * vp[lead + (near,) + tail]
-                                              - vp[lead + (far,) + tail])
-        self.p_cen = np.empty(v.shape + (d,))
-        for i in range(d):
-            np.subtract(_shift(vp, i, +1, d), _shift(vp, i, -1, d), out=self.p_cen[..., i])
-            self.p_cen[..., i] /= 2.0 * dx[i]
-        self._v, self._dx, self._vp, self._M = v, dx, vp, None
+    def __init__(self, vp: np.ndarray, dx: tuple):
+        d, k = len(dx), vp.ndim - len(dx)
+        core = (slice(None),) * k + (slice(1, -1),) * d  # not an Ellipsis: one layer's ghosts stay scalars
+        self.v = vp[core]
+        self._ghosts = [tuple((slice(None),) * (k + ax) + (i,) + core[k + ax + 1:] for i in side)
+                        for ax in range(d) for side in ((0, 1, 2), (-1, -2, -3))]
+        self._shifts = [(_shift(vp, i, +1, d), _shift(vp, i, -1, d)) for i in range(d)]
+        self.p_cen = np.empty(self.v.shape + (d,))
+        self._vp, self._dx, self._M, self._fresh = vp, dx, None, False  # _fresh: M is the loaded layer's
+
+    def load(self, v: np.ndarray) -> "_LayerOps":
+        np.copyto(self.v, v)
+        for ghost, near, far in self._ghosts:
+            self._vp[ghost] = 2.0 * self._vp[near] - self._vp[far]
+        for i, (plus, minus) in enumerate(self._shifts):
+            p = self.p_cen[..., i]
+            np.divide(np.subtract(plus, minus, out=p), 2.0 * self._dx[i], out=p)
+        self._fresh = False
+        return self
 
     @property
     def M(self) -> np.ndarray:
+        dx, d, vp = self._dx, len(self._dx), self._vp
         if self._M is None:
-            v, dx, vp, d = self._v, self._dx, self._vp, len(self._dx)
-            self._M = np.empty(v.shape + (d, d))
-            for i in range(d):
-                np.divide(_shift(vp, i, +1, d) - 2.0 * v + _shift(vp, i, -1, d), dx[i] ** 2,
-                          out=self._M[..., i, i])
+            self._M = np.empty(self.v.shape + (d, d))
+        if not self._fresh:
+            for i, (plus, minus) in enumerate(self._shifts):
+                m = self._M[..., i, i]
+                np.divide(np.add(np.subtract(plus, np.multiply(self.v, 2.0, out=m), out=m), minus, out=m),
+                          dx[i] ** 2, out=m)
             if d == 2:
                 cross = vp[..., 2:, 2:] + vp[..., :-2, :-2] - vp[..., 2:, :-2] - vp[..., :-2, 2:]
                 self._M[..., 0, 1] = self._M[..., 1, 0] = cross / (4.0 * dx[0] * dx[1])
-            self._v = self._vp = None  # the caller may refill vp now
+            self._fresh = True
         return self._M
 
 
@@ -360,20 +367,19 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
     policy = np.zeros((n_layers + 1,) + shape, dtype=_policy_dtype(len(pairs)))
     values[-1] = np.asarray(g_term(X), dtype=float)
 
-    vp = np.empty(tuple(n + 2 for n in shape))
+    ops = _LayerOps(np.empty(tuple(n + 2 for n in shape)), dx)
     generator = Generator(model, pairs)
     for k in range(n_layers - 1, -1, -1):
         t_k = float(t_vals[k])
         v_next = values[k + 1]
-        ops = _LayerOps(v_next, dx, vp)
+        ops.load(v_next)
         terms = generator.terms
         best, policy[k] = generator(t_k, X, v_next, 0.0, ops.p_cen, ops.M)
         if generator.terms is not terms:  # after the hedge map has met every sigma
             _check_weights(generator.terms, dt, dx, t_k, X, pairs)
-        values[k] = v_next - dt * best
-        bad = ~np.isfinite(values[k])
-        if bad.any():
-            at = np.unravel_index(int(np.argmax(bad)), shape)
+        v_k = np.subtract(v_next, np.multiply(best, dt, out=values[k]), out=values[k])
+        if not (math.isfinite(v_k.min()) and math.isfinite(v_k.max())):  # min and max carry a NaN
+            at = np.unravel_index(int(np.argmax(~np.isfinite(v_k))), shape)
             raise NumericsError(f"non-finite value at layer t={t_k:.6g}, node x={X[at]}, "
                                 f"a={pairs[policy[k][at]][0]}: generator row {best[at]}")
 
@@ -401,11 +407,12 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
     A numerical certificate that the discrete solution drives the worst-case
     generator to ~0 away from kinks; boundary and terminal nodes are left
     out. q is the central time difference, p and M those of ``_LayerOps``
-    on each layer. The generator is evaluated once per block of layers
-    (fewer layers the more adverse points it stacks), and max_abs,
-    min_value and argmin are reduced block by block, so the residual makes
-    no full-surface array. A surface without a finite interior value (one
-    time step has no interior layer) raises HedgeGameError.
+    on each layer. One ``model.Generator`` runs once per block of layers
+    (fewer layers the more adverse points it stacks) on buffers that only
+    the last, partial block replaces, and max_abs, min_value and argmin are
+    reduced block by block, so the residual makes no full-surface array. A
+    surface without a finite interior value (one time step has no interior
+    layer) raises HedgeGameError.
     """
     v, t = surface.values, surface.t
     dt = float(t[1] - t[0])
@@ -415,12 +422,14 @@ def residual(surface: ValueSurface, model: ModelSpec) -> ResidualReport:
     max_abs, min_val, loc = 0.0, np.inf, None
     block = max(1, _RESIDUAL_BLOCK // len(model.A_points))
     vp = np.empty((block,) + tuple(n + 2 for n in v.shape[1:]))
+    ops, q, generator = _LayerOps(vp, surface.grid.dx), np.empty((block,) + v.shape[1:]), Generator(model)
     for k0 in range(1, v.shape[0] - 1, block):
         k1 = min(k0 + block, v.shape[0] - 1)
-        blk = v[k0:k1]
-        q = (v[k0 + 1:k1 + 1] - v[k0 - 1:k1 - 1]) / (2.0 * dt)
-        ops = _LayerOps(blk, surface.grid.dx, vp[:k1 - k0])
-        best, _ = min_generator_field(model, t[k0:k1], X, blk, q, ops.p_cen, ops.M)
+        if k1 - k0 < len(q):  # the last, partial block
+            ops, q = _LayerOps(vp[:k1 - k0], surface.grid.dx), q[:k1 - k0]
+        np.divide(np.subtract(v[k0 + 1:k1 + 1], v[k0 - 1:k1 - 1], out=q), 2.0 * dt, out=q)
+        ops.load(v[k0:k1])
+        best, _ = generator(t[k0:k1], X, v[k0:k1], q, ops.p_cen, ops.M)
         res = best[(slice(None),) + interior]
         # the blocks run in C order, so a block's minimum replaces the running
         # one only when strictly smaller: the first occurrence, as nanargmin

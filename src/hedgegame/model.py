@@ -18,9 +18,9 @@ per time, with that time as a python float.
 
 The generators of the game, La, L = min_a La and the shaken H_eps, exist
 once, as ``Generator``: the sweep, the residual, certification and the
-concavity check call it, and ``min_generator_field`` is its one-shot form.
-A ``Generator`` keeps the arrays of its kept reads, so the arrays the
-spec's closures return must not be written to later.
+concavity check call it; the tests call its one-shot form
+``min_generator_field``. A ``Generator`` keeps the arrays of its kept
+reads, so the arrays the spec's closures return must not be written to.
 
 ``make_finance_model`` also builds the closure form of the game,
 
@@ -139,16 +139,18 @@ class ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _financing(cash, rl, rb):
-    return np.maximum(cash, 0.0) * rl - np.maximum(-cash, 0.0) * rb
-
-
 def _per_time(f, t, x, a):
-    """f(t, x, a) as a float array; a 1-d array ``t`` calls f once per time,
-    with a python float, and stacks the results on a leading time axis."""
+    """f(t, x, a) as a float array; a 1-d array ``t`` calls f once per time, with a
+    python float, into one array on a leading time axis that a result must fit exactly."""
     if not isinstance(t, np.ndarray):
         return np.asarray(f(t, x, a), dtype=float)
-    return np.stack([np.asarray(f(float(s), x, a), dtype=float) for s in t])
+    for i, s in enumerate(t.tolist()):
+        r = np.asarray(f(s, x, a), dtype=float)
+        out = np.empty(t.shape + r.shape) if i == 0 else out
+        if r.shape != out.shape[1:]:
+            raise ModelError(f"market read at t={s}, a={a} has shape {r.shape}, not {out[i].shape}")
+        out[i] = r
+    return out
 
 
 def market_read(finance: FinanceSpec, t, x, a):
@@ -160,10 +162,17 @@ def market_read(finance: FinanceSpec, t, x, a):
 
 def _wealth(mu, sig, rl, rb):
     """The wealth drift (y, u) -> u.(mu + gamma/2) + rho(y - u.1) of one
-    market read."""
+    market read; ``out`` = (w, cash, f, uv) takes the steps (uv may be u)."""
     mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
-    return lambda y, u: ((u * mg).sum(axis=-1)
-                         + _financing(np.asarray(y, dtype=float) - u.sum(axis=-1), rl, rb))
+
+    def wealth(y, u, out=(None,) * 4):
+        w, cash, f, uv = out
+        cash = np.subtract(np.asarray(y, dtype=float), u.sum(axis=-1, out=cash), out=cash)
+        w = np.multiply(u, mg, out=uv).sum(axis=-1, out=w)
+        f = np.multiply(np.maximum(cash, 0.0, out=f), rl, out=f)
+        cash = np.multiply(np.maximum(np.negative(cash, out=cash), 0.0, out=cash), rb, out=cash)
+        return np.add(w, np.subtract(f, cash, out=f), out=w)
+    return wealth
 
 
 def read_site(t, x, a):
@@ -182,9 +191,9 @@ def read_site(t, x, a):
 
 def _hedge_map(sig, batch, where):
     """z -> (sigma^-1)^T z on the batch axes ``batch``, for z rows or a
-    stack of them: a division in d = 1, else a LAPACK solve. A singular
-    sigma raises ModelError naming the site ``where(i)`` of its batch index
-    i (``read_site``)."""
+    stack of them: a division in d = 1, into ``out`` when given, else a
+    LAPACK solve into a new array. A singular sigma raises ModelError naming
+    the site ``where(i)`` of its batch index i (``read_site``)."""
     if sig.shape[:-2] != batch:
         sig = np.broadcast_to(sig, batch + sig.shape[-2:])
 
@@ -196,9 +205,9 @@ def _hedge_map(sig, batch, where):
         zero = s[..., 0] == 0.0
         if np.any(zero):
             raise singular(int(np.argmax(zero)))
-        return lambda z: z / s
+        return lambda z, out=None: np.divide(z, s, out=out)
 
-    def solve(z):
+    def solve(z, out=None):
         try:
             return np.linalg.solve(np.swapaxes(sig, -1, -2), z[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -223,9 +232,10 @@ def market_drift(read, site):
     the hedge u = (sigma^-1)^T z of a finance model's ``market_read``, on
     the batch axes of ``site`` = (batch, namer), the ``read_site`` of the
     read's (t, x, a). ``Generator`` passes its kept reads stacked on a
-    leading pair axis, with a namer that names each pair's own site."""
+    leading pair axis, with a namer that names each pair's own site, and
+    ``_wealth``'s ``out``, whose last array takes u."""
     wealth, hedge = _wealth(*read), _hedge_map(read[1], *site)
-    return lambda y, z: wealth(y, hedge(z))
+    return lambda y, z, out=(None,) * 4: wealth(y, hedge(z, out=out[3]), out)
 
 
 def base_point(t, x, b, T):
@@ -272,16 +282,22 @@ def adverse_pairs(model: ModelSpec, shake_points=None) -> list:
     return [(a, b) for a in model.A_points for b in shakes]
 
 
+_BYTES_COMPARED = 8192  # read arrays up to this size compare as copies, larger ones on views
+
+
 def _same_read(read, other) -> bool:
-    """Two market reads with the same shapes and bits (-0.0 and 0.0 stay apart)."""
-    return all(r.shape == o.shape and r.tobytes() == o.tobytes() for r, o in zip(read, other))
+    """Two market reads with the same shapes and bits (-0.0 and 0.0 stay apart, equal NaN bits
+    are equal): one layer's arrays as bytes, a block's on int64 views, the faster at each size."""
+    return all(r.shape == o.shape and (r.tobytes() == o.tobytes() if r.size <= _BYTES_COMPARED else
+                                       not np.count_nonzero(r.view(np.int64) != o.view(np.int64)))
+               for r, o in zip(read, other))
 
 
 class _Terms:
     """The kept reads' terms, stacked on a leading pair axis in kept order:
-    the reads themselves (``read``: mu, sigma, both rates), 0.5 Sig_ii,
-    Sig_01 and the hedged drift ``at``, whose singular-sigma error names the
-    pair's own site in ``sites``."""
+    the reads themselves (``read``: mu, sigma, both rates; a pair's row in
+    ``kept_reads``), 0.5 Sig_ii, Sig_01 and the hedged drift ``at``, whose
+    singular-sigma error names the pair's own site in ``sites``."""
 
     def __init__(self, kept, reads, sites):
         batch, d = read_site(*sites[0])[0], reads[0][0].shape[-1]
@@ -289,6 +305,7 @@ class _Terms:
         self.read = read = tuple(np.stack(rows) if len(rows) > 1 else rows[0][None]  # one: a view
                                  for rows in ([np.broadcast_to(r[c], batch + tail) for r in reads]
                                               for c, tail in enumerate([(d,), (d, d), (), ()])))
+        self.kept_reads = [tuple(c[i] for c in read) for i in range(len(kept))]
         self.mu, self.sig, self.rates = read[0], read[1], read[2:]
         Sig = np.einsum("...ik,...jk->...ij", self.sig, self.sig)
         self.half_var = [0.5 * Sig[..., i, i] for i in range(d)]
@@ -296,19 +313,19 @@ class _Terms:
         named = [read_site(*site)[1] for site in sites]
         self.at = market_drift(read, ((len(reads),) + batch, lambda i: named[i[0]](i[1:])))
 
-    def rows(self, y, q, p, M):
-        """La of each kept pair, shape (kept pairs,) + batch: the hedged
-        drift at z = sigma^T p, less q, mu.p, 1/2 Sig_ii M_ii and the cross
-        term Sig_01 (M_01 + M_10)/2, subtracted in that order."""
-        val = self.mu[..., 0] * p[..., 0]
-        np.subtract(np.subtract(0.0, q), val, out=val)
+    def rows(self, y, q, p, M, out):
+        """La of each kept pair into ``out`` (four arrays of shape (kept pairs,)
+        + batch, then z's): the hedged drift at z = sigma^T p, less q, mu.p,
+        1/2 Sig_ii M_ii and the cross term Sig_01 (M_01 + M_10)/2, in that order."""
+        val, tmp, cash, f, z = out
+        np.subtract(np.subtract(0.0, q), np.multiply(self.mu[..., 0], p[..., 0], out=val), out=val)
         for i, half_var in enumerate(self.half_var):
             if i:
-                val -= self.mu[..., i] * p[..., i]
-            val -= half_var * M[..., i, i]
+                val -= np.multiply(self.mu[..., i], p[..., i], out=tmp)
+            val -= np.multiply(half_var, M[..., i, i], out=tmp)
         if self.cov is not None:
-            val -= self.cov * (0.5 * (M[..., 0, 1] + M[..., 1, 0]))
-        val += self.at(y, np.einsum("...ji,...j->...i", self.sig, p))
+            val -= np.multiply(self.cov, 0.5 * (M[..., 0, 1] + M[..., 1, 0]), out=tmp)
+        val += self.at(y, np.einsum("...ji,...j->...i", self.sig, p, out=z), (tmp, cash, f, z))
         return val
 
 
@@ -329,7 +346,8 @@ class Generator:
     kept read of its adverse point is dropped: its La would be that pair's.
     ``terms`` (``_Terms``) is derived again only when the kept pairs or the
     bits of a kept read change. The minimum propagates NaN; the argmin keeps
-    the lowest pair of a tie, and the first NaN pair at a NaN.
+    the lowest pair of a tie, and the first NaN pair at a NaN. The rows live in
+    scratch kept until the kept pairs or the batch shape change; (min, argmin) are new.
     """
 
     def __init__(self, model: ModelSpec, pairs=None):
@@ -337,6 +355,7 @@ class Generator:
         self.pairs = adverse_pairs(model) if pairs is None else list(pairs)
         self._point = [np.asarray(a, dtype=float).tobytes() for a, _ in self.pairs]
         self.terms = None
+        self._scratch = [np.empty(0)] * 6
 
     def __call__(self, t, X, y, q, p, M):
         kept, reads, sites, by_a = [], [], [], {}  # by_a: adverse point -> its kept reads
@@ -352,15 +371,21 @@ class Generator:
             sites.append((t_b, X_b, a))
         last = self.terms
         if last is None or kept != last.kept or not all(
-                _same_read(r, [c[i] for c in last.read]) for i, r in enumerate(reads)):
+                _same_read(r, row) for r, row in zip(reads, last.kept_reads)):
             self.terms = _Terms(kept, reads, sites)
         del read, reads, by_a, same_a  # the raw reads go: the terms hold their copy
-        rows = self.terms.rows(y, q, p, M)
-        best, idx = rows[0], np.full(rows.shape[1:], kept[-1])
-        for row in rows[1:]:
-            best = np.minimum(best, row)  # carries a NaN
+        shape = self.terms.mu.shape  # (kept pairs,) + batch + (d,): z's, and the rows' but for d
+        if self._scratch[4].shape != shape:
+            self._scratch = [np.empty(shape[:-1]) for _ in range(4)] + [np.empty(shape),
+                                                                        np.empty(shape[1:-1], bool)]
+        *out, eq = self._scratch
+        rows = self.terms.rows(y, q, p, M, out)
+        best = np.minimum(rows[0], rows[1]) if len(rows) > 1 else rows[0].copy()
+        for row in rows[2:]:
+            np.minimum(best, row, out=best)  # carries a NaN
+        idx = np.full(best.shape, kept[-1])
         for row, j in zip(rows[-2::-1], kept[-2::-1]):  # down to the lowest pair of a tie
-            np.copyto(idx, j, where=row == best)
+            np.copyto(idx, j, where=np.equal(row, best, out=eq))
         if len(kept) > 1 and np.isnan(best.min()):  # no row equals a NaN: take the first NaN row
             nan = np.isnan(best)
             idx[nan] = np.asarray(kept)[np.isnan(rows[:, nan]).argmax(axis=0)]

@@ -7,9 +7,10 @@ import pytest
 import hedgegame
 from hedgegame import model as model_module
 from hedgegame.dual import _driver
-from hedgegame.hjb import GridSpec, solve
+from hedgegame.hjb import GridSpec, residual, solve
 from hedgegame.model import (
     FinanceSpec,
+    Generator,
     HedgeGameError,
     ModelError,
     ModelSpec,
@@ -431,6 +432,60 @@ class TestMinGeneratorField:
         bad = X[:, 0] >= 0.0
         assert np.all(np.isnan(best[bad])) and np.all(np.isfinite(best[~bad]))
         assert np.all(idx[bad] == vols.index(0.3))
+
+    @pytest.mark.parametrize("vols", [(0.2,), (0.1, 0.3)], ids=["one-pair", "two-pairs"])
+    def test_a_later_call_leaves_the_last_result_alone(self, vols, rng):
+        # the generator refills its scratch on every call; the (min, argmin)
+        # it returns stay the caller's, unchanged by a call on another pack,
+        # and equal to a fresh generator's
+        model = uncertain_vol_model(vols=vols, r_lend=0.02, r_borrow=0.05)
+        X = np.linspace(-1.0, 1.0, 11)[:, None]
+        packs = [(rng.normal(size=11), rng.normal(size=11), rng.normal(size=(11, 1)),
+                  rng.normal(size=(11, 1, 1)) ** 2) for _ in range(2)]
+        generator = Generator(model)
+        first = generator(0.5, X, *packs[0])
+        before = [a.copy() for a in first]
+        second = generator(0.5, X, *packs[1])
+        assert all(np.array_equal(got, was) for got, was in zip(first, before))
+        for got, pk in zip((first, second), packs):
+            assert all(np.array_equal(g, f) for g, f in zip(got, min_generator_field(model, 0.5, X, *pk)))
+        assert not np.array_equal(first[0], second[0])
+
+    @pytest.mark.parametrize("n", [16, model_module._BYTES_COMPARED + 1], ids=["bytes", "int64-views"])
+    def test_reads_compare_by_shape_and_bits(self, n):
+        # a layer's read compares as bytes, a block's on int64 views: either
+        # way equal NaN bits are equal, and -0.0 and 0.0 or shapes stay apart
+        mu = np.linspace(-1.0, 1.0, n)[:, None]
+        mu[0], mu[1] = 0.0, np.nan
+        read = (mu, np.broadcast_to(0.2 * np.eye(1), (n, 1, 1)), np.full(n, 0.02), np.full(n, 0.05))
+        same = tuple(np.array(r) for r in read)
+        assert model_module._same_read(read, same)
+        signed = (same[0].copy(),) + same[1:]
+        signed[0][0] = -0.0
+        assert not model_module._same_read(read, signed)
+        assert not model_module._same_read(read, (same[0][:-1],) + same[1:])
+
+    def test_a_read_whose_shape_changes_over_time_raises_naming_the_time(self):
+        # a 1-d t writes each time's read into one array: a read that would
+        # broadcast into it (shape (1,) in place of (n,) after t = 0.5) fails
+        # closed, naming its time, in the residual's block of layers
+        def r_lend(t, x, a):
+            n = np.asarray(x).shape[:-1]
+            return np.full(n if t <= 0.5 else (1,), 0.02)
+
+        fin = dataclasses.replace(finance_spec(r_lend=0.02, r_borrow=0.05), r_lend=r_lend)
+        model = make_finance_model(fin, make_payoff("call", strike=1.0), 1,
+                                   [np.array([0.1]), np.array([0.3])], 1.0, 0.3)
+        X = np.linspace(-1.0, 1.0, 9)[:, None]
+        ts = np.array([0.25, 0.5, 0.75])
+        lead = (len(ts),) + X.shape[:-1]
+        with pytest.raises(ModelError, match=r"at t=0\.75, a=\[0\.1\] has shape \(1,\), not \(9,\)"):
+            min_generator_field(model, ts, X, np.zeros(lead), np.zeros(lead),
+                                np.full(lead + (1,), 0.1), np.zeros(lead + (1, 1)))
+        surf = solve(model, GridSpec(t_steps=40, x_min=(-1.0,), x_max=(1.0,), x_steps=(20,)),
+                     validate=False)  # a layer's read of shape (1,) broadcasts over its nodes
+        with pytest.raises(ModelError, match=r"market read at t=0\.5[0-9]*, a=\[0\.1\] has shape \(1,\)"):
+            residual(surf, model)
 
     def test_pairs_are_A_major_like_the_policy(self):
         model = wavy_vol_model()
