@@ -15,7 +15,6 @@ from .model import (
     ValidationReport,
     make_finance_model,
     make_payoff,
-    make_single_rate_model,
     model_from_config,
     shake_lattice,
     validate_assumptions,
@@ -31,7 +30,6 @@ __all__ = [
     "ValidationReport",
     "make_finance_model",
     "make_payoff",
-    "make_single_rate_model",
     "model_from_config",
     "shake_lattice",
     "validate_assumptions",

@@ -151,8 +151,9 @@ def load_config(path, overrides=None) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     cfg = validate_config(raw)
-    cfg = apply_overrides(cfg, overrides)
-    return validate_config(cfg)
+    if raw.get("sim", {}).get("x0") is None:
+        cfg["sim"]["x0"] = None  # derived from model.dim after the overrides
+    return validate_config(apply_overrides(cfg, overrides))
 
 
 def grid_from_config(gcfg: dict) -> hjb.GridSpec:

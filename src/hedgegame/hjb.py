@@ -375,7 +375,7 @@ def solve(model: ModelSpec, grid: GridSpec, *, pad_layers: int = 0,
         ops.load(v_next)
         terms = generator.terms
         best, policy[k] = generator(t_k, X, v_next, 0.0, ops.p_cen, ops.M)
-        if generator.terms is not terms:  # after the hedge map has met every sigma
+        if generator.terms is not terms:  # after the derivation has checked every sigma
             _check_weights(generator.terms, dt, dx, t_k, X, pairs)
         v_k = np.subtract(v_next, np.multiply(best, dt, out=values[k]), out=values[k])
         if not (math.isfinite(v_k.min()) and math.isfinite(v_k.max())):  # min and max carry a NaN

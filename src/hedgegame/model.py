@@ -4,7 +4,10 @@ The controlled state is (X, Y): X in R^d holds the log-prices and reacts
 only to the adverse control a, the scalar wealth Y reacts to both the hedge
 u (in R^d) and a. The adverse control ranges over a finite list
 ``A_points``; the hedge control is never enumerated, because the hedge
-(sigma^-1)^T z is the unique u whose wealth-diffusion row is z.
+(sigma^-1)^T z is the unique u whose wealth-diffusion row is z. At
+z = sigma^T p that is the delta rule u = p, where mu cancels: ``Generator``
+evaluates La as sum_i 1/2 Sig_ii (p_i - M_ii) - Sig_01 (M_01 + M_10)/2
++ r_lend c+ - r_borrow c- - q with c = y - p.1 and Sig = sigma sigma^T.
 
 A model is its ``FinanceSpec``: the drift, volatility and two cash rates of
 a two-rate market, each a function of (t, x, a) vectorised over the leading
@@ -162,16 +165,12 @@ def market_read(finance: FinanceSpec, t, x, a):
 
 def _wealth(mu, sig, rl, rb):
     """The wealth drift (y, u) -> u.(mu + gamma/2) + rho(y - u.1) of one
-    market read; ``out`` = (w, cash, f, uv) takes the steps (uv may be u)."""
+    market read."""
     mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
 
-    def wealth(y, u, out=(None,) * 4):
-        w, cash, f, uv = out
-        cash = np.subtract(np.asarray(y, dtype=float), u.sum(axis=-1, out=cash), out=cash)
-        w = np.multiply(u, mg, out=uv).sum(axis=-1, out=w)
-        f = np.multiply(np.maximum(cash, 0.0, out=f), rl, out=f)
-        cash = np.multiply(np.maximum(np.negative(cash, out=cash), 0.0, out=cash), rb, out=cash)
-        return np.add(w, np.subtract(f, cash, out=f), out=w)
+    def wealth(y, u):
+        cash = np.asarray(y, dtype=float) - u.sum(axis=-1)
+        return (u * mg).sum(axis=-1) + (np.maximum(cash, 0.0) * rl - np.maximum(-cash, 0.0) * rb)
     return wealth
 
 
@@ -189,29 +188,34 @@ def read_site(t, x, a):
     return lead + x2.shape[:-1], where
 
 
-def _hedge_map(sig, batch, where):
-    """z -> (sigma^-1)^T z on the batch axes ``batch``, for z rows or a
-    stack of them: a division in d = 1, into ``out`` when given, else a
-    LAPACK solve into a new array. A singular sigma raises ModelError naming
-    the site ``where(i)`` of its batch index i (``read_site``)."""
+def _regular(sig, batch, where):
+    """sigma broadcast to the batch axes ``batch``; a determinant of 0 (in closed form for
+    d <= 2) raises ModelError naming the site ``where(i)`` of its first batch index i."""
     if sig.shape[:-2] != batch:
         sig = np.broadcast_to(sig, batch + sig.shape[-2:])
+    d = sig.shape[-1]
+    zero = (sig[..., 0, 0] if d == 1 else np.linalg.det(sig) if d > 2 else
+            sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] * sig[..., 1, 0]) == 0.0
+    if np.any(zero):
+        raise ModelError(f"singular volatility at {where(np.unravel_index(int(np.argmax(zero)), batch))}")
+    return sig
 
-    def singular(flat):
-        return ModelError(f"singular volatility at {where(np.unravel_index(flat, batch))}")
 
+def _hedge_map(sig, batch, where):
+    """z -> (sigma^-1)^T z on the batch axes ``batch``, for z rows or a stack of
+    them: a division in d = 1, else a LAPACK solve. A singular sigma raises
+    ModelError (``_regular``), also at a zero pivot the determinant rounds past."""
+    sig = _regular(sig, batch, where)
     if sig.shape[-1] == 1:
         s = sig[..., 0, 0][..., None]
-        zero = s[..., 0] == 0.0
-        if np.any(zero):
-            raise singular(int(np.argmax(zero)))
-        return lambda z, out=None: np.divide(z, s, out=out)
+        return lambda z: z / s
 
-    def solve(z, out=None):
+    def solve(z):
         try:
             return np.linalg.solve(np.swapaxes(sig, -1, -2), z[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            raise singular(int(np.argmin(np.abs(np.linalg.det(sig))))) from None
+            flat = int(np.argmin(np.abs(np.linalg.det(sig))))
+            raise ModelError(f"singular volatility at {where(np.unravel_index(flat, batch))}") from None
 
     return solve
 
@@ -231,11 +235,9 @@ def market_drift(read, site):
     """The hedged wealth drift (y, z) -> u.(mu + gamma/2) + rho(y - u.1) at
     the hedge u = (sigma^-1)^T z of a finance model's ``market_read``, on
     the batch axes of ``site`` = (batch, namer), the ``read_site`` of the
-    read's (t, x, a). ``Generator`` passes its kept reads stacked on a
-    leading pair axis, with a namer that names each pair's own site, and
-    ``_wealth``'s ``out``, whose last array takes u."""
+    read's (t, x, a)."""
     wealth, hedge = _wealth(*read), _hedge_map(read[1], *site)
-    return lambda y, z, out=(None,) * 4: wealth(y, hedge(z, out=out[3]), out)
+    return lambda y, z: wealth(y, hedge(z))
 
 
 def base_point(t, x, b, T):
@@ -294,38 +296,41 @@ def _same_read(read, other) -> bool:
 
 
 class _Terms:
-    """The kept reads' terms, stacked on a leading pair axis in kept order:
-    the reads themselves (``read``: mu, sigma, both rates; a pair's row in
-    ``kept_reads``), 0.5 Sig_ii, Sig_01 and the hedged drift ``at``, whose
-    singular-sigma error names the pair's own site in ``sites``."""
+    """The kept reads (``kept_reads``) and what La takes from them, stacked on a leading
+    pair axis in kept order: 0.5 Sig_ii, Sig_01 in d = 2, both rates and ``nan``, where
+    mu is not finite (None if nowhere). A singular sigma names its pair's site."""
 
     def __init__(self, kept, reads, sites):
         batch, d = read_site(*sites[0])[0], reads[0][0].shape[-1]
-        self.kept = kept
-        self.read = read = tuple(np.stack(rows) if len(rows) > 1 else rows[0][None]  # one: a view
-                                 for rows in ([np.broadcast_to(r[c], batch + tail) for r in reads]
-                                              for c, tail in enumerate([(d,), (d, d), (), ()])))
-        self.kept_reads = [tuple(c[i] for c in read) for i in range(len(kept))]
-        self.mu, self.sig, self.rates = read[0], read[1], read[2:]
-        Sig = np.einsum("...ik,...jk->...ij", self.sig, self.sig)
-        self.half_var = [0.5 * Sig[..., i, i] for i in range(d)]
-        self.cov = Sig[..., 0, 1] if d == 2 else None
-        named = [read_site(*site)[1] for site in sites]
-        self.at = market_drift(read, ((len(reads),) + batch, lambda i: named[i[0]](i[1:])))
+        self.kept, self.kept_reads = kept, [tuple(map(np.ascontiguousarray, r)) for r in reads]
+        Sig = [np.einsum("...ik,...jk->...ij", s, s)
+               for s in (_regular(r[1], *read_site(*site)) for r, site in zip(reads, sites))]
+
+        def stack(rows):
+            return np.stack([np.broadcast_to(r, batch) for r in rows])
+
+        self.half_var = [stack([0.5 * S[..., i, i] for S in Sig]) for i in range(d)]
+        self.cov = stack([S[..., 0, 1] for S in Sig]) if d == 2 else None
+        self.rates = tuple(stack([r[c] for r in reads]) for c in (2, 3))
+        bad = stack([~np.isfinite(r[0]).all(axis=-1) for r in reads])
+        self.nan = bad if bad.any() else None
 
     def rows(self, y, q, p, M, out):
-        """La of each kept pair into ``out`` (four arrays of shape (kept pairs,)
-        + batch, then z's): the hedged drift at z = sigma^T p, less q, mu.p,
-        1/2 Sig_ii M_ii and the cross term Sig_01 (M_01 + M_10)/2, in that order."""
-        val, tmp, cash, f, z = out
-        np.subtract(np.subtract(0.0, q), np.multiply(self.mu[..., 0], p[..., 0], out=val), out=val)
+        """La of each kept pair into ``out`` = (rows, tmp: (kept pairs,) + batch; c, diff:
+        batch): r_lend c+ - r_borrow c- (c = y - p.1 once for all pairs), less q, plus
+        1/2 Sig_ii (p_i - M_ii) axis by axis, less Sig_01 (M_01 + M_10)/2; NaN at ``nan``."""
+        val, tmp, c, diff = out
+        np.subtract(y, p[..., 0] if p.shape[-1] == 1 else p.sum(axis=-1), out=c)
+        np.multiply(self.rates[0], np.maximum(c, 0.0, out=diff), out=val)
+        val -= np.multiply(self.rates[1], np.maximum(np.negative(c, out=c), 0.0, out=c), out=tmp)
+        val -= q
         for i, half_var in enumerate(self.half_var):
-            if i:
-                val -= np.multiply(self.mu[..., i], p[..., i], out=tmp)
-            val -= np.multiply(half_var, M[..., i, i], out=tmp)
+            val += np.multiply(half_var, np.subtract(p[..., i], M[..., i, i], out=diff), out=tmp)
         if self.cov is not None:
-            val -= np.multiply(self.cov, 0.5 * (M[..., 0, 1] + M[..., 1, 0]), out=tmp)
-        val += self.at(y, np.einsum("...ji,...j->...i", self.sig, p, out=z), (tmp, cash, f, z))
+            np.multiply(np.add(M[..., 0, 1], M[..., 1, 0], out=diff), 0.5, out=diff)
+            val -= np.multiply(self.cov, diff, out=tmp)
+        if self.nan is not None:
+            np.copyto(val, np.nan, where=self.nan)
         return val
 
 
@@ -336,8 +341,10 @@ class Generator:
     Pair (a, b) gives La at the shifted base point (t, X) + b:
     mu_Y_hat(., y, sigma_X^T p, a) - q - mu_X.p - 1/2 sigma_X sigma_X^T : M;
     the transposed volatility in the z-slot makes the hedge the delta rule
-    u = p. ``pairs`` defaults to the unshaken adverse set (L = min_a La);
-    ``[(a, None)]`` gives La and a shake lattice's pairs H_eps. y and q take
+    u = p: mu cancels (a non-finite mu makes the row NaN) and La is the closed
+    form of the module docstring (``_Terms.rows``). ``pairs`` defaults to the
+    unshaken adverse set (L = min_a La); ``[(a, None)]`` gives La and a shake
+    lattice's pairs H_eps. y and q take
     X's batch shape X.shape[:-1], p and M add axes of length d (q and M may
     broadcast; M enters through its symmetric part). A 1-d array ``t`` adds
     a leading layer axis to y, q, p and M over the one field X.
@@ -355,7 +362,7 @@ class Generator:
         self.pairs = adverse_pairs(model) if pairs is None else list(pairs)
         self._point = [np.asarray(a, dtype=float).tobytes() for a, _ in self.pairs]
         self.terms = None
-        self._scratch = [np.empty(0)] * 6
+        self._scratch = [np.empty(0)] * 5  # rows, tmp: (kept pairs,) + batch; c, diff, eq: batch
 
     def __call__(self, t, X, y, q, p, M):
         kept, reads, sites, by_a = [], [], [], {}  # by_a: adverse point -> its kept reads
@@ -373,11 +380,10 @@ class Generator:
         if last is None or kept != last.kept or not all(
                 _same_read(r, row) for r, row in zip(reads, last.kept_reads)):
             self.terms = _Terms(kept, reads, sites)
-        del read, reads, by_a, same_a  # the raw reads go: the terms hold their copy
-        shape = self.terms.mu.shape  # (kept pairs,) + batch + (d,): z's, and the rows' but for d
-        if self._scratch[4].shape != shape:
-            self._scratch = [np.empty(shape[:-1]) for _ in range(4)] + [np.empty(shape),
-                                                                        np.empty(shape[1:-1], bool)]
+        del read, reads, by_a, same_a  # reads the terms did not keep go
+        shape = self.terms.half_var[0].shape
+        if self._scratch[0].shape != shape:
+            self._scratch = [np.empty(s) for s in [shape] * 2 + [shape[1:]] * 2] + [np.empty(shape[1:], bool)]
         *out, eq = self._scratch
         rows = self.terms.rows(y, q, p, M, out)
         best = np.minimum(rows[0], rows[1]) if len(rows) > 1 else rows[0].copy()
@@ -448,14 +454,6 @@ def make_finance_model(
         finance=finance,
         config=config,
     )
-
-
-def make_single_rate_model(finance: FinanceSpec, rate, payoff_g, dim, A_points,
-                           horizon_T, lipschitz_K) -> ModelSpec:
-    """Linear-financing oracle model: rho replaced by rate*(y - u.1)."""
-    r = rate if callable(rate) else (lambda t, x, a, _r=rate: np.full(np.asarray(x).shape[:-1], float(_r)))
-    fin = FinanceSpec(mu=finance.mu, sigma=finance.sigma, r_lend=r, r_borrow=r)
-    return make_finance_model(fin, payoff_g, dim, tuple(A_points), horizon_T, lipschitz_K)
 
 
 # ---------------------------------------------------------------------------

@@ -239,15 +239,33 @@ def inf_convolution_oracle(values, k, coords):
 
 
 # ---------------------------------------------------------------------------
-# per-pair sweep oracle: the backward sweep with one hedged-drift read per
-# (adverse point, shake) pair and layer, each read through the mu_Y and
-# u_hat closures (never a frozen coefficient read)
+# per-pair sweep oracle: the backward sweep with one read of mu_X, sigma_X and
+# both rates per (adverse point, shake) pair and layer, each straight from the
+# closures (never a frozen coefficient read), and La in closed form pair by pair
 # ---------------------------------------------------------------------------
 
 
-def _closure_mu_Y_hat(t, x, y, z, a, model):
-    """Hedged wealth drift straight from the closures: mu_Y(., u_hat(., z, .), .)."""
-    return model.mu_Y(t, x, y, model.u_hat(t, x, y, z, a), a)
+def make_single_rate_model(finance, rate, payoff_g, dim, A_points, horizon_T, lipschitz_K):
+    """Linear-financing oracle model: rho replaced by rate*(y - u.1)."""
+    r = rate if callable(rate) else constant_rate(rate)
+    fin = FinanceSpec(mu=finance.mu, sigma=finance.sigma, r_lend=r, r_borrow=r)
+    return make_finance_model(fin, payoff_g, dim, tuple(A_points), horizon_T, lipschitz_K)
+
+
+def closure_form_la(model, t, X, y, q, p, M, a):
+    """La at (t, X) from the closures: mu_Y(., u_hat(., sigma^T p, .), .) - q
+    - mu.p - 1/2 Sig_ii M_ii - Sig_01 (M_01 + M_10)/2, the hedge map and mu
+    included, against which the closed form is checked."""
+    mu = np.asarray(model.mu_X(t, X, a), dtype=float)
+    sig = np.asarray(model.sigma_X(t, X, a), dtype=float)
+    Sig = np.einsum("...ik,...jk->...ij", sig, sig)
+    z = np.einsum("...ji,...j->...i", sig, p)
+    la = np.asarray(model.mu_Y(t, X, y, model.u_hat(t, X, y, z, a), a), dtype=float) - q
+    for i in range(X.shape[-1]):
+        la = la - mu[..., i] * p[..., i] - 0.5 * Sig[..., i, i] * M[..., i, i]
+    if X.shape[-1] == 2:
+        la = la - Sig[..., 0, 1] * (0.5 * (M[..., 0, 1] + M[..., 1, 0]))
+    return la
 
 
 def _pad_linear(v):
@@ -262,55 +280,57 @@ def _pad_linear(v):
 
 
 class _OracleLayerOps:
-    """Central differences of one known layer, shared across adverse points,
-    on a freshly concatenated padding."""
+    """Central differences p and M of one known layer, shared across
+    adverse points, on a freshly concatenated padding."""
 
     def __init__(self, v, dx):
         from hedgegame.hjb import _shift
 
         d = v.ndim
         vp = _pad_linear(v)
-        self.center = v
-        cen = [(_shift(vp, i, +1, d) - _shift(vp, i, -1, d)) / (2.0 * dx[i]) for i in range(d)]
-        self.sec = [(_shift(vp, i, +1, d) - 2.0 * v + _shift(vp, i, -1, d)) / (dx[i] ** 2) for i in range(d)]
-        self.cross = None
+        self.p_cen = np.stack([(_shift(vp, i, +1, d) - _shift(vp, i, -1, d)) / (2.0 * dx[i])
+                               for i in range(d)], axis=-1)
+        self.M = np.zeros(v.shape + (d, d))
+        for i in range(d):
+            self.M[..., i, i] = (_shift(vp, i, +1, d) - 2.0 * v + _shift(vp, i, -1, d)) / (dx[i] ** 2)
         if d == 2:
-            pp = vp[2:, 2:]
-            mm = vp[:-2, :-2]
-            pm = vp[2:, :-2]
-            mp = vp[:-2, 2:]
-            self.cross = (pp + mm - pm - mp) / (4.0 * dx[0] * dx[1])
-        self.p_cen = np.stack(cen, axis=-1)
+            cross = (vp[2:, 2:] + vp[:-2, :-2] - vp[2:, :-2] - vp[:-2, 2:]) / (4.0 * dx[0] * dx[1])
+            self.M[..., 0, 1] = self.M[..., 1, 0] = cross
 
 
-def _oracle_adverse_terms(model, t_eff, x_eff, ops, a):
-    """Per-adverse-point pieces of the discrete generator.
+def _oracle_rows(model, pairs, t, X, y, q, p, M):
+    """La of every (a, b) pair at its shifted base point, one row per pair,
+    each from its own mu_X, sigma_X and rate reads, in closed form at the
+    delta hedge u = p in the generator's order: c = y - p.1, then
+    r_lend c+ - r_borrow c- - q, plus 1/2 Sig_ii (p_i - M_ii) axis by axis,
+    less Sig_01 (M_01 + M_10)/2; NaN where mu is not finite."""
+    from hedgegame.model import base_point
 
-    Returns (z_c, const): the central z = sigma^T p and const = everything
-    except the hedged drift, -mu.p - 1/2 Sig_ii D2_i v - Sig_01 D01 v, all
-    differences central.
-    """
-    d = x_eff.shape[-1]
-    mu = np.asarray(model.mu_X(t_eff, x_eff, a), dtype=float)
-    sig = np.asarray(model.sigma_X(t_eff, x_eff, a), dtype=float)
-    Sig = np.einsum("...ik,...jk->...ij", sig, sig)
-    z_c = np.einsum("...ji,...j->...i", sig, ops.p_cen)
-    const = np.zeros(ops.center.shape)
-    for i in range(d):
-        const -= mu[..., i] * ops.p_cen[..., i]
-        const -= 0.5 * Sig[..., i, i] * ops.sec[i]
-    if d == 2:
-        const -= Sig[..., 0, 1] * ops.cross
-    return z_c, const
+    rows = []
+    for a, b in pairs:
+        t_b, X_b = base_point(t, X, b, model.horizon_T)
+        mu = np.asarray(model.mu_X(t_b, X_b, a), dtype=float)
+        sig = np.asarray(model.sigma_X(t_b, X_b, a), dtype=float)
+        rl = np.asarray(model.finance.r_lend(t_b, X_b, a), dtype=float)
+        rb = np.asarray(model.finance.r_borrow(t_b, X_b, a), dtype=float)
+        Sig = np.einsum("...ik,...jk->...ij", sig, sig)
+        c = y - p.sum(axis=-1)
+        la = rl * np.maximum(c, 0.0) - rb * np.maximum(-c, 0.0) - q
+        for i in range(X.shape[-1]):
+            la = la + 0.5 * Sig[..., i, i] * (p[..., i] - M[..., i, i])
+        if X.shape[-1] == 2:
+            la = la - Sig[..., 0, 1] * (0.5 * (M[..., 0, 1] + M[..., 1, 0]))
+        rows.append(np.where(np.isfinite(mu).all(axis=-1), la, np.nan))
+    return np.stack(rows)
 
 
 def sweep_oracle(model, grid, *, pad_layers=0, shake_points=None):
     """(values, policy) of ``hjb.solve`` evaluated pair by pair: every
-    (adverse point, shake) pair reads its coefficients and hedged drift on
-    its own, on mesh-shaped batches, with the wealth term explicit: layer k
-    is v_{k+1} - dt min_j (mu_Y_hat(v_{k+1}, z_j) + const_j). No validation
-    or CFL check."""
-    from hedgegame.model import adverse_pairs, base_point
+    (adverse point, shake) pair reads its coefficients on its own, on
+    mesh-shaped batches, with the wealth term explicit: layer k is
+    v_{k+1} - dt min_j La_j(v_{k+1}) (``_oracle_rows``). No validation or
+    CFL check."""
+    from hedgegame.model import adverse_pairs
 
     T = model.horizon_T
     dt = T / grid.t_steps
@@ -322,42 +342,20 @@ def sweep_oracle(model, grid, *, pad_layers=0, shake_points=None):
     policy = np.zeros((n_layers + 1,) + X.shape[:-1], dtype=np.int32)
     values[-1] = np.asarray(model.payoff_g(X), dtype=float)
     for k in range(n_layers - 1, -1, -1):
-        t_k = float(t_vals[k])
         v_next = values[k + 1]
         ops = _OracleLayerOps(v_next, grid.dx)
-        stack = np.empty((len(pairs),) + v_next.shape)
-        for j, (a, b) in enumerate(pairs):
-            t_eff, x_eff = base_point(t_k, X, b, T)
-            z_c, const = _oracle_adverse_terms(model, t_eff, x_eff, ops, a)
-            stack[j] = np.asarray(_closure_mu_Y_hat(t_eff, x_eff, v_next, z_c, a, model)) + const
+        stack = _oracle_rows(model, pairs, float(t_vals[k]), X, v_next, 0.0, ops.p_cen, ops.M)
         values[k] = v_next - dt * stack.min(axis=0)
         policy[k] = np.argmin(stack, axis=0).astype(np.int32)
     return values, policy
 
 
 def _oracle_min_generator(model, t, X, y, q, p, M):
-    """Worst-case generator over the unshaken adverse set, pair by pair, with
-    separate mu_X, sigma_X and hedged-drift closure reads, subtracted in the
-    sweep's order (q, then mu_i p_i and 1/2 Sig_ii M_ii axis by axis, then
-    the cross term) before the drift is added: (min, argmin)."""
-    from hedgegame.model import adverse_pairs, base_point
+    """Worst-case generator over the unshaken adverse set, pair by pair
+    (``_oracle_rows``): (min, argmin)."""
+    from hedgegame.model import adverse_pairs
 
-    d = X.shape[-1]
-    rows = []
-    for a, b in adverse_pairs(model):
-        t_b, X_b = base_point(t, X, b, model.horizon_T)
-        mu = np.asarray(model.mu_X(t_b, X_b, a), dtype=float)
-        sig = np.asarray(model.sigma_X(t_b, X_b, a), dtype=float)
-        Sig = np.einsum("...ik,...jk->...ij", sig, sig)
-        z = np.einsum("...ji,...j->...i", sig, p)
-        f = np.asarray(_closure_mu_Y_hat(t_b, X_b, y, z, a, model), dtype=float)
-        const = np.zeros(np.shape(q)) - q
-        for i in range(d):
-            const -= mu[..., i] * p[..., i]
-            const -= 0.5 * Sig[..., i, i] * M[..., i, i]
-        if d == 2:
-            const -= Sig[..., 0, 1] * (0.5 * (M[..., 0, 1] + M[..., 1, 0]))
-        rows.append(const + f)
+    rows = _oracle_rows(model, adverse_pairs(model), t, X, y, q, p, M)
     return np.min(rows, axis=0), np.argmin(rows, axis=0)
 
 
@@ -367,7 +365,7 @@ def residual_oracle(surface, model):
     interior nodes, each from explicit slices: the central first
     difference, the compact second difference (v[i+1] - 2 v[i] + v[i-1]) / h^2
     and in d = 2 the 4-point cross difference, all on the grid's h. The
-    generator is read pair by pair from the closures."""
+    generator is read pair by pair from the closures, in closed form."""
     v = surface.values
     t = surface.t
     dt = float(t[1] - t[0])

@@ -23,7 +23,7 @@ from hedgegame.game import (
     superhedge_check,
 )
 from hedgegame.hjb import GridSpec, solve
-from hedgegame.model import make_finance_model, make_payoff, make_single_rate_model
+from hedgegame.model import make_finance_model, make_payoff
 from hedgegame.regularize import (
     Box,
     SmoothSurface,
@@ -39,6 +39,7 @@ from conftest import (
     bs_call_spread,
     bs_singleton_model,
     finance_spec,
+    make_single_rate_model,
     uncertain_vol_model,
 )
 from test_hjb import policy_agreement

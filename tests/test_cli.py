@@ -83,6 +83,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="override"):
             apply_overrides(cfg, ["sim.nope=1"])
 
+    def test_x0_default_follows_a_dim_set_by_an_override(self, tmp_path):
+        # the default sim.x0 = [0] * dim is derived after --set; a set x0 stays
+        path = write_config(tmp_path, base_config())
+        assert cli.load_config(path, ["model.dim=2"])["sim"]["x0"] == [0.0, 0.0]
+        assert cli.load_config(path)["sim"]["x0"] == [0.0]
+        assert cli.load_config(path, ["model.dim=2", "sim.x0=[0.5,0.5]"])["sim"]["x0"] == [0.5, 0.5]
+        cfg = base_config()
+        cfg["sim"]["x0"] = [0.25]
+        assert cli.load_config(write_config(tmp_path, cfg, "x0.json"), ["model.dim=2"])["sim"]["x0"] == [0.25]
+
     def test_hash_stable_under_key_order(self):
         a = validate_config(base_config())
         b = json.loads(json.dumps(a))
@@ -137,6 +147,26 @@ class TestPriceCommand:
     def test_missing_config_exit_2(self, tmp_path, capsys):
         rc = main(["price", "-c", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    def test_a_passive_second_axis_prices_the_1d_claim_bit_for_bit(self, tmp_path):
+        # the tiny two-rate call spread (100 x 40) and the same config set to
+        # d = 2 with a second axis the claim and the dynamics ignore, no
+        # sim.x0 in either: the d = 2 sweep puts exact zeros on the passive axis
+        cfg = base_config(A_points=[[0.1], [0.3]], lipschitz_K=0.3,
+                          payoff={"type": "call_spread", "strike": 1.0, "cap": 1.4})
+        cfg["model"]["finance"]["r_lend"]["value"] = 0.02
+        cfg["model"]["finance"]["r_borrow"]["value"] = 0.05
+        cfg["grid"] = {"t_steps": 100, "x_min": [-1.8], "x_max": [1.8], "x_steps": [40]}
+        del cfg["sim"]
+        path = write_config(tmp_path, cfg)
+        prices = []
+        for extra in ([], ["model.dim=2", "grid.x_min=[-1.8,-0.5]", "grid.x_max=[1.8,0.5]",
+                           "grid.x_steps=[40,10]"]):
+            out = tmp_path / f"out{len(extra)}"
+            assert main(["price", "-c", path, "--out", str(out)] + [f"--set={s}" for s in extra]) == 0
+            prices.append(json.loads((out / "price.json").read_text())["price"])
+        assert prices[1] == prices[0]
+        assert prices[0] == pytest.approx(0.13054676803271406, rel=1e-12)
 
 
 class TestSolveSimulatePipeline:

@@ -17,7 +17,7 @@ from hedgegame.hjb import (
 from hedgegame import hjb
 from hedgegame import model as model_module
 from hedgegame.model import (FinanceSpec, HedgeGameError, ModelError,
-                             make_finance_model, make_payoff, make_single_rate_model, market_read,
+                             make_finance_model, make_payoff, market_read,
                              shake_lattice)
 
 from conftest import (
@@ -27,6 +27,7 @@ from conftest import (
     constant_mu,
     constant_rate,
     finance_spec,
+    make_single_rate_model,
     residual_oracle,
     sweep_oracle,
     uncertain_vol_model,
@@ -731,6 +732,23 @@ class TestStackedSweep:
                 GridSpec(t_steps=64, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10)))
         with pytest.raises(ModelError, match=r"singular volatility at t=0\.5, x=.*, a=\[0\.3\]$"):
             solve(model, grid, validate=False)
+
+    def test_dim2_solve_and_residual_call_no_lapack_solve(self, monkeypatch):
+        # La is in closed form at the delta hedge and the singular-sigma check
+        # a closed-form determinant, so a d = 2 sweep and residual solve no
+        # linear system; the model is hashed before np.linalg.solve refuses
+        model = uncertain_vol_model(dim=2, r_lend=0.02, r_borrow=0.05)
+        grid = GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10))
+        want = solve(model, grid, validate=False)
+        want_rep = residual(want, model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        got = solve(model, grid, validate=False)
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.policy, want.policy)
+        assert residual(got, model) == want_rep
 
     def test_model_hashed_before_the_first_layer(self, monkeypatch):
         # without a config the hash samples the closures at t = 0 and T/2;

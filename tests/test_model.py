@@ -26,6 +26,7 @@ from hedgegame.model import (
 
 from conftest import (
     bs_singleton_model,
+    closure_form_la,
     constant_mu,
     constant_rate,
     finance_spec,
@@ -414,6 +415,30 @@ class TestMinGeneratorField:
             assert np.array_equal(best[i], b_i)
             assert np.array_equal(idx[i], j_i)
         assert set(np.unique(idx)) == {0, 1}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_closed_form_equals_the_closure_form(self, dim):
+        # La at the delta hedge, where mu cancels, against the closures'
+        # mu_Y(u_hat(sigma^T p)) - q - mu.p - 1/2 Sig : M, hedge map and mu
+        # included: sigma moves in t and x (lower triangular in d = 2, so the
+        # cross term is on), mu is nonzero and moves in x, and c = y - p.1
+        # takes both signs, so both rates enter
+        base = drifting_vol_model(dim)
+        fin = dataclasses.replace(base.finance, mu=lambda t, x, a: np.broadcast_to(
+            (0.3 + 0.2 * np.cos(np.asarray(x)[..., :1])) * np.arange(1.0, dim + 1.0), np.shape(x)))
+        model = make_finance_model(fin, base.payoff_g, dim, base.A_points, 1.0, 0.5)
+        rng = np.random.default_rng(11)
+        n = 400
+        X = rng.uniform(-1.5, 1.5, (n, dim))
+        y, q = rng.uniform(-2.0, 2.0, n), rng.normal(size=n)
+        p, M = rng.normal(size=(n, dim)), rng.normal(size=(n, dim, dim))
+        c = y - p.sum(axis=-1)
+        assert np.any(c > 0.0) and np.any(c < 0.0)
+        for t in (0.1, 0.7):
+            for a in model.A_points:
+                got = min_generator_field(model, t, X, y, q, p, M, pairs=[(a, None)])[0]
+                want = closure_form_la(model, t, X, y, q, p, M, a)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     @pytest.mark.parametrize("vols", [(0.1, 0.3), (0.3, 0.1)], ids=["nan-second", "nan-first"])
     def test_a_nan_row_makes_the_minimum_nan_in_any_order(self, vols):
