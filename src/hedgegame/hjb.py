@@ -95,6 +95,14 @@ class GridSpec:
 EvalPack = namedtuple("EvalPack", ["value", "p", "M", "q"])
 
 
+def _points(x, dim: int) -> np.ndarray:
+    """x as an (n, dim) array of query points; one point may come as (dim,)."""
+    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    if xs.ndim != 2 or xs.shape[1] != dim:
+        raise HedgeGameError(f"query points need shape ({dim},) or (n, {dim}), got {np.shape(x)}")
+    return xs
+
+
 def _policy_dtype(a_count: int) -> np.dtype:
     """The narrowest unsigned type that holds the pair indices 0..a_count-1."""
     return np.min_scalar_type(max(int(a_count) - 1, 0))
@@ -122,8 +130,6 @@ class ValueSurface:
         self.meta = dict(meta)
         for arr in (self.t, self.values, self.policy, *self.axes):
             arr.flags.writeable = False
-        self._ops = None
-        self._q = None
 
     @property
     def dim(self) -> int:
@@ -139,37 +145,34 @@ class ValueSurface:
 
     # -- derivative fields -------------------------------------------------
 
-    def _layer_ops(self):
-        """p and M of every layer from ``_LayerOps`` on the stored values,
-        built on first use; ``gradient`` reads its ``p_cen`` alone, so M
-        waits for the first ``eval``."""
-        if self._ops is None:
-            vp = np.empty(self.values.shape[:1] + tuple(n + 2 for n in self.values.shape[1:]))
-            self._ops = _LayerOps(vp, self.grid.dx).load(self.values)
-        return self._ops
+    def _span(self, corners):
+        """``_LayerOps`` on the layers lo..hi-1 that the corners touch (two for
+        one t, one at T), the corners with time index shifted by lo, lo, hi."""
+        lo, hi = int(np.min(corners[0][0][0])), int(np.max(corners[-1][0][0])) + 1
+        vp = np.empty((hi - lo,) + tuple(n + 2 for n in self.values.shape[1:]))
+        ops = _LayerOps(vp, self.grid.dx).load(self.values[lo:hi])
+        return ops, [((idx[0] - lo,) + idx[1:], w) for idx, w in corners], lo, hi
 
-    def _time_difference(self):
-        """Per-node q: the central time difference, second-order one-sided
-        on the first and last layer, built on the first ``eval``."""
-        if self._q is None:
-            v, dt = self.values, float(self.t[1] - self.t[0])
-            if len(v) < 3:
-                raise HedgeGameError("eval needs at least 3 time layers for q")
-            self._q = np.empty_like(v)
-            self._q[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-            self._q[0] = -1.5 / dt * v[0] + 2.0 / dt * v[1] - 0.5 / dt * v[2]
-            self._q[-1] = 0.5 / dt * v[-3] - 2.0 / dt * v[-2] + 1.5 / dt * v[-1]
-        return self._q
+    def _time_difference(self, lo, hi):
+        """q on layers lo..hi-1: the central time difference, second-order
+        one-sided on the surface's first and last layer."""
+        v, dt = self.values, float(self.t[1] - self.t[0])
+        if len(v) < 3:
+            raise HedgeGameError("eval needs at least 3 time layers for q")
+        ext = v[max(lo - 1, 0):hi + 1]
+        first = -1.5 / dt * v[:1] + 2.0 / dt * v[1:2] - 0.5 / dt * v[2:3]
+        last = 0.5 / dt * v[-3:-2] - 2.0 / dt * v[-2:-1] + 1.5 / dt * v[-1:]
+        return np.concatenate([first] * (lo == 0) + [(ext[2:] - ext[:-2]) / (2.0 * dt)]
+                              + [last] * (hi == len(v)))
 
     def _corners(self, tq, xq):
         """Node indices and multilinear weights of the 2^(1+d) cell corners
         around each query (t, x). A query on a node weighs that node 1 and
         the next 0 on every axis; the weights use the axis step."""
-        xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        tq = np.broadcast_to(np.asarray(tq, dtype=float), (xq.shape[0],))
+        xq = _points(xq, self.dim)
         sides = []
         for axis, h, q in zip([self.t] + self.axes, [self.t[1] - self.t[0], *self.grid.dx],
-                              [tq] + list(xq.T)):
+                              [np.asarray(tq, dtype=float)] + list(xq.T)):
             lo, hi = axis[0], axis[-1]
             if not np.all((q >= lo - 1e-12) & (q <= hi + 1e-12)):
                 raise HedgeGameError(f"query outside grid range [{lo}, {hi}]")
@@ -198,20 +201,21 @@ class ValueSurface:
 
     def gradient(self, t, x) -> np.ndarray:
         """Interpolated gradient alone: the ``p`` of ``eval`` bit for bit."""
-        return self._interp(self._layer_ops().p_cen, self._corners(t, x))
+        ops, corners, _, _ = self._span(self._corners(t, x))
+        return self._interp(ops.p_cen, corners)
 
     def eval(self, t, x) -> EvalPack:
         """Interpolated (value, gradient, hessian, time derivative) at (t, x).
 
-        Exact at grid nodes; p and M are those of ``_LayerOps`` on each stored
-        layer (at a boundary node, the linear-extrapolation closure), q the
-        time difference of ``_time_difference``, each multilinearly
-        interpolated between nodes.
+        Exact at grid nodes; p and M are those of ``_LayerOps`` (at a boundary
+        node, the linear-extrapolation closure), q the time difference of
+        ``_time_difference``, each built per call on the layers the query
+        touches and multilinearly interpolated between nodes.
         """
         scalar = np.asarray(x).ndim == 1 and np.isscalar(t)
-        ops, corners = self._layer_ops(), self._corners(t, x)
+        ops, corners, lo, hi = self._span(self._corners(t, x))
         pack = EvalPack(*(self._interp(f, corners) for f in
-                          (self.values, ops.p_cen, ops.M, self._time_difference())))
+                          (self.values[lo:hi], ops.p_cen, ops.M, self._time_difference(lo, hi))))
         if scalar:
             return EvalPack(float(pack.value[0]), pack.p[0], pack.M[0], float(pack.q[0]))
         return pack

@@ -297,14 +297,13 @@ class SmoothSurface:
     the node interpolant is multilinear, so the mollified surface is the
     separable sum of W[k, i] alpha_k(t) beta_i(x); a derivative swaps one
     factor for its differentiated version. Time is contracted once per
-    distinct t (``gradient_lattice``). Space axis 0 is contracted once per
-    grid cell the points touch, into polynomial coefficients in the
-    offset inside the cell (``_Axis``); each point takes its cell's
-    coefficients, contracts axis 1 (d = 2) with its own column weights and
-    ends with one Horner pass.
+    distinct t (``gradient_lattice``), and only the last such row is kept.
+    Space axis 0 is contracted once per grid cell the points touch, into
+    polynomial coefficients in the offset inside the cell (``_Axis``); each
+    point takes its cell's coefficients, contracts axis 1 (d = 2) with its
+    own column weights and ends with one Horner pass.
     """
 
-    _ROW_CACHE_FLOATS = 1 << 20
     _BLOCK = 1 << 17  # coefficients per block of points
 
     def __init__(self, t_nodes, axes, node_values, delta, *, eps=0.0, k=0.0,
@@ -318,7 +317,7 @@ class SmoothSurface:
         self.model_hash = model_hash
         self.meta = dict(meta or {})
         self.certificate = None
-        self._rows = {}
+        self._row = (None, None)  # the last (t, gradient_lattice(t))
         if self.delta <= 0.0:
             raise HedgeGameError("delta must be positive")
         self._time = _Axis(self.t_nodes, 0.5 * self.delta)
@@ -348,15 +347,12 @@ class SmoothSurface:
         return np.pad(row, [(ax.m, ax.m) for ax in self._space], mode="edge")
 
     def gradient_lattice(self, t):
-        """Time-contracted (padded) value row at t, cached per t so that the
-        game's step times share it across adversaries; oldest rows go first."""
-        row = self._rows.get(float(t))
-        if row is None:
-            row = self._time_row(float(t), "value")
-            if len(self._rows) * row.size >= self._ROW_CACHE_FLOATS:
-                self._rows.pop(next(iter(self._rows)))
-            self._rows[float(t)] = row
-        return row
+        """Time-contracted (padded) value row at t. The last row is kept:
+        every caller asks again only for the time it asked for last, as the
+        adversaries of a game step do."""
+        if self._row[0] != float(t):
+            self._row = (float(t), self._time_row(float(t), "value"))
+        return self._row[1]
 
     def _cell_blocks(self, row, kind, starts, pieces):
         """Coefficients in v of axis 0's functional of the padded row, one
@@ -371,7 +367,7 @@ class SmoothSurface:
         """Space functionals at the points xs, one array per (padded row,
         per-axis kinds) in reads. Points go in blocks so that the per-point
         coefficients stay small."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        xs = hjb._points(xs, self.dim)
         out = [np.empty(len(xs)) for _ in reads]
         if not len(xs):
             return out
@@ -409,7 +405,7 @@ class SmoothSurface:
 
     def eval_batch(self, ts, xs, need_second: bool = True) -> hjb.EvalPack:
         """(value, gradient, hessian, time derivative) at a batch of points."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        xs = hjb._points(xs, self.dim)
         n, d = xs.shape[0], self.dim
         ts = np.broadcast_to(np.asarray(ts, dtype=float), (n,))
         vals, qs, ps = np.full(n, np.nan), np.full(n, np.nan), np.full((n, d), np.nan)
@@ -429,8 +425,7 @@ class SmoothSurface:
 
     def eval(self, t: float, x, need_second: bool = True) -> hjb.EvalPack:
         """(value, gradient, hessian, time derivative) at one point."""
-        pk = self.eval_batch(float(t), np.asarray(x, dtype=float).reshape(1, self.dim),
-                             need_second=need_second)
+        pk = self.eval_batch(float(t), np.reshape(x, (1, -1)), need_second=need_second)
         return hjb.EvalPack(float(pk.value[0]), pk.p[0], pk.M[0], float(pk.q[0]))
 
     def value(self, t, x):

@@ -400,6 +400,21 @@ def residual_oracle(surface, model):
     return out
 
 
+def surface_fields_oracle(surf):
+    """(p, M, q) of every layer of a grid surface at once: one
+    ``hjb._LayerOps`` bound to all its layers, and q the central time
+    difference, second-order one-sided on the first and last layer."""
+    from hedgegame.hjb import _LayerOps
+
+    v, dt = surf.values, float(surf.t[1] - surf.t[0])
+    ops = _LayerOps(np.empty(v.shape[:1] + tuple(n + 2 for n in v.shape[1:])), surf.grid.dx).load(v)
+    q = np.empty_like(v)
+    q[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+    q[0] = -1.5 / dt * v[0] + 2.0 / dt * v[1] - 0.5 / dt * v[2]
+    q[-1] = 0.5 / dt * v[-3] - 2.0 / dt * v[-2] + 1.5 / dt * v[-1]
+    return ops.p_cen, ops.M, q
+
+
 # ---------------------------------------------------------------------------
 # per-group game oracle: each adverse point's paths read the hedge rule and
 # then mu_X, sigma_X, mu_Y and sigma_Y, each straight from the closures

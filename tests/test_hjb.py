@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
     finance_spec,
     make_single_rate_model,
     residual_oracle,
+    surface_fields_oracle,
     sweep_oracle,
     uncertain_vol_model,
     x_varying_vol_model,
@@ -834,26 +836,93 @@ class TestEval:
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("first", ["gradient", "eval"])
-    def test_gradient_is_eval_p_and_builds_p_alone(self, dim, first):
+    def test_gradient_is_eval_p_and_builds_p_alone(self, monkeypatch, dim, first):
         model = uncertain_vol_model(dim=dim)
         grid = (small_grid(nx=40, nt=80) if dim == 1 else
                 GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10)))
         surf = solve(model, grid, validate=False)
+        built = []
+        M, q = hjb._LayerOps.M, ValueSurface._time_difference
+        monkeypatch.setattr(hjb._LayerOps, "M", property(lambda ops: built.append("M") or M.fget(ops)))
+        monkeypatch.setattr(ValueSurface, "_time_difference",
+                            lambda self, lo, hi: built.append("q") or q(self, lo, hi))
         ts = np.linspace(0.0, 1.0, 7)
         xs = np.linspace(-0.9, 0.9, 7 * dim).reshape(7, dim)
         if first == "gradient":
             grad = surf.gradient(ts, xs)
-            assert surf._q is None and surf._ops._M is None  # q and M stay unbuilt
+            assert built == []  # q and M stay unbuilt
             p = surf.eval(ts, xs).p
         else:
             p = surf.eval(ts, xs).p
             grad = surf.gradient(ts, xs)
+        assert sorted(built) == ["M", "q"]
         assert np.array_equal(grad, p)
 
     def test_out_of_bounds_raises(self):
         surf = tabulated_surface(lambda t, x: x)
         with pytest.raises(HedgeGameError, match="outside"):
             surf.eval(0.5, np.array([3.0]))
+
+    @pytest.mark.parametrize("dim, x", [
+        (1, [0.1, 0.5, -0.3]), (1, [[0.1, 0.5]]), (1, [[[0.1]]]),
+        (2, [[0.1]]), (2, [0.1, 0.2, 0.3]), (2, [[0.1, 0.2, 0.3]]),
+    ], ids=["d1-three-coords", "d1-one-row-of-two", "d1-3d", "d2-one-coord", "d2-three-coords",
+            "d2-one-row-of-three"])
+    def test_points_of_the_wrong_shape_raise(self, dim, x):
+        # x must be one point (dim,) or points (n, dim); any other shape
+        # raises, where reading its first coordinates would pass silently
+        surf = (tabulated_surface(lambda t, x: x) if dim == 1 else
+                solve(uncertain_vol_model(dim=2), GridSpec(t_steps=60, x_min=(-1.0, -1.0),
+                                                           x_max=(1.0, 1.0), x_steps=(12, 10)),
+                      validate=False))
+        for read in (surf.value, surf.gradient, surf.eval):
+            with pytest.raises(HedgeGameError, match="shape"):
+                read(0.5, np.array(x))
+
+
+class TestHeldMemory:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reads_leave_the_surface_its_values_alone(self, monkeypatch, dim):
+        # 400 x 200 in d = 1 (values 0.64 MB), 100 x 40 x 40 in d = 2 (1.4 MB).
+        # A read binds its operator to the layers it touches (two for one t,
+        # one at T) and keeps nothing: after gradient and after eval the
+        # traced memory is below two layers, where fields cached over all
+        # layers would hold a multiple of the values. Only blocks of 1 KiB
+        # and more count: numpy keeps freed buffers below 1 KiB for reuse
+        # and Python its free lists, which tracemalloc counts as held
+        if dim == 1:
+            surf = solve(uncertain_vol_model(r_lend=0.02, r_borrow=0.05),
+                         small_grid(x_lo=-1.8, x_hi=1.8, nx=200, nt=400), validate=False)
+        else:
+            surf = solve(uncertain_vol_model(dim=2), GridSpec(t_steps=100, x_min=(-1.0, -1.0),
+                                                              x_max=(1.0, 1.0), x_steps=(40, 40)),
+                         validate=False)
+        spans = []
+        init = hjb._LayerOps.__init__
+        monkeypatch.setattr(hjb._LayerOps, "__init__",
+                            lambda ops, vp, dx: spans.append(len(vp)) or init(ops, vp, dx))
+        xs = np.random.default_rng(5).uniform(-0.9, 0.9, (2000, dim))
+        held = []
+
+        def traced():
+            gc.collect()
+            return sum(tr.size for tr in tracemalloc.take_snapshot().traces if tr.size >= 1024)
+
+        tracemalloc.start()
+        try:
+            for t in (0.3737, 1.0):
+                surf.gradient(t, xs)
+                held.append(traced())
+                surf.eval(t, xs)
+                held.append(traced())
+        finally:
+            tracemalloc.stop()
+        assert max(held) < 2 * surf.values[0].nbytes, held
+        assert spans == [2, 2, 1, 1]
+        arrays = {name for name, v in vars(surf).items()
+                  if isinstance(v, np.ndarray) or isinstance(v, list) and v
+                  and all(isinstance(a, np.ndarray) for a in v)}
+        assert arrays == {"t", "axes", "values", "policy"}
 
 
 class TestOneOperator:
@@ -904,10 +973,10 @@ class TestOneOperator:
             assert np.array_equal(pack.M, ops.M.reshape(-1, dim, dim))
             assert np.array_equal(surf.gradient(float(surf.t[k]), X), pack.p)
         if dim == 1:
-            ops = surf._layer_ops()
+            p_all, M_all, _ = surface_fields_oracle(surf)
             edge = (surf.values[:, 1] - surf.values[:, 0]) / grid.dx[0]
-            assert np.allclose(ops.p_cen[:, 0, 0], edge, rtol=0.0, atol=1e-12)
-            assert np.allclose(ops.M[:, [0, -1]], 0.0, rtol=0.0, atol=1e-12)
+            assert np.allclose(p_all[:, 0, 0], edge, rtol=0.0, atol=1e-12)
+            assert np.allclose(M_all[:, [0, -1]], 0.0, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("half, cells", [(1.2, 200), (1.8, 720)])
     def test_every_node_is_located_exactly(self, half, cells):
@@ -916,6 +985,7 @@ class TestOneOperator:
         surf = tabulated_surface(lambda t, x: np.sin(3.0 * x) * (1.0 + t * t),
                                  x_lo=-half, x_hi=half, nx=cells, nt=7)
         X = surf.axes[0][:, None]
+        q_all = surface_fields_oracle(surf)[2]
         for k, tk in enumerate(surf.t):
             pack = surf.eval(float(tk), X)
             ops = self.layer_ops(surf, k)
@@ -923,7 +993,36 @@ class TestOneOperator:
             assert np.array_equal(pack.value, surf.values[k])
             assert np.array_equal(pack.p, ops.p_cen)
             assert np.array_equal(pack.M, ops.M)
-            assert np.array_equal(pack.q, surf._time_difference()[k])
+            assert np.array_equal(pack.q, q_all[k])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reads_equal_the_whole_surface_fields(self, dim):
+        # a read builds p, M and q on the layers it touches alone: at every
+        # node of the first, second, middle, second-to-last and last layer,
+        # and at scattered (t, x) over many layers, it returns the fields of
+        # one operator over all layers bit for bit
+        model = uncertain_vol_model(dim=dim, r_lend=0.02, r_borrow=0.05)
+        grid = (small_grid(nx=40, nt=80) if dim == 1 else
+                GridSpec(t_steps=60, x_min=(-1.0, -1.0), x_max=(1.0, 1.0), x_steps=(12, 10)))
+        surf = solve(model, grid, validate=False)
+        fields = surface_fields_oracle(surf)
+        X = grid.mesh().reshape(-1, dim)
+        n = len(surf.t)
+        for k in (0, 1, n // 2, n - 2, n - 1):
+            pack = surf.eval(float(surf.t[k]), X)
+            assert np.array_equal(pack.value, surf.values[k].reshape(-1))
+            for got, want in zip(pack[1:], fields):
+                assert np.array_equal(got, want[k].reshape(got.shape))
+            assert np.array_equal(surf.gradient(float(surf.t[k]), X), pack.p)
+        rng = np.random.default_rng(11)
+        ts = np.concatenate([rng.uniform(0.0, 1.0, 200), surf.t[[0, 1, -2, -1]]])
+        xs = rng.uniform(-1.0, 1.0, (len(ts), dim))
+        corners = surf._corners(ts, xs)
+        pack = surf.eval(ts, xs)
+        assert np.array_equal(pack.value, surf.value(ts, xs))
+        for got, want in zip(pack[1:], fields):
+            assert np.array_equal(got, surf._interp(want, corners))
+        assert np.array_equal(surf.gradient(ts, xs), pack.p)
 
 
 class TestSurfaceIO:

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -356,16 +358,58 @@ class TestSeparableMollifier:
         assert value.shape == (0,) and grad.shape == (0, d)
         assert smooth.gradient(0.5, none).shape == (0, d)
 
-    def test_row_cache_is_bounded(self, rng):
-        smooth = self.surface(1, rng)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_row_is_kept(self, monkeypatch, d):
+        # reads at 9 times leave the surface one row (tracemalloc, blocks of
+        # 1 KiB and more, after a full collection: numpy keeps freed buffers
+        # below 1 KiB for reuse and Python its free lists); asking again at
+        # the last time builds no row, and every read keeps its bits
+        rng = np.random.default_rng(3)
+        smooth = self.surface(d, rng, n0=201)
         xs = self.points(smooth, rng, 20)
-        want = smooth.eval_batch(0.5, xs)
-        smooth._ROW_CACHE_FLOATS = 3 * smooth.gradient_lattice(0.5).size
-        for t in np.linspace(0.0, 1.0, 9):
-            smooth.gradient_lattice(t)
-            assert len(smooth._rows) <= 3
-        got = smooth.eval_batch(0.5, xs)
-        assert np.array_equal(got.value, want.value) and np.array_equal(got.M, want.M)
+        ts = np.linspace(0.0, 1.0, 9)
+        want = [self.copy(smooth).fast_value_grad(t, xs) for t in ts]
+        row_bytes = smooth.gradient_lattice(0.5).nbytes
+        smooth = self.copy(smooth)
+        tracemalloc.start()
+        try:
+            for t, (v0, g0) in zip(ts, want):
+                v, g = smooth.fast_value_grad(t, xs)
+                assert np.array_equal(v, v0) and np.array_equal(g, g0)
+            del v, g
+            gc.collect()
+            held = sum(tr.size for tr in tracemalloc.take_snapshot().traces if tr.size >= 1024)
+        finally:
+            tracemalloc.stop()
+        assert 1024 <= row_bytes <= held < 2 * row_bytes, (held, row_bytes)
+        rows = []
+        time_row = SmoothSurface._time_row
+        monkeypatch.setattr(SmoothSurface, "_time_row",
+                            lambda self, t, kind: rows.append((t, kind)) or time_row(self, t, kind))
+        v, g = smooth.fast_value_grad(ts[-1], xs)
+        assert np.array_equal(smooth.gradient(ts[-1], xs), g)
+        pk = smooth.eval_batch(ts[-1], xs)
+        assert rows == [(ts[-1], "grad")]  # eval_batch's time derivative, never kept
+        assert np.array_equal(pk.value, v) and np.array_equal(pk.p, g)
+        assert np.array_equal(v, want[-1][0]) and np.array_equal(g, want[-1][1])
+
+    @staticmethod
+    def copy(smooth):
+        return SmoothSurface(smooth.t_nodes, smooth.axes, smooth.node_values, smooth.delta)
+
+    @pytest.mark.parametrize("d, x", [
+        (1, [0.1, 0.5, -0.3]), (1, [[0.1, 0.5]]), (2, [[0.1]]), (2, [0.1, 0.2, 0.3]),
+    ], ids=["d1-three-coords", "d1-one-row-of-two", "d2-one-coord", "d2-three-coords"])
+    def test_points_of_the_wrong_shape_raise(self, d, x):
+        # x must be one point (d,) or points (n, d); any other shape raises
+        # HedgeGameError, not a bare ValueError or a read of some coordinates
+        smooth = self.surface(d, np.random.default_rng(4))
+        x = np.array(x)
+        for read in (lambda: smooth.gradient(0.5, x), lambda: smooth.fast_value_grad(0.5, x),
+                     lambda: smooth.eval_batch(0.5, x), lambda: smooth.eval(0.5, x),
+                     lambda: smooth.value(0.5, x)):
+            with pytest.raises(HedgeGameError, match="shape"):
+                read()
 
 
 class TestBuildAndVerify:
