@@ -156,11 +156,17 @@ def _per_time(f, t, x, a):
     return out
 
 
+class _Read(tuple):
+    """A market read that keeps its compared form (``_compared``) once taken."""
+
+    compared = None
+
+
 def market_read(finance: FinanceSpec, t, x, a):
     """The raw market read (mu, sigma, r_lend, r_borrow) at (t, x, a), float
     arrays; every coefficient of a finance model derives from it."""
-    return (_per_time(finance.mu, t, x, a), _per_time(finance.sigma, t, x, a),
-            _per_time(finance.r_lend, t, x, a), _per_time(finance.r_borrow, t, x, a))
+    return _Read((_per_time(finance.mu, t, x, a), _per_time(finance.sigma, t, x, a),
+                  _per_time(finance.r_lend, t, x, a), _per_time(finance.r_borrow, t, x, a)))
 
 
 def _wealth(mu, sig, rl, rb):
@@ -287,12 +293,26 @@ def adverse_pairs(model: ModelSpec, shake_points=None) -> list:
 _BYTES_COMPARED = 8192  # read arrays up to this size compare as copies, larger ones on views
 
 
+def _compared(read):
+    """A read as ``_same_read`` compares it: its shapes and the bytes of each array of up to
+    ``_BYTES_COMPARED`` entries (None above), and int64 views of the larger arrays. A ``_Read``
+    keeps it, so a read is converted once, however many reads it meets."""
+    form = read.compared if type(read) is _Read else None
+    if form is None:
+        key = [r.shape for r in read]
+        key += [r.tobytes() if r.size <= _BYTES_COMPARED else None for r in read]
+        form = key, [r.view(np.int64) for r in read if r.size > _BYTES_COMPARED]
+        if type(read) is _Read:
+            read.compared = form
+    return form
+
+
 def _same_read(read, other) -> bool:
     """Two market reads with the same shapes and bits (-0.0 and 0.0 stay apart, equal NaN bits
     are equal): one layer's arrays as bytes, a block's on int64 views, the faster at each size."""
-    return all(r.shape == o.shape and (r.tobytes() == o.tobytes() if r.size <= _BYTES_COMPARED else
-                                       not np.count_nonzero(r.view(np.int64) != o.view(np.int64)))
-               for r, o in zip(read, other))
+    (key, views), (other_key, other_views) = _compared(read), _compared(other)
+    return key == other_key and not (views and any(np.count_nonzero(v != w)
+                                                   for v, w in zip(views, other_views)))
 
 
 class _Terms:
@@ -302,7 +322,7 @@ class _Terms:
 
     def __init__(self, kept, reads, sites):
         batch, d = read_site(*sites[0])[0], reads[0][0].shape[-1]
-        self.kept, self.kept_reads = kept, [tuple(map(np.ascontiguousarray, r)) for r in reads]
+        self.kept, self.kept_reads = kept, [_Read(map(np.ascontiguousarray, r)) for r in reads]
         Sig = [np.einsum("...ik,...jk->...ij", s, s)
                for s in (_regular(r[1], *read_site(*site)) for r, site in zip(reads, sites))]
 

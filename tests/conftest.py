@@ -493,3 +493,43 @@ def simulate_oracle(model, strategy, adversary, t0, x0, y0, n_paths, n_steps, se
     finite = np.isfinite(Y) & np.all(np.isfinite(X), axis=1)
     gap = Y[finite] - np.asarray(model.payoff_g(X[finite]), dtype=float)
     return gap, int(n_paths - finite.sum()), strategy.clamped - clamp_before
+
+
+# ---------------------------------------------------------------------------
+# masked dual oracle: every control's paths gathered through a boolean mask
+# and scattered back, also where one control holds every path
+# ---------------------------------------------------------------------------
+
+
+def advance_oracle(model, lattice, j, X, pick, rng):
+    """Knot interval j with one Euler segment per control that has paths,
+    on the paths that ``pick`` gives it, in control order."""
+    from hedgegame.dual import _euler_segment
+
+    knots = lattice.time_knots
+    X_next, dW = np.empty(X.shape), np.empty(X.shape)
+    for i, gamma in enumerate(lattice.gamma_points):
+        mask = pick == i
+        if np.any(mask):
+            X_next[mask], dW[mask] = _euler_segment(
+                model, gamma, knots[j], knots[j + 1], X[mask], lattice.substeps, rng)
+    return X_next, dW
+
+
+def policy_value_oracle(model, lattice, states, picks, dWs, terminal_fn, degree):
+    """Backward BSDE values along frozen-policy paths, the driver read on
+    each control's paths through a mask; the lists are left as they are."""
+    from hedgegame.dual import _driver, _regress_yz
+
+    knots = lattice.time_knots
+    Y = np.asarray(terminal_fn(states[-1]), dtype=float)
+    for j in range(len(knots) - 2, -1, -1):
+        xj, dtau = states[j], knots[j + 1] - knots[j]
+        _, yhat, zhat, _ = _regress_yz(xj, Y, dWs[j], dtau, degree)
+        f = np.empty(xj.shape[0])
+        for i, gamma in enumerate(lattice.gamma_points):
+            mask = picks[j] == i
+            if np.any(mask):
+                f[mask] = _driver(model, gamma, knots[j], xj[mask], yhat[mask], zhat[mask])
+        Y = Y - dtau * f
+    return Y

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,19 +8,27 @@ from hedgegame.dual import (
     ControlLattice,
     _Basis,
     _fit,
+    _fit_tables,
+    _policy_rollout,
+    _policy_value,
     _regress_yz,
+    _rngs,
+    _scores,
+    _training_cloud,
     dpp_check,
     dual_value_lsmc,
     make_lattice,
 )
 from hedgegame.hjb import GridSpec, solve
-from hedgegame.model import HedgeGameError, make_finance_model, make_payoff
+from hedgegame.model import HedgeGameError, make_finance_model, make_payoff, shaken_payoff
 
 from conftest import (
+    advance_oracle,
     bs_call,
     bs_call_spread,
     bs_singleton_model,
     finance_spec,
+    policy_value_oracle,
     uncertain_vol_model,
 )
 
@@ -138,7 +149,7 @@ class TestRegressionFallback:
         xs = np.array([[0.0], [1.0]] * 50)
         ys = xs[:, 0] * 2.0 + 1.0
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
-            basis, coef, fitted = _fit(_Basis(xs, 2), xs, ys)
+            basis, coef, fitted, _ = _fit(_Basis(xs, 2), xs, ys)
         assert basis.degree < 2
         pred = basis.features(xs) @ coef
         assert np.array_equal(fitted, pred)
@@ -153,7 +164,7 @@ class TestRegressionFallback:
         xs = np.array(list(np.ndindex(*(2,) * dim)) * 50, dtype=float)
         ys, dW = rng.standard_normal(len(xs)), rng.standard_normal((len(xs), dim))
         with pytest.warns(RuntimeWarning, match="rank-deficient") as caught:
-            basis, yhat, zhat = _regress_yz(xs, ys, dW, 0.25, 2)
+            basis, yhat, zhat, _ = _regress_yz(xs, ys, dW, 0.25, 2)
             refit = _fit(basis, xs, yhat - 0.25 * zhat[:, 0])[2]
         assert len(caught) == 1 and basis.degree == 1
         one = _Basis(xs, 1)
@@ -188,3 +199,97 @@ class TestDppCheck:
         lat = make_lattice(model, 0.0, 4, 0.0, 5)
         with pytest.raises(HedgeGameError):
             dpp_check(model, 0.0, 0.0, [0.0], 1.5, lat, 100, 1)
+
+
+def run_dual(kind, t0, x0):
+    """The estimate (``lsmc``) or the DPP check (``dpp``, mid 0.5) on one vol
+    from (t0, x0), on knots from 0."""
+    model = uncertain_vol_model(vols=(0.2,))
+    lat = make_lattice(model, 0.0, 4, 0.0, substeps=5)
+    if kind == "lsmc":
+        return dual_value_lsmc(model, 0.0, t0, x0, lat, 2, 200, 1)
+    return dpp_check(model, 0.0, t0, x0, 0.5, lat, 200, 1)
+
+
+class TestInputsFailClosed:
+    @pytest.mark.parametrize("kind", ["lsmc", "dpp"])
+    def test_x0_of_the_wrong_size_raises(self, kind):
+        with pytest.raises(HedgeGameError, match="x0 needs 1 finite entries"):
+            run_dual(kind, 0.0, [0.0, 0.0])
+
+    @pytest.mark.parametrize("kind", ["lsmc", "dpp"])
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_x0_not_finite_raises_before_any_regression(self, capfd, kind, x):
+        with pytest.raises(HedgeGameError, match="x0 needs 1 finite entries"):
+            run_dual(kind, 0.0, [x])
+        assert capfd.readouterr().err == ""  # no LAPACK complaint on stderr
+
+    @pytest.mark.parametrize("kind, t0", [("lsmc", 0.5), ("dpp", 0.25)])
+    def test_t0_off_the_first_knot_raises(self, kind, t0):
+        with pytest.raises(HedgeGameError, match="first knot"):
+            run_dual(kind, t0, [0.0])
+
+
+class TestOneControlRoute:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_equals_the_masked_loop_bit_for_bit(self, dim):
+        # with one control the training cloud draws no picks, the rollout
+        # reads no value polynomial, _advance runs the whole cloud as one
+        # segment and the driver reads every path at once: every state,
+        # increment and policy value equals the masked per-control loop with
+        # every path on control 0
+        model = uncertain_vol_model(vols=(0.2,), r_lend=0.02, r_borrow=0.05, dim=dim)
+        lat = make_lattice(model, 0.0, 3, 0.0, substeps=5)
+        assert len(lat.gamma_points) == 1
+        n, term, zeros = 3000, shaken_payoff(model, 0.0), np.zeros(3000, dtype=int)
+        start = np.broadcast_to(np.linspace(0.1, 0.2, dim), (n, dim))
+
+        clouds = _training_cloud(model, lat, start, *_rngs(1, 2))
+        X, rng = start, _rngs(1, 2)[1]
+        for j in range(3):
+            X = advance_oracle(model, lat, j, X, zeros, rng)[0]
+            assert np.array_equal(clouds[j + 1], X)
+
+        tables, _ = _fit_tables(model, lat, list(clouds), 2, _rngs(2, 1)[0], term)
+
+        states, picks, dWs = _policy_rollout(model, lat, start, tables, _rngs(3, 1)[0])
+        assert picks == [None] * 3
+        X, want_states, want_dWs, rng = start, [start], [], _rngs(3, 1)[0]
+        for fits in tables:
+            pick = np.argmax(_scores(fits, X), axis=0)
+            assert not pick.any()
+            X, dW = advance_oracle(model, lat, len(want_dWs), X, pick, rng)
+            want_states.append(X)
+            want_dWs.append(dW)
+        for got, want in zip(states + dWs, want_states + want_dWs):
+            assert np.array_equal(got, want)
+
+        want = policy_value_oracle(model, lat, want_states, [zeros] * 3, want_dWs, term, 2)
+        assert np.array_equal(_policy_value(model, lat, states, picks, dWs, term, 2), want)
+        assert states == picks == dWs == []  # each knot's arrays dropped once read
+
+
+class TestHeldMemory:
+    @pytest.mark.parametrize("vols, bound", [((0.2,), 23), ((0.1, 0.3), 26)],
+                             ids=["one-control", "two-controls"])
+    def test_peak_in_path_arrays(self, vols, bound):
+        # 20000 paths, 4 knots: a path array is one (n, 1) float array. The
+        # start row, the training cloud or the rollout's states and
+        # increments, and one regression's working set (design matrix, its
+        # least-squares copy, fitted y and z, driver) peak at 19.1 path
+        # arrays with one control and 21.6 with two (tracemalloc). Holding
+        # the fitted clouds through the rollout, a tiled start cloud and a
+        # feature matrix per fit took 34.3 with either.
+        model = uncertain_vol_model(vols=vols, r_lend=0.02, r_borrow=0.05)
+        lat = make_lattice(model, 0.0, 4, 0.0, substeps=5)
+        n = 20000
+        dual_value_lsmc(model, 0.0, 0.0, [0.0], lat, 2, 100, 1)  # caches outside the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dual_value_lsmc(model, 0.0, 0.0, [0.0], lat, 2, n, 5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * n * 8
