@@ -7,7 +7,8 @@ payoff raised by 2 eps. Backward induction regresses one-step values on
 polynomial features of the forward state (with the martingale-increment
 estimator for the Z slot) and takes the pointwise maximum across controls;
 with eps = 0 the estimate converges to the primal PDE price from below as
-the lattice refines.
+the lattice refines. A single control leaves no policy to fit: its estimate
+runs no regression pass, only the rollout and its backward evaluation.
 """
 
 from __future__ import annotations
@@ -217,13 +218,14 @@ def _rngs(seed, n):
             for s in np.random.SeedSequence(int(seed)).spawn(n)]
 
 
-def _training_cloud(model, lattice, X, rng_mix, rng_path):
-    """Forward states at every knot from the start cloud X (n_paths, d)
-    under uniformly mixed controls. A single control is played by every
-    path without a draw: rng_mix feeds nothing else."""
+def _training_cloud(model, lattice, X, rng_mix, rng_path, n_intervals=None):
+    """Forward states at knots 0..n_intervals (all by default; a fit reads
+    none at the last) from the start cloud X (n_paths, d) under uniformly
+    mixed controls. A single control is played by every path without a
+    draw: rng_mix feeds nothing else."""
     clouds = [X]
     n_controls = len(lattice.gamma_points)
-    for j in range(len(lattice.time_knots) - 1):
+    for j in range(len(lattice.time_knots) - 1 if n_intervals is None else n_intervals):
         pick = rng_mix.integers(0, n_controls, X.shape[0]) if n_controls > 1 else None
         X = _advance(model, lattice, j, X, pick, rng_path)[0]
         clouds.append(X)
@@ -244,7 +246,7 @@ def _fit_tables(model, lattice, clouds, degree, rng_branch, terminal_fn):
     knots = lattice.time_knots
     tables = [None] * (len(knots) - 1)
     V_next = terminal_fn
-    del clouds[len(knots) - 1:]  # no fit reads the last knot's states
+    del clouds[len(knots) - 1:]  # no fit reads the last knot's states, if given
     for j in range(len(knots) - 2, -1, -1):
         xj = clouds.pop()
         dtau = knots[j + 1] - knots[j]
@@ -270,15 +272,15 @@ def _policy_rollout(model, lattice, X, tables, rng):
 
     Per knot each path plays the control whose fitted value polynomial is
     largest (ties to the lowest index); picks are kept in the narrowest
-    unsigned type that holds every index. With one control no polynomial
-    is read and each pick is None. Returns the per-knot states, the chosen
-    control indices and the per-segment Brownian sums.
+    unsigned type that holds every index. With one control ``tables`` is
+    not read (it may be None) and each pick is None. Returns the per-knot
+    states, the chosen control indices and the per-segment Brownian sums.
     """
     states, picks, dWs = [X], [], []
     n_controls = len(lattice.gamma_points)
-    for j, fits in enumerate(tables):
+    for j in range(len(lattice.time_knots) - 1):
         pick = (None if n_controls == 1 else
-                np.argmax(_scores(fits, X), axis=0).astype(np.min_scalar_type(n_controls - 1)))
+                np.argmax(_scores(tables[j], X), axis=0).astype(np.min_scalar_type(n_controls - 1)))
         X, dW = _advance(model, lattice, j, X, pick, rng)
         states.append(X)
         picks.append(pick)
@@ -331,19 +333,20 @@ def dual_value_lsmc(model: ModelSpec, eps: float, t0: float, x0, lattice: Contro
     """Dual estimate at (t0, x0) with a bootstrap standard error.
 
     Regression pass first, then an independent rollout of the fitted control
-    policy; the reported value is the rollout mean. Collapsing lattices
+    policy; one control leaves no policy to fit, so the rollout alone runs,
+    with the bits of the full flow (each seeded stream keeps its role). The
+    reported value is the rollout mean. Collapsing lattices
     (t0 = T) return the terminal data exactly. x0 needs ``model.dim``
     finite entries and t0 must be the lattice's first knot.
 
     Path-sized arrays (one (n_paths, d) float array each, K knot
     intervals): the start cloud is one broadcast row. The training pass
-    keeps the states at every knot; the fit drops the one at T at once and
-    each other once its fits are made, and holds one branch at a time next
-    to them: its endpoint and increments, one design matrix, fitted y and
-    z, the driver. The rollout then holds K states and K increment sums
-    (plus K narrow picks with several controls), which the backward
-    evaluation drops knot by knot; the bootstrap holds the values and one
-    index draw.
+    keeps the states at knots 0..K-1; the fit drops each once its fits
+    are made, and holds one branch at a time next to them: its endpoint
+    and increments, one design matrix, fitted y and z, the driver. The
+    rollout then holds K states and K increment sums (plus K narrow picks
+    with several controls), which the backward evaluation drops knot by
+    knot; the bootstrap holds the values and one index draw.
     """
     if basis_degree < 0 or n_paths < 1:
         raise HedgeGameError(f"basis_degree >= 0 and n_paths >= 1 required, "
@@ -359,8 +362,11 @@ def dual_value_lsmc(model: ModelSpec, eps: float, t0: float, x0, lattice: Contro
         terminal_fn = shaken_payoff(model, eps)
     rng_mix, rng_path, rng_branch, rng_roll, rng_boot = _rngs(seed, 5)
     start = np.broadcast_to(x0, (n_paths, model.dim))
-    clouds = _training_cloud(model, lattice, start, rng_mix, rng_path)
-    tables, _ = _fit_tables(model, lattice, clouds, basis_degree, rng_branch, terminal_fn)
+    tables = None  # one control: no pick to read off a fit
+    if len(lattice.gamma_points) > 1:
+        clouds = _training_cloud(model, lattice, start, rng_mix, rng_path,
+                                 len(lattice.time_knots) - 2)
+        tables, _ = _fit_tables(model, lattice, clouds, basis_degree, rng_branch, terminal_fn)
     states, picks, dWs = _policy_rollout(model, lattice, start, tables, rng_roll)
     vals = _policy_value(model, lattice, states, picks, dWs, terminal_fn, basis_degree)
     value = float(vals.mean())
@@ -397,13 +403,14 @@ def dpp_check(model: ModelSpec, eps: float, t0: float, x0, mid_time: float,
     """Compare the direct estimate with the two-leg composition through mid_time.
 
     The inner leg regresses the dual value at mid_time as a function of the
-    state (trained on a mixed-control cloud propagated from (t0, x0)); the
-    outer leg then uses that function as terminal data. Inner-regression
-    bias is not part of the reported standard error. The direct estimate,
-    the inner fit and the outer estimate run one after the other, and the
-    inner clouds go once v_mid is fitted (it keeps coefficients only), so
-    the check holds one stage's path-sized arrays at a time. x0 and t0 are
-    checked as in ``dual_value_lsmc``.
+    state (trained on a mixed-control cloud propagated from (t0, x0), up to
+    the last knot its fit reads); the outer leg then uses that function as
+    terminal data, so the inner fit runs also with a single control.
+    Inner-regression bias is not part of the reported standard error. The
+    direct estimate, the inner fit and the outer estimate run one after the
+    other, and the inner clouds go once v_mid is fitted (it keeps
+    coefficients only), so the check holds one stage's path-sized arrays at
+    a time. x0 and t0 are checked as in ``dual_value_lsmc``.
     """
     if not (t0 < mid_time < model.horizon_T):
         raise HedgeGameError("need t0 < mid_time < horizon_T")
@@ -423,7 +430,8 @@ def dpp_check(model: ModelSpec, eps: float, t0: float, x0, mid_time: float,
     # cloud at mid_time from mixed play over [t0, mid], then inner backward
     mid_cloud = _training_cloud(model, outer_lat, np.broadcast_to(x0, (n_paths, model.dim)),
                                 rng_mix, rng_path)[-1]
-    inner_clouds = _training_cloud(model, inner_lat, mid_cloud, rng_cloud, rng_path)
+    inner_clouds = _training_cloud(model, inner_lat, mid_cloud, rng_cloud, rng_path,
+                                   len(inner_knots) - 2)
     del mid_cloud  # inner_clouds[0], dropped by the fit like every inner state
     _, v_mid = _fit_tables(model, inner_lat, inner_clouds, basis_degree, rng_branch,
                            shaken_payoff(model, eps))

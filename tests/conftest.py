@@ -533,3 +533,70 @@ def policy_value_oracle(model, lattice, states, picks, dWs, terminal_fn, degree)
                 f[mask] = _driver(model, gamma, knots[j], xj[mask], yhat[mask], zhat[mask])
         Y = Y - dtau * f
     return Y
+
+
+# ---------------------------------------------------------------------------
+# full-flow dual oracle: every estimate trains its cloud to T, runs the
+# regression pass and rolls out the fitted policy through the masked route,
+# also where one control leaves nothing to pick
+# ---------------------------------------------------------------------------
+
+
+def _spawned(seed, n):
+    return [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+def training_oracle(model, lattice, X, rng_mix, rng_path):
+    """States at every knot, T included, under uniformly mixed controls;
+    with one control every path plays control 0 and no pick is drawn."""
+    n_controls = len(lattice.gamma_points)
+    clouds = [X]
+    for j in range(len(lattice.time_knots) - 1):
+        pick = (rng_mix.integers(0, n_controls, X.shape[0]) if n_controls > 1
+                else np.zeros(X.shape[0], dtype=int))
+        X = advance_oracle(model, lattice, j, X, pick, rng_path)[0]
+        clouds.append(X)
+    return clouds
+
+
+def dual_oracle(model, eps, t0, x0, lattice, degree, n_paths, seed, terminal_fn=None):
+    """(value, std error) of ``dual_value_lsmc`` from its full flow: the
+    training cloud to T, the regression pass, a rollout whose picks are the
+    argmax of the fitted tables (all 0 with one control) through the masked
+    route, the masked policy value and the bootstrap, each on its own of the
+    five streams spawned from the seed."""
+    from hedgegame.dual import _BOOTSTRAP, _fit_tables, _scores
+    from hedgegame.model import shaken_payoff
+
+    term = shaken_payoff(model, eps) if terminal_fn is None else terminal_fn
+    rng_mix, rng_path, rng_branch, rng_roll, rng_boot = _spawned(seed, 5)
+    start = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, model.dim))
+    clouds = training_oracle(model, lattice, start, rng_mix, rng_path)
+    tables, _ = _fit_tables(model, lattice, clouds, degree, rng_branch, term)
+    X, states, picks, dWs = start, [start], [], []
+    for j, fits in enumerate(tables):
+        picks.append(np.argmax(_scores(fits, X), axis=0))
+        X, dW = advance_oracle(model, lattice, j, X, picks[-1], rng_roll)
+        states.append(X)
+        dWs.append(dW)
+    vals = policy_value_oracle(model, lattice, states, picks, dWs, term, degree)
+    boots = [vals[rng_boot.integers(0, n_paths, n_paths)].mean() for _ in range(_BOOTSTRAP)]
+    return float(vals.mean()), float(np.std(boots, ddof=1))
+
+
+def dpp_oracle(model, eps, t0, x0, mid_time, lattice, n_paths, seed, degree=2):
+    """(direct, composed) (value, std error) pairs of ``dpp_check``, each
+    leg from ``dual_oracle`` and the inner cloud trained to T."""
+    from hedgegame.dual import ControlLattice, _fit_tables
+    from hedgegame.model import shaken_payoff
+
+    knots = np.asarray(lattice.time_knots)
+    inner, outer = (ControlLattice(tuple(knots[keep]), lattice.gamma_points, lattice.substeps)
+                    for keep in (knots >= mid_time - 1e-12, knots <= mid_time + 1e-12))
+    rng_mix, rng_path, rng_cloud, rng_branch = _spawned(seed + 1, 4)
+    start = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, model.dim))
+    mid_cloud = training_oracle(model, outer, start, rng_mix, rng_path)[-1]
+    _, v_mid = _fit_tables(model, inner, training_oracle(model, inner, mid_cloud, rng_cloud, rng_path),
+                           degree, rng_branch, shaken_payoff(model, eps))
+    return (dual_oracle(model, eps, t0, x0, lattice, degree, n_paths, seed),
+            dual_oracle(model, eps, t0, x0, outer, degree, n_paths, seed + 2, v_mid))

@@ -27,8 +27,11 @@ from conftest import (
     bs_call,
     bs_call_spread,
     bs_singleton_model,
+    dpp_oracle,
+    dual_oracle,
     finance_spec,
     policy_value_oracle,
+    training_oracle,
     uncertain_vol_model,
 )
 
@@ -267,6 +270,72 @@ class TestOneControlRoute:
         want = policy_value_oracle(model, lat, want_states, [zeros] * 3, want_dWs, term, 2)
         assert np.array_equal(_policy_value(model, lat, states, picks, dWs, term, 2), want)
         assert states == picks == dWs == []  # each knot's arrays dropped once read
+
+
+@pytest.fixture
+def fit_spy(monkeypatch):
+    """Call counts of the training cloud and the regression pass."""
+    import hedgegame.dual as dual_mod
+
+    calls = {"_training_cloud": 0, "_fit_tables": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(dual_mod, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(dual_mod, name, counted)
+    return calls
+
+
+class TestOneControlSkipsTheFit:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("terminal", ["payoff", "composed"])
+    def test_equals_the_full_flow_bit_for_bit(self, fit_spy, dim, terminal):
+        # one control leaves nothing to pick, so no training cloud or
+        # regression pass runs, and the rollout and bootstrap streams keep
+        # their bits: the estimate equals the full flow (training to T, fit,
+        # a rollout whose picks read the fitted tables) with both rates and
+        # with the composed leg's fitted terminal function
+        model = uncertain_vol_model(vols=(0.2,), r_lend=0.02, r_borrow=0.05, dim=dim)
+        lat = make_lattice(model, 0.0, 3, 0.0, substeps=5)
+        x0, n = np.linspace(0.1, 0.2, dim), 3000
+        term = None
+        if terminal == "composed":
+            inner = ControlLattice((1.0 / 3.0, 2.0 / 3.0, 1.0), lat.gamma_points, 5)
+            rng_mix, rng_path, rng_branch = _rngs(4, 3)
+            cloud = training_oracle(model, inner, np.broadcast_to(x0, (n, dim)), rng_mix, rng_path)
+            term = _fit_tables(model, inner, cloud, 2, rng_branch, shaken_payoff(model, 0.0))[1]
+        want = dual_oracle(model, 0.0, 0.0, x0, lat, 2, n, 9, term)
+        fit_spy.update(_training_cloud=0, _fit_tables=0)
+        est = dual_value_lsmc(model, 0.0, 0.0, x0, lat, 2, n, 9, terminal_fn=term)
+        assert (est.value, est.std_error) == want
+        assert fit_spy == {"_training_cloud": 0, "_fit_tables": 0}
+
+    def test_two_controls_still_fit(self, fit_spy):
+        model = uncertain_vol_model(vols=(0.1, 0.3), r_lend=0.02, r_borrow=0.05)
+        lat = make_lattice(model, 0.0, 3, 0.0, substeps=5)
+        est = dual_value_lsmc(model, 0.0, 0.0, [0.1], lat, 2, 3000, 9)
+        assert fit_spy == {"_training_cloud": 1, "_fit_tables": 1}
+        assert (est.value, est.std_error) == dual_oracle(model, 0.0, 0.0, [0.1], lat, 2, 3000, 9)
+
+
+class TestTrainingStopsAtTheLastFittedKnot:
+    @pytest.mark.parametrize("vols", [(0.2,), (0.1, 0.3)], ids=["one-control", "two-controls"])
+    @pytest.mark.parametrize("mid", [0.5, 0.75], ids=["middle-knot", "second-to-last-knot"])
+    def test_dpp_equals_training_to_T(self, fit_spy, vols, mid):
+        # no fit reads the state at the last knot, so every training cloud
+        # stops one interval early (the inner one at mid 0.75 runs none) and
+        # the outer cloud still runs to the mid knot; the inner fit runs
+        # also with one control, since its value function is the composed
+        # leg's terminal data
+        model = uncertain_vol_model(vols=vols, r_lend=0.02, r_borrow=0.05)
+        lat = make_lattice(model, 0.0, 4, 0.0, substeps=5)
+        rep = dpp_check(model, 0.0, 0.0, [0.1], mid, lat, 3000, 6)
+        fits = 1 if len(vols) == 1 else 3
+        assert fit_spy == {"_training_cloud": fits + 1, "_fit_tables": fits}
+        direct, composed = dpp_oracle(model, 0.0, 0.0, [0.1], mid, lat, 3000, 6)
+        assert (rep.direct.value, rep.direct.std_error) == direct
+        assert (rep.composed.value, rep.composed.std_error) == composed
+        assert rep.difference == abs(direct[0] - composed[0])
 
 
 class TestHeldMemory:
