@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, dual, game, hjb, regularize
-from .model import HedgeGameError, model_from_config
+from .model import HedgeGameError, model_from_config, shake_lattice, shaken_payoff
 from .model import validate_assumptions  # noqa: F401  (perfbench reads cli.validate_assumptions)
 
 SMOOTH_MAGIC = b"SMOOTH1\x00"
@@ -475,11 +475,17 @@ def cmd_dual(args):
     cfg, out_dir, model, dv = run.cfg, run.out_dir, run.model, run.dual
     t0, x0 = run.sim.t0, np.asarray(run.sim.x0, dtype=float)
     lattice = dual.make_lattice(model, t0, dv.knots, dv.eps, substeps=dv.substeps)
+    # the worst-case feedback: the argmin of the shaken solve on the config's grid (at eps = 0
+    # the plain solve, bit for bit); a solve that fails exits as `solve` does on the config
+    surface = hjb.solve(model, run.grid, terminal=shaken_payoff(model, dv.eps),
+                        shake_points=shake_lattice(dv.eps, model.dim))
     if dv.mid is not None:
-        rep = dual.dpp_check(model, dv.eps, t0, x0, dv.mid, lattice, dv.paths, dv.seed, dv.degree)
+        rep = dual.dpp_check(model, dv.eps, t0, x0, dv.mid, lattice, dv.paths, dv.seed, dv.degree,
+                             policy=surface)
         payload = rep.to_dict()
     else:
-        est = dual.dual_value_lsmc(model, dv.eps, t0, x0, lattice, dv.degree, dv.paths, dv.seed)
+        est = dual.dual_value_lsmc(model, dv.eps, t0, x0, lattice, dv.degree, dv.paths, dv.seed,
+                                   policy=surface)
         payload = est.to_dict()
     _write_json(os.path.join(out_dir, "dual.json"), payload)
     write_manifest(out_dir, "dual", cfg, ["dual.json"], t_start,

@@ -1,26 +1,28 @@
 """Regression Monte Carlo dual bound for the worst-case price.
 
-The dual value at (t0, x0) is the supremum, over piecewise-constant
-adverse/shake controls on a knot lattice, of backward-SDE values whose
-forward state runs under shifted coefficients and whose terminal data is the
-payoff raised by 2 eps. Backward induction regresses one-step values on
-polynomial features of the forward state (with the martingale-increment
-estimator for the Z slot) and takes the pointwise maximum across controls;
-with eps = 0 the estimate converges to the primal PDE price from below as
-the lattice refines. A single control leaves no policy to fit: its estimate
-runs no regression pass, only the rollout and its backward evaluation.
+The dual value at (t0, x0) prices the claim under one adverse feedback,
+piecewise constant on a knot lattice: at each knot every path plays the
+(adverse point, shake) pair the feedback names, under that pair's shifted
+coefficients, to terminal data raised by 2 eps. Any feedback prices the
+claim from below, up to Monte Carlo, regression and lattice error; played
+with the solved surface's argmin (``ValueSurface.policy``) at eps = 0, the
+estimate rises to the PDE price as the lattice refines. The estimator is
+the regression scheme of Gobet, Lemor & Warin (Ann. Appl. Probab. 2005) on
+the feedback's own paths, with z = sigma^T delta as in the game.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
 
-from .model import (HedgeGameError, ModelSpec, adverse_pairs, base_point, coefficients_at, shake_lattice,
-                    shaken_payoff)
+from .game import _split
+from .hjb import ValueSurface
+from .model import (HedgeGameError, ModelSpec, _hedge_map, adverse_pairs, base_point, coefficients_at,
+                    read_site, shake_lattice, shaken_payoff)
 
 _BOOTSTRAP = 200
 
@@ -68,11 +70,7 @@ class DualEstimate:
     seed: int
 
     def to_dict(self):
-        return {
-            "value": self.value, "std_error": self.std_error,
-            "n_paths": self.n_paths, "basis_degree": self.basis_degree,
-            "knot_count": self.knot_count, "eps": self.eps, "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +126,24 @@ def _fit(basis: _Basis, xs: np.ndarray, ys: np.ndarray):
     return basis, coef, fitted, B
 
 
-def _scores(fits, xs: np.ndarray) -> np.ndarray:
-    """Per-control regression polynomials read at xs, stacked on axis 0."""
-    return np.stack([b.features(xs) @ c for b, c in fits], axis=0)
-
-
-def _regress_yz(xj, y_next, dW, dtau, degree):
-    """One regression BSDE step: conditional y and martingale-increment z.
-
-    The z fits reuse the basis and the design matrix B that the y fit settled
-    on, since a fit's rank depends on the cloud alone. Both are returned, so
-    the caller can regress its own target on B without building it again or
-    retrying a degree that already failed.
-    """
+def _regress_yz(xj, y_next, dW, dtau, degree, groups):
+    """One regression BSDE step: the basis, the conditional y and
+    z = sigma^T delta, the hedge ratio delta regressed on its per-path
+    estimate sigma^-T (y_next - y) dW / dtau, with ``groups`` as ``_groups``
+    makes them. The delta fits reuse the y fit's basis and design matrix,
+    since a fit's rank depends on the cloud alone."""
     basis, _, yhat, B = _fit(_Basis(xj, degree), xj, y_next)
-    resid = y_next - yhat
-    zhat = np.empty_like(dW)
-    for kdim in range(dW.shape[1]):
-        zhat[:, kdim] = _lstsq(B, resid * dW[:, kdim] / dtau)[2]
-    return basis, yhat, zhat, B
+    w = (y_next - yhat)[:, None] * dW
+    w /= dtau
+    for _, rows, _, to_delta in groups:
+        w[rows] = to_delta(w[rows])
+    z = np.empty_like(w)
+    for kdim in range(w.shape[1]):
+        z[:, kdim] = _lstsq(B, w[:, kdim])[2]
+    del w
+    for _, rows, sig, _ in groups:
+        z[rows] = np.einsum("...ji,...j->...i", sig, z[rows])
+    return basis, yhat, z
 
 
 # ---------------------------------------------------------------------------
@@ -186,29 +183,20 @@ def _driver(model, gamma, t, xs, ys, zs):
 
 
 def _advance(model, lattice, j, X, pick, rng):
-    """Run every path over knot interval j under its control index ``pick``.
-
-    With one control the whole cloud runs as one segment and ``pick`` is
-    not read (callers pass None). Otherwise controls run in index order,
-    one Euler segment per control that has paths, on the gathered paths,
-    so the Brownian stream is consumed in that order. Returns the states at
-    knot j + 1 and the per-path Brownian sums.
-    """
+    """The states at knot j + 1 and the per-path Brownian sums of every path
+    run over knot interval j under its control index ``pick``: one Euler
+    segment per control that has paths (``game._split``), in index order,
+    which is the order the Brownian stream is consumed in."""
     knots = lattice.time_knots
-    if len(lattice.gamma_points) == 1:
-        return _euler_segment(model, lattice.gamma_points[0], knots[j], knots[j + 1], X,
-                              lattice.substeps, rng)
     X_next, dW = np.empty(X.shape), np.empty(X.shape)  # C order, also for a broadcast X
-    for i, gamma in enumerate(lattice.gamma_points):
-        mask = pick == i
-        if np.any(mask):
-            X_next[mask], dW[mask] = _euler_segment(
-                model, gamma, knots[j], knots[j + 1], X[mask], lattice.substeps, rng)
+    for i, rows in _split(pick, len(lattice.gamma_points)):
+        X_next[rows], dW[rows] = _euler_segment(model, lattice.gamma_points[i], knots[j], knots[j + 1],
+                                                X[rows], lattice.substeps, rng)
     return X_next, dW
 
 
 # ---------------------------------------------------------------------------
-# backward induction
+# the adverse feedback, its rollout and the backward evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -218,69 +206,48 @@ def _rngs(seed, n):
             for s in np.random.SeedSequence(int(seed)).spawn(n)]
 
 
-def _training_cloud(model, lattice, X, rng_mix, rng_path, n_intervals=None):
-    """Forward states at knots 0..n_intervals (all by default; a fit reads
-    none at the last) from the start cloud X (n_paths, d) under uniformly
-    mixed controls. A single control is played by every path without a
-    draw: rng_mix feeds nothing else."""
-    clouds = [X]
-    n_controls = len(lattice.gamma_points)
-    for j in range(len(lattice.time_knots) - 1 if n_intervals is None else n_intervals):
-        pick = rng_mix.integers(0, n_controls, X.shape[0]) if n_controls > 1 else None
-        X = _advance(model, lattice, j, X, pick, rng_path)[0]
-        clouds.append(X)
-    return clouds
+def _feedback(policy, model, lattice):
+    """The adverse feedback as a read (t, X) -> control index per path.
 
-
-def _fit_tables(model, lattice, clouds, degree, rng_branch, terminal_fn):
-    """Backward regression sweep over knots; ``clouds`` is emptied as it goes.
-
-    At each knot the one-step BSDE value under every control is regressed on
-    state features and the pointwise maximum of the fitted polynomials
-    becomes the continuation function. A knot's states are dropped once its
-    fits are made, a branch's endpoint once its continuation value is read
-    and its increments once z is fitted; the design matrix of the y fit
-    serves the z fits and the driver-corrected refit. Returns the per-knot
-    per-control value fits plus the knot-0 continuation function.
+    A ``ValueSurface`` is read at the nearest node (``policy_at``); it must
+    index the lattice's controls and span its knots, else HedgeGameError is
+    raised here, before any path is drawn. A callable's indices are checked
+    on every read: integers in [0, n_controls), one per path or one for all,
+    kept in the narrowest unsigned type that holds every index.
     """
-    knots = lattice.time_knots
-    tables = [None] * (len(knots) - 1)
-    V_next = terminal_fn
-    del clouds[len(knots) - 1:]  # no fit reads the last knot's states, if given
-    for j in range(len(knots) - 2, -1, -1):
-        xj = clouds.pop()
-        dtau = knots[j + 1] - knots[j]
-        fits = []
-        for gamma in lattice.gamma_points:
-            x_end, dW = _euler_segment(model, gamma, knots[j], knots[j + 1],
-                                       xj, lattice.substeps, rng_branch)
-            y_next = np.asarray(V_next(x_end), dtype=float)
-            del x_end
-            basis, yhat, zhat, B = _regress_yz(xj, y_next, dW, dtau, degree)
-            del y_next, dW
-            yhat -= dtau * _driver(model, gamma, knots[j], xj, yhat, zhat)
-            del zhat
-            fits.append((basis, _lstsq(B, yhat)[0]))
-            del B, yhat  # before the next branch
-        tables[j] = fits
-        V_next = lambda xs, fits=fits: _scores(fits, xs).max(axis=0)
-    return tables, V_next
+    n_controls, knots = len(lattice.gamma_points), lattice.time_knots
+    if isinstance(policy, ValueSurface):
+        if policy.a_count != n_controls or policy.dim != model.dim:
+            raise HedgeGameError(f"policy surface indexes {policy.a_count} pairs in d = {policy.dim}; "
+                                 f"the lattice has {n_controls} controls in d = {model.dim}")
+        if policy.t_start > knots[0] + 1e-12 or policy.horizon_T < knots[-1] - 1e-12:
+            raise HedgeGameError(f"policy surface spans [{policy.t_start}, {policy.horizon_T}], "
+                                 f"not the knots' [{knots[0]}, {knots[-1]}]")
+        return policy.policy_at
+    if not callable(policy):
+        raise HedgeGameError(f"policy must be a ValueSurface or a callable, got {type(policy)!r}")
+
+    def read(t, X):
+        pick = np.asarray(policy(t, X))
+        if (pick.dtype.kind not in "iu" or pick.shape not in ((), X.shape[:1])
+                or not (pick.min() >= 0 and pick.max() < n_controls)):
+            raise HedgeGameError(f"policy at t = {t} returned {pick.dtype} indices of shape "
+                                 f"{pick.shape}; need integers in [0, {n_controls}) per path")
+        return pick.astype(np.min_scalar_type(n_controls - 1), copy=False)
+
+    return read
 
 
-def _policy_rollout(model, lattice, X, tables, rng):
-    """Simulate fresh paths from the start cloud X under the fitted policy.
+def _policy_rollout(model, lattice, X, read, rng):
+    """Simulate paths from the start cloud X under the feedback ``read``.
 
-    Per knot each path plays the control whose fitted value polynomial is
-    largest (ties to the lowest index); picks are kept in the narrowest
-    unsigned type that holds every index. With one control ``tables`` is
-    not read (it may be None) and each pick is None. Returns the per-knot
-    states, the chosen control indices and the per-segment Brownian sums.
+    At each knot every path reads its control index, then runs the interval
+    under it (``_advance``). Returns the per-knot states, the control
+    indices and the per-segment Brownian sums.
     """
     states, picks, dWs = [X], [], []
-    n_controls = len(lattice.gamma_points)
     for j in range(len(lattice.time_knots) - 1):
-        pick = (None if n_controls == 1 else
-                np.argmax(_scores(tables[j], X), axis=0).astype(np.min_scalar_type(n_controls - 1)))
+        pick = read(lattice.time_knots[j], X)
         X, dW = _advance(model, lattice, j, X, pick, rng)
         states.append(X)
         picks.append(pick)
@@ -288,34 +255,38 @@ def _policy_rollout(model, lattice, X, tables, rng):
     return states, picks, dWs
 
 
-def _policy_value(model, lattice, states, picks, dWs, terminal_fn, degree):
-    """Backward BSDE evaluation along the frozen-policy paths; the three
-    lists are emptied as it goes, each knot's entries once read.
+def _groups(model, lattice, t, xj, pick):
+    """(control, rows, sigma, sigma^-T map) for each control that holds paths
+    of the cloud xj at knot time t (``game._split``), sigma read alone at the
+    control's shifted base point: a full market read would add path-sized
+    rate arrays to the fits."""
+    groups = []
+    for i, rows in _split(pick, len(lattice.gamma_points)):
+        a, b = lattice.gamma_points[i]
+        t_eff, x_eff = base_point(t, xj[rows], b, model.horizon_T)
+        sig = np.asarray(model.finance.sigma(t_eff, x_eff, a), dtype=float)
+        groups.append((i, rows, sig, _hedge_map(sig, *read_site(t_eff, x_eff, a))))
+    return groups
 
-    Conditional (y, z) are re-regressed on the policy's own state
-    distribution, so the driver correction is measure-consistent; the mean
-    of the per-path values is then a lower bound for the control supremum
-    up to Monte Carlo noise and knot-discretisation error. With one control
-    the driver reads every path at once; otherwise it reads each control's
-    paths through a mask.
-    """
+
+def _policy_value(model, lattice, states, picks, dWs, terminal_fn, degree):
+    """Per-path values at the first knot, by backward BSDE evaluation along
+    the frozen-policy paths; the three lists are emptied as it goes, each
+    knot's entries once read. Conditional y and z (``_regress_yz``) are
+    regressed on the policy's own state distribution, so the driver
+    correction is measure-consistent."""
     knots = lattice.time_knots
     Y = np.asarray(terminal_fn(states.pop()), dtype=float)
     for j in range(len(knots) - 2, -1, -1):
         xj, dW, pick = states.pop(), dWs.pop(), picks.pop()
         dtau = knots[j + 1] - knots[j]
-        _, yhat, zhat, B = _regress_yz(xj, Y, dW, dtau, degree)
-        del B, dW
-        if pick is None:
-            f = _driver(model, lattice.gamma_points[0], knots[j], xj, yhat, zhat)
-        else:
-            f = np.empty(xj.shape[0])
-            for i, gamma in enumerate(lattice.gamma_points):
-                mask = pick == i
-                if np.any(mask):
-                    f[mask] = _driver(model, gamma, knots[j], xj[mask], yhat[mask], zhat[mask])
-        Y = Y - dtau * f
-        del yhat, zhat, f  # before the next knot's regression
+        groups = _groups(model, lattice, knots[j], xj, pick)
+        _, yhat, z = _regress_yz(xj, Y, dW, dtau, degree, groups)
+        del dW
+        for i, rows, _, _ in groups:  # each group's driver values replace its rows of yhat
+            yhat[rows] = _driver(model, lattice.gamma_points[i], knots[j], xj[rows], yhat[rows], z[rows])
+        Y = Y - dtau * yhat
+        del yhat, z, groups  # before the next knot's regression
     return Y
 
 
@@ -329,52 +300,43 @@ def _checked_x0(model, x0):
 
 def dual_value_lsmc(model: ModelSpec, eps: float, t0: float, x0, lattice: ControlLattice,
                     basis_degree: int, n_paths: int, seed: int,
-                    terminal_fn=None) -> DualEstimate:
-    """Dual estimate at (t0, x0) with a bootstrap standard error.
+                    terminal_fn=None, *, policy) -> DualEstimate:
+    """Dual estimate at (t0, x0) under the adverse feedback ``policy``, with
+    a bootstrap standard error.
 
-    Regression pass first, then an independent rollout of the fitted control
-    policy; one control leaves no policy to fit, so the rollout alone runs,
-    with the bits of the full flow (each seeded stream keeps its role). The
-    reported value is the rollout mean. Collapsing lattices
-    (t0 = T) return the terminal data exactly. x0 needs ``model.dim``
-    finite entries and t0 must be the lattice's first knot.
+    ``policy`` is a ``ValueSurface``, whose policy is read at the nearest
+    node, or a callable (t, X) -> index into ``lattice.gamma_points``; the
+    index order is ``adverse_pairs(model, shake_lattice(eps, d))``, the pair
+    order of ``hjb.solve(shake_points=...)`` (``_feedback`` checks it). One
+    rollout of that feedback from x0 (``_policy_rollout``) is evaluated
+    backward along its own paths (``_policy_value``); the reported value is
+    the mean of the per-path values. Collapsing lattices (t0 = T) return the
+    terminal data exactly. x0 needs ``model.dim`` finite entries and t0 must
+    be the lattice's first knot.
 
-    Path-sized arrays (one (n_paths, d) float array each, K knot
-    intervals): the start cloud is one broadcast row. The training pass
-    keeps the states at knots 0..K-1; the fit drops each once its fits
-    are made, and holds one branch at a time next to them: its endpoint
-    and increments, one design matrix, fitted y and z, the driver. The
-    rollout then holds K states and K increment sums (plus K narrow picks
-    with several controls), which the backward evaluation drops knot by
-    knot; the bootstrap holds the values and one index draw.
+    Memory: the start cloud is one broadcast row; the rollout's K states,
+    K increment sums and K narrow indices (K knot intervals) are dropped
+    knot by knot by the backward evaluation, next to one regression's
+    working set (``TestHeldMemory``).
     """
     if basis_degree < 0 or n_paths < 1:
         raise HedgeGameError(f"basis_degree >= 0 and n_paths >= 1 required, "
                              f"got {basis_degree} and {n_paths}")
     x0 = _checked_x0(model, x0)
-    T = model.horizon_T
-    if T - t0 <= 1e-12:
+    read = _feedback(policy, model, lattice)
+    if model.horizon_T - t0 <= 1e-12:
         g = float(shaken_payoff(model, eps)(x0.reshape(1, -1))[0])
         return DualEstimate(g, 0.0, n_paths, basis_degree, 1, eps, int(seed))
     if abs(t0 - lattice.time_knots[0]) > 1e-12:
         raise HedgeGameError(f"t0 {t0} is not the lattice's first knot {lattice.time_knots[0]}")
     if terminal_fn is None:
         terminal_fn = shaken_payoff(model, eps)
-    rng_mix, rng_path, rng_branch, rng_roll, rng_boot = _rngs(seed, 5)
+    rng_roll, rng_boot = _rngs(seed, 2)
     start = np.broadcast_to(x0, (n_paths, model.dim))
-    tables = None  # one control: no pick to read off a fit
-    if len(lattice.gamma_points) > 1:
-        clouds = _training_cloud(model, lattice, start, rng_mix, rng_path,
-                                 len(lattice.time_knots) - 2)
-        tables, _ = _fit_tables(model, lattice, clouds, basis_degree, rng_branch, terminal_fn)
-    states, picks, dWs = _policy_rollout(model, lattice, start, tables, rng_roll)
+    states, picks, dWs = _policy_rollout(model, lattice, start, read, rng_roll)
     vals = _policy_value(model, lattice, states, picks, dWs, terminal_fn, basis_degree)
-    value = float(vals.mean())
-    boots = np.empty(_BOOTSTRAP)
-    for bidx in range(_BOOTSTRAP):
-        idx = rng_boot.integers(0, n_paths, n_paths)
-        boots[bidx] = vals[idx].mean()
-    return DualEstimate(value, float(boots.std(ddof=1)), int(n_paths),
+    boots = [vals[rng_boot.integers(0, n_paths, n_paths)].mean() for _ in range(_BOOTSTRAP)]
+    return DualEstimate(float(vals.mean()), float(np.std(boots, ddof=1)), int(n_paths),
                         int(basis_degree), len(lattice.time_knots) - 1,
                         float(eps), int(seed))
 
@@ -388,29 +350,25 @@ class DppReport:
     combined_std_error: float
 
     def to_dict(self):
-        return {
-            "direct": self.direct.to_dict(),
-            "composed": self.composed.to_dict(),
-            "mid_time": self.mid_time,
-            "difference": self.difference,
-            "combined_std_error": self.combined_std_error,
-        }
+        return asdict(self)
 
 
 def dpp_check(model: ModelSpec, eps: float, t0: float, x0, mid_time: float,
               lattice: ControlLattice, n_paths: int, seed: int,
-              basis_degree: int = 2) -> DppReport:
-    """Compare the direct estimate with the two-leg composition through mid_time.
+              basis_degree: int = 2, *, policy) -> DppReport:
+    """Compare the direct estimate with the two-leg composition through mid_time,
+    both under the adverse feedback ``policy`` (as in ``dual_value_lsmc``).
 
-    The inner leg regresses the dual value at mid_time as a function of the
-    state (trained on a mixed-control cloud propagated from (t0, x0), up to
-    the last knot its fit reads); the outer leg then uses that function as
-    terminal data, so the inner fit runs also with a single control.
+    The inner leg is one rollout of the feedback from (t0, x0), its states
+    at mid_time the mid cloud, evaluated backward from T to that cloud; the
+    regression of its per-path values on the mid cloud's basis (the
+    driver-corrected knot value, coefficients only) is v_mid. The outer leg
+    is the estimate on the knots up to mid_time with v_mid as terminal data.
     Inner-regression bias is not part of the reported standard error. The
-    direct estimate, the inner fit and the outer estimate run one after the
-    other, and the inner clouds go once v_mid is fitted (it keeps
-    coefficients only), so the check holds one stage's path-sized arrays at
-    a time. x0 and t0 are checked as in ``dual_value_lsmc``.
+    direct estimate, the inner leg and the outer estimate run one after the
+    other, and the inner leg drops its states before mid_time once the
+    rollout is done, so the check holds one stage's path-sized arrays at a
+    time. x0, t0 and the feedback are checked as in ``dual_value_lsmc``.
     """
     if not (t0 < mid_time < model.horizon_T):
         raise HedgeGameError("need t0 < mid_time < horizon_T")
@@ -419,24 +377,20 @@ def dpp_check(model: ModelSpec, eps: float, t0: float, x0, mid_time: float,
     if not np.any(np.isclose(knots, mid_time, atol=1e-12)):
         raise HedgeGameError("mid_time must be one of the lattice knots")
 
-    direct = dual_value_lsmc(model, eps, t0, x0, lattice, basis_degree, n_paths, seed)
+    direct = dual_value_lsmc(model, eps, t0, x0, lattice, basis_degree, n_paths, seed, policy=policy)
 
-    inner_knots = tuple(float(t) for t in knots[knots >= mid_time - 1e-12])
-    outer_knots = tuple(float(t) for t in knots[knots <= mid_time + 1e-12])
-    inner_lat = ControlLattice(inner_knots, lattice.gamma_points, lattice.substeps)
-    outer_lat = ControlLattice(outer_knots, lattice.gamma_points, lattice.substeps)
-
-    rng_mix, rng_path, rng_cloud, rng_branch = _rngs(seed + 1, 4)
-    # cloud at mid_time from mixed play over [t0, mid], then inner backward
-    mid_cloud = _training_cloud(model, outer_lat, np.broadcast_to(x0, (n_paths, model.dim)),
-                                rng_mix, rng_path)[-1]
-    inner_clouds = _training_cloud(model, inner_lat, mid_cloud, rng_cloud, rng_path,
-                                   len(inner_knots) - 2)
-    del mid_cloud  # inner_clouds[0], dropped by the fit like every inner state
-    _, v_mid = _fit_tables(model, inner_lat, inner_clouds, basis_degree, rng_branch,
-                           shaken_payoff(model, eps))
-    composed = dual_value_lsmc(model, eps, t0, x0, outer_lat, basis_degree, n_paths,
-                               seed + 2, terminal_fn=v_mid)
+    mid = int(np.count_nonzero(knots < mid_time - 1e-12))
+    inner_lat = ControlLattice(tuple(knots[mid:]), lattice.gamma_points, lattice.substeps)
+    outer_lat = ControlLattice(tuple(knots[:mid + 1]), lattice.gamma_points, lattice.substeps)
+    states, picks, dWs = _policy_rollout(model, lattice, np.broadcast_to(x0, (n_paths, model.dim)),
+                                         _feedback(policy, model, lattice), _rngs(seed + 1, 1)[0])
+    del states[:mid], picks[:mid], dWs[:mid]
+    cloud = states[0]
+    vals = _policy_value(model, inner_lat, states, picks, dWs, shaken_payoff(model, eps), basis_degree)
+    basis, coef = _fit(_Basis(cloud, basis_degree), cloud, vals)[:2]
+    del cloud, vals
+    composed = dual_value_lsmc(model, eps, t0, x0, outer_lat, basis_degree, n_paths, seed + 2,
+                               terminal_fn=lambda xs: basis.features(xs) @ coef, policy=policy)
     diff = abs(direct.value - composed.value)
     combined = float(np.hypot(direct.std_error, composed.std_error))
     return DppReport(direct, composed, float(mid_time), float(diff), combined)

@@ -110,22 +110,13 @@ class PiecewiseRandomAdversary:
 
 @dataclass(frozen=True)
 class MarkovWorstAdversary:
-    """Plays the argmin field of a solved surface (the worst-case policy)."""
+    """Plays the argmin field of a solved surface (the worst-case policy),
+    read at the nearest node (``ValueSurface.policy_at``)."""
 
     surface: hjb.ValueSurface
 
     def label(self):
         return "worst"
-
-
-def _worst_lookup(surface: hjb.ValueSurface, t, xs):
-    dt = float(surface.t[1] - surface.t[0])
-    k = int(np.clip(round((t - surface.t_start) / dt), 0, len(surface.t) - 1))
-    idx = []
-    for i, ax in enumerate(surface.axes):
-        h = ax[1] - ax[0]
-        idx.append(np.clip(np.round((xs[:, i] - ax[0]) / h).astype(np.int64), 0, len(ax) - 1))
-    return surface.policy[(k,) + tuple(idx)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +225,7 @@ def _controls(adversary, n_A, t0, dt, n_paths, n_steps, seed):
     if isinstance(adversary, ConstantAdversary):
         return lambda n, X: adversary.a_index
     if isinstance(adversary, MarkovWorstAdversary):
-        return lambda n, X: _worst_lookup(adversary.surface, t0 + n * dt, X)
+        return lambda n, X: adversary.surface.policy_at(t0 + n * dt, X)
     if not isinstance(adversary, PiecewiseRandomAdversary):
         raise HedgeGameError(f"unknown adversary {adversary!r}")
     _, adv_ss = np.random.SeedSequence(int(seed)).spawn(2)

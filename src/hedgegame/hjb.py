@@ -143,6 +143,17 @@ class ValueSurface:
     def horizon_T(self) -> float:
         return float(self.t[-1])
 
+    def policy_at(self, t, xs) -> np.ndarray:
+        """Pair indices of the policy at the node nearest to (t, x) for each
+        row x of xs, with time and space clamped to the grid."""
+        dt = float(self.t[1] - self.t[0])
+        k = int(np.clip(round((t - self.t_start) / dt), 0, len(self.t) - 1))
+        idx = []
+        for i, ax in enumerate(self.axes):
+            h = ax[1] - ax[0]
+            idx.append(np.clip(np.round((xs[:, i] - ax[0]) / h).astype(np.int64), 0, len(ax) - 1))
+        return self.policy[(k,) + tuple(idx)]
+
     # -- derivative fields -------------------------------------------------
 
     def _span(self, corners):

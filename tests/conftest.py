@@ -85,6 +85,16 @@ def uncertain_vol_model(vols=(0.1, 0.3), payoff_kind="call", strike=1.0, T=1.0,
     )
 
 
+def readme_sketch_model(r_lend=0.02, r_borrow=0.05):
+    """The README config sketch's model: the call spread 1 / 1.4 under
+    uncertain vol {0.1, 0.3}, lending at r_lend and borrowing at r_borrow."""
+    return make_finance_model(
+        finance_spec(r_lend=r_lend, r_borrow=r_borrow),
+        make_payoff("call_spread", strike=1.0, cap=1.4), 1,
+        [np.array([0.1]), np.array([0.3])], 1.0, 0.3,
+    )
+
+
 def x_varying_vol_model(time_factor=False):
     """Uncertain vol {0.1, 0.3} scaled by 1 + 0.1 sin(x), and by 1 + t with
     ``time_factor``, so every x-shift (and time shift) reads its own vol."""
@@ -440,7 +450,7 @@ def simulate_oracle(model, strategy, adversary, t0, x0, y0, n_paths, n_steps, se
     """(terminal gap, excluded paths, clamped queries) of ``game.simulate``
     stepped group by group through the closures. A clamped time counts once
     per group here, once per step in ``game.simulate``."""
-    from hedgegame.game import ConstantAdversary, PiecewiseRandomAdversary, _worst_lookup
+    from hedgegame.game import ConstantAdversary, PiecewiseRandomAdversary
 
     T = model.horizon_T
     d = model.dim
@@ -476,7 +486,7 @@ def simulate_oracle(model, strategy, adversary, t0, x0, y0, n_paths, n_steps, se
         if plan is not None:
             a_idx = plan[n]
         else:
-            a_idx = _worst_lookup(adversary.surface, t_n, X)
+            a_idx = adversary.surface.policy_at(t_n, X)
         for j in range(n_A):
             mask = a_idx == j
             if not np.any(mask):
@@ -516,87 +526,47 @@ def advance_oracle(model, lattice, j, X, pick, rng):
     return X_next, dW
 
 
-def policy_value_oracle(model, lattice, states, picks, dWs, terminal_fn, degree):
-    """Backward BSDE values along frozen-policy paths, the driver read on
-    each control's paths through a mask; the lists are left as they are."""
-    from hedgegame.dual import _driver, _regress_yz
+def rollout_oracle(model, lattice, X, policy, rng):
+    """(states, picks, dWs) of the feedback rollout: at each knot every path
+    reads ``policy(t, X)``, and each interval runs through the masked loop."""
+    states, picks, dWs = [X], [], []
+    for j in range(len(lattice.time_knots) - 1):
+        picks.append(np.asarray(policy(lattice.time_knots[j], X)))
+        X, dW = advance_oracle(model, lattice, j, X, picks[-1], rng)
+        states.append(X)
+        dWs.append(dW)
+    return states, picks, dWs
 
-    knots = lattice.time_knots
+
+def policy_value_oracle(model, lattice, states, picks, dWs, terminal_fn, degree):
+    """Backward BSDE values along frozen-policy paths, each control's paths
+    read through a mask: the y fit, the per-path delta targets
+    sigma^-T (Y - y) dW / dtau (a division in d = 1), the delta fit on the y
+    fit's design matrix, z = sigma^T delta and the driver; the lists are left
+    as they are."""
+    from hedgegame.dual import _Basis, _driver, _fit, _lstsq
+    from hedgegame.model import base_point
+
+    knots, d = lattice.time_knots, states[0].shape[1]
     Y = np.asarray(terminal_fn(states[-1]), dtype=float)
     for j in range(len(knots) - 2, -1, -1):
         xj, dtau = states[j], knots[j + 1] - knots[j]
-        _, yhat, zhat, _ = _regress_yz(xj, Y, dWs[j], dtau, degree)
-        f = np.empty(xj.shape[0])
-        for i, gamma in enumerate(lattice.gamma_points):
+        _, _, yhat, B = _fit(_Basis(xj, degree), xj, Y)
+        w = (Y - yhat)[:, None] * dWs[j] / dtau
+        masks = []
+        for i, (a, b) in enumerate(lattice.gamma_points):
             mask = picks[j] == i
             if np.any(mask):
-                f[mask] = _driver(model, gamma, knots[j], xj[mask], yhat[mask], zhat[mask])
+                t_b, x_b = base_point(knots[j], xj[mask], b, model.horizon_T)
+                sig = np.broadcast_to(np.asarray(model.finance.sigma(t_b, x_b, a), dtype=float),
+                                      (int(mask.sum()), d, d))
+                w[mask] = (w[mask] / sig[:, 0, :] if d == 1 else
+                           np.linalg.solve(np.swapaxes(sig, -1, -2), w[mask][..., None])[..., 0])
+                masks.append((i, mask, sig))
+        delta = np.stack([_lstsq(B, w[:, k])[2] for k in range(d)], axis=-1)
+        f = np.empty(xj.shape[0])
+        for i, mask, sig in masks:
+            z = np.einsum("...ji,...j->...i", sig, delta[mask])
+            f[mask] = _driver(model, lattice.gamma_points[i], knots[j], xj[mask], yhat[mask], z)
         Y = Y - dtau * f
     return Y
-
-
-# ---------------------------------------------------------------------------
-# full-flow dual oracle: every estimate trains its cloud to T, runs the
-# regression pass and rolls out the fitted policy through the masked route,
-# also where one control leaves nothing to pick
-# ---------------------------------------------------------------------------
-
-
-def _spawned(seed, n):
-    return [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
-def training_oracle(model, lattice, X, rng_mix, rng_path):
-    """States at every knot, T included, under uniformly mixed controls;
-    with one control every path plays control 0 and no pick is drawn."""
-    n_controls = len(lattice.gamma_points)
-    clouds = [X]
-    for j in range(len(lattice.time_knots) - 1):
-        pick = (rng_mix.integers(0, n_controls, X.shape[0]) if n_controls > 1
-                else np.zeros(X.shape[0], dtype=int))
-        X = advance_oracle(model, lattice, j, X, pick, rng_path)[0]
-        clouds.append(X)
-    return clouds
-
-
-def dual_oracle(model, eps, t0, x0, lattice, degree, n_paths, seed, terminal_fn=None):
-    """(value, std error) of ``dual_value_lsmc`` from its full flow: the
-    training cloud to T, the regression pass, a rollout whose picks are the
-    argmax of the fitted tables (all 0 with one control) through the masked
-    route, the masked policy value and the bootstrap, each on its own of the
-    five streams spawned from the seed."""
-    from hedgegame.dual import _BOOTSTRAP, _fit_tables, _scores
-    from hedgegame.model import shaken_payoff
-
-    term = shaken_payoff(model, eps) if terminal_fn is None else terminal_fn
-    rng_mix, rng_path, rng_branch, rng_roll, rng_boot = _spawned(seed, 5)
-    start = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, model.dim))
-    clouds = training_oracle(model, lattice, start, rng_mix, rng_path)
-    tables, _ = _fit_tables(model, lattice, clouds, degree, rng_branch, term)
-    X, states, picks, dWs = start, [start], [], []
-    for j, fits in enumerate(tables):
-        picks.append(np.argmax(_scores(fits, X), axis=0))
-        X, dW = advance_oracle(model, lattice, j, X, picks[-1], rng_roll)
-        states.append(X)
-        dWs.append(dW)
-    vals = policy_value_oracle(model, lattice, states, picks, dWs, term, degree)
-    boots = [vals[rng_boot.integers(0, n_paths, n_paths)].mean() for _ in range(_BOOTSTRAP)]
-    return float(vals.mean()), float(np.std(boots, ddof=1))
-
-
-def dpp_oracle(model, eps, t0, x0, mid_time, lattice, n_paths, seed, degree=2):
-    """(direct, composed) (value, std error) pairs of ``dpp_check``, each
-    leg from ``dual_oracle`` and the inner cloud trained to T."""
-    from hedgegame.dual import ControlLattice, _fit_tables
-    from hedgegame.model import shaken_payoff
-
-    knots = np.asarray(lattice.time_knots)
-    inner, outer = (ControlLattice(tuple(knots[keep]), lattice.gamma_points, lattice.substeps)
-                    for keep in (knots >= mid_time - 1e-12, knots <= mid_time + 1e-12))
-    rng_mix, rng_path, rng_cloud, rng_branch = _spawned(seed + 1, 4)
-    start = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths, model.dim))
-    mid_cloud = training_oracle(model, outer, start, rng_mix, rng_path)[-1]
-    _, v_mid = _fit_tables(model, inner, training_oracle(model, inner, mid_cloud, rng_cloud, rng_path),
-                           degree, rng_branch, shaken_payoff(model, eps))
-    return (dual_oracle(model, eps, t0, x0, lattice, degree, n_paths, seed),
-            dual_oracle(model, eps, t0, x0, outer, degree, n_paths, seed + 2, v_mid))

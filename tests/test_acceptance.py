@@ -278,12 +278,12 @@ def test_criterion_8_dual_agreement(bs_acc, uv_acc):
     for model, surf in ((bs_model, bs_surf), (uv_model, uv_surf)):
         pde = surf.value(0.0, np.array([0.0]))
         lat = make_lattice(model, 0.0, 4, 0.0, substeps=25)
-        est = dual_value_lsmc(model, 0.0, 0.0, [0.0], lat, 2, 100000, 7)
+        est = dual_value_lsmc(model, 0.0, 0.0, [0.0], lat, 2, 100000, 7, policy=surf)
         diff = abs(est.value - pde)
         results.append((est, pde, diff, diff <= 2.0 * est.std_error + 0.01 * pde))
 
     lat_dpp = make_lattice(bs_model, 0.0, 4, 0.0, substeps=25)
-    dpp = dpp_check(bs_model, 0.0, 0.0, [0.0], 0.5, lat_dpp, 100000, 3)
+    dpp = dpp_check(bs_model, 0.0, 0.0, [0.0], 0.5, lat_dpp, 100000, 3, policy=bs_surf)
     want = bs_call_spread(1.0, 1.0, 1.4, 0.2, 1.0)
     dpp_ok = dpp.difference <= 2.0 * dpp.combined_std_error + 0.01 * want
 
@@ -292,7 +292,7 @@ def test_criterion_8_dual_agreement(bs_acc, uv_acc):
     knot_vals = []
     for nk in (2, 4, 8):
         lat = make_lattice(uv_model, 0.0, nk, 0.0, substeps=25)
-        est = dual_value_lsmc(uv_model, 0.0, 0.0, [0.0], lat, 2, 100000, 19)
+        est = dual_value_lsmc(uv_model, 0.0, 0.0, [0.0], lat, 2, 100000, 19, policy=uv_surf)
         knot_vals.append(est.value)
         if prev is not None:
             noise = 2.0 * float(np.hypot(prev.std_error, est.std_error))

@@ -458,6 +458,24 @@ class TestDualCommand:
         rep = json.loads((tmp_path / "out" / "dual.json").read_text())
         assert rep["difference"] <= 1e-9
 
+    @pytest.mark.parametrize("overrides", [
+        ["grid.t_steps=2"],
+        ["model.lipschitz_K=0.1"],
+        ["model.A_points=[[0.03]]", 'model.finance.r_borrow={"type": "constant", "value": 0.05}'],
+    ], ids=["cfl", "assumptions", "peclet"])
+    def test_a_failing_solve_exits_as_solve_does(self, tmp_path, capsys, overrides):
+        # dual plays the solve's argmin, so it fails where the solve fails,
+        # with the same code and one JSON error object, before any path
+        path = write_config(tmp_path, base_config())
+        codes = []
+        for command in ("solve", "dual"):
+            sets = [arg for o in overrides for arg in ("--set", o)]
+            codes.append(main([command, "-c", path, "--out", str(tmp_path / command)] + sets))
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and json.loads(err)["error"]["code"] == codes[-1]
+        assert codes[0] == codes[1] != 0
+        assert not (tmp_path / "dual" / "dual.json").exists()
+
     def test_dpp_mode_honours_degree(self, tmp_path):
         cfg = base_config()
         cfg["dual"] = {"knots": 4, "degree": 2, "paths": 500, "eps": 0.0,
