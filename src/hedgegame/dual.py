@@ -8,7 +8,8 @@ claim from below, up to Monte Carlo, regression and lattice error; played
 with the solved surface's argmin (``ValueSurface.policy``) at eps = 0, the
 estimate rises to the PDE price as the lattice refines. The estimator is
 the regression scheme of Gobet, Lemor & Warin (Ann. Appl. Probab. 2005) on
-the feedback's own paths, with z = sigma^T delta as in the game.
+the feedback's own paths, its driver the wealth drift at the regressed hedge
+ratio delta, the hedge the game plays.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .game import _split
 from .hjb import ValueSurface
-from .model import (HedgeGameError, ModelSpec, _hedge_map, adverse_pairs, base_point, coefficients_at,
-                    read_site, shake_lattice, shaken_payoff)
+from .model import (HedgeGameError, ModelSpec, _hedge_map, adverse_pairs, base_point, market_read,
+                    read_site, shake_lattice, shaken_payoff, wealth_drift)
 
 _BOOTSTRAP = 200
 
@@ -127,23 +128,19 @@ def _fit(basis: _Basis, xs: np.ndarray, ys: np.ndarray):
 
 
 def _regress_yz(xj, y_next, dW, dtau, degree, groups):
-    """One regression BSDE step: the basis, the conditional y and
-    z = sigma^T delta, the hedge ratio delta regressed on its per-path
-    estimate sigma^-T (y_next - y) dW / dtau, with ``groups`` as ``_groups``
-    makes them. The delta fits reuse the y fit's basis and design matrix,
-    since a fit's rank depends on the cloud alone."""
+    """One regression BSDE step: the basis, the conditional y and the hedge
+    ratio delta, regressed on its per-path estimate
+    sigma^-T (y_next - y) dW / dtau (``groups`` as ``_groups`` makes them).
+    The delta fits reuse the y fit's basis and design matrix, since a fit's
+    rank depends on the cloud alone."""
     basis, _, yhat, B = _fit(_Basis(xj, degree), xj, y_next)
-    w = (y_next - yhat)[:, None] * dW
-    w /= dtau
-    for _, rows, _, to_delta in groups:
-        w[rows] = to_delta(w[rows])
-    z = np.empty_like(w)
-    for kdim in range(w.shape[1]):
-        z[:, kdim] = _lstsq(B, w[:, kdim])[2]
-    del w
-    for _, rows, sig, _ in groups:
-        z[rows] = np.einsum("...ji,...j->...i", sig, z[rows])
-    return basis, yhat, z
+    delta = (y_next - yhat)[:, None] * dW
+    delta /= dtau
+    for _, rows, to_delta in groups:
+        delta[rows] = to_delta(delta[rows])
+    for kdim in range(delta.shape[1]):
+        delta[:, kdim] = _lstsq(B, delta[:, kdim])[2]
+    return basis, yhat, delta
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +172,11 @@ def _euler_segment(model, gamma, t_from, t_to, X0, substeps, rng):
     return X, dW_sum
 
 
-def _driver(model, gamma, t, xs, ys, zs):
-    """Hedged wealth drift at the shifted base point (the BSDE driver)."""
+def _driver(model, gamma, t, xs, ys, deltas):
+    """Wealth drift at the hedge ``deltas`` and the shifted base point (the BSDE driver)."""
     a, b = gamma
     t_eff, x_eff = base_point(t, xs, b, model.horizon_T)
-    return np.asarray(coefficients_at(model, t_eff, x_eff, a)[2](ys, zs), dtype=float)
+    return wealth_drift(*market_read(model.finance, t_eff, x_eff, a))(ys, deltas)
 
 
 def _advance(model, lattice, j, X, pick, rng):
@@ -256,23 +253,24 @@ def _policy_rollout(model, lattice, X, read, rng):
 
 
 def _groups(model, lattice, t, xj, pick):
-    """(control, rows, sigma, sigma^-T map) for each control that holds paths
-    of the cloud xj at knot time t (``game._split``), sigma read alone at the
+    """(control, rows, sigma^-T map) for each control that holds paths of
+    the cloud xj at knot time t (``game._split``), sigma read alone at the
     control's shifted base point: a full market read would add path-sized
-    rate arrays to the fits."""
+    rate arrays to the fits. A singular sigma raises ModelError naming its
+    site."""
     groups = []
     for i, rows in _split(pick, len(lattice.gamma_points)):
         a, b = lattice.gamma_points[i]
         t_eff, x_eff = base_point(t, xj[rows], b, model.horizon_T)
         sig = np.asarray(model.finance.sigma(t_eff, x_eff, a), dtype=float)
-        groups.append((i, rows, sig, _hedge_map(sig, *read_site(t_eff, x_eff, a))))
+        groups.append((i, rows, _hedge_map(sig, *read_site(t_eff, x_eff, a))))
     return groups
 
 
 def _policy_value(model, lattice, states, picks, dWs, terminal_fn, degree):
     """Per-path values at the first knot, by backward BSDE evaluation along
     the frozen-policy paths; the three lists are emptied as it goes, each
-    knot's entries once read. Conditional y and z (``_regress_yz``) are
+    knot's entries once read. Conditional y and delta (``_regress_yz``) are
     regressed on the policy's own state distribution, so the driver
     correction is measure-consistent."""
     knots = lattice.time_knots
@@ -281,12 +279,12 @@ def _policy_value(model, lattice, states, picks, dWs, terminal_fn, degree):
         xj, dW, pick = states.pop(), dWs.pop(), picks.pop()
         dtau = knots[j + 1] - knots[j]
         groups = _groups(model, lattice, knots[j], xj, pick)
-        _, yhat, z = _regress_yz(xj, Y, dW, dtau, degree, groups)
+        _, yhat, delta = _regress_yz(xj, Y, dW, dtau, degree, groups)
         del dW
-        for i, rows, _, _ in groups:  # each group's driver values replace its rows of yhat
-            yhat[rows] = _driver(model, lattice.gamma_points[i], knots[j], xj[rows], yhat[rows], z[rows])
+        for i, rows, _ in groups:  # each group's driver values replace its rows of yhat
+            yhat[rows] = _driver(model, lattice.gamma_points[i], knots[j], xj[rows], yhat[rows], delta[rows])
         Y = Y - dtau * yhat
-        del yhat, z, groups  # before the next knot's regression
+        del yhat, delta, groups  # before the next knot's regression
     return Y
 
 

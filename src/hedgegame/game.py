@@ -1,9 +1,9 @@
 """Feedback hedging strategies and adversarial Monte Carlo verification.
 
 A strategy map turns a solved (or certified smooth) surface into the
-Markovian hedge u = u_hat(t, X, Y, z, a) whose wealth-diffusion row is
-z = sigma_X^T Dw; in the finance preset this collapses to the delta rule
-u = Dw independently of wealth and of the adverse control. Simulation runs
+Markovian hedge u = u_hat(t, X, Y, sigma_X^T Dw, a), which in the two-rate
+market is the delta u = Dw, whatever the wealth and the adverse control:
+the game hedges with the surface gradient itself. Simulation runs
 the game under Euler-Maruyama with shared Brownian increments against
 constant, randomly switching and worst-case-feedback adversaries, and
 reports terminal shortfall statistics.
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import hjb, regularize
-from .model import HedgeGameError, ModelSpec, coefficients_at
+from .model import HedgeGameError, ModelSpec, _regular, market_read, read_site, wealth_drift
 
 
 class StrategyMap:
@@ -58,14 +58,9 @@ class StrategyMap:
         return self.source.gradient(tc, xc)
 
     def rule(self, t, xs, ys, a) -> np.ndarray:
-        """Hedge controls for a batch of paths under one adverse point."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        grad = self.gradient(t, xs)
-        sig = np.asarray(self.model.sigma_X(t, xs, a), dtype=float)
-        z = np.einsum("...ji,...j->...i", sig, grad)
-        if not np.any(z):
-            return np.zeros_like(z)
-        return np.asarray(self.model.u_hat(t, xs, np.asarray(ys, dtype=float), z, a), dtype=float)
+        """Hedge controls for a batch of paths under one adverse point: the
+        delta, the surface gradient, whatever the wealth ys and the point a."""
+        return self.gradient(t, xs)
 
 
 def make_strategy(source, model: ModelSpec) -> StrategyMap:
@@ -177,12 +172,12 @@ def simulate(model: ModelSpec, strategy: StrategyMap, adversary, t0, x0, y0,
     the same draws. Each step the adversary emits its control from
     (t_n, X_n) and its own random stream, the strategy reads the surface
     gradient once for all paths, then each adverse point's paths make one
-    frozen coefficient read (``coefficients_at``) and X and Y advance on
-    the same increments. Paths are split per adverse point by integer
-    indices, and not at all when one point holds them all.
-    Y diffuses with z = sigma_X^T Dw, the row the hedge u_hat(z) matches
-    (``validate_assumptions``: ``inversion_u_hat``), and drifts with the
-    hedged drift at z. Non-finite paths are excluded and counted. A run
+    frozen coefficient read (``market_read``) and X and Y advance on the
+    same increments. Paths are split per adverse point by integer indices,
+    and not at all when one point holds them all. The hedge is the delta
+    u = Dw: with dX = mu dt + sigma dW, Y moves by the wealth drift at u
+    times dt plus u.(sigma dW). A singular sigma on a path raises ModelError
+    naming its (t, x, a). Non-finite paths are excluded and counted. A run
     needs n_paths >= 1.
     """
     if n_paths < 1:
@@ -269,13 +264,13 @@ def _play(model, strategy, adversaries, t0, x0, y0, n_paths, n_steps, seed) -> l
             grad = strategy.gradient(t_n, X)
             clamped[r] += strategy.clamped - before
             for j, rows in _split(a_idx, n_A):
-                xm, ym, wm = X[rows], Y[rows], w[rows]
-                mu, sig, drift = coefficients_at(model, t_n, xm, model.A_points[j])
-                z = np.einsum("...ji,...j->...i", sig, grad[rows])
+                xm, ym, u, a = X[rows], Y[rows], grad[rows], model.A_points[j]
+                read = market_read(model.finance, t_n, xm, a)
+                dx = np.einsum("...ij,...j->...i", _regular(read[1], *read_site(t_n, xm, a)), w[rows])
                 # Y first: xm is a view of X when one point holds every path, and a
-                # closure may return views of its x, which the drift's read keeps
-                Y[rows] = ym + drift(ym, z) * dt + np.einsum("...i,...i->...", z, wm)
-                X[rows] = xm + mu * dt + np.einsum("...ij,...j->...i", sig, wm)
+                # closure may return views of its x, which the read keeps
+                Y[rows] = ym + wealth_drift(*read)(ym, u) * dt + np.einsum("...i,...i->...", u, dx)
+                X[rows] = xm + read[0] * dt + dx
     reports = [_report(model, adv, t0, x0, y0, X, Y, n_steps, seed, c)
                for adv, X, Y, c in zip(runs, Xs, Ys, clamped)]
     if n_A == 1:

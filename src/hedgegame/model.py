@@ -5,9 +5,11 @@ only to the adverse control a, the scalar wealth Y reacts to both the hedge
 u (in R^d) and a. The adverse control ranges over a finite list
 ``A_points``; the hedge control is never enumerated, because the hedge
 (sigma^-1)^T z is the unique u whose wealth-diffusion row is z. At
-z = sigma^T p that is the delta rule u = p, where mu cancels: ``Generator``
-evaluates La as sum_i 1/2 Sig_ii (p_i - M_ii) - Sig_01 (M_01 + M_10)/2
-+ r_lend c+ - r_borrow c- - q with c = y - p.1 and Sig = sigma sigma^T.
+z = sigma^T p that is the delta u = p, which the game, the dual and the
+generator hedge with directly (``wealth_drift`` takes u itself). There mu
+cancels: ``Generator`` evaluates La as sum_i 1/2 Sig_ii (p_i - M_ii)
+- Sig_01 (M_01 + M_10)/2 + r_lend c+ - r_borrow c- - q with c = y - p.1 and
+Sig = sigma sigma^T.
 
 A model is its ``FinanceSpec``: the drift, volatility and two cash rates of
 a two-rate market, each a function of (t, x, a) vectorised over the leading
@@ -15,9 +17,9 @@ axes of x (x: (n, d) -> mu (n, d), sigma (n, d, d), rates (n,)). ``t`` is a
 python float and ``a`` one entry of ``A_points``. Closures must be row-wise
 pure: row i of the output depends only on row i of the inputs, because a
 batch may gather a subset of paths. Every solver reads a model through
-``market_read`` once per (t, x, a). ``coefficients_at`` and ``Generator``
-also take a 1-d numpy array of times; they still call every closure once
-per time, with that time as a python float.
+``market_read`` once per (t, x, a). ``Generator`` also takes a 1-d numpy
+array of times; it still calls every closure once per time, with that time
+as a python float.
 
 The generators of the game, La, L = min_a La and the shaken H_eps, exist
 once, as ``Generator``: the sweep, the residual, certification and the
@@ -34,10 +36,10 @@ reads, so the arrays the spec's closures return must not be written to.
     u_hat(t, x, y, z, a)    z: (n, d)            -> (n, d)
 
 and no solver reads it. Its readers are ``ModelSpec.hash`` (for a model
-without a config), ``StrategyMap.rule``, test oracles, call tracers, and of
-the standing-assumption checks only the two that compare it with the spec:
-``inversion_u_hat`` and ``frozen_read_matches`` (a ``dataclasses.replace``
-copy that changes a closure but keeps ``finance`` fails the latter).
+without a config), test oracles, call tracers, and of the standing-assumption
+checks only the two that compare it with the spec: ``inversion_u_hat`` and
+``frozen_read_matches`` (a ``dataclasses.replace`` copy that changes a
+closure but keeps ``finance`` fails the latter).
 """
 
 from __future__ import annotations
@@ -169,9 +171,9 @@ def market_read(finance: FinanceSpec, t, x, a):
                   _per_time(finance.r_lend, t, x, a), _per_time(finance.r_borrow, t, x, a)))
 
 
-def _wealth(mu, sig, rl, rb):
+def wealth_drift(mu, sig, rl, rb):
     """The wealth drift (y, u) -> u.(mu + gamma/2) + rho(y - u.1) of one
-    market read."""
+    market read, u the hedge itself (the delta, in the game and the dual)."""
     mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
 
     def wealth(y, u):
@@ -224,26 +226,6 @@ def _hedge_map(sig, batch, where):
             raise ModelError(f"singular volatility at {where(np.unravel_index(flat, batch))}") from None
 
     return solve
-
-
-def coefficients_at(model: ModelSpec, t, x, a):
-    """(mu, sigma, drift) of the market read at (t, x, a), drift(y, z) the
-    hedged wealth drift on z rows or on a stack (k,) + x.shape of them. A
-    1-d array ``t`` adds a leading time axis to the coefficients, and y and
-    z carry it in front of x's rows: the read is once per time, the drift
-    one expression for all times."""
-    x = np.asarray(x, dtype=float)
-    read = market_read(model.finance, t, x, a)
-    return read[0], read[1], market_drift(read, read_site(t, x, a))
-
-
-def market_drift(read, site):
-    """The hedged wealth drift (y, z) -> u.(mu + gamma/2) + rho(y - u.1) at
-    the hedge u = (sigma^-1)^T z of a finance model's ``market_read``, on
-    the batch axes of ``site`` = (batch, namer), the ``read_site`` of the
-    read's (t, x, a)."""
-    wealth, hedge = _wealth(*read), _hedge_map(read[1], *site)
-    return lambda y, z: wealth(y, hedge(z))
 
 
 def base_point(t, x, b, T):
@@ -445,7 +427,7 @@ def make_finance_model(
     """
 
     def mu_Y(t, x, y, u, a):
-        wealth = _wealth(*market_read(finance, t, np.atleast_2d(np.asarray(x, dtype=float)), a))
+        wealth = wealth_drift(*market_read(finance, t, np.atleast_2d(np.asarray(x, dtype=float)), a))
         return wealth(y, np.atleast_2d(np.asarray(u, dtype=float)))
 
     def sigma_Y(t, x, y, u, a):
@@ -536,7 +518,7 @@ def _coeff_from_config(spec: dict, dim: int, kind: str, allow_tabulated: bool):
         if kind == "mu":
             vec = np.full(dim, float(val)) if val.ndim == 0 else val.reshape(dim)
             return lambda t, x, a, _v=vec: np.broadcast_to(_v, np.asarray(x).shape[:-1] + (dim,))
-        return lambda t, x, a, _s=float(val): np.full(np.asarray(x).shape[:-1], _s)
+        return lambda t, x, a, _s=np.float64(float(val)): np.broadcast_to(_s, np.asarray(x).shape[:-1])
     if ctype == "affine_in_a":
         if kind == "sigma":
             def sig(t, x, a):
@@ -550,7 +532,7 @@ def _coeff_from_config(spec: dict, dim: int, kind: str, allow_tabulated: bool):
                 v = av if av.size == dim else np.full(dim, float(av[0]))
                 return np.broadcast_to(v, np.asarray(x).shape[:-1] + (dim,))
             return mu
-        return lambda t, x, a: np.full(np.asarray(x).shape[:-1], float(np.asarray(a).reshape(-1)[0]))
+        return lambda t, x, a: np.broadcast_to(np.asarray(a, dtype=float).reshape(-1)[0], np.asarray(x).shape[:-1])
     if ctype == "tabulated_x" and allow_tabulated:
         xs = np.asarray(spec["x"], dtype=float)
         vs = np.asarray(spec["values"], dtype=float)
@@ -731,13 +713,12 @@ def validate_assumptions(model: ModelSpec, sample_count: int = 256, rng_seed: in
             bound.add(t, a, _norm_rows(mu) + _opnorm(sig), x1)
 
             # Y coefficients at the hedge u: mu_Y from the wealth drift, sigma_Y = sigma^T u (no y in it)
-            wealth = _wealth(*read)
+            wealth = wealth_drift(*read)
             mu_y, sig_y = wealth(y1, u), _norm_rows(np.einsum("...ji,...j->...i", sig, u))
             ylip.add(t, a, np.abs(mu_y - wealth(y2, u)) / dy, x1, y1, y2)
             gro.add(t, a, (np.abs(mu_y) + sig_y) / (1.0 + _norm_rows(u) + np.abs(y1)), x1, y1, u)
             ratio.add(t, a, np.abs(mu_y) / (1.0 + sig_y), x1, y1, u)
-            at = market_drift(read, read_site(t, x1, a))
-            drift = at(y1, z)
+            drift = wealth(y1, _hedge_map(sig, *read_site(t, x1, a))(z))
             hat.add(t, a, np.abs(drift) / (1.0 + np.abs(y1) + _norm_rows(z)), x1, y1, z)
 
             # the closure copy against the spec: sigma_Y(., u_hat(., z, .), .) == z, and the read itself

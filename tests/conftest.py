@@ -542,8 +542,8 @@ def policy_value_oracle(model, lattice, states, picks, dWs, terminal_fn, degree)
     """Backward BSDE values along frozen-policy paths, each control's paths
     read through a mask: the y fit, the per-path delta targets
     sigma^-T (Y - y) dW / dtau (a division in d = 1), the delta fit on the y
-    fit's design matrix, z = sigma^T delta and the driver; the lists are left
-    as they are."""
+    fit's design matrix and the driver at delta; the lists are left as they
+    are."""
     from hedgegame.dual import _Basis, _driver, _fit, _lstsq
     from hedgegame.model import base_point
 
@@ -562,11 +562,10 @@ def policy_value_oracle(model, lattice, states, picks, dWs, terminal_fn, degree)
                                       (int(mask.sum()), d, d))
                 w[mask] = (w[mask] / sig[:, 0, :] if d == 1 else
                            np.linalg.solve(np.swapaxes(sig, -1, -2), w[mask][..., None])[..., 0])
-                masks.append((i, mask, sig))
+                masks.append((i, mask))
         delta = np.stack([_lstsq(B, w[:, k])[2] for k in range(d)], axis=-1)
         f = np.empty(xj.shape[0])
-        for i, mask, sig in masks:
-            z = np.einsum("...ji,...j->...i", sig, delta[mask])
-            f[mask] = _driver(model, lattice.gamma_points[i], knots[j], xj[mask], yhat[mask], z)
+        for i, mask in masks:
+            f[mask] = _driver(model, lattice.gamma_points[i], knots[j], xj[mask], yhat[mask], delta[mask])
         Y = Y - dtau * f
     return Y

@@ -476,6 +476,19 @@ class TestDualCommand:
         assert codes[0] == codes[1] != 0
         assert not (tmp_path / "dual" / "dual.json").exists()
 
+    @pytest.mark.parametrize("override", ["dual.paths=0", "dual.degree=-1"])
+    def test_run_sizes_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, override):
+        def solve(*args, **kwargs):
+            raise AssertionError("dual solved before checking its run sizes")
+
+        monkeypatch.setattr(cli.hjb, "solve", solve)
+        path = write_config(tmp_path, base_config())
+        for mid in ([], ["--mid", "0.5"]):
+            assert main(["dual", "-c", path, "--out", str(tmp_path / "out"), "--set", override] + mid) == 2
+            err = error_payload(capsys)
+            assert err["kind"] == "config" and err["code"] == 2 and override.split("=")[0] in err["message"]
+        assert not (tmp_path / "out" / "dual.json").exists()
+
     def test_dpp_mode_honours_degree(self, tmp_path):
         cfg = base_config()
         cfg["dual"] = {"knots": 4, "degree": 2, "paths": 500, "eps": 0.0,

@@ -201,20 +201,20 @@ class TestRegressionFallback:
         # every node of {0, 1}^d: degree 2 is deficient, degree 1 is not. The
         # y fit falls back once; the delta fits and the caller's refit reuse
         # the basis it settled on, with the bits of fits made at degree 1
-        # (sigma = I: the delta targets are the z targets)
+        # (sigma = I: the delta targets are (y - yhat) dW / dtau)
         rng = np.random.default_rng(3)
         xs = np.array(list(np.ndindex(*(2,) * dim)) * 50, dtype=float)
         ys, dW = rng.standard_normal(len(xs)), rng.standard_normal((len(xs), dim))
-        groups = [(0, slice(None), np.eye(dim), lambda w: w)]
+        groups = [(0, slice(None), lambda w: w)]
         with pytest.warns(RuntimeWarning, match="rank-deficient") as caught:
-            basis, yhat, zhat = _regress_yz(xs, ys, dW, 0.25, 2, groups)
-            refit = _fit(basis, xs, yhat - 0.25 * zhat[:, 0])[2]
+            basis, yhat, delta = _regress_yz(xs, ys, dW, 0.25, 2, groups)
+            refit = _fit(basis, xs, yhat - 0.25 * delta[:, 0])[2]
         assert len(caught) == 1 and basis.degree == 1
         one = _Basis(xs, 1)
         assert np.array_equal(yhat, _fit(one, xs, ys)[2])
         for k in range(dim):
-            assert np.array_equal(zhat[:, k], _fit(one, xs, (ys - yhat) * dW[:, k] / 0.25)[2])
-        assert np.array_equal(refit, _fit(one, xs, yhat - 0.25 * zhat[:, 0])[2])
+            assert np.array_equal(delta[:, k], _fit(one, xs, (ys - yhat) * dW[:, k] / 0.25)[2])
+        assert np.array_equal(refit, _fit(one, xs, yhat - 0.25 * delta[:, 0])[2])
 
 
 class TestDppCheck:
@@ -356,11 +356,11 @@ class TestHeldMemory:
         # 20000 paths, 4 knots: a path array is one (n, 1) float array. The
         # start row, the rollout's states and increments, and one
         # regression's working set (design matrix, its least-squares copy,
-        # fitted y, the delta targets and fitted z, driver) peak at 19.6
-        # path arrays with one control and 23.5 with two (tracemalloc): the
+        # fitted y, the delta targets, fitted in place, driver) peak at 18.6
+        # path arrays with one control and 22.5 with two (tracemalloc): the
         # driver's market read on the larger group sets the peak. Holding the fitted clouds through the rollout, a
         # tiled start cloud and a feature matrix per fit took 34.3 with
-        # either.
+        # either; fitting z = sigma^T delta beside its targets took one more.
         model = uncertain_vol_model(vols=vols, r_lend=0.02, r_borrow=0.05)
         surface = solve(model, SKETCH_GRID)
         lat = make_lattice(model, 0.0, 4, 0.0, substeps=5)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from hedgegame.game import (
     superhedge_check,
 )
 from hedgegame.hjb import GridSpec, ValueSurface, solve
-from hedgegame.model import HedgeGameError, coefficients_at, make_finance_model, make_payoff
+from hedgegame.model import HedgeGameError, ModelError, make_finance_model, make_payoff, market_read
 from hedgegame.regularize import SmoothSurface
 
 from conftest import (
@@ -198,7 +199,7 @@ def analytic_surface_2d(model, nt=40, n=30):
 
 class TestFrozenGameStep:
     """The game reads the gradient once per step and each adverse point's
-    coefficients once per step through ``coefficients_at``, and plays the
+    coefficients once per step through ``market_read``, and plays the
     per-group closure step of ``conftest.simulate_oracle`` to roundoff."""
 
     @staticmethod
@@ -256,11 +257,11 @@ class TestFrozenGameStep:
                                               ("mu_X", "sigma_X", "mu_Y", "sigma_Y", "u_hat")})
         reads = []
 
-        def frozen_read(m, t, x, a):
+        def frozen_read(finance, t, x, a):
             reads.append((t, float(a[0]), len(x)))
-            return coefficients_at(m, t, x, a)
+            return market_read(finance, t, x, a)
 
-        monkeypatch.setattr(game, "coefficients_at", frozen_read)
+        monkeypatch.setattr(game, "market_read", frozen_read)
         strat = make_strategy(surf, model)
         grads = []
         read_gradient = strat.gradient
@@ -272,6 +273,25 @@ class TestFrozenGameStep:
         assert len({(t, a) for t, a, _ in reads}) == len(reads) == n_steps * len(model.A_points)
         assert all(n > 0 for _, _, n in reads)
         assert counts == {"sigma": len(reads), "closures": 0}
+
+    def test_a_singular_sigma_a_path_reaches_fails_closed(self):
+        # sigma vanishes for x_0 above 0.0 and the paths start just below it: the
+        # first step is regular, and the first read with a path above 0.0 names it
+        def sigma(t, x, a):
+            return np.where(np.asarray(x)[..., 0] > 0.0, 0.0, a[0])[..., None, None] * np.eye(1)
+
+        fin = dataclasses.replace(finance_spec(r_lend=0.02, r_borrow=0.05), sigma=sigma)
+        model = make_finance_model(fin, make_payoff("call", strike=1.0), 1, [np.array([0.2])], 1.0, 0.3)
+        strat = make_strategy(constant_surface(level=0.5), model)
+        site = r"singular volatility at t=([0-9.e-]+), x=\[([0-9.e-]+)\], a=\[0\.2\]"
+        runs = [lambda: simulate(model, strat, ConstantAdversary(0), 0.0, np.array([-0.01]), 0.5, 200, 40, 5),
+                lambda: superhedge_check(model, constant_surface(level=0.5), 0.0,
+                                         SimParams(x0=(-0.01,), paths=200, steps=40, seed=5))]
+        for run in runs:
+            with pytest.raises(ModelError, match=site) as err:
+                run()
+            t, x = map(float, re.search(site, str(err.value)).groups())
+            assert 0.0 < t < 1.0 and x > 0.0
 
     def test_clamped_time_counts_once_per_step(self, uv_surface):
         model, surf = uv_surface

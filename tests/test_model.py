@@ -6,7 +6,7 @@ import pytest
 
 import hedgegame
 from hedgegame import model as model_module
-from hedgegame.dual import _driver
+from hedgegame.dual import _driver, _groups, make_lattice
 from hedgegame.hjb import GridSpec, residual, solve
 from hedgegame.model import (
     FinanceSpec,
@@ -15,9 +15,9 @@ from hedgegame.model import (
     ModelError,
     ModelSpec,
     adverse_pairs,
-    coefficients_at,
     make_finance_model,
     make_payoff,
+    market_read,
     min_generator_field,
     model_from_config,
     shake_lattice,
@@ -150,29 +150,28 @@ class TestUHatFinance:
 
 
 class TestMuYHat:
-    """The wealth drift at the z-matching hedge, mu_Y(., u_hat(., z, .), .),
-    as the solvers read it: the drift of ``coefficients_at``."""
+    """The wealth drift at the delta hedge, as the game and the dual read
+    it: the BSDE driver ``dual._driver`` at u = delta."""
 
     def test_zero_control_zero_rates(self):
         model = bs_singleton_model()
-        drift = coefficients_at(model, 0.0, np.zeros((1, 1)), model.A_points[0])[2]
-        out = drift(np.array([1.0]), np.zeros((1, 1)))
+        out = _driver(model, (model.A_points[0], None), 0.0, np.zeros((1, 1)), np.array([1.0]), np.zeros((1, 1)))
         assert out[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_unit_control(self):
         model = bs_singleton_model()
-        drift = coefficients_at(model, 0.0, np.zeros((1, 1)), model.A_points[0])[2]
-        out = drift(np.array([1.0]), np.array([[0.2]]))
+        out = _driver(model, (model.A_points[0], None), 0.0, np.zeros((1, 1)), np.array([1.0]), np.ones((1, 1)))
         assert out[0] == pytest.approx(0.02, abs=1e-15)
 
     def test_composes_rho_and_u_hat(self):
-        # independent recomputation: u = z / sigma, drift = rho + u*(mu + gamma/2),
+        # independent recomputation: drift = rho + u*(mu + gamma/2) at the hedge
+        # u = delta = 1, which u_hat gives at z = sigma delta = 0.2, and
         # rho = 0.02 (y - u) at the one rate 0.02
         fin = finance_spec(mu=0.01, r_lend=0.02, r_borrow=0.02)
         model = make_finance_model(fin, make_payoff("constant", level=0.0), 1,
                                    [np.array([0.2])], 1.0, 0.25)
         a = model.A_points[0]
-        out = coefficients_at(model, 0.0, np.zeros((1, 1)), a)[2](np.array([2.0]), np.array([[0.2]]))
+        out = _driver(model, (a, None), 0.0, np.zeros((1, 1)), np.array([2.0]), np.array([[1.0]]))
         u = model.u_hat(0.0, np.zeros((1, 1)), 2.0, np.array([[0.2]]), a)
         expect = 0.02 * (2.0 - u[0, 0]) + u[0, 0] * (0.01 + 0.02)
         assert out[0] == pytest.approx(float(expect), abs=1e-14)
@@ -203,59 +202,56 @@ def drifting_vol_model(dim):
     return make_finance_model(fin, base.payoff_g, dim, base.A_points, 1.0, 0.5)
 
 
-def closure_drift(model, t, x, y, z, a):
-    return model.mu_Y(t, x, y, model.u_hat(t, x, y, z, a), a)
-
-
 class TestFrozenRead:
     """The read of a finance model through its FinanceSpec: one coefficient
-    read whose hedged drift equals mu_Y(u_hat(...)) of the closures bit for bit."""
+    read whose wealth drift at the delta hedge, the driver the game and the
+    dual read, equals mu_Y(t, x, y, delta, a) of the closures bit for bit."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_equals_closures_bitwise(self, dim, rng):
         model = skewed_vol_model(dim)
         x = rng.uniform(-1.0, 1.0, (200, dim))
         y = rng.uniform(-2.0, 2.0, 200)
-        z = rng.normal(0.0, 0.3, (200, dim))
+        delta = rng.normal(0.0, 1.5, (200, dim))
         for a in model.A_points:
-            mu, sig, drift = coefficients_at(model, 0.4, x, a)
+            mu, sig = market_read(model.finance, 0.4, x, a)[:2]
             assert np.array_equal(mu, model.mu_X(0.4, x, a))
             assert np.array_equal(sig, model.sigma_X(0.4, x, a))
-            assert np.array_equal(drift(y, z), closure_drift(model, 0.4, x, y, z, a))
-            cash = y - model.u_hat(0.4, x, y, z, a).sum(axis=-1)
+            assert np.array_equal(_driver(model, (a, None), 0.4, x, y, delta), model.mu_Y(0.4, x, y, delta, a))
+            cash = y - delta.sum(axis=-1)
             assert np.any(cash > 0.0) and np.any(cash < 0.0)  # both rates are used
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_single_row(self, dim):
         model = skewed_vol_model(dim)
-        x, y, z = np.full((1, dim), 0.3), np.array([0.7]), np.full((1, dim), 0.25)
+        x, y, delta = np.full((1, dim), 0.3), np.array([0.7]), np.full((1, dim), 1.25)
         a = model.A_points[1]
-        got = coefficients_at(model, 0.1, x, a)[2](y, z)
+        got = _driver(model, (a, None), 0.1, x, y, delta)
         assert got.shape == (1,)
-        assert np.array_equal(got, closure_drift(model, 0.1, x, y, z, a))
-        assert np.array_equal(got, _driver(model, (a, None), 0.1, x, y, z))  # the dual reads the same drift
+        assert np.array_equal(got, model.mu_Y(0.1, x, y, delta, a))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_z_equals_row_by_row(self, dim, rng):
+        # a stack (k,) + x.shape of deltas: each row's drift is its own row's
         model = skewed_vol_model(dim)
         x = rng.uniform(-1.0, 1.0, (20, dim))
         y = rng.uniform(-2.0, 2.0, 20)
-        zs = rng.normal(0.0, 0.3, (3, 20, dim))
+        deltas = rng.normal(0.0, 1.5, (3, 20, dim))
         a = model.A_points[0]
-        rows = np.array([[closure_drift(model, 0.6, x[r:r + 1], y[r:r + 1], zs[i, r:r + 1], a)[0]
+        rows = np.array([[model.mu_Y(0.6, x[r:r + 1], y[r:r + 1], deltas[i, r:r + 1], a)[0]
                           for r in range(20)] for i in range(3)])
-        assert np.array_equal(coefficients_at(model, 0.6, x, a)[2](y, zs), rows)
+        assert np.array_equal(_driver(model, (a, None), 0.6, x, y, deltas), rows)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_zero_vol_raises(self, dim):
+        # the dual's delta targets need sigma^-T: its control groups fail closed
         fin = FinanceSpec(mu=constant_mu(dim),
                           sigma=lambda t, x, a: np.zeros(np.asarray(x).shape[:-1] + (dim, dim)),
                           r_lend=constant_rate(0.0), r_borrow=constant_rate(0.0))
         model = make_finance_model(fin, make_payoff("constant", level=0.0), dim,
                                    [np.array([0.2])], 1.0, 0.5)
-        with pytest.raises(ModelError, match="singular"):
-            coefficients_at(model, 0.5, np.ones((3, dim)), model.A_points[0])[2](
-                np.zeros(3), np.full((3, dim), 0.1))
+        with pytest.raises(ModelError, match=r"singular volatility at t=0\.5, x=\[1\.( 1\.)?\], a=\[0\.2\]"):
+            _groups(model, make_lattice(model, 0.5, 2, 0.0), 0.5, np.ones((3, dim)), 0)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_zero_vol_at_one_stacked_time_names_it(self, dim):
