@@ -379,14 +379,15 @@ def cmd_regularize(args):
     t_start = time.monotonic()
     run = _prepare(args)
     cfg, out_dir, model = run.cfg, run.out_dir, run.model
-    # an unusable ladder or a box without a node of its grid fails before any solve
+    # an unusable ladder, a box without a grid node or an unreadable phi file fails before any solve
     regularize.box_nodes(model, run.grid, run.box,
                          regularize.ladder_pad_layers(model, run.grid, run.eps_ladder))
-    surface = hjb.solve(model, run.grid, validate=not args.override_assumptions)
     phi_path, phi_margin = run.phi
-    phi_base = surface if phi_path is None else hjb.load_binary(phi_path)
+    phi_file = None if phi_path is None else hjb.load_binary(phi_path)
+    surface = hjb.solve(model, run.grid, validate=not args.override_assumptions)
+    phi = regularize.phi_from_surface(surface if phi_file is None else phi_file, phi_margin)
     smooth = regularize.build_smooth_supersolution(
-        model, regularize.phi_from_surface(phi_base, phi_margin), run.box, run.eta, run.grid,
+        model, phi, run.box, run.eta, run.grid,
         eps_ladder=run.eps_ladder, tol=run.tol, check_shape=run.check_shape, validate=False,
     )
     artifacts = ["certificate.json", "smooth.bin"]
@@ -477,21 +478,20 @@ def cmd_dual(args):
     cfg, out_dir, model, dv = run.cfg, run.out_dir, run.model, run.dual
     t0, x0 = run.sim.t0, np.asarray(run.sim.x0, dtype=float)
     lattice = dual.make_lattice(model, t0, dv.knots, dv.eps, substeps=dv.substeps)
+    if dv.mid is not None:
+        dual.mid_knot(model, t0, dv.mid, lattice)  # a bad mid date fails before the solve
     # the worst-case feedback: the argmin of the shaken solve on the config's grid (at eps = 0
     # the plain solve, bit for bit); a solve that fails exits as `solve` does on the config
     surface = hjb.solve(model, run.grid, terminal=shaken_payoff(model, dv.eps),
                         shake_points=shake_lattice(dv.eps, model.dim))
     if dv.mid is not None:
-        rep = dual.dpp_check(model, dv.eps, t0, x0, dv.mid, lattice, dv.paths, dv.seed, dv.degree,
-                             policy=surface)
-        payload = rep.to_dict()
+        payload = dual.dpp_check(model, dv.eps, t0, x0, dv.mid, lattice, dv.paths, dv.seed, dv.degree,
+                                 policy=surface).to_dict()
     else:
-        est = dual.dual_value_lsmc(model, dv.eps, t0, x0, lattice, dv.degree, dv.paths, dv.seed,
-                                   policy=surface)
-        payload = est.to_dict()
+        payload = dual.dual_value_lsmc(model, dv.eps, t0, x0, lattice, dv.degree, dv.paths, dv.seed,
+                                       policy=surface).to_dict()
     _write_json(os.path.join(out_dir, "dual.json"), payload)
-    write_manifest(out_dir, "dual", cfg, ["dual.json"], t_start,
-                   {"dual": dv.seed})
+    write_manifest(out_dir, "dual", cfg, ["dual.json"], t_start, {"dual": dv.seed})
     return EXIT_OK
 
 

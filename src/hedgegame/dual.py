@@ -25,8 +25,6 @@ from .hjb import ValueSurface
 from .model import (HedgeGameError, ModelSpec, _hedge_map, adverse_pairs, base_point, market_read,
                     read_site, shake_lattice, shaken_payoff, wealth_drift)
 
-_BOOTSTRAP = 200
-
 
 @dataclass(frozen=True)
 class ControlLattice:
@@ -197,10 +195,9 @@ def _advance(model, lattice, j, X, pick, rng):
 # ---------------------------------------------------------------------------
 
 
-def _rngs(seed, n):
-    """n independent Philox generators spawned from one seed."""
-    return [np.random.Generator(np.random.Philox(s))
-            for s in np.random.SeedSequence(int(seed)).spawn(n)]
+def _rng(seed):
+    """The Philox generator of a seed's first spawned child."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed)).spawn(1)[0]))
 
 
 def _feedback(policy, model, lattice):
@@ -300,7 +297,7 @@ def dual_value_lsmc(model: ModelSpec, eps: float, t0: float, x0, lattice: Contro
                     basis_degree: int, n_paths: int, seed: int,
                     terminal_fn=None, *, policy) -> DualEstimate:
     """Dual estimate at (t0, x0) under the adverse feedback ``policy``, with
-    a bootstrap standard error.
+    the standard error of its path mean in closed form, std / sqrt(n_paths).
 
     ``policy`` is a ``ValueSurface``, whose policy is read at the nearest
     node, or a callable (t, X) -> index into ``lattice.gamma_points``; the
@@ -322,21 +319,18 @@ def dual_value_lsmc(model: ModelSpec, eps: float, t0: float, x0, lattice: Contro
                              f"got {basis_degree} and {n_paths}")
     x0 = _checked_x0(model, x0)
     read = _feedback(policy, model, lattice)
+    if abs(t0 - lattice.time_knots[0]) > 1e-12:
+        raise HedgeGameError(f"t0 {t0} is not the lattice's first knot {lattice.time_knots[0]}")
     if model.horizon_T - t0 <= 1e-12:
         g = float(shaken_payoff(model, eps)(x0.reshape(1, -1))[0])
         return DualEstimate(g, 0.0, n_paths, basis_degree, 1, eps, int(seed))
-    if abs(t0 - lattice.time_knots[0]) > 1e-12:
-        raise HedgeGameError(f"t0 {t0} is not the lattice's first knot {lattice.time_knots[0]}")
     if terminal_fn is None:
         terminal_fn = shaken_payoff(model, eps)
-    rng_roll, rng_boot = _rngs(seed, 2)
     start = np.broadcast_to(x0, (n_paths, model.dim))
-    states, picks, dWs = _policy_rollout(model, lattice, start, read, rng_roll)
+    states, picks, dWs = _policy_rollout(model, lattice, start, read, _rng(seed))
     vals = _policy_value(model, lattice, states, picks, dWs, terminal_fn, basis_degree)
-    boots = [vals[rng_boot.integers(0, n_paths, n_paths)].mean() for _ in range(_BOOTSTRAP)]
-    return DualEstimate(float(vals.mean()), float(np.std(boots, ddof=1)), int(n_paths),
-                        int(basis_degree), len(lattice.time_knots) - 1,
-                        float(eps), int(seed))
+    return DualEstimate(float(vals.mean()), float(np.std(vals) / np.sqrt(n_paths)), int(n_paths),
+                        int(basis_degree), len(lattice.time_knots) - 1, float(eps), int(seed))
 
 
 @dataclass
@@ -349,6 +343,15 @@ class DppReport:
 
     def to_dict(self):
         return asdict(self)
+
+
+def mid_knot(model: ModelSpec, t0: float, mid_time: float, lattice: ControlLattice) -> int:
+    """The index of the lattice knot at mid_time (within 1e-12), which must lie in (t0, horizon_T)."""
+    hits = np.flatnonzero(np.abs(np.asarray(lattice.time_knots) - mid_time) <= 1e-12)
+    if not t0 < mid_time < model.horizon_T or hits.size == 0:
+        raise HedgeGameError(f"mid_time {mid_time} must be one of the lattice knots {lattice.time_knots} "
+                             f"in (t0, horizon_T) = ({t0}, {model.horizon_T})")
+    return int(hits[0])
 
 
 def dpp_check(model: ModelSpec, eps: float, t0: float, x0, mid_time: float,
@@ -366,22 +369,17 @@ def dpp_check(model: ModelSpec, eps: float, t0: float, x0, mid_time: float,
     direct estimate, the inner leg and the outer estimate run one after the
     other, and the inner leg drops its states before mid_time once the
     rollout is done, so the check holds one stage's path-sized arrays at a
-    time. x0, t0 and the feedback are checked as in ``dual_value_lsmc``.
+    time. mid_time is checked by ``mid_knot``, the rest as in ``dual_value_lsmc``.
     """
-    if not (t0 < mid_time < model.horizon_T):
-        raise HedgeGameError("need t0 < mid_time < horizon_T")
+    mid = mid_knot(model, t0, mid_time, lattice)
     x0 = _checked_x0(model, x0)
-    knots = np.asarray(lattice.time_knots)
-    if not np.any(np.isclose(knots, mid_time, atol=1e-12)):
-        raise HedgeGameError("mid_time must be one of the lattice knots")
 
     direct = dual_value_lsmc(model, eps, t0, x0, lattice, basis_degree, n_paths, seed, policy=policy)
 
-    mid = int(np.count_nonzero(knots < mid_time - 1e-12))
-    inner_lat = ControlLattice(tuple(knots[mid:]), lattice.gamma_points, lattice.substeps)
-    outer_lat = ControlLattice(tuple(knots[:mid + 1]), lattice.gamma_points, lattice.substeps)
+    inner_lat = ControlLattice(lattice.time_knots[mid:], lattice.gamma_points, lattice.substeps)
+    outer_lat = ControlLattice(lattice.time_knots[:mid + 1], lattice.gamma_points, lattice.substeps)
     states, picks, dWs = _policy_rollout(model, lattice, np.broadcast_to(x0, (n_paths, model.dim)),
-                                         _feedback(policy, model, lattice), _rngs(seed + 1, 1)[0])
+                                         _feedback(policy, model, lattice), _rng(seed + 1))
     del states[:mid], picks[:mid], dWs[:mid]
     cloud = states[0]
     vals = _policy_value(model, inner_lat, states, picks, dWs, shaken_payoff(model, eps), basis_degree)

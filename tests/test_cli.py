@@ -489,6 +489,19 @@ class TestDualCommand:
             assert err["kind"] == "config" and err["code"] == 2 and override.split("=")[0] in err["message"]
         assert not (tmp_path / "out" / "dual.json").exists()
 
+    @pytest.mark.parametrize("mid", ["0.3", "1.5", "0.0"])
+    def test_bad_mid_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, mid):
+        # the 4-knot lattice's interior knots are 0.25, 0.5 and 0.75
+        def solve(*args, **kwargs):
+            raise AssertionError("dual solved before checking its mid date")
+
+        monkeypatch.setattr(cli.hjb, "solve", solve)
+        path = write_config(tmp_path, base_config())
+        assert main(["dual", "-c", path, "--out", str(tmp_path / "out"), "--mid", mid]) == 2
+        err = error_payload(capsys)
+        assert err["kind"] == "config" and err["code"] == 2 and "mid_time" in err["message"]
+        assert not (tmp_path / "out" / "dual.json").exists()
+
     def test_dpp_mode_honours_degree(self, tmp_path):
         cfg = base_config()
         cfg["dual"] = {"knots": 4, "degree": 2, "paths": 500, "eps": 0.0,
@@ -591,6 +604,20 @@ class TestRegularizeCommand:
         err = json.loads(lines[0])["error"]
         assert len(lines) == 1 and err["code"] == 2
         assert "node of the solve grid" in err["message"]
+
+    def test_missing_phi_file_exit_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the phi file was read")
+
+        monkeypatch.setattr(cli.hjb, "solve", no_solve)
+        path = write_config(tmp_path, base_config())
+        missing = tmp_path / "nonexistent" / "surface.bin"
+        rc = main(["regularize", "-c", path, "--out", str(tmp_path / "out"),
+                   "--set", f"regularize.phi={missing}"])
+        assert rc == 2
+        err = error_payload(capsys)
+        assert err["code"] == 2 and str(missing) in err["message"]
+        assert not (tmp_path / "out" / "certificate.json").exists()
 
 
 class TestReproducibility:

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from hedgegame.dual import (
     _policy_rollout,
     _policy_value,
     _regress_yz,
-    _rngs,
+    _rng,
     dpp_check,
     dual_value_lsmc,
     make_lattice,
+    mid_knot,
 )
 from hedgegame.hjb import GridSpec, ValueSurface, solve
 from hedgegame.model import HedgeGameError, make_finance_model, make_payoff, shake_lattice, shaken_payoff
@@ -151,6 +153,29 @@ class TestDualValue:
         assert a.value == b.value
         assert a.std_error == b.std_error
 
+    def test_std_error_is_the_closed_form_of_the_path_mean(self):
+        # value and standard error are the mean of the per-path values of one
+        # rollout on the seed's generator and their std / sqrt(n), bit for bit
+        model = uncertain_vol_model(vols=(0.1, 0.3), r_lend=0.02, r_borrow=0.05)
+        surface = solve(model, SKETCH_GRID)
+        lat = make_lattice(model, 0.0, 3, 0.0, substeps=5)
+        n, seed = 3000, 9
+        est = dual_value_lsmc(model, 0.0, 0.0, [0.0], lat, 2, n, seed, policy=surface)
+        states, picks, dWs = _policy_rollout(model, lat, np.zeros((n, 1)), _feedback(surface, model, lat),
+                                             _rng(seed))
+        vals = _policy_value(model, lat, states, picks, dWs, shaken_payoff(model, 0.0), 2)
+        assert est.value == vals.mean()
+        assert est.std_error == np.std(vals) / np.sqrt(n)
+        assert est.std_error > 0.0
+
+    def test_one_path_has_zero_std_error_without_warning(self):
+        model = uncertain_vol_model()
+        lat = make_lattice(model, 0.0, 2, 0.0, substeps=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = dual_value_lsmc(model, 0.0, 0.0, [0.0], lat, 2, 1, 4, policy=first)
+        assert np.isfinite(est.value) and est.std_error == 0.0
+
     def test_degree_guard(self):
         model = constant_model()
         lat = make_lattice(model, 0.0, 2, 0.0, 5)
@@ -243,6 +268,15 @@ class TestDppCheck:
         with pytest.raises(HedgeGameError):
             dpp_check(model, 0.0, 0.0, [0.0], 1.5, lat, 100, 1, policy=first)
 
+    @pytest.mark.parametrize("mid", [0.5 + 1e-7, 0.5 - 1e-9, 0.0, 1.0])
+    def test_mid_time_is_a_knot_inside_the_horizon_or_raises(self, no_paths, mid):
+        # a relative tolerance would take 0.5 + 1e-7 for the knot 0.5
+        model = constant_model()
+        lat = make_lattice(model, 0.0, 4, 0.0, 5)
+        assert mid_knot(model, 0.0, 0.5, lat) == 2
+        with pytest.raises(HedgeGameError, match="must be one of the lattice knots"):
+            dpp_check(model, 0.0, 0.0, [0.0], mid, lat, 100, 1, policy=first)
+
 
 def run_dual(kind, t0, x0, policy=first, vols=(0.2,)):
     """The estimate (``lsmc``) or the DPP check (``dpp``, mid 0.5) from
@@ -267,7 +301,7 @@ class TestInputsFailClosed:
             run_dual(kind, 0.0, [x])
         assert capfd.readouterr().err == ""  # no LAPACK complaint on stderr
 
-    @pytest.mark.parametrize("kind, t0", [("lsmc", 0.5), ("dpp", 0.25)])
+    @pytest.mark.parametrize("kind, t0", [("lsmc", 0.5), ("dpp", 0.25), ("lsmc", 1.0)])
     def test_t0_off_the_first_knot_raises(self, kind, t0):
         with pytest.raises(HedgeGameError, match="first knot"):
             run_dual(kind, t0, [0.0])
@@ -338,8 +372,8 @@ class TestGroupedRoute:
         def policy(t, X):
             return (X[:, 0] > 0.1).astype(np.int64) * (len(vols) - 1)
 
-        states, picks, dWs = _policy_rollout(model, lat, start, _feedback(policy, model, lat), _rngs(3, 1)[0])
-        want_states, want_picks, want_dWs = rollout_oracle(model, lat, start, policy, _rngs(3, 1)[0])
+        states, picks, dWs = _policy_rollout(model, lat, start, _feedback(policy, model, lat), _rng(3))
+        want_states, want_picks, want_dWs = rollout_oracle(model, lat, start, policy, _rng(3))
         for got, want in zip(states + picks + dWs, want_states + want_picks + want_dWs):
             assert np.array_equal(got, want)
         assert all(len(np.unique(p)) == len(vols) for p in picks[1:])  # both groups after the start
