@@ -303,8 +303,9 @@ def _prepare(args):
                 raise ConfigError(f"regularize.B.x needs {model.dim} intervals, got {len(box.x_lo)}")
         if sim.seed < 0 or int(d["seed"]) < 0:
             raise ConfigError(f"sim.seed and dual.seed must be >= 0, got {sim.seed} and {d['seed']}")
-        if int(d["paths"]) < 1 or int(d["degree"]) < 0:
-            raise ConfigError(f"dual.paths >= 1 and dual.degree >= 0 required, got {d['paths']} and {d['degree']}")
+        if int(d["paths"]) < 1 or int(d["degree"]) < 0 or int(d["substeps"]) < 1:
+            raise ConfigError(f"dual.paths >= 1, dual.degree >= 0 and dual.substeps >= 1 required, "
+                              f"got {d['paths']}, {d['degree']} and {d['substeps']}")
         if not isinstance(r["phi"], str):
             raise ConfigError(f"unsupported regularize.phi {r['phi']!r}")
         check_shape = tuple(int(n) for n in r["check_shape"])

@@ -52,10 +52,17 @@ class ControlLattice:
 
 def make_lattice(model: ModelSpec, t0: float, n_intervals: int, eps: float,
                  substeps: int = 25) -> ControlLattice:
-    """Uniform knots on [t0, T]; controls = adverse points x shake lattice."""
+    """Uniform knots on [t0, T]; controls = adverse points x shake lattice.
+
+    ``substeps`` Euler steps per knot interval, checked first; a model whose
+    coefficients read neither t nor x (``FinanceSpec.static``) takes one
+    step, exact in law for a Brownian motion with constant drift.
+    """
+    if substeps < 1:
+        raise HedgeGameError("substeps must be >= 1")
     knots = np.linspace(t0, model.horizon_T, n_intervals + 1)
     gamma = adverse_pairs(model, shake_lattice(eps, model.dim))
-    return ControlLattice(tuple(knots), tuple(gamma), substeps)
+    return ControlLattice(tuple(knots), tuple(gamma), 1 if model.finance.static else substeps)
 
 
 @dataclass

@@ -73,12 +73,19 @@ class FinanceSpec:
     ``mu`` and ``sigma`` are the drift/volatility of the log-prices,
     ``r_lend``/``r_borrow`` the cash rates, all functions of (t, x, a).
     ``sigma`` must be invertible wherever it is evaluated.
+
+    ``static`` is derived, never passed: true when ``model_from_config``
+    built all four from stanzas that read neither t nor x, on which the dual
+    takes one exact step per knot interval (``dual.make_lattice``). A
+    closure-built spec, and any ``dataclasses.replace`` copy, counts as
+    reading both.
     """
 
     mu: Callable
     sigma: Callable
     r_lend: Callable
     r_borrow: Callable
+    static: bool = field(default=False, init=False)
 
 
 @dataclass(frozen=True)
@@ -565,6 +572,8 @@ def model_from_config(cfg: dict) -> ModelSpec:
         r_lend=_coeff_from_config(fin_cfg["r_lend"], dim, "rate", allow_tab),
         r_borrow=_coeff_from_config(fin_cfg["r_borrow"], dim, "rate", allow_tab),
     )
+    object.__setattr__(finance, "static", all(fin_cfg[name]["type"] in ("constant", "affine_in_a")
+                                              for name in ("mu", "sigma", "r_lend", "r_borrow")))
     pay_cfg = dict(cfg["payoff"])
     pay_kind = pay_cfg.pop("type")
     if pay_kind == "tabulated" and not allow_tab:

@@ -2,11 +2,15 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
+import hedgegame
 from hedgegame.model import FinanceSpec, make_finance_model, make_payoff
 
 
@@ -33,6 +37,17 @@ def bs_call_delta_logspace(spot, strike, vol, tau, rate=0.0):
     sq = vol * math.sqrt(tau)
     d1 = (math.log(spot / strike) + (rate + 0.5 * vol * vol) * tau) / sq
     return spot * norm_cdf(d1)
+
+
+def cli_in_child(argv, blas_threads):
+    """Exit code of ``python -m hedgegame.cli argv`` in a new process whose
+    OpenBLAS runs ``blas_threads`` threads (read when numpy loads, so only a
+    new process can change it), on the package under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hedgegame.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=str(blas_threads))
+    return subprocess.run([sys.executable, "-m", "hedgegame.cli", *argv], env=env,
+                          capture_output=True, timeout=600).returncode
 
 
 def constant_rate(value: float):

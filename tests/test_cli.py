@@ -18,6 +18,8 @@ from hedgegame.cli import (
 from hedgegame.model import HedgeGameError
 from hedgegame.regularize import SmoothSurface
 
+from conftest import cli_in_child
+
 
 def base_config(**model_overrides):
     cfg = {
@@ -476,7 +478,9 @@ class TestDualCommand:
         assert codes[0] == codes[1] != 0
         assert not (tmp_path / "dual" / "dual.json").exists()
 
-    @pytest.mark.parametrize("override", ["dual.paths=0", "dual.degree=-1"])
+    # base_config's coefficients read neither t nor x, so its lattice takes one step
+    # whatever dual.substeps asks; a substeps below 1 is still refused
+    @pytest.mark.parametrize("override", ["dual.paths=0", "dual.degree=-1", "dual.substeps=0"])
     def test_run_sizes_rejected_before_any_solve(self, tmp_path, capsys, monkeypatch, override):
         def solve(*args, **kwargs):
             raise AssertionError("dual solved before checking its run sizes")
@@ -658,16 +662,18 @@ class TestReproducibility:
             reports.append((rc, (out / "simreport.json").read_bytes()))
         assert reports[0] == reports[1]
 
-    def test_thread_env_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg = base_config()
-        cfg["dual"] = {"knots": 2, "degree": 2, "paths": 500, "eps": 0.0,
-                       "seed": 3, "substeps": 5}
+    def test_thread_env_does_not_change_results(self, tmp_path):
+        # OpenBLAS reads its thread count when numpy loads, so each count runs in
+        # its own process; the two-control call spread gives the regressions work
+        cfg = base_config(A_points=[[0.1], [0.3]], lipschitz_K=0.3,
+                          payoff={"type": "call_spread", "strike": 1.0, "cap": 1.4})
+        cfg["grid"] = {"t_steps": 100, "x_min": [-1.8], "x_max": [1.8], "x_steps": [40]}
+        cfg["dual"] = {"knots": 4, "degree": 2, "paths": 20000, "eps": 0.0, "seed": 3}
         path = write_config(tmp_path, cfg)
         payloads = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("HEDGEGAME_THREADS", threads)
+        for threads in (1, 2):
             out = tmp_path / f"t{threads}"
-            assert main(["dual", "-c", path, "--out", str(out)]) == 0
+            assert cli_in_child(["dual", "-c", path, "--out", str(out), "--mid", "0.5"], threads) == 0
             payloads.append((out / "dual.json").read_bytes())
         assert payloads[0] == payloads[1]
 

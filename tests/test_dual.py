@@ -20,7 +20,8 @@ from hedgegame.dual import (
     mid_knot,
 )
 from hedgegame.hjb import GridSpec, ValueSurface, solve
-from hedgegame.model import HedgeGameError, make_finance_model, make_payoff, shake_lattice, shaken_payoff
+from hedgegame.model import (HedgeGameError, make_finance_model, make_payoff, model_from_config, shake_lattice,
+                             shaken_payoff)
 
 from conftest import (
     bs_call_spread,
@@ -276,6 +277,57 @@ class TestDppCheck:
         assert mid_knot(model, 0.0, 0.5, lat) == 2
         with pytest.raises(HedgeGameError, match="must be one of the lattice knots"):
             dpp_check(model, 0.0, 0.0, [0.0], mid, lat, 100, 1, policy=first)
+
+
+def sketch_config(sigma=None):
+    """The README sketch's model section; ``sigma`` replaces its affine_in_a
+    volatility stanza (a tabulated_x one makes it custom-tabulated)."""
+    return {"kind": "finance" if sigma is None else "custom-tabulated", "dim": 1,
+            "A_points": [[0.1], [0.3]], "horizon_T": 1.0, "lipschitz_K": 0.3,
+            "finance": {"mu": {"type": "constant", "value": 0.0},
+                        "sigma": sigma or {"type": "affine_in_a"},
+                        "r_lend": {"type": "constant", "value": 0.02},
+                        "r_borrow": {"type": "constant", "value": 0.05}},
+            "payoff": {"type": "call_spread", "strike": 1.0, "cap": 1.4}}
+
+
+def above_zero(t, X):
+    """A two-control feedback: the second control where the log-price is positive."""
+    return (X[:, 0] > 0.0).astype(np.uint8)
+
+
+class TestStaticStep:
+    """A config model whose coefficients read neither t nor x takes one exact
+    step per knot interval; every other model keeps its substeps."""
+
+    def test_static_config_takes_one_step_bit_for_bit(self):
+        model = model_from_config(sketch_config())
+        lat = make_lattice(model, 0.0, 4, 0.0, substeps=25)
+        one = ControlLattice(lat.time_knots, lat.gamma_points, 1)
+        assert lat.substeps == 1
+        got = dual_value_lsmc(model, 0.0, 0.0, [0.0], lat, 2, 5000, 3, policy=above_zero)
+        assert got == dual_value_lsmc(model, 0.0, 0.0, [0.0], one, 2, 5000, 3, policy=above_zero)
+        rep = dpp_check(model, 0.0, 0.0, [0.0], 0.5, lat, 5000, 3, policy=above_zero)
+        assert rep == dpp_check(model, 0.0, 0.0, [0.0], 0.5, one, 5000, 3, policy=above_zero)
+
+    def test_tabulated_x_sigma_keeps_its_substeps_and_bits(self):
+        model = model_from_config(sketch_config({"type": "tabulated_x", "x": [-1.0, 1.0],
+                                                 "values": [0.15, 0.25]}))
+        lat = make_lattice(model, 0.0, 4, 0.0, substeps=25)
+        assert lat.substeps == 25
+        got = dual_value_lsmc(model, 0.0, 0.0, [0.0], lat, 2, 5000, 3, policy=above_zero)
+        knots, gamma = lat.time_knots, lat.gamma_points
+        assert got == dual_value_lsmc(model, 0.0, 0.0, [0.0], ControlLattice(knots, gamma, 25), 2, 5000, 3,
+                                      policy=above_zero)
+        assert got != dual_value_lsmc(model, 0.0, 0.0, [0.0], ControlLattice(knots, gamma, 1), 2, 5000, 3,
+                                      policy=above_zero)
+
+    @pytest.mark.parametrize("sigma", [None, {"type": "tabulated_x", "x": [-1.0, 1.0], "values": [0.15, 0.25]}],
+                             ids=["static", "tabulated_x"])
+    def test_substeps_below_one_raise_for_every_model(self, sigma):
+        for model in (model_from_config(sketch_config(sigma)), readme_sketch_model()):
+            with pytest.raises(HedgeGameError, match="substeps must be >= 1"):
+                make_lattice(model, 0.0, 4, 0.0, substeps=0)
 
 
 def run_dual(kind, t0, x0, policy=first, vols=(0.2,)):

@@ -698,3 +698,55 @@ class TestModelHash:
         cfg = self.tabulated_config(0.45)
         shuffled = dict(reversed(list(cfg.items())))
         assert model_from_config(cfg).hash == model_from_config(shuffled).hash
+
+
+def finance_config(dim, kind="finance", **stanzas):
+    """A config model section in d = ``dim``: constant coefficients (vol 0.2), except ``stanzas``."""
+    finance = {"mu": {"type": "constant", "value": 0.0}, "sigma": {"type": "constant", "value": 0.2},
+               "r_lend": {"type": "constant", "value": 0.0}, "r_borrow": {"type": "constant", "value": 0.0}}
+    finance.update(stanzas)
+    return {"kind": kind, "dim": dim, "A_points": [[0.25, 0.15][:dim]], "horizon_T": 1.0,
+            "lipschitz_K": 0.5, "finance": finance, "payoff": {"type": "call", "strike": 1.0}}
+
+
+STATIC_STANZAS = [
+    pytest.param(dim, name, stanza, id=f"d{dim}-{name}-{stanza['type']}")
+    for dim in (1, 2)
+    for name, stanza in [("mu", {"type": "constant", "value": 0.03}), ("mu", {"type": "affine_in_a"}),
+                         ("sigma", {"type": "constant", "value": 0.3}), ("sigma", {"type": "affine_in_a"}),
+                         ("r_lend", {"type": "constant", "value": 0.02}), ("r_lend", {"type": "affine_in_a"}),
+                         ("r_borrow", {"type": "constant", "value": 0.05}), ("r_borrow", {"type": "affine_in_a"})]
+] + [pytest.param(2, "mu", {"type": "constant", "value": [0.01, -0.02]}, id="d2-mu-constant-vector"),
+     pytest.param(2, "sigma", {"type": "constant", "value": [[0.2, 0.05], [0.0, 0.3]]}, id="d2-sigma-constant-matrix")]
+
+
+class TestStaticMarker:
+    """``FinanceSpec.static``: derived from the stanza types, on which the dual
+    takes one exact step per knot interval."""
+
+    @pytest.mark.parametrize("dim, name, stanza", STATIC_STANZAS)
+    def test_constant_and_affine_stanzas_read_neither_t_nor_x(self, dim, name, stanza):
+        model = model_from_config(finance_config(dim, **{name: stanza}))
+        assert model.finance.static
+        a = model.A_points[0]
+        here = market_read(model.finance, 0.0, np.zeros((6, dim)), a)
+        there = market_read(model.finance, 0.83, np.random.default_rng(5).normal(0.0, 3.0, (6, dim)), a)
+        assert all(np.array_equal(u, v) for u, v in zip(here, there))
+
+    @pytest.mark.parametrize("name", ["mu", "sigma", "r_lend", "r_borrow"])
+    def test_a_tabulated_x_stanza_is_not_static(self, name):
+        stanza = {"type": "tabulated_x", "x": [-1.0, 1.0], "values": [0.15, 0.25]}
+        model = model_from_config(finance_config(1, "custom-tabulated", **{name: stanza}))
+        assert not model.finance.static
+        a = model.A_points[0]
+        here, there = (market_read(model.finance, 0.0, np.full((1, 1), x), a) for x in (-0.5, 0.5))
+        assert not all(np.array_equal(u, v) for u, v in zip(here, there))
+
+    def test_closure_built_specs_and_copies_are_not_static(self):
+        assert not finance_spec().static
+        assert not bs_singleton_model().finance.static
+        built = model_from_config(finance_config(1)).finance
+        assert built.static
+        assert not dataclasses.replace(built, sigma=lambda t, x, a: (1.0 + t) * built.sigma(t, x, a)).static
+        with pytest.raises(TypeError):
+            FinanceSpec(mu=built.mu, sigma=built.sigma, r_lend=built.r_lend, r_borrow=built.r_borrow, static=True)
