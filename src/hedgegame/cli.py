@@ -384,12 +384,13 @@ def cmd_regularize(args):
     regularize.box_nodes(model, run.grid, run.box,
                          regularize.ladder_pad_layers(model, run.grid, run.eps_ladder))
     phi_path, phi_margin = run.phi
-    phi_file = None if phi_path is None else hjb.load_binary(phi_path)
-    surface = hjb.solve(model, run.grid, validate=not args.override_assumptions)
-    phi = regularize.phi_from_surface(surface if phi_file is None else phi_file, phi_margin)
+    # with a phi file no solve of the config's grid is read: the ladder's base solve validates
+    surface = (hjb.solve(model, run.grid, validate=not args.override_assumptions)
+               if phi_path is None else hjb.load_binary(phi_path))
     smooth = regularize.build_smooth_supersolution(
-        model, phi, run.box, run.eta, run.grid,
-        eps_ladder=run.eps_ladder, tol=run.tol, check_shape=run.check_shape, validate=False,
+        model, regularize.phi_from_surface(surface, phi_margin), run.box, run.eta, run.grid,
+        eps_ladder=run.eps_ladder, tol=run.tol, check_shape=run.check_shape,
+        validate=phi_path is not None and not args.override_assumptions,
     )
     artifacts = ["certificate.json", "smooth.bin"]
     _write_json(os.path.join(out_dir, "certificate.json"), smooth.certificate.to_dict())

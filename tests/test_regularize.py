@@ -96,25 +96,24 @@ class TestInfConvolution:
     def test_constant_input_identity(self):
         c = np.full((12, 9), 2.72)
         coords = [np.linspace(0, 1, 12), np.linspace(0, 1, 9)]
-        out, arg = inf_convolution(c, 4.0, coords)
+        out = inf_convolution(c, 4.0, coords)
         assert np.array_equal(out, c)
-        ii, jj = np.meshgrid(np.arange(12), np.arange(9), indexing="ij")
-        assert np.array_equal(arg[..., 0], ii)
-        assert np.array_equal(arg[..., 1], jj)
 
     def test_abs_value_moreau_envelope(self):
         n = 2001
         c = np.linspace(-1.0, 1.0, n)
         k = 10.0
-        out, _ = inf_convolution(np.abs(c), k, [c])
+        out = inf_convolution(np.abs(c), k, [c])
         want = np.where(np.abs(c) >= 1.0 / (2 * k), np.abs(c) - 1.0 / (4 * k), k * c * c)
         assert np.max(np.abs(out - want)) <= 1e-5
 
-    def test_matches_brute_force_bitwise(self, rng):
-        # values and argmin against the per-axis oracle on 1-, 2- and 3-axis
-        # grids; values also against the joint scan over all node pairs. Half
-        # the grids hold values rounded to 0.1 on dyadic coordinates, where
-        # mirrored sources are exactly as far away and can tie.
+    @staticmethod
+    def _match_oracle_and_brute_force(rng):
+        """The envelope against the per-axis oracle on 1-, 2- and 3-axis
+        grids, and against the joint scan over all node pairs. Half the grids
+        hold values rounded to 0.1 on dyadic coordinates, where mirrored
+        sources are exactly as far away and can tie. The grids' node counts."""
+        sizes = []
         for trial in range(24):
             shape = tuple(int(n) for n in rng.integers(1, 14 if trial % 3 < 2 else 7,
                                                        trial % 3 + 1))
@@ -124,40 +123,59 @@ class TestInfConvolution:
             if trial % 2:
                 vals = np.round(vals, 1)
                 coords = [0.125 * np.arange(n) for n in shape]
-            fast, arg = inf_convolution(vals, k, coords)
-            want, want_arg = inf_convolution_oracle(vals, k, coords)
-            assert np.array_equal(fast, want) and np.array_equal(arg, want_arg)
+            fast = inf_convolution(vals, k, coords)
+            want, _ = inf_convolution_oracle(vals, k, coords)
+            assert np.array_equal(fast, want)
             slow, _ = brute_force_envelope(vals, k, coords)
             assert np.array_equal(fast, slow)
+            sizes.append(vals.size)
+        return sizes
+
+    def test_matches_brute_force_bitwise(self, rng):
+        self._match_oracle_and_brute_force(rng)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocked_passes_match_bitwise(self, rng, block, monkeypatch):
+        # a grid of more than one block splits each pass into blocks, most
+        # with an uneven last block; the bits stay those of the full scan
+        monkeypatch.setattr(regularize, "_BLOCK", block)
+        sizes = self._match_oracle_and_brute_force(rng)
+        assert sum(size > block for size in sizes) >= 4
 
     def test_below_input_and_contraction(self, rng):
         vals = rng.normal(0.0, 1.0, (20, 20))
         coords = [np.linspace(0, 1, 20)] * 2
-        once, _ = inf_convolution(vals, 5.0, coords)
-        twice, _ = inf_convolution(once, 5.0, coords)
+        once = inf_convolution(vals, 5.0, coords)
+        twice = inf_convolution(once, 5.0, coords)
         assert np.all(once <= vals + 1e-15)
         first = np.max(np.abs(once - vals))
         second = np.max(np.abs(twice - once))
         assert second <= first + 1e-15
 
     def test_argmin_displacement_bound(self, rng):
+        # k |z - z*|^2 <= 2 max|w|: the envelope at every node is attained by
+        # a source within that distance, so the scan restricted to those
+        # sources gives the envelope's bits
         for _ in range(5):
             vals = rng.uniform(-1.0, 1.0, (25, 25))
             k = float(rng.uniform(2.0, 40.0))
             coords = [np.linspace(0, 1, 25), np.linspace(0, 1, 25)]
-            _, arg = inf_convolution(vals, k, coords)
+            out = inf_convolution(vals, k, coords)
             bound = 2.0 * np.max(np.abs(vals)) / k
-            ii, jj = np.meshgrid(np.arange(25), np.arange(25), indexing="ij")
-            d2 = (coords[0][arg[..., 0]] - coords[0][ii]) ** 2 \
-                + (coords[1][arg[..., 1]] - coords[1][jj]) ** 2
-            assert np.max(d2) <= bound + 1e-12
+            d0 = (coords[0][:, None] - coords[0][None, :]) ** 2
+            d1 = (coords[1][:, None] - coords[1][None, :]) ** 2
+            for p0 in range(25):
+                # cand[p1, q0, q1] with the per-axis accumulation of the scan
+                cand = (vals + k * d0[p0][:, None])[None] + k * d1[:, None, :]
+                near = d0[p0][None, :, None] + d1[:, None, :] <= bound + 1e-12
+                assert np.array_equal(out[p0], np.where(near, cand, np.inf).min(axis=(1, 2)))
 
     def test_semiconcavity_of_envelope(self, rng):
         # w^k(z) - k|z|^2 is midpoint-concave along each axis
         vals = rng.normal(0.0, 1.0, (30,))
         coords = [np.linspace(0.0, 1.0, 30)]
         k = 12.0
-        out, _ = inf_convolution(vals, k, coords)
+        out = inf_convolution(vals, k, coords)
         conc = out - k * coords[0] ** 2
         defect = conc[1:-1] - 0.5 * (conc[:-2] + conc[2:])
         assert np.min(defect) >= -1e-9
@@ -165,6 +183,36 @@ class TestInfConvolution:
     def test_k_guard(self):
         with pytest.raises(HedgeGameError):
             inf_convolution(np.zeros(5), 0.0, [np.arange(5.0)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        vals = np.zeros((6, 5))
+        vals[3, 2] = bad
+        with pytest.raises((ValueError, OverflowError)):
+            inf_convolution(vals, 4.0, [np.linspace(0, 1, 6), np.linspace(0, 1, 5)])
+
+    def test_read_only_input_unchanged(self, rng):
+        vals = rng.normal(0.0, 1.0, (40, 30))
+        keep = vals.copy()
+        vals.flags.writeable = False
+        coords = [np.linspace(0, 1, 40), np.linspace(0, 1, 30)]
+        out = inf_convolution(vals, 6.0, coords)
+        assert np.array_equal(vals, keep) and np.array_equal(out, inf_convolution_oracle(keep, 6.0, coords)[0])
+
+    def test_memory_one_output_and_scratch(self, rng):
+        # the output plus the two scratch blocks of a pass, with room for
+        # four; a surface-sized temporary would exceed it
+        vals = rng.normal(0.0, 1.0, (600, 201))
+        coords = [np.linspace(-0.1, 1.0, 600), np.linspace(-1.0, 1.0, 201)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            inf_convolution(vals, 50.0, coords)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= vals.nbytes + 4 * regularize._BLOCK * 8
 
 
 class TestMollify:
