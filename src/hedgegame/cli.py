@@ -443,13 +443,13 @@ def cmd_simulate(args):
     artifacts = ["simreport.json"]
     status = EXIT_OK
     if run.adversary == "all":
-        check = game.superhedge_check(model, source, margin, sim)
+        check = game.superhedge_check(model, source, margin, sim, y0=y0)
         payload = check.to_dict()
         reports = check.reports
         if not check.passed:
             status = EXIT_CERT
     else:
-        strategy = game.make_strategy(source, model)
+        strategy = game.make_strategy(source)
         if y0 is None:
             y0 = strategy.value(sim.t0, np.asarray(sim.x0)) + margin
         adv = game.MarkovWorstAdversary(source) if run.adversary == "worst" else run.adversary

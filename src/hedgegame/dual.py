@@ -15,7 +15,7 @@ ratio delta, the hedge the game plays.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .game import _split
 from .hjb import ValueSurface
 from .model import (HedgeGameError, ModelSpec, _hedge_map, adverse_pairs, base_point, market_read,
-                    read_site, shake_lattice, shaken_payoff, wealth_drift)
+                    plain, read_site, shake_lattice, shaken_payoff, wealth_drift)
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ class DualEstimate:
     eps: float
     seed: int
 
-    def to_dict(self):
-        return asdict(self)
+    to_dict = plain
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +347,7 @@ class DppReport:
     difference: float
     combined_std_error: float
 
-    def to_dict(self):
-        return asdict(self)
+    to_dict = plain
 
 
 def mid_knot(model: ModelSpec, t0: float, mid_time: float, lattice: ControlLattice) -> int:

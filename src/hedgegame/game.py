@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import hjb, regularize
-from .model import HedgeGameError, ModelSpec, _regular, market_read, read_site, wealth_drift
+from .model import HedgeGameError, ModelSpec, _regular, market_read, plain, read_site, wealth_drift
 
 
 class StrategyMap:
@@ -27,8 +27,7 @@ class StrategyMap:
     and counted in ``clamped``.
     """
 
-    def __init__(self, source, model: ModelSpec):
-        self.model = model
+    def __init__(self, source):
         self.source = source
         self.clamped = 0
         if isinstance(source, regularize.SmoothSurface):
@@ -63,9 +62,9 @@ class StrategyMap:
         return self.gradient(t, xs)
 
 
-def make_strategy(source, model: ModelSpec) -> StrategyMap:
+def make_strategy(source) -> StrategyMap:
     """Wrap a value surface or smooth supersolution as a feedback hedge."""
-    return StrategyMap(source, model)
+    return StrategyMap(source)
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +140,8 @@ class SimReport:
         return float(np.mean(~(self.shortfall <= tol)))  # a NaN tol counts every path
 
     def to_dict(self, tol: float | None = None):
-        d = {
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "seed": self.seed,
-            "t0": self.t0,
-            "x0": list(self.x0),
-            "y0": self.y0,
-            "adversary": self.adversary,
-            "shortfall_mean": self.shortfall_mean,
-            "quantiles": self.quantiles,
-            "excluded_paths": self.excluded_paths,
-            "clamped_queries": self.clamped_queries,
-        }
-        if tol is not None:
-            d["shortfall_prob"] = self.shortfall_prob(tol)
-            d["tol"] = tol
-        return d
+        """The run without its per-path arrays; with a tol, also its shortfall probability at tol."""
+        return plain(self) if tol is None else plain(self, shortfall_prob=self.shortfall_prob(tol), tol=tol)
 
 
 _QUANTS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
@@ -343,14 +327,6 @@ class SimParams:
     p_sim: float = 0.05
     switch_rate: float = 4.0
 
-    def to_dict(self):
-        return {
-            "x0": list(np.asarray(self.x0, dtype=float).reshape(-1)),
-            "t0": self.t0, "paths": self.paths, "steps": self.steps,
-            "seed": self.seed, "tol_sim": self.tol_sim, "p_sim": self.p_sim,
-            "switch_rate": self.switch_rate,
-        }
-
 
 @dataclass
 class CheckReport:
@@ -362,19 +338,16 @@ class CheckReport:
     reports: list
 
     def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "y0": self.y0,
-            "margin": self.margin,
-            "tol_sim": self.tol_sim,
-            "p_sim": self.p_sim,
-            "runs": [r.to_dict(self.tol_sim) for r in self.reports],
-        }
+        """The check with its ``reports`` under "runs", each with its shortfall probability at tol_sim."""
+        d = plain(self, runs=[r.to_dict(self.tol_sim) for r in self.reports])
+        del d["reports"]
+        return d
 
 
 def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
-                     policy_surface: hjb.ValueSurface | None = None) -> CheckReport:
-    """Start from the surface value plus margin and face every adversary.
+                     policy_surface: hjb.ValueSurface | None = None, *,
+                     y0: float | None = None) -> CheckReport:
+    """Start from y0, by default the surface value plus margin, and face every adversary.
 
     Runs the feedback hedge against each constant adverse point, a randomly
     switching adversary and the worst-case policy feedback. All runs advance
@@ -388,8 +361,9 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
     paths included) is no evidence and fails, and so does a NaN p_sim or
     tol_sim.
     """
-    strategy = make_strategy(source, model)
-    y0 = strategy.value(sim.t0, np.asarray(sim.x0, dtype=float).reshape(1, -1)) + margin
+    strategy = make_strategy(source)
+    if y0 is None:
+        y0 = strategy.value(sim.t0, np.asarray(sim.x0, dtype=float).reshape(1, -1)) + margin
     adversaries = [ConstantAdversary(i) for i in range(len(model.A_points))]
     adversaries.append(PiecewiseRandomAdversary(sim.switch_rate))
     pol_src = policy_surface

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .model import Generator, HedgeGameError, ModelSpec, adverse_pairs, validate_assumptions
-from .model import min_generator_field  # noqa: F401  patched here by the tracer; ROADMAP item 1A drops it
+from .model import min_generator_field  # noqa: F401  patched here by the tracer; ROADMAP item 26 drops it
 
 # layer-pairs per residual() block: a block holds _RESIDUAL_BLOCK // (adverse
 # points) layers, since the generator stacks the pairs' terms of the whole block

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -59,6 +59,26 @@ class HedgeGameError(Exception):
 
 class ModelError(HedgeGameError):
     """Ill-posed model definition (singular volatility, bad shapes, ...)."""
+
+
+def plain(report, **extra) -> dict:
+    """A report dataclass as JSON-ready values: its fields and the derived
+    entries ``extra``. Numpy scalars become python values, tuples lists and
+    nested dataclasses dicts; ndarray fields (per-path data) are left out."""
+    items = {f.name: getattr(report, f.name) for f in fields(report)} | extra
+    return {k: _plain(v) for k, v in items.items() if not isinstance(v, np.ndarray)}
+
+
+def _plain(v):
+    if is_dataclass(v):
+        return plain(v)
+    if isinstance(v, np.generic):
+        return v.item()
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +623,6 @@ class AssumptionCheck:
     threshold: float
     witness: tuple | None = None
 
-    def to_dict(self):
-        return {
-            "id": self.id,
-            "passed": bool(self.passed),
-            "worst": float(self.worst),
-            "threshold": float(self.threshold),
-            "witness": None if self.witness is None else [repr(w) for w in self.witness],
-        }
-
 
 @dataclass
 class ValidationReport:
@@ -629,9 +640,6 @@ class ValidationReport:
             if c.id == cid:
                 return c
         raise KeyError(cid)
-
-    def to_dict(self):
-        return {"ok": self.ok, "checks": [c.to_dict() for c in self.checks]}
 
     def summary(self) -> str:
         lines = []

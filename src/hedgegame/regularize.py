@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import hjb
-from .model import Generator, HedgeGameError, ModelSpec, shake_lattice, shaken_payoff
+from .model import Generator, HedgeGameError, ModelSpec, plain, shake_lattice, shaken_payoff
 
 # normalised bump constant: int (1-s^2)^4 over [-1,1] is 256/315
 _C_SPACE = 315.0 / 256.0
@@ -470,21 +470,7 @@ class CertReport:
     c_curve: list = field(default_factory=list)
     pruned: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "passed": bool(self.passed),
-            "min_residual": float(self.min_residual),
-            "argmin": [float(v) for v in self.argmin],
-            "terminal_margin": float(self.terminal_margin),
-            "phi_margin": float(self.phi_margin),
-            "tol": float(self.tol),
-            "eps": float(self.eps),
-            "k": float(self.k),
-            "delta": float(self.delta),
-            "n_checked": int(self.n_checked),
-            "c_curve": [[float(e), float(c)] for e, c in self.c_curve],
-            "pruned": [float(e) for e in self.pruned],
-        }
+    to_dict = plain
 
 
 def make_check_grid(t_lo, t_hi, x_lo, x_hi, shape=(50, 100)):
@@ -514,7 +500,7 @@ def verify_supersolution(smooth: SmoothSurface, model: ModelSpec, check_grid,
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, model.dim)
     if len(t_nodes) == 0 or mesh.shape[0] == 0:
         return CertReport(False, np.inf, (np.nan,) * (1 + model.dim), np.inf, np.inf,
-                          tol, smooth.eps, smooth.k, smooth.delta, 0)
+                          float(tol), smooth.eps, smooth.k, smooth.delta, 0)
     check_phi = phi is not None and B_set is not None
     if check_phi:
         t_in, sel = B_set.holds(np.asarray(t_nodes, dtype=float), mesh)
@@ -542,7 +528,7 @@ def verify_supersolution(smooth: SmoothSurface, model: ModelSpec, check_grid,
     if check_phi:
         passed = passed and bool(phi_margin >= -1e-9)
     return CertReport(passed, min_res, argmin, terminal_margin, phi_margin,
-                      tol, smooth.eps, smooth.k, smooth.delta, n_total)
+                      float(tol), smooth.eps, smooth.k, smooth.delta, n_total)
 
 
 def phi_from_surface(surface: hjb.ValueSurface, margin: float):
@@ -560,8 +546,9 @@ _DELTA_TRIES = 6  # mollifier widths per rung: delta0, delta0 / 2, ...
 
 def ladder_pad_layers(model: ModelSpec, grid: hjb.GridSpec, eps_ladder) -> int:
     """Layers below t = 0 that every solve of the ladder adds: the reach
-    eps/2 of the widest first mollifier, plus two. The ladder needs one or
-    more eps, each in (0, 1]."""
+    eps/2 of the widest first mollifier, plus two. The pad reaches at least
+    max(eps)/2 + 2 dt below t = 0, more than any rung's first mollifier
+    width (at most eps/2). The ladder needs one or more eps, each in (0, 1]."""
     if not eps_ladder or not all(0.0 < eps <= 1.0 for eps in eps_ladder):
         raise HedgeGameError(f"eps_ladder needs one or more eps in (0, 1], got {list(eps_ladder)}")
     return int(math.ceil(0.5 * max(eps_ladder) / (model.horizon_T / grid.t_steps))) + 2
@@ -652,10 +639,7 @@ def build_smooth_supersolution(model: ModelSpec, phi, B_set: Box, eta: float,
         k_conv = math.ceil(8.0 * w_inf / eps**2)
         conv = inf_convolution(w_eps, float(k_conv), [shaken.surface.t, *shaken.surface.axes])
 
-        pad_time = -float(shaken.surface.t[0])
-        delta0 = min(0.5 * eps, 0.9 * shaken.c_eps if shaken.c_eps > 0 else 0.5 * eps,
-                     pad_time)
-        delta = delta0
+        delta = min(0.5 * eps, 0.9 * shaken.c_eps if shaken.c_eps > 0 else 0.5 * eps)
         for _ in range(_DELTA_TRIES):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)

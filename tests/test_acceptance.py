@@ -248,7 +248,7 @@ def test_criterion_7_game_verification(bs_acc, uv_acc, certified):
     probs = {r.adversary: r.shortfall_prob(sim.tol_sim) for r in check.reports}
 
     bs_model, bs_surf = bs_acc
-    strat = make_strategy(bs_surf, bs_model)
+    strat = make_strategy(bs_surf)
     y0 = bs_surf.value(0.0, np.array([0.0]))
     steps = np.array([100, 200, 400, 800])
     means = [

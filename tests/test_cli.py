@@ -209,6 +209,20 @@ class TestSolveSimulatePipeline:
         rc = main(["simulate", "-c", path, "--out", str(tmp_path / "out")])
         assert rc == 4
 
+    @pytest.mark.parametrize("adversary", ["all", "worst", "random:4", "constant:0"])
+    def test_explicit_y0_is_the_start_level_for_every_adversary(self, tmp_path, adversary):
+        # the constant claim pays 1 on every path: started from 0, every path falls short,
+        # and --margin (which applies to y0 auto only) does not lift the start level
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        rc = main(["simulate", "-c", path, "--out", str(out), "--y0", "0", "--margin", "0.5",
+                   "--adversary", adversary])
+        assert rc == (4 if adversary == "all" else 0)
+        rep = json.loads((out / "simreport.json").read_text())
+        runs = rep.get("runs", [rep])
+        assert rep["y0"] == 0.0 and all(run["y0"] == 0.0 for run in runs)
+        assert all(run["shortfall_prob"] == 1.0 for run in runs)
+
     def test_surface_model_mismatch(self, tmp_path, capsys):
         cfg = base_config(payoff={"type": "call_spread", "strike": 1.0, "cap": 1.4})
         cfg["grid"] = {"t_steps": 120, "x_min": [-1.2], "x_max": [1.2], "x_steps": [60]}

@@ -63,13 +63,13 @@ def uv_surface():
 class TestStrategyMap:
     def test_constant_surface_zero_rule(self):
         model = bs_singleton_model()
-        strat = make_strategy(constant_surface(), model)
+        strat = make_strategy(constant_surface())
         u = strat.rule(0.5, np.array([[0.1]]), np.array([1.0]), model.A_points[0])
         assert np.all(u == 0.0)
 
     def test_delta_matches_black_scholes(self, bs_surface):
         model, surf = bs_surface
-        strat = make_strategy(surf, model)
+        strat = make_strategy(surf)
         for xq in np.linspace(-0.3, 0.3, 7):
             u = strat.rule(0.0, np.array([[xq]]), np.array([0.0]), model.A_points[0])[0, 0]
             want = bs_call_delta_logspace(np.exp(xq), 1.0, 0.2, 1.0) \
@@ -79,7 +79,7 @@ class TestStrategyMap:
     def test_rule_independent_of_wealth_and_adversary(self, uv_surface, rng):
         # finance preset: u = Dw regardless of (y, a)
         model, surf = uv_surface
-        strat = make_strategy(surf, model)
+        strat = make_strategy(surf)
         for _ in range(1000):
             t = float(rng.uniform(0.0, 1.0))
             x = rng.uniform(-1.0, 1.0, (1, 1))
@@ -98,7 +98,7 @@ class TestStrategyMap:
         # re-interpolated cache of it
         model, surf = bs_surface
         smooth = SmoothSurface(surf.t, surf.axes, surf.values, 0.05)
-        strat = make_strategy(smooth, model)
+        strat = make_strategy(smooth)
         xs = np.linspace(-0.9, 0.9, 37).reshape(-1, 1)
         for t in (0.05, 0.37, 0.8):
             want = smooth.eval_batch(t, xs).p
@@ -107,7 +107,7 @@ class TestStrategyMap:
 
     def test_out_of_domain_clamped_and_counted(self, bs_surface):
         model, surf = bs_surface
-        strat = make_strategy(surf, model)
+        strat = make_strategy(surf)
         before = strat.clamped
         strat.rule(0.5, np.array([[5.0]]), np.array([0.0]), model.A_points[0])
         assert strat.clamped == before + 1
@@ -116,7 +116,7 @@ class TestStrategyMap:
 class TestSimulate:
     def test_frozen_dynamics_zero_shortfall(self):
         model = frozen_model(level=1.0)
-        strat = make_strategy(constant_surface(level=1.0), model)
+        strat = make_strategy(constant_surface(level=1.0))
         rep = simulate(model, strat, ConstantAdversary(0), 0.0, np.array([0.0]),
                        1.0, 500, 20, seed=3)
         assert rep.excluded_paths == 0
@@ -125,7 +125,7 @@ class TestSimulate:
 
     def test_bitwise_deterministic(self, bs_surface):
         model, surf = bs_surface
-        strat = make_strategy(surf, model)
+        strat = make_strategy(surf)
         y0 = surf.value(0.0, np.array([0.0]))
         a = simulate(model, strat, ConstantAdversary(0), 0.0, np.array([0.0]), y0, 2000, 100, 11)
         b = simulate(model, strat, ConstantAdversary(0), 0.0, np.array([0.0]), y0, 2000, 100, 11)
@@ -134,7 +134,7 @@ class TestSimulate:
 
     def test_hedging_error_at_value_start(self, bs_surface):
         model, surf = bs_surface
-        strat = make_strategy(surf, model)
+        strat = make_strategy(surf)
         y0 = surf.value(0.0, np.array([0.0]))
         rep = simulate(model, strat, ConstantAdversary(0), 0.0, np.array([0.0]),
                        y0, 10000, 400, seed=11)
@@ -144,7 +144,7 @@ class TestSimulate:
 
     def test_shortfall_decay_order_half(self, bs_surface):
         model, surf = bs_surface
-        strat = make_strategy(surf, model)
+        strat = make_strategy(surf)
         y0 = surf.value(0.0, np.array([0.0]))
         steps = np.array([100, 200, 400, 800])
         means = [
@@ -160,8 +160,8 @@ class TestSimulate:
         model, surf = bs_surface
         grid = surf.grid
         hi = solve(model, grid, terminal=lambda x: model.payoff_g(x) + 0.05)
-        s_lo = make_strategy(surf, model)
-        s_hi = make_strategy(hi, model)
+        s_lo = make_strategy(surf)
+        s_hi = make_strategy(hi)
         lo_rep = simulate(model, s_lo, ConstantAdversary(0), 0.0, np.array([0.0]),
                           surf.value(0.0, np.array([0.0])), 3000, 200, seed=5)
         hi_rep = simulate(model, s_hi, ConstantAdversary(0), 0.0, np.array([0.0]),
@@ -171,7 +171,7 @@ class TestSimulate:
     def test_step_guard(self, bs_surface):
         model, surf = bs_surface
         with pytest.raises(HedgeGameError):
-            simulate(model, make_strategy(surf, model), ConstantAdversary(0),
+            simulate(model, make_strategy(surf), ConstantAdversary(0),
                      0.0, np.array([0.0]), 0.1, 10, 0, seed=1)
 
     @pytest.mark.parametrize("t0", [1.0, 2.0])
@@ -179,7 +179,7 @@ class TestSimulate:
         model = frozen_model(level=1.0)
         surf = constant_surface(level=1.0)
         with pytest.raises(HedgeGameError, match="horizon"):
-            simulate(model, make_strategy(surf, model), ConstantAdversary(0),
+            simulate(model, make_strategy(surf), ConstantAdversary(0),
                      t0, np.array([0.0]), 1.0, 50, 10, seed=1)
         # a library caller reaches the same check through simulate
         with pytest.raises(HedgeGameError, match="horizon"):
@@ -227,8 +227,8 @@ class TestFrozenGameStep:
         clamps = 0
         for name, model, source, adv, t0, x0 in self.cases(uv_surface):
             args = (adv, t0, np.array(x0), 0.15, 400, 60, 17)
-            rep = simulate(model, make_strategy(source, model), *args)
-            gap, excluded, clamped = simulate_oracle(model, make_strategy(source, model), *args)
+            rep = simulate(model, make_strategy(source), *args)
+            gap, excluded, clamped = simulate_oracle(model, make_strategy(source), *args)
             assert rep.excluded_paths == excluded, name
             assert rep.clamped_queries == clamped, name
             assert rep.shortfall_prob(0.02) == np.mean(np.maximum(-gap, 0.0) > 0.02), name
@@ -262,7 +262,7 @@ class TestFrozenGameStep:
             return market_read(finance, t, x, a)
 
         monkeypatch.setattr(game, "market_read", frozen_read)
-        strat = make_strategy(surf, model)
+        strat = make_strategy(surf)
         grads = []
         read_gradient = strat.gradient
         strat.gradient = lambda t, xs: grads.append(t) or read_gradient(t, xs)
@@ -282,7 +282,7 @@ class TestFrozenGameStep:
 
         fin = dataclasses.replace(finance_spec(r_lend=0.02, r_borrow=0.05), sigma=sigma)
         model = make_finance_model(fin, make_payoff("call", strike=1.0), 1, [np.array([0.2])], 1.0, 0.3)
-        strat = make_strategy(constant_surface(level=0.5), model)
+        strat = make_strategy(constant_surface(level=0.5))
         site = r"singular volatility at t=([0-9.e-]+), x=\[([0-9.e-]+)\], a=\[0\.2\]"
         runs = [lambda: simulate(model, strat, ConstantAdversary(0), 0.0, np.array([-0.01]), 0.5, 200, 40, 5),
                 lambda: superhedge_check(model, constant_surface(level=0.5), 0.0,
@@ -296,7 +296,7 @@ class TestFrozenGameStep:
     def test_clamped_time_counts_once_per_step(self, uv_surface):
         model, surf = uv_surface
         smooth = SmoothSurface(surf.t, surf.axes, surf.values, 0.05)  # times below 0.05 clamp
-        rep = simulate(model, make_strategy(smooth, model), PiecewiseRandomAdversary(4.0),
+        rep = simulate(model, make_strategy(smooth), PiecewiseRandomAdversary(4.0),
                        0.0, np.array([0.0]), 0.15, 400, 20, seed=3)
         assert rep.clamped_queries == 1  # step 0 only, with both adverse points in play
 
@@ -324,7 +324,7 @@ class TestAdversaries:
     def test_constant_out_of_range_rejected(self, bs_surface):
         model, surf = bs_surface
         with pytest.raises(HedgeGameError, match="out of range"):
-            simulate(model, make_strategy(surf, model), ConstantAdversary(5),
+            simulate(model, make_strategy(surf), ConstantAdversary(5),
                      0.0, np.array([0.0]), 0.1, 10, 5, seed=1)
 
     def test_worst_requires_plain_policy(self, uv_surface):
@@ -333,7 +333,7 @@ class TestAdversaries:
         grid = GridSpec(t_steps=150, x_min=(-1.8,), x_max=(1.8,), x_steps=(80,))
         shaken = solve_shaken(model, grid, 0.1)
         with pytest.raises(HedgeGameError, match="unshaken"):
-            simulate(model, make_strategy(surf, model),
+            simulate(model, make_strategy(surf),
                      MarkovWorstAdversary(shaken.surface),
                      0.0, np.array([0.0]), 0.2, 10, 5, seed=1)
 
@@ -361,7 +361,7 @@ class TestSharedIncrements:
         adversaries += [PiecewiseRandomAdversary(sim.switch_rate), MarkovWorstAdversary(surf)]
         assert [r.adversary for r in check.reports] == [a.label() for a in adversaries]
         for rep, adv in zip(check.reports, adversaries):
-            solo = simulate(model, make_strategy(surf, model), adv, sim.t0, np.asarray(sim.x0),
+            solo = simulate(model, make_strategy(surf), adv, sim.t0, np.asarray(sim.x0),
                             check.y0, sim.paths, sim.steps, sim.seed)
             assert np.array_equal(rep.terminal_gap, solo.terminal_gap), rep.adversary
             assert np.array_equal(rep.shortfall, solo.shortfall), rep.adversary
@@ -457,6 +457,15 @@ class TestSuperhedgeCheck:
         check = superhedge_check(model, solve(model, grid), 0.0, sim)
         assert all(r.shortfall_mean == 0.0 for r in check.reports)
         assert not check.passed
+
+    def test_explicit_y0_replaces_value_plus_margin(self):
+        # frozen wealth: every run ends at its start level, short of the claim's 1 by 1 - y0
+        model = frozen_model()
+        sim = SimParams(x0=(0.0,), paths=50, steps=10, seed=5)
+        check = superhedge_check(model, constant_surface(), 0.5, sim, y0=0.25)
+        assert not check.passed and check.y0 == 0.25 and check.margin == 0.5
+        assert all(r.y0 == 0.25 and r.shortfall_mean == pytest.approx(0.75) for r in check.reports)
+        assert superhedge_check(model, constant_surface(), 0.5, sim, y0=None).y0 == 1.5
 
     def test_undercapitalized_fails_against_worst(self, uv_surface):
         model, surf = uv_surface

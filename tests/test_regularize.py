@@ -591,6 +591,19 @@ def count_shaken_solves(monkeypatch):
     return solved
 
 
+@pytest.mark.parametrize("T, t_steps, ladder", [
+    (1.0, 60, (0.2, 0.1)), (1.0, 7, (1.0,)), (1.0, 400, regularize.DEFAULT_EPS_LADDER),
+    (2.5, 1000, (0.013, 0.5)), (0.3, 3, (0.9, 0.01)),
+])
+def test_ladder_pad_reaches_past_every_first_mollifier_width(T, t_steps, ladder):
+    # the ladder's first width is at most eps/2, so the pad alone never sets it
+    model = bs_singleton_model(T=T)
+    grid = GridSpec(t_steps=t_steps, x_min=(-1.0,), x_max=(1.0,), x_steps=(10,))
+    pad_time = -grid.layer_times(T, ladder_pad_layers(model, grid, ladder))[0]
+    assert pad_time >= 0.5 * max(ladder) + 2 * T / t_steps - 1e-12
+    assert all(pad_time > 0.5 * eps for eps in ladder)
+
+
 class TestLadderPruning:
     """When B reaches T, a rung whose terminal gap exceeds eta/2 is not solved."""
 
