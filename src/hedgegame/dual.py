@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .game import _split
-from .hjb import ValueSurface
+from .hjb import NearestPolicy, ValueSurface
 from .model import (HedgeGameError, ModelSpec, _hedge_map, adverse_pairs, base_point, market_read,
                     plain, read_site, shake_lattice, shaken_payoff, wealth_drift)
 
@@ -105,11 +105,11 @@ class _Basis:
         return B
 
 
-def _lstsq(B: np.ndarray, ys: np.ndarray):
+def _lstsq(B: np.ndarray, ys: np.ndarray, out=None):
     """Least-squares coefficients of ys on the design matrix B, their rank
-    and the fitted values."""
+    and the fitted values, written to ``out`` when given."""
     coef, _, rank, _ = np.linalg.lstsq(B, ys, rcond=None)
-    return coef, rank, B @ coef
+    return coef, rank, np.matmul(B, coef, out=out)
 
 
 def _fit(basis: _Basis, xs: np.ndarray, ys: np.ndarray):
@@ -136,14 +136,20 @@ def _regress_yz(xj, y_next, dW, dtau, degree, groups):
     ratio delta, regressed on its per-path estimate
     sigma^-T (y_next - y) dW / dtau (``groups`` as ``_groups`` makes them).
     The delta fits reuse the y fit's basis and design matrix, since a fit's
-    rank depends on the cloud alone."""
+    rank depends on the cloud alone. dW is dropped once the targets exist
+    (a caller that passes ``dWs.pop()`` keeps no other reference), and each
+    fit is written into its column."""
     basis, _, yhat, B = _fit(_Basis(xj, degree), xj, y_next)
     delta = (y_next - yhat)[:, None] * dW
+    del dW
     delta /= dtau
     for _, rows, to_delta in groups:
         delta[rows] = to_delta(delta[rows])
-    for kdim in range(delta.shape[1]):
-        delta[:, kdim] = _lstsq(B, delta[:, kdim])[2]
+    for col in delta.T:
+        if col.flags.c_contiguous:
+            _lstsq(B, col, out=col)
+        else:  # a strided column (d = 2): out= there could change the bits
+            col[:] = _lstsq(B, col)[2]
     return basis, yhat, delta
 
 
@@ -209,21 +215,26 @@ def _rng(seed):
 def _feedback(policy, model, lattice):
     """The adverse feedback as a read (t, X) -> control index per path.
 
-    A ``ValueSurface`` is read at the nearest node (``policy_at``); it must
-    index the lattice's controls and span its knots, else HedgeGameError is
-    raised here, before any path is drawn. A callable's indices are checked
-    on every read: integers in [0, n_controls), one per path or one for all,
-    kept in the narrowest unsigned type that holds every index.
+    A ``ValueSurface`` is read at the nearest node by its ``policy_at``, a
+    ``NearestPolicy`` that keeps the policy grid and its axes, not the
+    values. That reader, or one given, must index the lattice's controls
+    and span its knots, else HedgeGameError is raised here, before any path
+    is drawn. A callable's indices are checked on every read: integers in
+    [0, n_controls), one per path or one for all, kept in the narrowest
+    unsigned type that holds every index.
     """
     n_controls, knots = len(lattice.gamma_points), lattice.time_knots
     if isinstance(policy, ValueSurface):
-        if policy.a_count != n_controls or policy.dim != model.dim:
-            raise HedgeGameError(f"policy surface indexes {policy.a_count} pairs in d = {policy.dim}; "
+        policy = policy.policy_at
+    if isinstance(policy, NearestPolicy):
+        dim, t_start, horizon_T = len(policy.axes), float(policy.t[0]), float(policy.t[-1])
+        if policy.a_count != n_controls or dim != model.dim:
+            raise HedgeGameError(f"policy surface indexes {policy.a_count} pairs in d = {dim}; "
                                  f"the lattice has {n_controls} controls in d = {model.dim}")
-        if policy.t_start > knots[0] + 1e-12 or policy.horizon_T < knots[-1] - 1e-12:
-            raise HedgeGameError(f"policy surface spans [{policy.t_start}, {policy.horizon_T}], "
+        if t_start > knots[0] + 1e-12 or horizon_T < knots[-1] - 1e-12:
+            raise HedgeGameError(f"policy surface spans [{t_start}, {horizon_T}], "
                                  f"not the knots' [{knots[0]}, {knots[-1]}]")
-        return policy.policy_at
+        return policy
     if not callable(policy):
         raise HedgeGameError(f"policy must be a ValueSurface or a callable, got {type(policy)!r}")
 
@@ -279,11 +290,10 @@ def _policy_value(model, lattice, states, picks, dWs, terminal_fn, degree):
     knots = lattice.time_knots
     Y = np.asarray(terminal_fn(states.pop()), dtype=float)
     for j in range(len(knots) - 2, -1, -1):
-        xj, dW, pick = states.pop(), dWs.pop(), picks.pop()
+        xj, pick = states.pop(), picks.pop()
         dtau = knots[j + 1] - knots[j]
         groups = _groups(model, lattice, knots[j], xj, pick)
-        _, yhat, delta = _regress_yz(xj, Y, dW, dtau, degree, groups)
-        del dW
+        _, yhat, delta = _regress_yz(xj, Y, dWs.pop(), dtau, degree, groups)
         for i, rows, _ in groups:  # each group's driver values replace its rows of yhat
             yhat[rows] = _driver(model, lattice.gamma_points[i], knots[j], xj[rows], yhat[rows], delta[rows])
         Y = Y - dtau * yhat
@@ -315,16 +325,18 @@ def dual_value_lsmc(model: ModelSpec, eps: float, t0: float, x0, lattice: Contro
     terminal data exactly. x0 needs ``model.dim`` finite entries and t0 must
     be the lattice's first knot.
 
-    Memory: the start cloud is one broadcast row; the rollout's K states,
-    K increment sums and K narrow indices (K knot intervals) are dropped
-    knot by knot by the backward evaluation, next to one regression's
-    working set (``TestHeldMemory``).
+    Memory: a ``ValueSurface`` policy is rebound to its ``NearestPolicy``
+    before any path is drawn, so a surface the caller does not keep is
+    freed with its values; the start cloud is one broadcast row; the
+    rollout's K states, K increment sums and K narrow indices (K knot
+    intervals) are dropped knot by knot by the backward evaluation, next to
+    one regression's working set (``TestHeldMemory``).
     """
     if basis_degree < 0 or n_paths < 1:
         raise HedgeGameError(f"basis_degree >= 0 and n_paths >= 1 required, "
                              f"got {basis_degree} and {n_paths}")
     x0 = _checked_x0(model, x0)
-    read = _feedback(policy, model, lattice)
+    policy = _feedback(policy, model, lattice)
     if abs(t0 - lattice.time_knots[0]) > 1e-12:
         raise HedgeGameError(f"t0 {t0} is not the lattice's first knot {lattice.time_knots[0]}")
     if model.horizon_T - t0 <= 1e-12:
@@ -333,7 +345,7 @@ def dual_value_lsmc(model: ModelSpec, eps: float, t0: float, x0, lattice: Contro
     if terminal_fn is None:
         terminal_fn = shaken_payoff(model, eps)
     start = np.broadcast_to(x0, (n_paths, model.dim))
-    states, picks, dWs = _policy_rollout(model, lattice, start, read, _rng(seed))
+    states, picks, dWs = _policy_rollout(model, lattice, start, policy, _rng(seed))
     vals = _policy_value(model, lattice, states, picks, dWs, terminal_fn, basis_degree)
     return DualEstimate(float(vals.mean()), float(np.std(vals) / np.sqrt(n_paths)), int(n_paths),
                         int(basis_degree), len(lattice.time_knots) - 1, float(eps), int(seed))
@@ -374,17 +386,19 @@ def dpp_check(model: ModelSpec, eps: float, t0: float, x0, mid_time: float,
     direct estimate, the inner leg and the outer estimate run one after the
     other, and the inner leg drops its states before mid_time once the
     rollout is done, so the check holds one stage's path-sized arrays at a
-    time. mid_time is checked by ``mid_knot``, the rest as in ``dual_value_lsmc``.
+    time, and all three read the policy through one ``_feedback`` reader.
+    mid_time is checked by ``mid_knot``, the rest as in ``dual_value_lsmc``.
     """
     mid = mid_knot(model, t0, mid_time, lattice)
     x0 = _checked_x0(model, x0)
+    policy = _feedback(policy, model, lattice)
 
     direct = dual_value_lsmc(model, eps, t0, x0, lattice, basis_degree, n_paths, seed, policy=policy)
 
     inner_lat = ControlLattice(lattice.time_knots[mid:], lattice.gamma_points, lattice.substeps)
     outer_lat = ControlLattice(lattice.time_knots[:mid + 1], lattice.gamma_points, lattice.substeps)
     states, picks, dWs = _policy_rollout(model, lattice, np.broadcast_to(x0, (n_paths, model.dim)),
-                                         _feedback(policy, model, lattice), _rng(seed + 1))
+                                         policy, _rng(seed + 1))
     del states[:mid], picks[:mid], dWs[:mid]
     cloud = states[0]
     vals = _policy_value(model, inner_lat, states, picks, dWs, shaken_payoff(model, eps), basis_degree)

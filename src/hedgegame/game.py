@@ -332,7 +332,7 @@ class SimParams:
 class CheckReport:
     passed: bool
     y0: float
-    margin: float
+    margin: float | None  # None when an explicit y0 replaced value + margin
     tol_sim: float
     p_sim: float
     reports: list
@@ -348,6 +348,7 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
                      policy_surface: hjb.ValueSurface | None = None, *,
                      y0: float | None = None) -> CheckReport:
     """Start from y0, by default the surface value plus margin, and face every adversary.
+    The report's margin is None when an explicit y0 replaced value + margin.
 
     Runs the feedback hedge against each constant adverse point, a randomly
     switching adversary and the worst-case policy feedback. All runs advance
@@ -362,6 +363,7 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
     tol_sim.
     """
     strategy = make_strategy(source)
+    margin = float(margin) if y0 is None else None
     if y0 is None:
         y0 = strategy.value(sim.t0, np.asarray(sim.x0, dtype=float).reshape(1, -1)) + margin
     adversaries = [ConstantAdversary(i) for i in range(len(model.A_points))]
@@ -376,4 +378,4 @@ def superhedge_check(model: ModelSpec, source, margin: float, sim: SimParams,
                     sim.paths, sim.steps, sim.seed)
     ok = not any(rep.excluded_paths > 0 or rep.shortfall.size == 0
                  or not rep.shortfall_prob(sim.tol_sim) <= sim.p_sim for rep in reports)
-    return CheckReport(ok, float(y0), float(margin), sim.tol_sim, sim.p_sim, reports)
+    return CheckReport(ok, float(y0), margin, sim.tol_sim, sim.p_sim, reports)

@@ -112,7 +112,9 @@ class ValueSurface:
     """Solved value/policy fields on a grid; read-only after construction.
 
     The policy holds pair indices in ``_policy_dtype(a_count)``; an entry
-    outside [0, a_count) raises HedgeGameError.
+    outside [0, a_count) raises HedgeGameError. ``policy_at(t, xs)`` reads
+    it at the nearest node (``NearestPolicy``), and keeps no reference to
+    the surface.
     """
 
     def __init__(self, grid, model_hash, t, axes, values, policy, a_count, meta):
@@ -130,6 +132,7 @@ class ValueSurface:
         self.meta = dict(meta)
         for arr in (self.t, self.values, self.policy, *self.axes):
             arr.flags.writeable = False
+        self.policy_at = NearestPolicy(self)
 
     @property
     def dim(self) -> int:
@@ -142,17 +145,6 @@ class ValueSurface:
     @property
     def horizon_T(self) -> float:
         return float(self.t[-1])
-
-    def policy_at(self, t, xs) -> np.ndarray:
-        """Pair indices of the policy at the node nearest to (t, x) for each
-        row x of xs, with time and space clamped to the grid."""
-        dt = float(self.t[1] - self.t[0])
-        k = int(np.clip(round((t - self.t_start) / dt), 0, len(self.t) - 1))
-        idx = []
-        for i, ax in enumerate(self.axes):
-            h = ax[1] - ax[0]
-            idx.append(np.clip(np.round((xs[:, i] - ax[0]) / h).astype(np.int64), 0, len(ax) - 1))
-        return self.policy[(k,) + tuple(idx)]
 
     # -- derivative fields -------------------------------------------------
 
@@ -230,6 +222,25 @@ class ValueSurface:
         if scalar:
             return EvalPack(float(pack.value[0]), pack.p[0], pack.M[0], float(pack.q[0]))
         return pack
+
+
+class NearestPolicy:
+    """A surface's policy read at the node nearest to (t, x) for each row x
+    of xs, with time and space clamped to the grid. It keeps the policy
+    grid, the time axis, the space axes and the pair count, not the surface
+    or its values."""
+
+    def __init__(self, surface: ValueSurface):
+        self.policy, self.t, self.axes, self.a_count = surface.policy, surface.t, surface.axes, surface.a_count
+
+    def __call__(self, t, xs) -> np.ndarray:
+        dt = float(self.t[1] - self.t[0])
+        k = int(np.clip(round((t - float(self.t[0])) / dt), 0, len(self.t) - 1))
+        idx = []
+        for i, ax in enumerate(self.axes):
+            h = ax[1] - ax[0]
+            idx.append(np.clip(np.round((xs[:, i] - ax[0]) / h).astype(np.int64), 0, len(ax) - 1))
+        return self.policy[(k,) + tuple(idx)]
 
 
 # ---------------------------------------------------------------------------

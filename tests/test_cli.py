@@ -221,6 +221,7 @@ class TestSolveSimulatePipeline:
         rep = json.loads((out / "simreport.json").read_text())
         runs = rep.get("runs", [rep])
         assert rep["y0"] == 0.0 and all(run["y0"] == 0.0 for run in runs)
+        assert adversary != "all" or rep["margin"] is None
         assert all(run["shortfall_prob"] == 1.0 for run in runs)
 
     def test_surface_model_mismatch(self, tmp_path, capsys):

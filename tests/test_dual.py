@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -436,16 +437,19 @@ class TestGroupedRoute:
 
 
 class TestHeldMemory:
-    @pytest.mark.parametrize("vols, bound", [((0.2,), 23), ((0.1, 0.3), 26)],
+    @pytest.mark.parametrize("vols, bound", [((0.2,), 18), ((0.1, 0.3), 22)],
                              ids=["one-control", "two-controls"])
     def test_peak_in_path_arrays(self, vols, bound):
         # 20000 paths, 4 knots: a path array is one (n, 1) float array. The
         # start row, the rollout's states and increments, and one
         # regression's working set (design matrix, its least-squares copy,
-        # fitted y, the delta targets, fitted in place, driver) peak at 18.6
-        # path arrays with one control and 22.5 with two (tracemalloc): the
-        # driver's market read on the larger group sets the peak. Holding the fitted clouds through the rollout, a
-        # tiled start cloud and a feature matrix per fit took 34.3 with
+        # fitted y, the delta targets, each fit written into its column,
+        # driver) peak at 16.6 path arrays with one control and 20.5 with two
+        # (tracemalloc): the driver's market read on the larger group sets
+        # the peak. Keeping the knot's increments through the fits, a fitted
+        # temporary per column and the driver's financing term out of place
+        # took 18.6 and 22.5; holding the fitted clouds through the rollout,
+        # a tiled start cloud and a feature matrix per fit took 34.3 with
         # either; fitting z = sigma^T delta beside its targets took one more.
         model = uncertain_vol_model(vols=vols, r_lend=0.02, r_borrow=0.05)
         surface = solve(model, SKETCH_GRID)
@@ -461,3 +465,29 @@ class TestHeldMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound * n * 8
+
+    @pytest.mark.parametrize("mid", [None, 0.5], ids=["lsmc", "dpp"])
+    def test_a_surface_the_caller_drops_is_freed_before_any_path(self, monkeypatch, mid):
+        # the feedback keeps the policy grid alone (hjb.NearestPolicy): a
+        # surface passed without a name is freed, values and all, before
+        # the first rollout draws a path, in every leg of the DPP check
+        import hedgegame.dual as dual_mod
+        model = uncertain_vol_model(vols=(0.1, 0.3), r_lend=0.02, r_borrow=0.05)
+        lat = make_lattice(model, 0.0, 4, 0.0, substeps=2)
+        refs, alive = [], []
+
+        def surface():
+            s = solve(model, SKETCH_GRID)
+            refs.append(weakref.ref(s.values))
+            return s
+
+        def rollout(*args):
+            alive.append(refs[0]() is not None)
+            return _policy_rollout(*args)
+
+        monkeypatch.setattr(dual_mod, "_policy_rollout", rollout)
+        if mid is None:
+            dual_value_lsmc(model, 0.0, 0.0, [0.0], lat, 2, 500, 1, policy=surface())
+        else:
+            dpp_check(model, 0.0, 0.0, [0.0], mid, lat, 500, 1, 2, policy=surface())
+        assert alive == [False] * (1 if mid is None else 3)

@@ -463,9 +463,10 @@ class TestSuperhedgeCheck:
         model = frozen_model()
         sim = SimParams(x0=(0.0,), paths=50, steps=10, seed=5)
         check = superhedge_check(model, constant_surface(), 0.5, sim, y0=0.25)
-        assert not check.passed and check.y0 == 0.25 and check.margin == 0.5
+        assert not check.passed and check.y0 == 0.25 and check.margin is None
         assert all(r.y0 == 0.25 and r.shortfall_mean == pytest.approx(0.75) for r in check.reports)
-        assert superhedge_check(model, constant_surface(), 0.5, sim, y0=None).y0 == 1.5
+        auto = superhedge_check(model, constant_surface(), 0.5, sim, y0=None)
+        assert auto.y0 == 1.5 and auto.margin == 0.5
 
     def test_undercapitalized_fails_against_worst(self, uv_surface):
         model, surf = uv_surface

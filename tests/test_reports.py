@@ -105,6 +105,15 @@ class TestSimReports:
         for rep, run in zip(check.reports, d["runs"]):
             assert_plain(rep, run, derived=("shortfall_prob", "tol"))
 
+    def test_margin_is_null_under_an_explicit_y0(self):
+        # an explicit y0 replaces value + margin, so the artifact names no margin
+        sim = SimParams(x0=(0.0,), paths=50, steps=10, seed=5)
+        given = json.loads(json.dumps(superhedge_check(frozen_model(), constant_surface(), 0.5, sim,
+                                                       y0=0.25).to_dict()))
+        auto = json.loads(json.dumps(superhedge_check(frozen_model(), constant_surface(), 0.5, sim).to_dict()))
+        assert given["y0"] == 0.25 and given["margin"] is None
+        assert auto["y0"] == 1.5 and auto["margin"] == 0.5
+
 
 class TestDualReports:
     @pytest.fixture(scope="class")
