@@ -483,18 +483,16 @@ def cmd_dual(args):
     if dv.mid is not None:
         dual.mid_knot(model, t0, dv.mid, lattice)  # a bad mid date fails before the solve
     # the worst-case feedback: the argmin of the shaken solve on the config's grid (at eps = 0
-    # the plain solve, bit for bit); a solve that fails exits as `solve` does on the config. No
-    # name here keeps the surface, so the dual frees its values once it holds the policy grid.
-    def worst_case_surface():
-        return hjb.solve(model, run.grid, terminal=shaken_payoff(model, dv.eps),
-                         shake_points=shake_lattice(dv.eps, model.dim))
-
+    # the plain solve, bit for bit); a solve that fails exits as `solve` does on the config. Only
+    # the policy reader is kept, so the surface's values are freed before the dual draws a path.
+    policy = hjb.solve(model, run.grid, terminal=shaken_payoff(model, dv.eps),
+                       shake_points=shake_lattice(dv.eps, model.dim)).policy_at
     if dv.mid is not None:
         payload = dual.dpp_check(model, dv.eps, t0, x0, dv.mid, lattice, dv.paths, dv.seed, dv.degree,
-                                 policy=worst_case_surface()).to_dict()
+                                 policy=policy).to_dict()
     else:
         payload = dual.dual_value_lsmc(model, dv.eps, t0, x0, lattice, dv.degree, dv.paths, dv.seed,
-                                       policy=worst_case_surface()).to_dict()
+                                       policy=policy).to_dict()
     _write_json(os.path.join(out_dir, "dual.json"), payload)
     write_manifest(out_dir, "dual", cfg, ["dual.json"], t_start, {"dual": dv.seed})
     return EXIT_OK

@@ -105,11 +105,11 @@ class _Basis:
         return B
 
 
-def _lstsq(B: np.ndarray, ys: np.ndarray, out=None):
+def _lstsq(B: np.ndarray, ys: np.ndarray):
     """Least-squares coefficients of ys on the design matrix B, their rank
-    and the fitted values, written to ``out`` when given."""
+    and the fitted values."""
     coef, _, rank, _ = np.linalg.lstsq(B, ys, rcond=None)
-    return coef, rank, np.matmul(B, coef, out=out)
+    return coef, rank, B @ coef
 
 
 def _fit(basis: _Basis, xs: np.ndarray, ys: np.ndarray):
@@ -136,20 +136,14 @@ def _regress_yz(xj, y_next, dW, dtau, degree, groups):
     ratio delta, regressed on its per-path estimate
     sigma^-T (y_next - y) dW / dtau (``groups`` as ``_groups`` makes them).
     The delta fits reuse the y fit's basis and design matrix, since a fit's
-    rank depends on the cloud alone. dW is dropped once the targets exist
-    (a caller that passes ``dWs.pop()`` keeps no other reference), and each
-    fit is written into its column."""
+    rank depends on the cloud alone."""
     basis, _, yhat, B = _fit(_Basis(xj, degree), xj, y_next)
     delta = (y_next - yhat)[:, None] * dW
-    del dW
     delta /= dtau
     for _, rows, to_delta in groups:
         delta[rows] = to_delta(delta[rows])
-    for col in delta.T:
-        if col.flags.c_contiguous:
-            _lstsq(B, col, out=col)
-        else:  # a strided column (d = 2): out= there could change the bits
-            col[:] = _lstsq(B, col)[2]
+    for kdim in range(delta.shape[1]):
+        delta[:, kdim] = _lstsq(B, delta[:, kdim])[2]
     return basis, yhat, delta
 
 
@@ -290,10 +284,11 @@ def _policy_value(model, lattice, states, picks, dWs, terminal_fn, degree):
     knots = lattice.time_knots
     Y = np.asarray(terminal_fn(states.pop()), dtype=float)
     for j in range(len(knots) - 2, -1, -1):
-        xj, pick = states.pop(), picks.pop()
+        xj, dW, pick = states.pop(), dWs.pop(), picks.pop()
         dtau = knots[j + 1] - knots[j]
         groups = _groups(model, lattice, knots[j], xj, pick)
-        _, yhat, delta = _regress_yz(xj, Y, dWs.pop(), dtau, degree, groups)
+        _, yhat, delta = _regress_yz(xj, Y, dW, dtau, degree, groups)
+        del dW
         for i, rows, _ in groups:  # each group's driver values replace its rows of yhat
             yhat[rows] = _driver(model, lattice.gamma_points[i], knots[j], xj[rows], yhat[rows], delta[rows])
         Y = Y - dtau * yhat

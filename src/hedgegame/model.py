@@ -200,20 +200,12 @@ def market_read(finance: FinanceSpec, t, x, a):
 
 def wealth_drift(mu, sig, rl, rb):
     """The wealth drift (y, u) -> u.(mu + gamma/2) + rho(y - u.1) of one
-    market read, u the hedge itself (the delta, in the game and the dual).
-    The financing term is formed in place in one array of the result's
-    shape, by the ufuncs of rl max(c, 0) - rb max(-c, 0) in their order."""
+    market read, u the hedge itself (the delta, in the game and the dual)."""
     mg = mu + 0.5 * np.einsum("...ij,...ij->...i", sig, sig)
 
     def wealth(y, u):
-        shape = np.broadcast(y, u[..., 0], mg[..., 0], rl, rb).shape
-        cash = np.subtract(np.asarray(y, dtype=float), u.sum(axis=-1), out=np.empty(shape))
-        short = np.negative(cash)
-        np.multiply(np.maximum(short, 0.0, out=short), rb, out=short)
-        np.multiply(np.maximum(cash, 0.0, out=cash), rl, out=cash)
-        fin = np.subtract(cash, short, out=cash)
-        del cash, short
-        return np.add((u * mg).sum(axis=-1), fin, out=fin)
+        cash = np.asarray(y, dtype=float) - u.sum(axis=-1)
+        return (u * mg).sum(axis=-1) + (np.maximum(cash, 0.0) * rl - np.maximum(-cash, 0.0) * rb)
     return wealth
 
 

@@ -437,19 +437,16 @@ class TestGroupedRoute:
 
 
 class TestHeldMemory:
-    @pytest.mark.parametrize("vols, bound", [((0.2,), 18), ((0.1, 0.3), 22)],
+    @pytest.mark.parametrize("vols, bound", [((0.2,), 19), ((0.1, 0.3), 23)],
                              ids=["one-control", "two-controls"])
     def test_peak_in_path_arrays(self, vols, bound):
         # 20000 paths, 4 knots: a path array is one (n, 1) float array. The
         # start row, the rollout's states and increments, and one
         # regression's working set (design matrix, its least-squares copy,
-        # fitted y, the delta targets, each fit written into its column,
-        # driver) peak at 16.6 path arrays with one control and 20.5 with two
-        # (tracemalloc): the driver's market read on the larger group sets
-        # the peak. Keeping the knot's increments through the fits, a fitted
-        # temporary per column and the driver's financing term out of place
-        # took 18.6 and 22.5; holding the fitted clouds through the rollout,
-        # a tiled start cloud and a feature matrix per fit took 34.3 with
+        # fitted y, the delta targets, fitted in place, driver) peak at 18.6
+        # path arrays with one control and 22.5 with two (tracemalloc): the
+        # driver's market read on the larger group sets the peak. Holding the fitted clouds through the rollout, a
+        # tiled start cloud and a feature matrix per fit took 34.3 with
         # either; fitting z = sigma^T delta beside its targets took one more.
         model = uncertain_vol_model(vols=vols, r_lend=0.02, r_borrow=0.05)
         surface = solve(model, SKETCH_GRID)
